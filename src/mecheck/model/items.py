@@ -143,10 +143,15 @@ class XmlElement:
     file: "XmlFile | None" = field(default=None, repr=False)
 
     def iter_subtree(self):
-        """This element and every descendant, in document order."""
-        yield self
-        for child in self.children:
-            yield from child.iter_subtree()
+        """This element and every descendant, in document order.
+
+        Iterative, so nesting depth is not limited by the recursion limit.
+        """
+        stack = [self]
+        while stack:
+            elem = stack.pop()
+            yield elem
+            stack.extend(reversed(elem.children))
 
 
 @dataclass(eq=False)

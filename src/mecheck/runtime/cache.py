@@ -9,6 +9,15 @@ Keys canonicalize arguments by stable identity: paths for files, FQNs
 for classes, owner plus signature for members, file plus ordinal for
 elements and call sites.  Scalars go in by value; bool is checked before
 int because Python bools are ints.
+
+The cache also holds the interpreter's exists indexes (exists_indexes),
+so they live exactly as long as the cached query results they are built
+over.  An index belongs to one `exists (T x in C) (f(x) == e)` node and
+one container object C: it maps f(x) of each element to the element's
+first position, so each evaluation of the node is a dict probe instead
+of a scan.  The interpreter decides which predicates qualify and keeps
+results, errors and counters equal to a scan's (see interpreter.py);
+with no cache there are no indexes and every exists scans.
 """
 
 from __future__ import annotations
@@ -81,6 +90,9 @@ class QueryCache:
     def __init__(self):
         self._store: dict[tuple, object] = {}
         self._lock = threading.Lock()
+        # (id(exists node), id(container)) -> the interpreter's index;
+        # each entry keeps its container alive, so no id is reused
+        self.exists_indexes: dict[tuple[int, int], object] = {}
         self.hits = 0
         self.misses = 0
 

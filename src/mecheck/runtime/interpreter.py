@@ -15,10 +15,27 @@ A failed assert renders the message template and emits a BugReport; the
 report's position comes from the first message argument that carries a
 source location.  Any runtime failure (unbound name, a built-in type or
 precondition error) aborts only the current rule via RuntimeRuleError.
+
+Indexed exists: with a QueryCache, `exists (T x in C) (f(x) == e)` is
+answered from a hash index of f over C (a hash semi-join) when the
+predicate, parentheses removed, is an == of which exactly one side
+mentions x, that side is built only from built-in calls, literals and x,
+and the other side e neither mentions x nor contains an exists.  The
+index is kept in the cache per (exists node, container object), is
+grown only as far as lookups need, and maps each f-value to its first
+position; e is evaluated once per lookup and probed.  Results, rule
+errors and exists_predicate_evals are exactly those of the left-to-right
+scan: e is evaluated where the scan's first iteration would evaluate it
+(never for an empty container), a failure of f at position p is
+re-raised unless a match lies before p, and the count is the match
+position + 1, p + 1, or len(C) on a miss.  Values without an exact hash
+key (numbers, lists; see values.index_key) fall back to the scan, and
+without a cache every exists scans.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from mecheck import builtins as builtins_mod
@@ -32,6 +49,7 @@ from mecheck.runtime.env import (
     IF_BODY,
     RULE_BODY,
     EnvStack,
+    Frame,
     UnboundVariable,
 )
 
@@ -60,6 +78,79 @@ class RuntimeRuleError(Exception):
 class EvalStats:
     builtin_calls: int = 0
     exists_predicate_evals: int = 0
+    exists_index_lookups: int = 0
+
+
+def _walk(exp: ast.Exp):
+    """exp and every expression below it."""
+    yield exp
+    for f in dataclasses.fields(exp):
+        child = getattr(exp, f.name)
+        for c in child if isinstance(child, tuple) else (child,):
+            if isinstance(c, ast.Exp):
+                yield from _walk(c)
+
+
+@dataclass(frozen=True)
+class EqPlan:
+    """How an index answers `exists (T x in C) (keyed == probe)`."""
+
+    keyed: ast.Exp  # f(x): the side that mentions x
+    probe: ast.Exp  # e: the side that does not
+    probe_first: bool  # e is the left side, so a scan evaluates it before f(x)
+
+
+def plan_exists(exp: ast.Exists) -> EqPlan | None:
+    """The index plan for an exists node, or None when it must scan."""
+    pred = exp.predicate
+    while isinstance(pred, ast.Paren):
+        pred = pred.inner
+    if not isinstance(pred, ast.Eq):
+        return None
+
+    def mentions_var(side: ast.Exp) -> bool:
+        return any(
+            isinstance(n, ast.Identifier) and n.name == exp.var for n in _walk(side)
+        )
+
+    lhs_x, rhs_x = mentions_var(pred.lhs), mentions_var(pred.rhs)
+    if lhs_x == rhs_x:
+        return None
+    keyed, probe = (pred.lhs, pred.rhs) if lhs_x else (pred.rhs, pred.lhs)
+    if not all(
+        isinstance(n, (ast.FunctionCall, ast.Literal))
+        or (isinstance(n, ast.Identifier) and n.name == exp.var)
+        for n in _walk(keyed)
+    ):
+        return None
+    # a nested exists in e would count predicate evals once per scanned element
+    if any(isinstance(n, ast.Exists) for n in _walk(probe)):
+        return None
+    return EqPlan(keyed, probe, probe_first=rhs_x)
+
+
+class ExistsIndex:
+    """f(x) over one container for one exists node, built in container
+    order only as far as lookups have needed.  It holds the node and the
+    container, so the ids that key it in the cache stay unique."""
+
+    __slots__ = ("node", "container", "first", "built", "error", "unkeyed")
+
+    def __init__(self, node: ast.Exists, container: list):
+        self.node = node
+        self.container = container
+        self.first: dict = {}  # index key of f(C[i]) -> smallest such i
+        self.built = 0  # f evaluated without failure at positions [0, built)
+        # (cause, line, column) of f's failure at position `built`
+        self.error: tuple[str, int, int] | None = None
+        self.unkeyed = False  # f(C[built]) has no index key
+
+    def complete(self) -> bool:
+        return (
+            self.error is not None
+            or self.unkeyed
+            or self.built == len(self.container)
+        )
 
 
 class Interpreter:
@@ -81,6 +172,8 @@ class Interpreter:
         self.cache = cache
         self.stats = EvalStats()
         self._rule_name = "<none>"
+        # id(exists node) -> (node, plan); holding the node keeps its id unique
+        self._plans: dict[int, tuple[ast.Exists, EqPlan | None]] = {}
 
     # -- entry point ----------------------------------------------------------
 
@@ -233,6 +326,12 @@ class Interpreter:
         frame = env.push(EXISTS_CLAUSE)
         try:
             container = self.evaluate(exp.container, env)
+            if self.cache is not None and isinstance(container, list) and container:
+                plan = self._plan(exp)
+                if plan is not None:
+                    found = self._index_lookup(exp, plan, container, env, frame)
+                    if found is not None:
+                        return found
             for element in self._iteration_items(container):
                 frame.bind(exp.var, exp.decl_type, element)
                 self.stats.exists_predicate_evals += 1
@@ -242,6 +341,71 @@ class Interpreter:
             return False
         finally:
             env.pop()
+
+    def _plan(self, exp: ast.Exists) -> EqPlan | None:
+        entry = self._plans.get(id(exp))
+        if entry is None:
+            entry = self._plans[id(exp)] = (exp, plan_exists(exp))
+        return entry[1]
+
+    def _index_lookup(
+        self, exp: ast.Exists, plan: EqPlan, container: list, env: EnvStack, frame: Frame
+    ) -> bool | None:
+        """Answer a non-empty exists from its index, counting and failing
+        as the scan would; None means the scan must answer."""
+        indexes = self.cache.exists_indexes
+        slot = (id(exp), id(container))
+        index = indexes.get(slot)
+        if index is None:
+            index = indexes[slot] = ExistsIndex(exp, container)
+        stats = self.stats
+        # the scan's first iteration evaluates f(x0) before a right-hand e
+        if not plan.probe_first and index.built == 0 and not index.complete():
+            self._grow_index(index, plan, env, frame)
+        pos = None
+        # unless f(x0) failed, which ends the scan before e is evaluated
+        if plan.probe_first or index.built > 0 or index.error is None:
+            try:
+                probe = self.evaluate(plan.probe, env)
+            except RuntimeRuleError:
+                stats.exists_predicate_evals += 1
+                raise
+            key = V.index_key(probe)
+            if key is None:
+                return None
+            pos = index.first.get(key)
+            while pos is None and not index.complete():
+                self._grow_index(index, plan, env, frame)
+                pos = index.first.get(key)
+            if pos is None and index.unkeyed:
+                return None
+        stats.exists_index_lookups += 1
+        if pos is not None:
+            stats.exists_predicate_evals += pos + 1
+            return True
+        if index.error is not None:
+            stats.exists_predicate_evals += index.built + 1
+            raise RuntimeRuleError(self._rule_name, *index.error)
+        stats.exists_predicate_evals += len(container)
+        return False
+
+    def _grow_index(self, index: ExistsIndex, plan: EqPlan, env: EnvStack, frame: Frame) -> None:
+        """Evaluate f at the next unindexed position."""
+        pos = index.built
+        frame.bind(index.node.var, index.node.decl_type, index.container[pos])
+        try:
+            value = self.evaluate(plan.keyed, env)
+        except RuntimeRuleError as exc:
+            index.error = (exc.cause, exc.line, exc.column)
+            return
+        finally:
+            frame.clear()
+        key = V.index_key(value)
+        if key is None:
+            index.unkeyed = True
+            return
+        index.first.setdefault(key, pos)
+        index.built = pos + 1
 
     def _truth(self, value: object, exp: ast.Exp) -> bool:
         try:

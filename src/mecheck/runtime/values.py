@@ -102,6 +102,21 @@ def value_eq(a: object, b: object) -> bool:
     return a is b
 
 
+# Values whose Python hash and == agree exactly with value_eq: MISSING,
+# bool and str compare by value, model items (eq=False) by identity.
+# Numbers are left out (1 == 1.0 == True in Python), and so are lists.
+_INDEX_KEY_TYPES = frozenset(
+    [_Missing, bool, str, XmlFile, XmlElement, ClassItem, MethodItem,
+     ConstructorItem, FieldItem, CallSite]
+)
+
+
+def index_key(value: object):
+    """A dict key for value such that two keys are equal exactly when
+    value_eq holds, or None for a value that has no such key."""
+    return value if type(value) in _INDEX_KEY_TYPES else None
+
+
 def display(value: object) -> str:
     """Render a value for bug-report messages."""
     if value is MISSING:

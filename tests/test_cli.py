@@ -202,3 +202,19 @@ def test_ignore_glob_skips_directories(tmp_path, capsys):
     root = write_project(tmp_path, files)
     assert cli.main(["--project", str(root), "--ignore", "extra"]) == 0
     capsys.readouterr()
+
+
+def test_deeply_nested_xml_is_checked(tmp_path, capsys):
+    depth = 3000
+    root = write_project(tmp_path, {
+        **CLEAN,
+        "src/main/resources/deep.xml": (
+            '<beans><bean id="outer" class="com.x.App">'
+            + "<bean>" * depth + "</bean>" * depth
+            + "</bean></beans>"
+        ),
+    })
+    assert cli.main(["--project", str(root), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reports"] == []
+    assert payload["summary"]["rulesExecuted"] == 15
