@@ -4,15 +4,12 @@ All items compare by identity (eq=False): within one model each class,
 member, element, and call site is a single object, so identity is the
 right equality for rule evaluation and cache keys.
 
-ClassItem materializes its members lazily.  The first call to members()
-runs the member-level parse (via a loader installed by the model
-builder) and caches the result; later calls, from any thread, return the
-same Members object.
+A ClassItem's members are extracted by the model builder in the same
+pass that finds the class; members() returns that one Members object.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 
@@ -108,22 +105,12 @@ class ClassItem:
     annotations: tuple[AnnotationUse, ...]
     file_path: str
     line: int
-    member_parse_count: int = 0
-    _members: Members | None = field(default=None, repr=False)
-    _loader: object = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _members: Members = field(
+        default_factory=lambda: Members((), (), (), ()), repr=False
+    )
 
     def members(self) -> Members:
-        """Parse members on first use; at most one parse per class."""
-        if self._members is not None:
-            return self._members
-        with self._lock:
-            if self._members is None:
-                if self._loader is None:
-                    self._members = Members((), (), (), ())
-                else:
-                    self._members = self._loader(self)
-                self.member_parse_count += 1
+        """Fields, methods, constructors and watched call sites of this class."""
         return self._members
 
 

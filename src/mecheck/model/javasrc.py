@@ -1,6 +1,7 @@
 """Declaration-level Java source scanning.
 
-Two phases over a token stream:
+tokenize_java turns one file's text into a token list; the model builder
+runs it once per file and runs both phases below over the same tokens:
 
   * scan_declarations walks a whole file and records the package, the
     imports, and every type declaration (name, kind, supertypes as
@@ -18,6 +19,7 @@ watched calls and string/class-literal arguments.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from mecheck.model.items import AnnotationUse, Param
@@ -49,11 +51,21 @@ CHAR = "char"
 NUMBER = "number"
 
 
-@dataclass(frozen=True)
 class JTok:
-    kind: str
-    text: str
-    line: int
+    """One token: its kind (IDENT, PUNCT, STRING, CHAR or NUMBER), its
+    text as written and its 1-based line.  A plain slotted class, because
+    a file yields thousands of tokens and a frozen dataclass costs several
+    times as much to create."""
+
+    __slots__ = ("kind", "text", "line")
+
+    def __init__(self, kind: str, text: str, line: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+
+    def __repr__(self) -> str:
+        return f"JTok({self.kind!r}, {self.text!r}, {self.line})"
 
 
 class JavaScanError(Exception):
@@ -62,12 +74,9 @@ class JavaScanError(Exception):
         self.line = line
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_$"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
+# The rest of an identifier: re's \w is exactly str.isalnum() plus '_'.
+_IDENT_REST = re.compile(r"[\w$]*")
+_BLANKS = re.compile(r"[ \t\r\f]+")
 
 
 def tokenize_java(text: str) -> list[JTok]:
@@ -75,24 +84,34 @@ def tokenize_java(text: str) -> list[JTok]:
 
     Comments and whitespace are dropped.  Literal text keeps its quotes.
     Unterminated comments or strings end the token stream early rather
-    than raising: downstream scanning is best effort.
+    than raising: downstream scanning is best effort.  Only '\n' counts
+    as a line break; callers read sources with universal newlines.
     """
     toks: list[JTok] = []
+    append = toks.append
+    ident_rest = _IDENT_REST.match
+    blanks = _BLANKS.match
     i = 0
     n = len(text)
     line = 1
     while i < n:
         ch = text[i]
+        if ch in " \t\r\f":
+            i = blanks(text, i).end()
+            continue
         if ch == "\n":
             line += 1
             i += 1
             continue
-        if ch in " \t\r\f":
-            i += 1
+        if ch.isalpha() or ch == "_" or ch == "$":
+            j = ident_rest(text, i + 1).end()
+            append(JTok(IDENT, text[i:j], line))
+            i = j
             continue
         if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
+            i = text.find("\n", i)
+            if i == -1:
+                break
             continue
         if ch == "/" and i + 1 < n and text[i + 1] == "*":
             end = text.find("*/", i + 2)
@@ -101,37 +120,23 @@ def tokenize_java(text: str) -> list[JTok]:
             line += text.count("\n", i, end + 2)
             i = end + 2
             continue
-        if text.startswith('"""', i):
-            end = text.find('"""', i + 3)
-            if end == -1:
-                break
-            body = text[i : end + 3]
-            toks.append(JTok(STRING, body, line))
-            line += body.count("\n")
-            i = end + 3
-            continue
-        if ch == '"':
+        if ch == '"' or ch == "'":
+            if ch == '"' and text.startswith('"""', i):
+                end = text.find('"""', i + 3)
+                if end == -1:
+                    break
+                append(JTok(STRING, text[i : end + 3], line))
+                line += text.count("\n", i, end + 3)
+                i = end + 3
+                continue
             j = i + 1
-            while j < n and text[j] not in ('"', "\n"):
+            while j < n and text[j] != ch and text[j] != "\n":
                 if text[j] == "\\" and j + 1 < n:
                     j += 2
                 else:
                     j += 1
-            if j < n and text[j] == '"':
-                toks.append(JTok(STRING, text[i : j + 1], line))
-                i = j + 1
-            else:
-                i = j
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and text[j] not in ("'", "\n"):
-                if text[j] == "\\" and j + 1 < n:
-                    j += 2
-                else:
-                    j += 1
-            if j < n and text[j] == "'":
-                toks.append(JTok(CHAR, text[i : j + 1], line))
+            if j < n and text[j] == ch:
+                append(JTok(STRING if ch == '"' else CHAR, text[i : j + 1], line))
                 i = j + 1
             else:
                 i = j
@@ -144,17 +149,10 @@ def tokenize_java(text: str) -> list[JTok]:
                 if text[j] == "." and not (j + 1 < n and text[j + 1].isdigit()):
                     break
                 j += 1
-            toks.append(JTok(NUMBER, text[i:j], line))
+            append(JTok(NUMBER, text[i:j], line))
             i = j
             continue
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            toks.append(JTok(IDENT, text[i:j], line))
-            i = j
-            continue
-        toks.append(JTok(PUNCT, ch, line))
+        append(JTok(PUNCT, ch, line))
         i += 1
     return toks
 

@@ -1,9 +1,10 @@
 """Project model assembly.
 
-build_model walks a project directory once, eagerly parses every XML
-file, and scans every Java file at declaration level.  Class members are
-parsed lazily: the first query that needs a class's members triggers a
-single member-level parse of that class (see ClassItem.members).
+build_model walks a project directory once and parses everything in one
+pass: every XML file, and every Java file, which is read and tokenized
+once.  Its declarations are scanned from those tokens, and the members of
+each class it keeps are extracted from the same tokens before they are
+dropped, so the model never goes back to a source file.
 
 File discovery is deterministic: relative paths, sorted lexicographically
 with '/' separators.  Directories whose name matches an ignore glob
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import fnmatch
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,15 +52,6 @@ class ModelWarning:
     message: str
 
 
-@dataclass
-class _JavaFileRef:
-    rel_path: str
-    abs_path: Path
-    package: str | None
-    imports: tuple[str, ...]
-    types: list[javasrc.RawType]
-
-
 class ProjectModel:
     """Everything the built-in query functions read."""
 
@@ -74,10 +65,6 @@ class ProjectModel:
         self.warnings: list[ModelWarning] = []
         self.java_file_count = 0
         self.xml_parse_counts: dict[str, int] = {}
-        self.member_parse_events = 0
-        self._token_cache: dict[str, list[javasrc.JTok] | None] = {}
-        self._token_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
 
     def warn(self, path: str, message: str) -> None:
         self.warnings.append(ModelWarning(path, message))
@@ -91,49 +78,25 @@ class ProjectModel:
                     out.append(site)
         return out
 
-    # -- member materialization -------------------------------------------
 
-    def _file_tokens(self, ref: _JavaFileRef) -> list[javasrc.JTok] | None:
-        with self._token_lock:
-            if ref.rel_path in self._token_cache:
-                return self._token_cache[ref.rel_path]
-        try:
-            text = ref.abs_path.read_text(encoding="utf-8", errors="replace")
-            toks = javasrc.tokenize_java(text)
-        except OSError as exc:
-            self.warn(ref.rel_path, f"cannot reread source for member parse: {exc}")
-            toks = None
-        with self._token_lock:
-            self._token_cache[ref.rel_path] = toks
-        return toks
-
-    def _make_loader(self, ref: _JavaFileRef, raw: javasrc.RawType):
-        def load(cls: ClassItem) -> Members:
-            with self._counter_lock:
-                self.member_parse_events += 1
-            toks = self._file_tokens(ref)
-            if toks is None or raw.body_start < 0 or raw.body_start > len(toks):
-                return Members((), (), (), ())
-            extracted = javasrc.extract_members(toks, raw, self.config.watch_callees)
-            fields = tuple(
-                FieldItem(f.name, f.type_name, f.annotations, cls, f.line)
-                for f in extracted.fields
-            )
-            methods = tuple(
-                MethodItem(m.name, m.return_type, m.params, m.annotations, cls, m.line)
-                for m in extracted.methods
-            )
-            ctors = tuple(
-                ConstructorItem(c.params, c.annotations, cls, c.line)
-                for c in extracted.constructors
-            )
-            calls = tuple(
-                CallSite(c.callee, c.args, cls, cls.file_path, c.line, ordinal=idx)
-                for idx, c in enumerate(extracted.calls)
-            )
-            return Members(fields, methods, ctors, calls)
-
-        return load
+def _members_of(cls: ClassItem, extracted: javasrc.RawMembers) -> Members:
+    fields = tuple(
+        FieldItem(f.name, f.type_name, f.annotations, cls, f.line)
+        for f in extracted.fields
+    )
+    methods = tuple(
+        MethodItem(m.name, m.return_type, m.params, m.annotations, cls, m.line)
+        for m in extracted.methods
+    )
+    ctors = tuple(
+        ConstructorItem(c.params, c.annotations, cls, c.line)
+        for c in extracted.constructors
+    )
+    calls = tuple(
+        CallSite(c.callee, c.args, cls, cls.file_path, c.line, ordinal=idx)
+        for idx, c in enumerate(extracted.calls)
+    )
+    return Members(fields, methods, ctors, calls)
 
 
 def _is_ignored(rel_parts: tuple[str, ...], globs: tuple[str, ...]) -> bool:
@@ -175,22 +138,14 @@ def build_model(root: str | Path, config: ModelConfig | None = None) -> ProjectM
             model.warn(rel, f"skipped malformed XML: {exc.reason} (line {exc.line})")
 
     for rel in java_paths:
-        abs_path = root_path / rel
         try:
-            text = abs_path.read_text(encoding="utf-8", errors="replace")
+            text = (root_path / rel).read_text(encoding="utf-8", errors="replace")
         except OSError as exc:
             model.warn(rel, f"skipped unreadable Java source: {exc}")
             continue
         model.java_file_count += 1
         toks = javasrc.tokenize_java(text)
         decls = javasrc.scan_declarations(toks)
-        ref = _JavaFileRef(
-            rel_path=rel,
-            abs_path=abs_path,
-            package=decls.package,
-            imports=tuple(decls.imports),
-            types=decls.types,
-        )
         for raw in decls.types:
             chain = ".".join(raw.chain)
             fqn = f"{decls.package}.{chain}" if decls.package else chain
@@ -210,7 +165,9 @@ def build_model(root: str | Path, config: ModelConfig | None = None) -> ProjectM
                 file_path=rel,
                 line=raw.line,
             )
-            cls._loader = model._make_loader(ref, raw)
+            cls._members = _members_of(
+                cls, javasrc.extract_members(toks, raw, cfg.watch_callees)
+            )
             model.classes.append(cls)
             model.class_by_fqn[fqn] = cls
             model.classes_by_sn.setdefault(raw.simple_name, []).append(cls)

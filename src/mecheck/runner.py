@@ -90,7 +90,6 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
     summary.parse_counts = {
         "xml_files": len(model.xml_parse_counts),
         "java_files": model.java_file_count,
-        "member_parses": model.member_parse_events,
     }
     summary.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return summary

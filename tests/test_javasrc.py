@@ -1,5 +1,13 @@
+import pytest
+import reference_tokenizer
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mecheck.model.javasrc import (
     CHAR,
+    IDENT,
+    NUMBER,
+    PUNCT,
     STRING,
     decode_java_string,
     extract_members,
@@ -35,6 +43,71 @@ def test_tokenizer_line_numbers():
     toks = tokenize_java("class A {\n  int x;\n}")
     x = [t for t in toks if t.text == "x"][0]
     assert x.line == 2
+
+
+def triples(text):
+    return [(t.kind, t.text, t.line) for t in tokenize_java(text)]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # Unicode letters start identifiers
+        ("é ä µ", [(IDENT, "é", 1), (IDENT, "ä", 1), (IDENT, "µ", 1)]),
+        # any Unicode letter, digit or numeric char continues one
+        (
+            "aé2 b²c d٣ xⅧ",
+            [(IDENT, "aé2", 1), (IDENT, "b²c", 1), (IDENT, "d٣", 1), (IDENT, "xⅧ", 1)],
+        ),
+        # digits start numbers; a numeric letter-like char is punctuation
+        ("² ٣ Ⅷ 7", [(NUMBER, "²", 1), (NUMBER, "٣", 1), (PUNCT, "Ⅷ", 1), (NUMBER, "7", 1)]),
+        (
+            "$x _y a$b_c $ _",
+            [(IDENT, "$x", 1), (IDENT, "_y", 1), (IDENT, "a$b_c", 1), (IDENT, "$", 1), (IDENT, "_", 1)],
+        ),
+        (
+            's = "a\\"b" + \'\\n\' + "\\\\"',
+            [
+                (IDENT, "s", 1), (PUNCT, "=", 1), (STRING, '"a\\"b"', 1), (PUNCT, "+", 1),
+                (CHAR, "'\\n'", 1), (PUNCT, "+", 1), (STRING, '"\\\\"', 1),
+            ],
+        ),
+        (
+            't = """\nline "q"\n""" ; u',
+            [(IDENT, "t", 1), (PUNCT, "=", 1), (STRING, '"""\nline "q"\n"""', 1),
+             (PUNCT, ";", 3), (IDENT, "u", 3)],
+        ),
+        ('a // c "x\nb /* c\n d */ e', [(IDENT, "a", 1), (IDENT, "b", 2), (IDENT, "e", 3)]),
+        # an unterminated comment or text block ends the stream
+        ("a /* open\nb", [(IDENT, "a", 1)]),
+        ('x = """open', [(IDENT, "x", 1), (PUNCT, "=", 1)]),
+        # an unterminated string or char literal is dropped up to the line end
+        ("a \"open\nb 'c\nd", [(IDENT, "a", 1), (IDENT, "b", 2), (IDENT, "d", 3)]),
+        ("a\r\nb\r\n\r\nc", [(IDENT, "a", 1), (IDENT, "b", 2), (IDENT, "c", 4)]),
+    ],
+)
+def test_tokenizer_character_classes(text, expected):
+    assert triples(text) == expected
+    assert reference_tokenizer.tokenize(text) == expected
+
+
+FRAGMENTS = [
+    "é", "ä", "µ", "²", "٣", "Ⅷ", "$", "_", "a", "Zq", "0", "9", "0x1F", "3.14", "1_000", ".",
+    '"', "'", '"""', "\\", '\\"', "\\'", "//", "/*", "*/", "*",
+    " ", "\t", "\f", "\r", "\n", "\r\n",
+    "(", ")", "{", "}", ";", "@", "<", ">", ",", "=", "class", "getBean",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(FRAGMENTS), st.characters(max_codepoint=0x2FFF)),
+        max_size=60,
+    ).map("".join)
+)
+def test_tokenizer_matches_reference(text):
+    assert triples(text) == reference_tokenizer.tokenize(text)
 
 
 def test_package_imports_and_class():

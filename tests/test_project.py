@@ -1,7 +1,6 @@
-import threading
-
 import pytest
 
+from mecheck.model import javasrc
 from mecheck.model.project import (
     ModelConfig,
     RootNotFound,
@@ -109,62 +108,72 @@ def test_xml_parsed_once_per_file(make_project):
     assert model.xml_parse_counts == {"src/main/resources/beans.xml": 1}
 
 
-def test_members_parse_lazily_and_once(make_project):
+def spy_on(monkeypatch, name):
+    """Replace javasrc.<name> with a wrapper that records its arguments."""
+    calls = []
+    real = getattr(javasrc, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(javasrc, name, spy)
+    return calls
+
+
+def test_one_tokenize_call_per_java_file(make_project, monkeypatch):
+    files = dict(SMALL)
+    files["src/main/java/com/acme/Outer.java"] = (
+        "package com.acme;\npublic class Outer {\n    static class Inner { int x; }\n}\n"
+    )
+    calls = spy_on(monkeypatch, "tokenize_java")
+    model = build_model(make_project(files))
+    model.call_sites("getBean")  # reads every class's members
+    assert model.java_file_count == 3
+    assert len(calls) == 3
+    assert sorted(c.fqn for c in model.classes) == [
+        "com.acme.A", "com.acme.B", "com.acme.Outer", "com.acme.Outer.Inner",
+    ]
+
+
+def test_members_filled_by_build_model(make_project, monkeypatch):
     model = build_model(make_project(SMALL))
-    assert model.member_parse_events == 0
+    tokenized = spy_on(monkeypatch, "tokenize_java")
+    extracted = spy_on(monkeypatch, "extract_members")
     a = model.class_by_fqn["com.acme.A"]
-    assert a.member_parse_count == 0
     first = a.members()
     assert [m.name for m in first.methods] == ["init"]
-    assert a.member_parse_count == 1
-    assert model.member_parse_events == 1
-    again = a.members()
-    assert again is first
-    assert a.member_parse_count == 1
-    assert model.member_parse_events == 1
+    assert all(m.owner is a for m in first.methods)
+    assert a.members() is first
+    assert model.class_by_fqn["com.acme.B"].members().methods == ()
+    assert tokenized == [] and extracted == []
 
 
-def test_each_class_parses_independently(make_project):
-    model = build_model(make_project(SMALL))
-    model.class_by_fqn["com.acme.A"].members()
-    assert model.class_by_fqn["com.acme.B"].member_parse_count == 0
-    model.class_by_fqn["com.acme.B"].members()
-    assert model.member_parse_events == 2
-
-
-def test_concurrent_members_parse_exactly_once(make_project):
+def test_duplicate_fqn_gets_no_member_extraction(make_project, monkeypatch):
     files = {
-        "Big.java": "package p;\npublic class Big {\n"
-        + "".join(f"    public void m{i}() {{ }}\n" for i in range(50))
-        + "}\n",
+        "a/Dup.java": "package p;\npublic class Dup {\n    public void first() { }\n}\n",
+        "b/Dup.java": "package p;\npublic class Dup {\n    public void second() { }\n}\n",
     }
+    calls = spy_on(monkeypatch, "extract_members")
     model = build_model(make_project(files))
-    cls = model.class_by_fqn["p.Big"]
-    results = []
-    barrier = threading.Barrier(8)
-
-    def hit():
-        barrier.wait()
-        results.append(cls.members())
-
-    threads = [threading.Thread(target=hit) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert cls.member_parse_count == 1
-    assert model.member_parse_events == 1
-    assert all(r is results[0] for r in results)
-    assert len(results[0].methods) == 50
+    assert len(calls) == 1
+    assert [m.name for m in model.class_by_fqn["p.Dup"].members().methods] == ["first"]
 
 
-def test_vanished_file_yields_empty_members_and_warning(make_project, tmp_path):
+def test_members_survive_rewrite_and_delete_of_sources(make_project, tmp_path):
     model = build_model(make_project(SMALL))
-    (tmp_path / "src/main/java/com/acme/A.java").unlink()
+    (tmp_path / "src/main/java/com/acme/A.java").write_text(
+        "package com.acme;\n\npublic class A {\n"
+        "    int one; int two; int three;\n"
+        "    public void other() { }\n}\n"
+    )
+    (tmp_path / "src/main/java/com/acme/B.java").unlink()
     a = model.class_by_fqn["com.acme.A"]
-    members = a.members()
-    assert members.methods == ()
-    assert any("A.java" in w.path for w in model.warnings)
+    assert [m.name for m in a.members().methods] == ["init"]
+    assert [m.line for m in a.members().methods] == [4]
+    assert a.members().fields == ()
+    assert model.class_by_fqn["com.acme.B"].members().methods == ()
+    assert model.warnings == []
 
 
 def test_call_sites_collected_by_callee(make_project):
