@@ -6,6 +6,13 @@ owns per-run configuration (library class patterns, resource roots) and
 dispatches calls; arity is checked here and ahead of time by the rule
 validator through builtin_signatures().
 
+The cacheable flag in _BUILTIN_SPEC marks the built-ins whose results go
+through the query cache: every one that returns a list (so the exists
+index, keyed by container identity, sees one object per query) and every
+one whose cost grows with the model or touches the disk.  O(1) accessors
+and string helpers are cheaper than a cache lookup and are called
+directly.
+
 Missing-value policy: predicates return false when a required input is
 MISSING, string transformers return MISSING, element/list getters return
 an empty list.  That keeps rules free of false positives when optional
@@ -64,6 +71,11 @@ class PreconditionError(Exception):
     def __init__(self, name: str, message: str):
         super().__init__(f"'{name}': {message}")
         self.name = name
+
+
+# What Registry.call raises for a bad call; the interpreter turns each
+# into a rule error at the call's position.
+CALL_ERRORS = (UnknownBuiltinError, BuiltinArityError, BuiltinTypeError, PreconditionError)
 
 
 class PatternFileError(Exception):
@@ -669,38 +681,38 @@ _BUILTIN_SPEC = [
     ("getXMLs", 0, 0, True, "_get_xmls"),
     ("getElms", 2, 2, True, "_get_elms"),
     ("elementExists", 2, 2, True, "_element_exists"),
-    ("getAttr", 2, 2, True, "_get_attr"),
+    ("getAttr", 2, 2, False, "_get_attr"),
     ("getAttrs", 2, 2, True, "_get_attrs"),
-    ("hasAttr", 2, 2, True, "_has_attr"),
+    ("hasAttr", 2, 2, False, "_has_attr"),
     # code elements
     ("getClasses", 0, 0, True, "_get_classes"),
-    ("classExists", 1, 1, True, "_class_exists"),
-    ("locateClassFQN", 1, 1, True, "_locate_class_fqn"),
+    ("classExists", 1, 1, False, "_class_exists"),
+    ("locateClassFQN", 1, 1, False, "_locate_class_fqn"),
     ("locateClassSN", 1, 1, True, "_locate_class_sn"),
     ("isUniqueSN", 1, 1, True, "_is_unique_sn"),
-    ("getSN", 1, 1, True, "_get_sn"),
-    ("getFQN", 1, 1, True, "_get_fqn"),
-    ("getName", 1, 1, True, "_get_name"),
-    ("getType", 1, 1, True, "_get_type"),
-    ("getReturnType", 1, 1, True, "_get_return_type"),
+    ("getSN", 1, 1, False, "_get_sn"),
+    ("getFQN", 1, 1, False, "_get_fqn"),
+    ("getName", 1, 1, False, "_get_name"),
+    ("getType", 1, 1, False, "_get_type"),
+    ("getReturnType", 1, 1, False, "_get_return_type"),
     ("getMethods", 1, 1, True, "_get_methods"),
     ("getFields", 1, 1, True, "_get_fields"),
     ("getConstructors", 1, 1, True, "_get_constructors"),
     ("getFamily", 1, 1, True, "_get_family"),
-    ("hasField", 2, 2, True, "_has_field"),
-    ("hasParam", 2, 2, True, "_has_param"),
-    ("hasParamType", 2, 2, True, "_has_param_type"),
-    ("indexInBound", 2, 2, True, "_index_in_bound"),
-    ("isIterable", 1, 1, True, "_is_iterable"),
+    ("hasField", 2, 2, False, "_has_field"),
+    ("hasParam", 2, 2, False, "_has_param"),
+    ("hasParamType", 2, 2, False, "_has_param_type"),
+    ("indexInBound", 2, 2, False, "_index_in_bound"),
+    ("isIterable", 1, 1, False, "_is_iterable"),
     ("callExists", 1, 1, True, "_call_exists"),
     ("getArg", 2, 2, True, "_get_arg"),
     ("isLibraryClass", 1, 1, True, "_is_library_class"),
     # annotations
     ("getAnnotated", 2, 2, True, "_get_annotated"),
-    ("hasAnnotation", 2, 2, True, "_has_annotation"),
-    ("getAnnoAttr", 3, 3, True, "_get_anno_attr"),
+    ("hasAnnotation", 2, 2, False, "_has_annotation"),
+    ("getAnnoAttr", 3, 3, False, "_get_anno_attr"),
     ("getAnnoAttrNames", 2, 2, True, "_get_anno_attr_names"),
-    ("hasAnnoAttr", 3, 3, True, "_has_anno_attr"),
+    ("hasAnnoAttr", 3, 3, False, "_has_anno_attr"),
     # strings and paths
     ("startsWith", 2, 2, False, "_starts_with"),
     ("endsWith", 2, 2, False, "_ends_with"),

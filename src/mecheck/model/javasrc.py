@@ -20,6 +20,7 @@ watched calls and string/class-literal arguments.
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass, field
 
 from mecheck.model.items import AnnotationUse, Param
@@ -68,15 +69,24 @@ class JTok:
         return f"JTok({self.kind!r}, {self.text!r}, {self.line})"
 
 
-class JavaScanError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} at line {line}")
-        self.line = line
-
-
 # The rest of an identifier: re's \w is exactly str.isalnum() plus '_'.
 _IDENT_REST = re.compile(r"[\w$]*")
 _BLANKS = re.compile(r"[ \t\r\f]+")
+# Besides letters, Java starts identifiers with letter numbers (Nl),
+# currency symbols (Sc) and connectors (Pc); Sc and Pc also continue one,
+# Nl already does through \w.
+_IDENT_START_CATEGORIES = frozenset(["Nl", "Sc", "Pc"])
+_IDENT_PART_CATEGORIES = frozenset(["Sc", "Pc"])
+
+
+def _ident_end(text: str, j: int) -> int:
+    """End of the identifier part starting at j."""
+    n = len(text)
+    while True:
+        j = _IDENT_REST.match(text, j).end()
+        if j == n or unicodedata.category(text[j]) not in _IDENT_PART_CATEGORIES:
+            return j
+        j += 1
 
 
 def tokenize_java(text: str) -> list[JTok]:
@@ -150,6 +160,22 @@ def tokenize_java(text: str) -> list[JTok]:
                     break
                 j += 1
             append(JTok(NUMBER, text[i:j], line))
+            i = j
+            continue
+        # only non-ASCII characters reach the category test
+        if ch > "\x7f" and unicodedata.category(ch) in _IDENT_START_CATEGORIES:
+            j = _ident_end(text, i + 1)
+            prev = toks[-1] if toks else None
+            if (
+                prev is not None
+                and prev.kind == IDENT
+                and text.startswith(prev.text, i - len(prev.text))
+            ):
+                # continues the identifier just before it, e.g. the £ of a£b;
+                # nothing skipped (blanks, comments) ends with an identifier char
+                prev.text += text[i:j]
+            else:
+                append(JTok(IDENT, text[i:j], line))
             i = j
             continue
         append(JTok(PUNCT, ch, line))

@@ -1,4 +1,12 @@
-"""Tree-walking interpreter for rules.
+"""Rule interpreter: each rule is compiled to Python closures, then run.
+
+run_rule compiles a rule's body once per Interpreter into nested
+closures, one per statement and one per expression node.  Literal
+values, built-in names, argument counts, source spans and whether a
+call goes through the query cache are settled at compile time, so
+running a rule does no dispatch on node types.  Statements are called
+as stmt(env, sink), expressions as exp(env); a compiled rule runs
+against a fresh EnvStack each time.
 
 Scoping model: run_rule pushes one frame around the rule body.  A for
 loop pushes one frame before evaluating its container, rebinds the loop
@@ -15,6 +23,11 @@ A failed assert renders the message template and emits a BugReport; the
 report's position comes from the first message argument that carries a
 source location.  Any runtime failure (unbound name, a built-in type or
 precondition error) aborts only the current rule via RuntimeRuleError.
+
+Every built-in call goes through Registry.call; a cached one goes
+through canonical_key and QueryCache.get_or_compute first.  All three
+are looked up when the rule is compiled, so wrappers installed on them
+before a rule runs see every call.
 
 Indexed exists: with a QueryCache, `exists (T x in C) (f(x) == e)` is
 answered from a hash index of f over C (a hash semi-join) when the
@@ -37,6 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 from mecheck import builtins as builtins_mod
 from mecheck.model.project import ProjectModel
@@ -52,6 +66,13 @@ from mecheck.runtime.env import (
     Frame,
     UnboundVariable,
 )
+
+# A compiled expression: env -> value.  A compiled statement: (env, sink) -> None.
+CompiledExp = Callable[[EnvStack], object]
+CompiledStmt = Callable[[EnvStack, list], None]
+
+# Nodes whose value is always a Python bool, so a condition needs no check.
+_BOOL_NODES = (ast.Eq, ast.Exists, ast.And, ast.Or, ast.Not)
 
 
 @dataclass(frozen=True)
@@ -153,6 +174,25 @@ class ExistsIndex:
         )
 
 
+def _iteration_items(container: object):
+    """for/exists containers: a list iterates as is, MISSING is empty,
+    any single value is a one-element list."""
+    if container is V.MISSING:
+        return ()
+    if isinstance(container, list):
+        return container
+    return (container,)
+
+
+def _render_message(template: str, arg_values: list) -> str:
+    parts = template.split("%s")
+    out = [parts[0]]
+    for value, tail in zip(arg_values, parts[1:]):
+        out.append(V.display(value))
+        out.append(tail)
+    return "".join(out)
+
+
 class Interpreter:
     """Evaluates rules against one project model.
 
@@ -172,8 +212,8 @@ class Interpreter:
         self.cache = cache
         self.stats = EvalStats()
         self._rule_name = "<none>"
-        # id(exists node) -> (node, plan); holding the node keeps its id unique
-        self._plans: dict[int, tuple[ast.Exists, EqPlan | None]] = {}
+        # id(rule) -> (rule, compiled body); holding the rule keeps its id unique
+        self._compiled: dict[int, tuple[ast.Rule, CompiledStmt]] = {}
 
     # -- entry point ----------------------------------------------------------
 
@@ -183,173 +223,264 @@ class Interpreter:
         if sink is None:
             sink = []
         self._rule_name = rule.name
+        entry = self._compiled.get(id(rule))
+        if entry is None:
+            entry = self._compiled[id(rule)] = (rule, self._compile_block(rule.body))
+        body = entry[1]
         env = EnvStack()
         env.push(RULE_BODY)
         try:
-            for stmt in rule.body:
-                self.process_stmt(stmt, env, sink)
+            body(env, sink)
         finally:
             env.pop()
         return sink
 
     # -- statements -------------------------------------------------------------
 
-    def process_stmt(self, stmt: ast.Stmt, env: EnvStack, sink: list[BugReport]) -> None:
+    def _compile_block(self, stmts: tuple[ast.Stmt, ...]) -> CompiledStmt:
+        compiled = tuple(self._compile_stmt(s) for s in stmts)
+        if len(compiled) == 1:
+            return compiled[0]
+
+        def block(env, sink):
+            for stmt in compiled:
+                stmt(env, sink)
+
+        return block
+
+    def _compile_stmt(self, stmt: ast.Stmt) -> CompiledStmt:
         if isinstance(stmt, ast.ForStmt):
-            self._process_for(stmt, env, sink)
-        elif isinstance(stmt, ast.IfStmt):
-            self._process_if(stmt, env, sink)
-        elif isinstance(stmt, ast.AssertStmt):
-            self._process_assert(stmt, env, sink)
-        elif isinstance(stmt, ast.DeclStmt):
-            value = self.evaluate(stmt.init, env)
-            env.top().bind(stmt.var, stmt.decl_type, value)
-        else:
-            raise RuntimeRuleError(
-                self._rule_name,
-                f"unknown statement node {type(stmt).__name__}",
-                stmt.span.line,
-                stmt.span.column,
-            )
+            return self._compile_for(stmt)
+        if isinstance(stmt, ast.IfStmt):
+            return self._compile_if(stmt)
+        if isinstance(stmt, ast.AssertStmt):
+            return self._compile_assert(stmt)
+        if isinstance(stmt, ast.DeclStmt):
+            init = self._compile_exp(stmt.init)
+            var, tag = stmt.var, stmt.decl_type
 
-    def _process_for(self, stmt: ast.ForStmt, env: EnvStack, sink: list[BugReport]) -> None:
-        frame = env.push(FOR_LOOP)
-        try:
-            container = self.evaluate(stmt.container, env)
-            for element in self._iteration_items(container):
-                frame.bind(stmt.var, stmt.decl_type, element)
-                for child in stmt.body:
-                    self.process_stmt(child, env, sink)
-                frame.clear()
-        finally:
-            env.pop()
+            def declare(env, sink):
+                env.top().bind(var, tag, init(env))
 
-    def _process_if(self, stmt: ast.IfStmt, env: EnvStack, sink: list[BugReport]) -> None:
-        cond = self._truth(self.evaluate(stmt.cond, env), stmt.cond)
-        if not cond:
-            return
-        env.push(IF_BODY)
-        try:
-            for child in stmt.body:
-                self.process_stmt(child, env, sink)
-        finally:
-            env.pop()
-
-    def _process_assert(self, stmt: ast.AssertStmt, env: EnvStack, sink: list[BugReport]) -> None:
-        cond = self._truth(self.evaluate(stmt.cond, env), stmt.cond)
-        if cond:
-            return
-        arg_values = [self.evaluate(arg, env) for arg in stmt.message.args]
-        message = self._render_message(stmt.message.template, arg_values)
-        file_path, line = "", 0
-        for value in arg_values:
-            loc = V.location_of(value)
-            if loc is not None:
-                file_path, line = loc
-                break
-        sink.append(
-            BugReport(
-                rule_name=self._rule_name,
-                message=message,
-                file_path=file_path,
-                line=line,
-                ordinal=len(sink),
-            )
+            return declare
+        error = self._error(
+            f"unknown statement node {type(stmt).__name__}", stmt.span
         )
 
-    @staticmethod
-    def _render_message(template: str, arg_values: list) -> str:
-        parts = template.split("%s")
-        out = [parts[0]]
-        for value, tail in zip(arg_values, parts[1:]):
-            out.append(V.display(value))
-            out.append(tail)
-        return "".join(out)
+        def unknown(env, sink):
+            raise error()
 
-    @staticmethod
-    def _iteration_items(container: object) -> list:
-        """for/exists containers: a list iterates as is, MISSING is
-        empty, any single value is a one-element list."""
-        if container is V.MISSING:
-            return []
-        if isinstance(container, list):
-            return container
-        return [container]
+        return unknown
+
+    def _compile_for(self, stmt: ast.ForStmt) -> CompiledStmt:
+        container = self._compile_exp(stmt.container)
+        body = self._compile_block(stmt.body)
+        var, tag = stmt.var, stmt.decl_type
+
+        def run_for(env, sink):
+            frame = env.push(FOR_LOOP)
+            try:
+                for element in _iteration_items(container(env)):
+                    frame.bind(var, tag, element)
+                    body(env, sink)
+                    frame.clear()
+            finally:
+                env.pop()
+
+        return run_for
+
+    def _compile_if(self, stmt: ast.IfStmt) -> CompiledStmt:
+        cond = self._compile_cond(stmt.cond)
+        body = self._compile_block(stmt.body)
+
+        def run_if(env, sink):
+            if not cond(env):
+                return
+            env.push(IF_BODY)
+            try:
+                body(env, sink)
+            finally:
+                env.pop()
+
+        return run_if
+
+    def _compile_assert(self, stmt: ast.AssertStmt) -> CompiledStmt:
+        cond = self._compile_cond(stmt.cond)
+        args = tuple(self._compile_exp(arg) for arg in stmt.message.args)
+        template = stmt.message.template
+        rule_name = self._rule_name
+
+        def run_assert(env, sink):
+            if cond(env):
+                return
+            arg_values = [arg(env) for arg in args]
+            file_path, line = "", 0
+            for value in arg_values:
+                loc = V.location_of(value)
+                if loc is not None:
+                    file_path, line = loc
+                    break
+            sink.append(
+                BugReport(
+                    rule_name=rule_name,
+                    message=_render_message(template, arg_values),
+                    file_path=file_path,
+                    line=line,
+                    ordinal=len(sink),
+                )
+            )
+
+        return run_assert
 
     # -- expressions -----------------------------------------------------------------
 
-    def evaluate(self, exp: ast.Exp, env: EnvStack):
+    def _compile_exp(self, exp: ast.Exp) -> CompiledExp:
         if isinstance(exp, ast.Identifier):
-            try:
-                _, value = env.lookup(exp.name)
-            except UnboundVariable:
-                raise RuntimeRuleError(
-                    self._rule_name,
-                    f"variable '{exp.name}' is not bound",
-                    exp.span.line,
-                    exp.span.column,
-                ) from None
-            return value
+            return self._compile_identifier(exp)
         if isinstance(exp, ast.Literal):
-            return exp.value
+            value = exp.value
+            return lambda env: value
         if isinstance(exp, ast.FunctionCall):
-            args = [self.evaluate(arg, env) for arg in exp.args]
-            return self._call_builtin(exp, args)
+            return self._compile_call(exp)
         if isinstance(exp, ast.Paren):
-            return self.evaluate(exp.inner, env)
+            return self._compile_exp(exp.inner)
         if isinstance(exp, ast.Eq):
-            lhs = self.evaluate(exp.lhs, env)
-            rhs = self.evaluate(exp.rhs, env)
-            return V.value_eq(lhs, rhs)
+            lhs, rhs = self._compile_exp(exp.lhs), self._compile_exp(exp.rhs)
+            value_eq = V.value_eq
+            return lambda env: value_eq(lhs(env), rhs(env))
         if isinstance(exp, ast.Exists):
-            return self._eval_exists(exp, env)
+            return self._compile_exists(exp)
         if isinstance(exp, ast.And):
-            left = self._truth(self.evaluate(exp.left, env), exp.left)
-            if not left:
-                return False
-            return self._truth(self.evaluate(exp.right, env), exp.right)
+            left, right = self._compile_cond(exp.left), self._compile_cond(exp.right)
+            return lambda env: left(env) and right(env)
         if isinstance(exp, ast.Or):
-            left = self._truth(self.evaluate(exp.left, env), exp.left)
-            if left:
-                return True
-            return self._truth(self.evaluate(exp.right, env), exp.right)
+            left, right = self._compile_cond(exp.left), self._compile_cond(exp.right)
+            return lambda env: left(env) or right(env)
         if isinstance(exp, ast.Not):
-            return not self._truth(self.evaluate(exp.operand, env), exp.operand)
-        raise RuntimeRuleError(
-            self._rule_name,
-            f"unknown expression node {type(exp).__name__}",
-            exp.span.line,
-            exp.span.column,
-        )
+            operand = self._compile_cond(exp.operand)
+            return lambda env: not operand(env)
+        error = self._error(f"unknown expression node {type(exp).__name__}", exp.span)
 
-    def _eval_exists(self, exp: ast.Exists, env: EnvStack) -> bool:
-        frame = env.push(EXISTS_CLAUSE)
-        try:
-            container = self.evaluate(exp.container, env)
-            if self.cache is not None and isinstance(container, list) and container:
-                plan = self._plan(exp)
-                if plan is not None:
-                    found = self._index_lookup(exp, plan, container, env, frame)
+        def unknown(env):
+            raise error()
+
+        return unknown
+
+    def _compile_cond(self, exp: ast.Exp) -> CompiledExp:
+        """exp as a condition: its value must be a bool or MISSING
+        (false); anything else fails the rule at exp's position."""
+        value_of = self._compile_exp(exp)
+        inner = exp
+        while isinstance(inner, ast.Paren):
+            inner = inner.inner
+        if isinstance(inner, _BOOL_NODES):
+            return value_of
+        rule_name, span, is_truthy = self._rule_name, exp.span, V.is_truthy
+
+        def cond(env):
+            value = value_of(env)
+            try:
+                return is_truthy(value)
+            except V.ValueTypeError as exc:
+                raise RuntimeRuleError(
+                    rule_name, str(exc), span.line, span.column
+                ) from None
+
+        return cond
+
+    def _compile_identifier(self, exp: ast.Identifier) -> CompiledExp:
+        name = exp.name
+        error = self._error(f"variable '{name}' is not bound", exp.span)
+
+        def lookup(env):
+            try:
+                return env.lookup(name)[1]
+            except UnboundVariable:
+                raise error() from None
+
+        return lookup
+
+    def _compile_call(self, exp: ast.FunctionCall) -> CompiledExp:
+        name = exp.name
+        args = tuple(self._compile_exp(arg) for arg in exp.args)
+        stats, model, call = self.stats, self.model, self.registry.call
+        rule_name, line, column = self._rule_name, exp.span.line, exp.span.column
+        errors = builtins_mod.CALL_ERRORS
+
+        if self.cache is not None and self.registry.is_cacheable(name):
+            key_of, get = canonical_key, self.cache.get_or_compute
+
+            def cached_call(env):
+                values = [arg(env) for arg in args]
+                stats.builtin_calls += 1
+                try:
+                    return get(key_of(name, values), call, name, values, model)
+                except errors as exc:
+                    raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+
+            return cached_call
+
+        def direct_call(env):
+            values = [arg(env) for arg in args]
+            stats.builtin_calls += 1
+            try:
+                return call(name, values, model)
+            except errors as exc:
+                raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+
+        return direct_call
+
+    def _compile_exists(self, exp: ast.Exists) -> CompiledExp:
+        container = self._compile_exp(exp.container)
+        predicate = self._compile_cond(exp.predicate)
+        var, tag = exp.var, exp.decl_type
+        stats = self.stats
+        plan = plan_exists(exp) if self.cache is not None else None
+        if plan is not None:
+            keyed = self._compile_exp(plan.keyed)
+            probe = self._compile_exp(plan.probe)
+            probe_first = plan.probe_first
+            index_lookup = self._index_lookup
+
+        def exists(env):
+            frame = env.push(EXISTS_CLAUSE)
+            try:
+                items = container(env)
+                if plan is not None and isinstance(items, list) and items:
+                    found = index_lookup(
+                        exp, items, keyed, probe, probe_first, env, frame
+                    )
                     if found is not None:
                         return found
-            for element in self._iteration_items(container):
-                frame.bind(exp.var, exp.decl_type, element)
-                self.stats.exists_predicate_evals += 1
-                if self._truth(self.evaluate(exp.predicate, env), exp.predicate):
-                    return True
-                frame.clear()
-            return False
-        finally:
-            env.pop()
+                for element in _iteration_items(items):
+                    frame.bind(var, tag, element)
+                    stats.exists_predicate_evals += 1
+                    if predicate(env):
+                        return True
+                    frame.clear()
+                return False
+            finally:
+                env.pop()
 
-    def _plan(self, exp: ast.Exists) -> EqPlan | None:
-        entry = self._plans.get(id(exp))
-        if entry is None:
-            entry = self._plans[id(exp)] = (exp, plan_exists(exp))
-        return entry[1]
+        return exists
+
+    def _error(self, cause: str, span: ast.Span) -> Callable[[], RuntimeRuleError]:
+        """A factory for the rule error raised at span, bound now so the
+        compiled code need not know the rule."""
+        rule_name = self._rule_name
+        return lambda: RuntimeRuleError(rule_name, cause, span.line, span.column)
+
+    # -- indexed exists ------------------------------------------------------------
 
     def _index_lookup(
-        self, exp: ast.Exists, plan: EqPlan, container: list, env: EnvStack, frame: Frame
+        self,
+        exp: ast.Exists,
+        container: list,
+        keyed: CompiledExp,
+        probe: CompiledExp,
+        probe_first: bool,
+        env: EnvStack,
+        frame: Frame,
     ) -> bool | None:
         """Answer a non-empty exists from its index, counting and failing
         as the scan would; None means the scan must answer."""
@@ -360,22 +491,22 @@ class Interpreter:
             index = indexes[slot] = ExistsIndex(exp, container)
         stats = self.stats
         # the scan's first iteration evaluates f(x0) before a right-hand e
-        if not plan.probe_first and index.built == 0 and not index.complete():
-            self._grow_index(index, plan, env, frame)
+        if not probe_first and index.built == 0 and not index.complete():
+            self._grow_index(index, keyed, env, frame)
         pos = None
         # unless f(x0) failed, which ends the scan before e is evaluated
-        if plan.probe_first or index.built > 0 or index.error is None:
+        if probe_first or index.built > 0 or index.error is None:
             try:
-                probe = self.evaluate(plan.probe, env)
+                value = probe(env)
             except RuntimeRuleError:
                 stats.exists_predicate_evals += 1
                 raise
-            key = V.index_key(probe)
+            key = V.index_key(value)
             if key is None:
                 return None
             pos = index.first.get(key)
             while pos is None and not index.complete():
-                self._grow_index(index, plan, env, frame)
+                self._grow_index(index, keyed, env, frame)
                 pos = index.first.get(key)
             if pos is None and index.unkeyed:
                 return None
@@ -389,12 +520,13 @@ class Interpreter:
         stats.exists_predicate_evals += len(container)
         return False
 
-    def _grow_index(self, index: ExistsIndex, plan: EqPlan, env: EnvStack, frame: Frame) -> None:
+    @staticmethod
+    def _grow_index(index: ExistsIndex, keyed: CompiledExp, env: EnvStack, frame: Frame) -> None:
         """Evaluate f at the next unindexed position."""
         pos = index.built
         frame.bind(index.node.var, index.node.decl_type, index.container[pos])
         try:
-            value = self.evaluate(plan.keyed, env)
+            value = keyed(env)
         except RuntimeRuleError as exc:
             index.error = (exc.cause, exc.line, exc.column)
             return
@@ -406,30 +538,3 @@ class Interpreter:
             return
         index.first.setdefault(key, pos)
         index.built = pos + 1
-
-    def _truth(self, value: object, exp: ast.Exp) -> bool:
-        try:
-            return V.is_truthy(value)
-        except V.ValueTypeError as exc:
-            raise RuntimeRuleError(
-                self._rule_name, str(exc), exp.span.line, exp.span.column
-            ) from None
-
-    def _call_builtin(self, exp: ast.FunctionCall, args: list):
-        self.stats.builtin_calls += 1
-        try:
-            if self.cache is not None and self.registry.is_cacheable(exp.name):
-                key = canonical_key(exp.name, args)
-                return self.cache.get_or_compute(
-                    key, lambda: self.registry.call(exp.name, args, self.model)
-                )
-            return self.registry.call(exp.name, args, self.model)
-        except (
-            builtins_mod.UnknownBuiltinError,
-            builtins_mod.BuiltinArityError,
-            builtins_mod.BuiltinTypeError,
-            builtins_mod.PreconditionError,
-        ) as exc:
-            raise RuntimeRuleError(
-                self._rule_name, str(exc), exp.span.line, exp.span.column
-            ) from None

@@ -1,8 +1,12 @@
 """Frozen copy of the original character-by-character Java tokenizer.
 
 tests/test_javasrc.py compares mecheck.model.javasrc.tokenize_java against
-it.  It yields (kind, text, line) triples; keep its logic unchanged.
+it.  It yields (kind, text, line) triples; keep its logic unchanged,
+except that identifiers follow Java's rule: they also start with letter
+numbers, currency symbols and connectors, and the last two continue one.
 """
+
+import unicodedata
 
 IDENT = "ident"
 PUNCT = "punct"
@@ -12,11 +16,11 @@ NUMBER = "number"
 
 
 def _is_ident_start(ch):
-    return ch.isalpha() or ch in "_$"
+    return ch.isalpha() or ch in "_$" or unicodedata.category(ch) in ("Nl", "Sc", "Pc")
 
 
 def _is_ident_char(ch):
-    return ch.isalnum() or ch in "_$"
+    return ch.isalnum() or ch in "_$" or unicodedata.category(ch) in ("Sc", "Pc")
 
 
 def tokenize(text):

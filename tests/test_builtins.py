@@ -160,10 +160,15 @@ def test_registry_has_41_builtins(reg):
 
 
 def test_cacheable_set(reg):
-    assert "getElms" in CACHEABLE_BUILTINS
-    assert "pathExists" in CACHEABLE_BUILTINS
-    for name in ("startsWith", "endsWith", "isEmpty", "indexOf", "join", "substring", "upperCase"):
-        assert name not in CACHEABLE_BUILTINS
+    # every list-returning built-in (the exists index keys on container
+    # identity) and every one whose cost grows with the model or the disk
+    lists = {"getXMLs", "getElms", "getAttrs", "getClasses", "getMethods", "getFields",
+             "getConstructors", "getFamily", "getArg", "getAnnotated", "getAnnoAttrNames"}
+    model_wide = {"elementExists", "isLibraryClass", "pathExists", "callExists",
+                  "locateClassSN", "isUniqueSN"}
+    assert CACHEABLE_BUILTINS == lists | model_wide
+    for name in ("startsWith", "endsWith", "isEmpty", "indexOf", "join", "substring",
+                 "upperCase", "getAttr", "hasAttr", "getName", "locateClassFQN"):
         assert not reg.is_cacheable(name)
     assert reg.is_cacheable("getMethods")
 

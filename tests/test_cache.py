@@ -1,9 +1,7 @@
-import threading
-
 import pytest
 
 from mecheck.model.project import build_model
-from mecheck.runtime.cache import QueryCache, UncacheableArgument, canonical_key, canonical_value
+from mecheck.runtime.cache import QueryCache, canonical_key
 from mecheck.runtime.values import MISSING
 
 PROJECT = {
@@ -43,54 +41,46 @@ def model(tmp_path_factory):
 
 
 def test_scalar_keys_distinguish_kinds():
-    assert canonical_value(True) != canonical_value(1)
-    assert canonical_value(1) != canonical_value("1")
-    assert canonical_value(1) != canonical_value(1.0)
-    assert canonical_value(MISSING) == ("missing",)
-    assert canonical_value([1, "a"]) == ("list", (("int", 1), ("text", "a")))
+    # True == 1 == 1.0 in a dict, so numbers and bools carry their type
+    keys = {canonical_key("f", [v]) for v in (True, 1, 1.0, "1")}
+    assert len(keys) == 4
+    assert canonical_key("f", [MISSING]) == ("f", MISSING)
+    assert canonical_key("f", ["a"]) == ("f", "a")
+    assert canonical_key("f", [[1]]) != canonical_key("f", [[True]])
+    assert canonical_key("f", [["a"]]) != canonical_key("f", ["a"])
+    assert canonical_key("f", [[1, "a"]]) == canonical_key("f", [[1, "a"]])
+    assert canonical_key("f", [[]]) != canonical_key("f", [[[]]])
+
+
+def all_items(model):
+    items = list(model.xml_files)
+    for xf in model.xml_files:
+        items.extend(xf.iter_elements())
+    for cls in model.classes:
+        members = cls.members()
+        items.append(cls)
+        items.extend(members.fields + members.methods + members.constructors)
+    items.extend(model.call_sites("getBean"))
+    return items
 
 
 def test_item_keys_are_stable_identities(model):
-    a = [x for x in model.xml_files if x.path == "a.xml"][0]
-    b = [x for x in model.xml_files if x.path == "b.xml"][0]
-    assert canonical_value(a) == ("xml-file", "a.xml")
-    assert canonical_value(a) != canonical_value(b)
-
-    beans_a = [e for e in a.iter_elements() if e.name == "bean"]
-    beans_b = [e for e in b.iter_elements() if e.name == "bean"]
-    # same id attribute, different documents and ordinals must not collide
-    assert canonical_value(beans_a[0]) != canonical_value(beans_a[1])
-    assert canonical_value(beans_a[0]) != canonical_value(beans_b[0])
-
-    cls = model.class_by_fqn["p.C"]
-    assert canonical_value(cls) == ("class", "p.C")
-
-    methods = cls.members().methods
-    assert methods[0].name == methods[1].name == "go"
-    # overloads differ by parameter types
-    assert canonical_value(methods[0]) != canonical_value(methods[1])
-
-    ctors = cls.members().constructors
-    assert canonical_value(ctors[0]) != canonical_value(ctors[1])
-
-    sites = model.call_sites("getBean")
-    assert len(sites) == 2
-    # identical text on the same line, distinguished by ordinal
-    assert canonical_value(sites[0]) != canonical_value(sites[1])
+    items = all_items(model)
+    keys = [canonical_key("f", [item]) for item in items]
+    # two distinct items never share a key, though some look alike:
+    # same-id beans in two files, overloads, two identical call sites
+    assert len(set(keys)) == len(items)
+    # the same item always gives the same key
+    assert keys == [canonical_key("f", [item]) for item in items]
+    # lists of distinct items get distinct keys too
+    assert len({canonical_key("f", [[item]]) for item in items}) == len(items)
 
 
 def test_canonical_key_prefixes_function_name(model):
     cls = model.class_by_fqn["p.C"]
     key = canonical_key("getMethods", [cls])
-    assert key == ("getMethods", ("class", "p.C"))
+    assert key == ("getMethods", cls)
     assert canonical_key("getFields", [cls]) != key
-
-
-def test_uncacheable_argument():
-    with pytest.raises(UncacheableArgument):
-        canonical_value(object())
-    with pytest.raises(UncacheableArgument):
-        canonical_key("f", [{"a": 1}])
 
 
 def test_get_or_compute_counts_hits_and_misses():
@@ -106,6 +96,19 @@ def test_get_or_compute_counts_hits_and_misses():
     assert cache.get_or_compute(("k",), compute) == "value"
     assert len(calls) == 1
     assert cache.stats() == {"hits": 2, "misses": 1, "entries": 1}
+
+
+def test_compute_receives_the_arguments():
+    cache = QueryCache()
+    calls = []
+
+    def compute(*args):
+        calls.append(args)
+        return len(args)
+
+    assert cache.get_or_compute(("k",), compute, "a", 2) == 2
+    assert cache.get_or_compute(("k",), compute, "a", 2) == 2
+    assert calls == [("a", 2)]
 
 
 def test_distinct_keys_compute_separately():
@@ -127,32 +130,6 @@ def test_cached_none_is_a_hit():
     assert cache.get_or_compute(("k",), compute) is None
     assert len(calls) == 1
     assert cache.stats()["hits"] == 1
-
-
-def test_race_keeps_first_stored_value():
-    cache = QueryCache()
-    barrier = threading.Barrier(4)
-    results = []
-
-    def worker(tag):
-        def compute():
-            barrier.wait()
-            return tag
-
-        results.append(cache.get_or_compute(("shared",), compute))
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-    # all callers observe the single stored value
-    assert len(set(results)) == 1
-    stats = cache.stats()
-    assert stats["entries"] == 1
-    assert stats["misses"] == 1
-    assert stats["hits"] == 3
 
 
 def test_caches_are_independent():

@@ -260,19 +260,21 @@ def test_r15_getattr_calls_grow_with_lookups_plus_beans(tmp_path):
     model = build_model(root)
     (r15,) = [r for r in rulepack.load_rulepack(rulepack.default_rules_dir())
               if r.name.startswith("r15-")]
-    registry = builtins_mod.Registry()
 
     def run(cache):
+        # getAttr is not cached, so its table entry sees every evaluation
+        registry = builtins_mod.Registry()
+        assert not registry.is_cacheable("getAttr")
+        get_attr = registry._table["getAttr"]
+        calls = []
+
+        def counting(model, args):
+            calls.append(1)
+            return get_attr(model, args)
+
+        registry._table["getAttr"] = counting
         interp = Interpreter(model, registry, cache)
-        names = []
-        call = interp._call_builtin
-
-        def counting(exp, args):
-            names.append(exp.name)
-            return call(exp, args)
-
-        interp._call_builtin = counting
-        return interp.run_rule(r15), interp.stats, names.count("getAttr")
+        return interp.run_rule(r15), interp.stats, len(calls)
 
     indexed, indexed_stats, indexed_calls = run(QueryCache())
     scanned, scanned_stats, scanned_calls = run(None)
@@ -293,3 +295,30 @@ def test_r15_reports_identical_with_cache_on_and_off(tmp_path):
     assert on.reports == off.reports
     assert on.diagnostics == off.diagnostics == []
     assert sum(r.rule_name.startswith("r15-") for r in on.reports) == 15
+
+
+def test_second_pack_run_adds_no_indexes(tmp_path):
+    """Every container the pack indexes is a cached list, so the same
+    object comes back on every evaluation and no index is built twice."""
+    root = getbean_project(tmp_path, 10, 20)
+    (root / "src/main/resources/props.xml").write_text(
+        '<beans>\n  <bean id="p" class="com.g.Main">\n'
+        '    <property name="name"/>\n  </bean>\n</beans>\n'
+    )
+    model = build_model(root)
+    rules = rulepack.load_rulepack(rulepack.default_rules_dir())
+    registry = builtins_mod.Registry()
+    cache = QueryCache()
+
+    def run_pack():
+        sink = []
+        for rule in rules:
+            Interpreter(model, registry, cache).run_rule(rule, sink)
+        return sink
+
+    first = run_pack()
+    indexes = dict(cache.exists_indexes)
+    # r15's bean-id lookup and r7's setter lookup are both indexed
+    assert len({id(index.node) for index in indexes.values()}) >= 2
+    assert run_pack() == first
+    assert cache.exists_indexes == indexes

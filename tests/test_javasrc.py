@@ -59,8 +59,8 @@ def triples(text):
             "aé2 b²c d٣ xⅧ",
             [(IDENT, "aé2", 1), (IDENT, "b²c", 1), (IDENT, "d٣", 1), (IDENT, "xⅧ", 1)],
         ),
-        # digits start numbers; a numeric letter-like char is punctuation
-        ("² ٣ Ⅷ 7", [(NUMBER, "²", 1), (NUMBER, "٣", 1), (PUNCT, "Ⅷ", 1), (NUMBER, "7", 1)]),
+        # digits start numbers; a letter number starts an identifier
+        ("² ٣ Ⅷ 7", [(NUMBER, "²", 1), (NUMBER, "٣", 1), (IDENT, "Ⅷ", 1), (NUMBER, "7", 1)]),
         (
             "$x _y a$b_c $ _",
             [(IDENT, "$x", 1), (IDENT, "_y", 1), (IDENT, "a$b_c", 1), (IDENT, "$", 1), (IDENT, "_", 1)],
@@ -84,6 +84,12 @@ def triples(text):
         # an unterminated string or char literal is dropped up to the line end
         ("a \"open\nb 'c\nd", [(IDENT, "a", 1), (IDENT, "b", 2), (IDENT, "d", 3)]),
         ("a\r\nb\r\n\r\nc", [(IDENT, "a", 1), (IDENT, "b", 2), (IDENT, "c", 4)]),
+        # currency symbols and connectors start and continue identifiers
+        (
+            "£y a£b x‿y € 1£ «",
+            [(IDENT, "£y", 1), (IDENT, "a£b", 1), (IDENT, "x‿y", 1), (IDENT, "€", 1),
+             (NUMBER, "1", 1), (IDENT, "£", 1), (PUNCT, "«", 1)],
+        ),
     ],
 )
 def test_tokenizer_character_classes(text, expected):
@@ -92,7 +98,7 @@ def test_tokenizer_character_classes(text, expected):
 
 
 FRAGMENTS = [
-    "é", "ä", "µ", "²", "٣", "Ⅷ", "$", "_", "a", "Zq", "0", "9", "0x1F", "3.14", "1_000", ".",
+    "é", "ä", "µ", "²", "٣", "Ⅷ", "£", "€", "‿", "«", "$", "_", "a", "Zq", "0", "9", "0x1F", "3.14", "1_000", ".",
     '"', "'", '"""', "\\", '\\"', "\\'", "//", "/*", "*/", "*",
     " ", "\t", "\f", "\r", "\n", "\r\n",
     "(", ")", "{", "}", ";", "@", "<", ">", ",", "=", "class", "getBean",
@@ -216,6 +222,16 @@ def test_fields_with_multiple_declarators():
         ("x", "int"),
         ("y", "int"),
         ("name", "String"),
+    ]
+
+
+def test_fields_named_with_letter_numbers_and_currency_symbols():
+    src = "class A { int Ⅷx; int £y; int a€‿b; }"
+    members = members_of(src)
+    assert [(f.name, f.type_name) for f in members.fields] == [
+        ("Ⅷx", "int"),
+        ("£y", "int"),
+        ("a€‿b", "int"),
     ]
 
 

@@ -1,13 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
 import genrules
+from mecheck.builtins import Registry
 from mecheck.model.project import build_model
 from mecheck.rsl import ast
 from mecheck.rsl.parser import parse_rule
 from mecheck.rsl.printer import format_rule
 from mecheck.runtime import interpreter as interp_mod
+from mecheck.runtime.cache import QueryCache
 from mecheck.runtime.env import EnvStack
 from mecheck.runtime.interpreter import Interpreter, RuntimeRuleError
 
@@ -119,3 +122,49 @@ def test_generated_rules_round_trip_through_printer(model):
         first = parse_rule(source)
         second = parse_rule(format_rule(first))
         assert ast.structurally_equal(first, second), source
+
+
+def differential_corpus(seed, valid, per_variant):
+    """Parsed valid rules (a third with bean loops) and invalid ones."""
+    rng = random.Random(seed)
+    sources = []
+    for i in range(valid):
+        with_beanid = i % 3 == 0
+        gen = genrules.Gen(rng, with_beanid=with_beanid)
+        sources.append(genrules.render_rule(gen.rule(), "gen-case", with_beanid=with_beanid))
+    for variant in genrules.INVALID_VARIANTS:
+        for _ in range(per_variant):
+            sources.append(genrules.make_invalid_case(rng, variant)[0])
+    return [parse_rule(source) for source in sources]
+
+
+def corpus_outcomes(model, rules, cache):
+    """Per rule: its reports, its rule error text and its EvalStats."""
+    registry = Registry()
+    outcomes = []
+    for rule in rules:
+        interp = Interpreter(model, registry, cache)
+        sink = []
+        try:
+            interp.run_rule(rule, sink)
+            error = None
+        except RuntimeRuleError as exc:
+            error = str(exc)
+        reports = [(r.message, r.file_path, r.line, r.ordinal) for r in sink]
+        outcomes.append((reports, error, dataclasses.astuple(interp.stats)))
+    return outcomes
+
+
+def test_cache_on_and_off_agree_on_generated_rules(model, monkeypatch):
+    monkeypatch.setattr(interp_mod, "EnvStack", BalancedEnv)
+    BalancedEnv.instances.clear()
+    rules = differential_corpus(seed=5150, valid=300, per_variant=30)
+    # one cache across the corpus, as one run shares it across rules
+    cache = QueryCache()
+    on = corpus_outcomes(model, rules, cache)
+    off = corpus_outcomes(model, rules, None)
+    assert on == off
+    assert cache.hits > 0
+    assert sum(error is not None for _, error, _ in on) >= 5 * 30
+    assert any(reports for reports, _, _ in on)
+    assert_envs_balanced()
