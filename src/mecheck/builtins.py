@@ -21,6 +21,7 @@ metadata is absent, at the cost of silently skipping such items.
 
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 
@@ -150,6 +151,7 @@ def resolve_resource_path(
     return None
 
 
+@functools.lru_cache(maxsize=1024)
 def _glob_to_regex(glob: str) -> re.Pattern:
     parts = glob.split("*")
     return re.compile("".join(re.escape(p) for p in parts[:1]) +

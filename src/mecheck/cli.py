@@ -61,7 +61,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="GLOB",
-        help="directory name glob to skip while walking (repeatable)",
+        help="glob of directory or file names to skip while walking (repeatable)",
     )
     p.add_argument(
         "--no-fail",

@@ -8,9 +8,10 @@ runs it once per file and runs both phases below over the same tokens:
     written, class-level annotations, and the token range of its body).
     Method and field bodies are only brace-counted here.
 
-  * extract_members re-walks one type's body range and produces fields,
-    methods (signature level), constructors, and the call sites of
-    watched callees found inside bodies and initializers.
+  * extract_members re-walks one type's body range and builds its model
+    items: fields, methods (signature level), constructors, and the call
+    sites of the WATCHED_CALLEES found inside bodies and initializers,
+    all owned by the ClassItem the builder made for that type.
 
 This is deliberately not a full Java parser: declarations and annotation
 arguments are read precisely, statement-level code is only scanned for
@@ -23,7 +24,16 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-from mecheck.model.items import AnnotationUse, Param
+from mecheck.model.items import (
+    AnnotationUse,
+    CallSite,
+    ClassItem,
+    ConstructorItem,
+    FieldItem,
+    Members,
+    MethodItem,
+    Param,
+)
 
 MODIFIERS = frozenset(
     [
@@ -44,6 +54,9 @@ MODIFIERS = frozenset(
 )
 
 TYPE_KEYWORDS = ("class", "interface", "enum")
+
+# Callees whose call sites (and literal arguments) the model records.
+WATCHED_CALLEES = frozenset(["ClassPathXmlApplicationContext", "getBean"])
 
 IDENT = "ident"
 PUNCT = "punct"
@@ -504,53 +517,17 @@ def decode_java_string(lexeme: str) -> str:
 # -- member extraction --------------------------------------------------------
 
 
-@dataclass
-class RawCall:
-    callee: str
-    args: tuple[str | None, ...]
-    line: int
-
-
-@dataclass
-class RawField:
-    name: str
-    type_name: str
-    annotations: tuple[AnnotationUse, ...]
-    line: int
-
-
-@dataclass
-class RawMethod:
-    name: str
-    return_type: str
-    params: tuple[Param, ...]
-    annotations: tuple[AnnotationUse, ...]
-    line: int
-
-
-@dataclass
-class RawCtor:
-    params: tuple[Param, ...]
-    annotations: tuple[AnnotationUse, ...]
-    line: int
-
-
-@dataclass
-class RawMembers:
-    fields: list[RawField] = field(default_factory=list)
-    methods: list[RawMethod] = field(default_factory=list)
-    constructors: list[RawCtor] = field(default_factory=list)
-    calls: list[RawCall] = field(default_factory=list)
-
-
-def extract_members(toks: list[JTok], raw: RawType, watch: tuple[str, ...]) -> RawMembers:
-    """Phase two: members and watched call sites of one type body."""
-    out = RawMembers()
-    watch_set = frozenset(watch)
+def extract_members(toks: list[JTok], raw: RawType, owner: ClassItem) -> Members:
+    """Phase two: the members and watched call sites of one type body, as
+    model items owned by owner.  Call sites are numbered in source order."""
+    fields: list[FieldItem] = []
+    methods: list[MethodItem] = []
+    ctors: list[ConstructorItem] = []
+    calls: list[CallSite] = []
     lo = raw.body_start
     hi = raw.body_end if raw.body_end >= 0 else len(toks)
     if raw.kind == "enum":
-        lo = _skip_enum_constants(toks, lo, hi, watch_set, out)
+        lo = _skip_enum_constants(toks, lo, hi, owner, calls)
     i = lo
     pending: list[AnnotationUse] = []
     n = hi
@@ -572,7 +549,7 @@ def extract_members(toks: list[JTok], raw: RawType, watch: tuple[str, ...]) -> R
             if text == "{":
                 # instance or static initializer block
                 j = _skip_balanced(toks, i, "{", "}")
-                _scan_calls(toks, i + 1, j - 1, watch_set, out.calls)
+                _scan_calls(toks, i + 1, j - 1, owner, calls)
                 pending = []
                 i = j
                 continue
@@ -597,17 +574,9 @@ def extract_members(toks: list[JTok], raw: RawType, watch: tuple[str, ...]) -> R
             pending = []
             continue
         if text == raw.simple_name and i + 1 < n and toks[i + 1].text == "(":
-            params, j = _parse_params(toks, i + 1, n)
-            j = _skip_throws(toks, j, n)
-            body_end = j
-            if j < n and toks[j].text == "{":
-                body_end = _skip_balanced(toks, j, "{", "}")
-                _scan_calls(toks, j + 1, body_end - 1, watch_set, out.calls)
-            elif j < n and toks[j].text == ";":
-                body_end = j + 1
-            out.constructors.append(RawCtor(tuple(params), tuple(pending), tok.line))
+            params, i = _parse_callable_rest(toks, i + 1, n, owner, calls)
+            ctors.append(ConstructorItem(params, tuple(pending), owner, tok.line))
             pending = []
-            i = body_end
             continue
         type_text, j = _parse_type_ref(toks, i, n)
         if type_text is None or j >= n or toks[j].kind != IDENT:
@@ -615,29 +584,20 @@ def extract_members(toks: list[JTok], raw: RawType, watch: tuple[str, ...]) -> R
             i += 1
             continue
         name_tok = toks[j]
-        after = j + 1
-        if after < n and toks[after].text == "(":
-            params, k = _parse_params(toks, after, n)
-            k = _skip_throws(toks, k, n)
-            body_end = k
-            if k < n and toks[k].text == "{":
-                body_end = _skip_balanced(toks, k, "{", "}")
-                _scan_calls(toks, k + 1, body_end - 1, watch_set, out.calls)
-            elif k < n and toks[k].text == ";":
-                body_end = k + 1
-            out.methods.append(
-                RawMethod(name_tok.text, type_text, tuple(params), tuple(pending), name_tok.line)
+        if j + 1 < n and toks[j + 1].text == "(":
+            params, i = _parse_callable_rest(toks, j + 1, n, owner, calls)
+            methods.append(
+                MethodItem(name_tok.text, type_text, params, tuple(pending), owner, name_tok.line)
             )
             pending = []
-            i = body_end
             continue
         # field declaration, possibly with several declarators
-        i = _parse_field_decl(toks, i, n, type_text, j, pending, watch_set, out)
+        i = _parse_field_decl(toks, j, n, type_text, tuple(pending), owner, fields, calls)
         pending = []
-    return out
+    return Members(tuple(fields), tuple(methods), tuple(ctors), tuple(calls))
 
 
-def _skip_enum_constants(toks, lo, hi, watch_set, out):
+def _skip_enum_constants(toks, lo, hi, owner, calls):
     """Enum constants run to the first top-level ';' (or the body end)."""
     depth = 0
     i = lo
@@ -648,10 +608,10 @@ def _skip_enum_constants(toks, lo, hi, watch_set, out):
         elif text in (")", "}"):
             depth -= 1
         elif text == ";" and depth == 0:
-            _scan_calls(toks, lo, i, watch_set, out.calls)
+            _scan_calls(toks, lo, i, owner, calls)
             return i + 1
         i += 1
-    _scan_calls(toks, lo, hi, watch_set, out.calls)
+    _scan_calls(toks, lo, hi, owner, calls)
     return hi
 
 
@@ -684,33 +644,31 @@ def _parse_type_ref(toks, i, n):
     return _render_type(collected), i
 
 
+def _parse_callable_rest(toks, i, n, owner, calls):
+    """A method or constructor from the '(' at i: its parameters, any
+    throws clause, and a body (scanned for calls) or ';'.  Returns
+    (params, index past the declaration)."""
+    params, i = _parse_params(toks, i, n)
+    i = _skip_throws(toks, i, n)
+    if i < n and toks[i].text == "{":
+        end = _skip_balanced(toks, i, "{", "}")
+        _scan_calls(toks, i + 1, end - 1, owner, calls)
+        return params, end
+    if i < n and toks[i].text == ";":
+        return params, i + 1
+    return params, i
+
+
 def _parse_params(toks, i, n):
     """i points at '('; returns (params, index past ')')."""
     j = _skip_balanced(toks, i, "(", ")")
     inner = toks[i + 1 : j - 1]
     params: list[Param] = []
     for part in _split_top_level(inner, ","):
-        part = [t for t in part]
         k = 0
         while k < len(part):
             if part[k].text == "@":
-                # drop the annotation (and its argument list when present)
-                k += 1
-                while k + 1 < len(part) and part[k].text == "." and part[k + 1].kind == IDENT:
-                    k += 2
-                if k < len(part) and part[k].kind == IDENT:
-                    k += 1
-                if k < len(part) and part[k].text == "(":
-                    depth = 0
-                    while k < len(part):
-                        if part[k].text == "(":
-                            depth += 1
-                        elif part[k].text == ")":
-                            depth -= 1
-                            if depth == 0:
-                                k += 1
-                                break
-                        k += 1
+                _, k = _parse_annotation(part, k)
             elif part[k].kind == IDENT and part[k].text == "final":
                 k += 1
             else:
@@ -734,7 +692,7 @@ def _parse_params(toks, i, n):
             suffix += "[]"
             idx += 2
         params.append(Param(_render_type(type_toks) + suffix, name))
-    return params, j
+    return tuple(params), j
 
 
 def _skip_throws(toks, i, n):
@@ -745,10 +703,8 @@ def _skip_throws(toks, i, n):
     return i
 
 
-def _parse_field_decl(toks, i, n, type_text, name_idx, pending, watch_set, out):
-    """Field declarators from the first name to the closing ';'."""
-    annos = tuple(pending)
-    j = name_idx
+def _parse_field_decl(toks, j, n, type_text, annos, owner, fields, calls):
+    """Field declarators from the first name at j to the closing ';'."""
     while j < n:
         if toks[j].kind != IDENT:
             break
@@ -758,7 +714,7 @@ def _parse_field_decl(toks, i, n, type_text, name_idx, pending, watch_set, out):
         while j + 1 < n and toks[j].text == "[" and toks[j + 1].text == "]":
             suffix += "[]"
             j += 2
-        out.fields.append(RawField(name_tok.text, type_text + suffix, annos, name_tok.line))
+        fields.append(FieldItem(name_tok.text, type_text + suffix, annos, owner, name_tok.line))
         if j < n and toks[j].text == "=":
             j += 1
             init_start = j
@@ -772,7 +728,7 @@ def _parse_field_decl(toks, i, n, type_text, name_idx, pending, watch_set, out):
                 elif depth == 0 and text in (",", ";"):
                     break
                 j += 1
-            _scan_calls(toks, init_start, j, watch_set, out.calls)
+            _scan_calls(toks, init_start, j, owner, calls)
         if j < n and toks[j].text == ",":
             j += 1
             continue
@@ -782,19 +738,22 @@ def _parse_field_decl(toks, i, n, type_text, name_idx, pending, watch_set, out):
     return j + 1 if j < n else n
 
 
-def _scan_calls(toks, lo, hi, watch_set, out_calls):
-    """Record watched calls in toks[lo:hi]; nested calls are found too."""
+def _scan_calls(toks, lo, hi, owner, calls):
+    """Append the watched calls in toks[lo:hi] to calls as call sites of
+    owner, numbered on from len(calls); nested calls are found too."""
     j = lo
     while j < hi:
         tok = toks[j]
         if (
             tok.kind == IDENT
-            and tok.text in watch_set
+            and tok.text in WATCHED_CALLEES
             and j + 1 < hi
             and toks[j + 1].text == "("
         ):
             args = _parse_call_args(toks, j + 1, hi)
-            out_calls.append(RawCall(tok.text, args, tok.line))
+            calls.append(
+                CallSite(tok.text, args, owner, owner.file_path, tok.line, ordinal=len(calls))
+            )
         j += 1
 
 

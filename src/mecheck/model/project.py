@@ -2,15 +2,17 @@
 
 build_model walks a project directory once and parses everything in one
 pass: every XML file, and every Java file, which is read and tokenized
-once.  Its declarations are scanned from those tokens, and the members of
-each class it keeps are extracted from the same tokens before they are
-dropped, so the model never goes back to a source file.
+once.  Its declarations are scanned from those tokens; for each class it
+keeps, build_model makes the ClassItem and javasrc.extract_members builds
+that class's member items from the same tokens before they are dropped,
+so the model never goes back to a source file.
 
 File discovery is deterministic: relative paths, sorted lexicographically
 with '/' separators.  Directories whose name matches an ignore glob
-(default: target, build, out, .git) are pruned.  Unreadable or malformed
-files are skipped with a warning; a duplicate fully-qualified class name
-keeps the first occurrence in path order and warns about the rest.
+(default: target, build, out, .git) are pruned, and files whose name
+matches one are skipped.  Unreadable or malformed files are skipped with
+a warning; a duplicate fully-qualified class name keeps the first
+occurrence in path order and warns about the rest.
 """
 
 from __future__ import annotations
@@ -21,18 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from mecheck.model import javasrc
-from mecheck.model.items import (
-    CallSite,
-    ClassItem,
-    ConstructorItem,
-    FieldItem,
-    Members,
-    MethodItem,
-    XmlFile,
-)
+from mecheck.model.items import CallSite, ClassItem, XmlFile
 from mecheck.model.xmldoc import MalformedXmlError, parse_xml
 
-DEFAULT_WATCH_CALLEES = ("ClassPathXmlApplicationContext", "getBean")
 DEFAULT_IGNORE_GLOBS = ("target", "build", "out", ".git")
 
 
@@ -42,7 +35,6 @@ class RootNotFound(Exception):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    watch_callees: tuple[str, ...] = DEFAULT_WATCH_CALLEES
     ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS
 
 
@@ -79,28 +71,8 @@ class ProjectModel:
         return out
 
 
-def _members_of(cls: ClassItem, extracted: javasrc.RawMembers) -> Members:
-    fields = tuple(
-        FieldItem(f.name, f.type_name, f.annotations, cls, f.line)
-        for f in extracted.fields
-    )
-    methods = tuple(
-        MethodItem(m.name, m.return_type, m.params, m.annotations, cls, m.line)
-        for m in extracted.methods
-    )
-    ctors = tuple(
-        ConstructorItem(c.params, c.annotations, cls, c.line)
-        for c in extracted.constructors
-    )
-    calls = tuple(
-        CallSite(c.callee, c.args, cls, cls.file_path, c.line, ordinal=idx)
-        for idx, c in enumerate(extracted.calls)
-    )
-    return Members(fields, methods, ctors, calls)
-
-
-def _is_ignored(rel_parts: tuple[str, ...], globs: tuple[str, ...]) -> bool:
-    return any(fnmatch.fnmatch(part, glob) for part in rel_parts for glob in globs)
+def _is_ignored(name: str, globs: tuple[str, ...]) -> bool:
+    return any(fnmatch.fnmatch(name, glob) for glob in globs)
 
 
 def build_model(root: str | Path, config: ModelConfig | None = None) -> ProjectModel:
@@ -116,12 +88,13 @@ def build_model(root: str | Path, config: ModelConfig | None = None) -> ProjectM
     for dirpath, dirnames, filenames in os.walk(root_path):
         rel_dir = Path(dirpath).relative_to(root_path)
         dirnames[:] = sorted(
-            d for d in dirnames if not _is_ignored((d,), cfg.ignore_globs)
+            d for d in dirnames if not _is_ignored(d, cfg.ignore_globs)
         )
         for fname in filenames:
-            rel = (rel_dir / fname).as_posix() if rel_dir.parts else fname
-            if _is_ignored(Path(rel).parts, cfg.ignore_globs):
+            # the directories above were pruned already
+            if _is_ignored(fname, cfg.ignore_globs):
                 continue
+            rel = (rel_dir / fname).as_posix() if rel_dir.parts else fname
             lower = fname.lower()
             if lower.endswith(".xml"):
                 xml_paths.append(rel)
@@ -165,9 +138,7 @@ def build_model(root: str | Path, config: ModelConfig | None = None) -> ProjectM
                 file_path=rel,
                 line=raw.line,
             )
-            cls._members = _members_of(
-                cls, javasrc.extract_members(toks, raw, cfg.watch_callees)
-            )
+            cls._members = javasrc.extract_members(toks, raw, cls)
             model.classes.append(cls)
             model.class_by_fqn[fqn] = cls
             model.classes_by_sn.setdefault(raw.simple_name, []).append(cls)

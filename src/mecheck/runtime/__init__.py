@@ -2,13 +2,12 @@
 
 from mecheck.runtime.interpreter import BugReport, Interpreter, RuntimeRuleError
 from mecheck.runtime.cache import QueryCache
-from mecheck.runtime.env import EnvStack, Frame
+from mecheck.runtime.env import EnvStack
 from mecheck.runtime.values import MISSING
 
 __all__ = [
     "BugReport",
     "EnvStack",
-    "Frame",
     "Interpreter",
     "MISSING",
     "QueryCache",

@@ -1,21 +1,11 @@
 """Variable environments for rule evaluation.
 
-A Frame maps names to (type tag, value) pairs and records why it was
-pushed (rule body, for loop, if body, exists clause).  The EnvStack is a
-plain stack of frames; name lookup walks from the innermost frame out,
-so inner bindings shadow outer ones.
+A frame is a plain dict from variable name to value.  The EnvStack is a
+stack of frames; name lookup walks from the innermost frame out, so inner
+bindings shadow outer ones.  Rebinding a name within a frame replaces it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-from mecheck.rsl.ast import TypeTag
-
-RULE_BODY = "rule-body"
-FOR_LOOP = "for-loop"
-IF_BODY = "if-body"
-EXISTS_CLAUSE = "exists-clause"
 
 
 class UnboundVariable(KeyError):
@@ -24,47 +14,31 @@ class UnboundVariable(KeyError):
         self.name = name
 
 
-@dataclass
-class Frame:
-    origin: str
-    bindings: dict[str, tuple[TypeTag, object]] = field(default_factory=dict)
-
-    def bind(self, name: str, tag: TypeTag, value: object) -> None:
-        # rebinding the same name within a frame simply replaces it
-        self.bindings[name] = (tag, value)
-
-    def clear(self) -> None:
-        self.bindings.clear()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.bindings
-
-
 class EnvStack:
     def __init__(self):
-        self.frames: list[Frame] = []
+        self.frames: list[dict[str, object]] = []
 
     @property
     def depth(self) -> int:
         return len(self.frames)
 
-    def push(self, origin: str) -> Frame:
-        frame = Frame(origin)
+    def push(self) -> dict[str, object]:
+        frame: dict[str, object] = {}
         self.frames.append(frame)
         return frame
 
-    def pop(self) -> Frame:
+    def pop(self) -> dict[str, object]:
         if not self.frames:
             raise IndexError("pop from an empty environment stack")
         return self.frames.pop()
 
-    def top(self) -> Frame:
+    def top(self) -> dict[str, object]:
         if not self.frames:
             raise IndexError("environment stack is empty")
         return self.frames[-1]
 
-    def lookup(self, name: str) -> tuple[TypeTag, object]:
+    def lookup(self, name: str) -> object:
         for frame in reversed(self.frames):
-            if name in frame.bindings:
-                return frame.bindings[name]
+            if name in frame:
+                return frame[name]
         raise UnboundVariable(name)

@@ -8,16 +8,17 @@ running a rule does no dispatch on node types.  Statements are called
 as stmt(env, sink), expressions as exp(env); a compiled rule runs
 against a fresh EnvStack each time.
 
-Scoping model: run_rule pushes one frame around the rule body.  A for
-loop pushes one frame before evaluating its container, rebinds the loop
-variable per element, clears the frame's bindings between iterations
-(iteration-local declarations must not leak into the next pass), and
-pops after the loop.  An if statement evaluates its condition in the
-current environment and pushes a frame around the body.  A declaration
-binds in the innermost frame.  exists pushes a frame for its bound
-variable, returns true at the first element whose predicate holds, and
-pops even on that early exit.  AND and OR do not evaluate their right
-side when the left side decides.
+Scoping model: a frame is a dict from variable name to value; the type a
+rule declares for a variable is not kept or checked at run time.
+run_rule pushes one frame around the rule body.  A for loop pushes one
+frame before evaluating its container, rebinds the loop variable per
+element, clears the frame's bindings between iterations (iteration-local
+declarations must not leak into the next pass), and pops after the loop.
+An if statement evaluates its condition in the current environment and
+pushes a frame around the body.  A declaration binds in the innermost
+frame.  exists pushes a frame for its bound variable, returns true at the
+first element whose predicate holds, and pops even on that early exit.
+AND and OR do not evaluate their right side when the left side decides.
 
 A failed assert renders the message template and emits a BugReport; the
 report's position comes from the first message argument that carries a
@@ -57,15 +58,7 @@ from mecheck.model.project import ProjectModel
 from mecheck.rsl import ast
 from mecheck.runtime import values as V
 from mecheck.runtime.cache import QueryCache, canonical_key
-from mecheck.runtime.env import (
-    EXISTS_CLAUSE,
-    FOR_LOOP,
-    IF_BODY,
-    RULE_BODY,
-    EnvStack,
-    Frame,
-    UnboundVariable,
-)
+from mecheck.runtime.env import EnvStack, UnboundVariable
 
 # A compiled expression: env -> value.  A compiled statement: (env, sink) -> None.
 CompiledExp = Callable[[EnvStack], object]
@@ -228,7 +221,7 @@ class Interpreter:
             entry = self._compiled[id(rule)] = (rule, self._compile_block(rule.body))
         body = entry[1]
         env = EnvStack()
-        env.push(RULE_BODY)
+        env.push()
         try:
             body(env, sink)
         finally:
@@ -257,10 +250,10 @@ class Interpreter:
             return self._compile_assert(stmt)
         if isinstance(stmt, ast.DeclStmt):
             init = self._compile_exp(stmt.init)
-            var, tag = stmt.var, stmt.decl_type
+            var = stmt.var
 
             def declare(env, sink):
-                env.top().bind(var, tag, init(env))
+                env.top()[var] = init(env)
 
             return declare
         error = self._error(
@@ -275,13 +268,13 @@ class Interpreter:
     def _compile_for(self, stmt: ast.ForStmt) -> CompiledStmt:
         container = self._compile_exp(stmt.container)
         body = self._compile_block(stmt.body)
-        var, tag = stmt.var, stmt.decl_type
+        var = stmt.var
 
         def run_for(env, sink):
-            frame = env.push(FOR_LOOP)
+            frame = env.push()
             try:
                 for element in _iteration_items(container(env)):
-                    frame.bind(var, tag, element)
+                    frame[var] = element
                     body(env, sink)
                     frame.clear()
             finally:
@@ -296,7 +289,7 @@ class Interpreter:
         def run_if(env, sink):
             if not cond(env):
                 return
-            env.push(IF_BODY)
+            env.push()
             try:
                 body(env, sink)
             finally:
@@ -394,7 +387,7 @@ class Interpreter:
 
         def lookup(env):
             try:
-                return env.lookup(name)[1]
+                return env.lookup(name)
             except UnboundVariable:
                 raise error() from None
 
@@ -433,7 +426,7 @@ class Interpreter:
     def _compile_exists(self, exp: ast.Exists) -> CompiledExp:
         container = self._compile_exp(exp.container)
         predicate = self._compile_cond(exp.predicate)
-        var, tag = exp.var, exp.decl_type
+        var = exp.var
         stats = self.stats
         plan = plan_exists(exp) if self.cache is not None else None
         if plan is not None:
@@ -443,7 +436,7 @@ class Interpreter:
             index_lookup = self._index_lookup
 
         def exists(env):
-            frame = env.push(EXISTS_CLAUSE)
+            frame = env.push()
             try:
                 items = container(env)
                 if plan is not None and isinstance(items, list) and items:
@@ -453,7 +446,7 @@ class Interpreter:
                     if found is not None:
                         return found
                 for element in _iteration_items(items):
-                    frame.bind(var, tag, element)
+                    frame[var] = element
                     stats.exists_predicate_evals += 1
                     if predicate(env):
                         return True
@@ -480,7 +473,7 @@ class Interpreter:
         probe: CompiledExp,
         probe_first: bool,
         env: EnvStack,
-        frame: Frame,
+        frame: dict[str, object],
     ) -> bool | None:
         """Answer a non-empty exists from its index, counting and failing
         as the scan would; None means the scan must answer."""
@@ -521,10 +514,12 @@ class Interpreter:
         return False
 
     @staticmethod
-    def _grow_index(index: ExistsIndex, keyed: CompiledExp, env: EnvStack, frame: Frame) -> None:
+    def _grow_index(
+        index: ExistsIndex, keyed: CompiledExp, env: EnvStack, frame: dict[str, object]
+    ) -> None:
         """Evaluate f at the next unindexed position."""
         pos = index.built
-        frame.bind(index.node.var, index.node.decl_type, index.container[pos])
+        frame[index.node.var] = index.container[pos]
         try:
             value = keyed(env)
         except RuntimeRuleError as exc:

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,22 @@ def test_ignore_glob_skips_directories(tmp_path, capsys):
     root = write_project(tmp_path, files)
     assert cli.main(["--project", str(root), "--ignore", "extra"]) == 0
     capsys.readouterr()
+
+
+def test_qualified_param_annotations_keep_constructor_types(tmp_path, capsys):
+    root = tmp_path / "r3"
+    shutil.copytree(FIXTURES / "r3" / "clean", root)
+    java = root / "src/main/java/com/fix/r3/Notifier.java"
+    text = java.read_text()
+    signature = "public Notifier(String message, int retries)"
+    assert signature in text
+    java.write_text(text.replace(
+        signature,
+        "public Notifier(@javax.annotation.Nonnull String message, "
+        "@org.example.Range(min = 1) final int retries)",
+    ))
+    assert cli.main(["--project", str(root)]) == 0
+    assert capsys.readouterr().out.endswith("0 findings across 15 rules\n")
 
 
 def test_deeply_nested_xml_is_checked(tmp_path, capsys):

@@ -3,6 +3,7 @@ import reference_tokenizer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecheck.model.items import ClassItem
 from mecheck.model.javasrc import (
     CHAR,
     IDENT,
@@ -15,17 +16,20 @@ from mecheck.model.javasrc import (
     tokenize_java,
 )
 
-WATCH = ("ClassPathXmlApplicationContext", "getBean")
-
 
 def decls_of(source):
     return scan_declarations(tokenize_java(source))
 
 
+def owner_of(raw, file_path="M.java"):
+    return ClassItem(raw.simple_name, raw.simple_name, raw.kind,
+                     raw.supertype_names, raw.annotations, file_path, raw.line)
+
+
 def members_of(source, type_index=0):
     toks = tokenize_java(source)
-    decls = scan_declarations(toks)
-    return extract_members(toks, decls.types[type_index], WATCH)
+    raw = scan_declarations(toks).types[type_index]
+    return extract_members(toks, raw, owner_of(raw))
 
 
 def test_tokenizer_drops_comments_and_keeps_strings():
@@ -284,6 +288,35 @@ def test_param_annotations_and_final_dropped():
     assert [(p.type_name, p.name) for p in m.params] == [("String", "s"), ("int", "n")]
 
 
+def test_qualified_and_parenthesised_param_annotations_dropped():
+    src = (
+        "class A { void f(@javax.annotation.Nullable String s, @org.x.Y(3) long q, "
+        "final @a.b.C(x = {1, 2}) java.util.List<String> xs, @D final @e.F int[] n) { } }"
+    )
+    m = members_of(src).methods[0]
+    assert [(p.type_name, p.name) for p in m.params] == [
+        ("String", "s"),
+        ("long", "q"),
+        ("java.util.List<String>", "xs"),
+        ("int[]", "n"),
+    ]
+
+
+def test_members_are_items_owned_by_the_class():
+    src = 'class M { int f; M() { getBean("a"); } void r() { getBean("b"); } }'
+    toks = tokenize_java(src)
+    raw = scan_declarations(toks).types[0]
+    owner = owner_of(raw, "src/M.java")
+    members = extract_members(toks, raw, owner)
+    everything = members.fields + members.methods + members.constructors + members.call_sites
+    assert len(everything) == 5
+    assert all(item.owner is owner for item in everything)
+    assert [(c.string_args, c.ordinal, c.file_path) for c in members.call_sites] == [
+        (("a",), 0, "src/M.java"),
+        (("b",), 1, "src/M.java"),
+    ]
+
+
 def test_constructors_are_separate_from_methods():
     src = """\
 class Mailer {
@@ -335,8 +368,8 @@ class Outer {
     decls = scan_declarations(toks)
     outer = [t for t in decls.types if t.simple_name == "Outer"][0]
     inner = [t for t in decls.types if t.simple_name == "Inner"][0]
-    outer_members = extract_members(toks, outer, WATCH)
-    inner_members = extract_members(toks, inner, WATCH)
+    outer_members = extract_members(toks, outer, owner_of(outer))
+    inner_members = extract_members(toks, inner, owner_of(inner))
     assert [f.name for f in outer_members.fields] == ["outerField"]
     assert [m.name for m in outer_members.methods] == ["outerMethod"]
     assert [f.name for f in inner_members.fields] == ["innerField"]
@@ -377,7 +410,7 @@ class Main {
 }
 """
     members = members_of(src)
-    got = [(c.callee, c.args) for c in members.calls]
+    got = [(c.callee_name, c.string_args) for c in members.call_sites]
     assert got == [
         ("ClassPathXmlApplicationContext", ("beans.xml",)),
         ("getBean", ("greeter",)),
@@ -395,8 +428,8 @@ class Main {
     }
 }
 """
-    calls = members_of(src).calls
-    assert [c.args for c in calls] == [
+    calls = members_of(src).call_sites
+    assert [c.string_args for c in calls] == [
         ("NoticeService.class",),
         ("com.acme.Greeter.class",),
         (None,),
@@ -406,8 +439,8 @@ class Main {
 
 def test_call_site_multiple_args():
     src = 'class M { void r() { Object a = ctx.getBean("name", Greeter.class); } }'
-    call = members_of(src).calls[0]
-    assert call.args == ("name", "Greeter.class")
+    call = members_of(src).call_sites[0]
+    assert call.string_args == ("name", "Greeter.class")
 
 
 def test_calls_found_in_field_initializers_and_static_blocks():
@@ -419,8 +452,8 @@ class Holder {
     }
 }
 """
-    calls = members_of(src).calls
-    assert [(c.callee, c.args[0]) for c in calls] == [
+    calls = members_of(src).call_sites
+    assert [(c.callee_name, c.string_args[0]) for c in calls] == [
         ("ClassPathXmlApplicationContext", "app.xml"),
         ("getBean", "early"),
     ]
@@ -428,20 +461,20 @@ class Holder {
 
 def test_nested_watched_calls_both_found():
     src = 'class M { void r() { Object a = getBean(getBean("inner")); } }'
-    calls = members_of(src).calls
+    calls = members_of(src).call_sites
     assert len(calls) == 2
-    assert calls[0].args == (None,)
-    assert calls[1].args == ("inner",)
+    assert calls[0].string_args == (None,)
+    assert calls[1].string_args == ("inner",)
 
 
 def test_unwatched_calls_ignored():
     src = 'class M { void r() { Object a = new AnnotationConfigApplicationContext(AppCtx.class); } }'
-    assert members_of(src).calls == []
+    assert members_of(src).call_sites == ()
 
 
 def test_call_line_numbers():
     src = 'class M {\n  void r() {\n    Object a = ctx.getBean("x");\n  }\n}'
-    assert members_of(src).calls[0].line == 3
+    assert members_of(src).call_sites[0].line == 3
 
 
 def test_text_block_is_one_token():

@@ -63,6 +63,16 @@ def test_custom_ignore_globs(make_project):
     assert "Old" not in [c.simple_name for c in model.classes]
 
 
+def test_ignore_glob_skips_files_by_name(make_project):
+    files = dict(SMALL)
+    files["src/main/java/com/acme/LegacyThing.java"] = "package com.acme;\npublic class LegacyThing { }"
+    files["src/main/resources/OldLegacyBeans.xml"] = "<beans/>"
+    model = build_model(make_project(files), ModelConfig(ignore_globs=("*Legacy*",)))
+    assert sorted(c.fqn for c in model.classes) == ["com.acme.A", "com.acme.B"]
+    assert [x.path for x in model.xml_files] == ["src/main/resources/beans.xml"]
+    assert model.java_file_count == 2
+
+
 def test_fqn_and_simple_name_indexes(make_project):
     model = build_model(make_project(SMALL))
     a = model.class_by_fqn["com.acme.A"]

@@ -41,9 +41,9 @@ class BalancedEnv(EnvStack):
         self.pops = 0
         BalancedEnv.instances.append(self)
 
-    def push(self, origin):
+    def push(self):
         self.pushes += 1
-        return super().push(origin)
+        return super().push()
 
     def pop(self):
         self.pops += 1
