@@ -3,26 +3,41 @@
 Forty-one functions over the project model, in four groups: code
 elements, annotations, XML, and plain string/path helpers.  A Registry
 owns per-run configuration (library class patterns, resource roots) and
-dispatches calls; arity is checked here and ahead of time by the rule
-validator through builtin_signatures().
+dispatches every call through Registry.call.
 
-The cacheable flag in _BUILTIN_SPEC marks the built-ins whose results go
-through the query cache: every one that returns a list (so the exists
-index, keyed by container identity, sees one object per query) and every
-one whose cost grows with the model or touches the disk.  O(1) accessors
-and string helpers are cheaper than a cache lookup and are called
-directly.
+Each built-in is declared once, by the @builtin decorator on its
+implementation.  The declaration gives:
+- its name and arity;
+- the kind each leading argument must have (TEXT, CLASS, ELEMENT, ...);
+  the body checks the rest itself, as with the integer-like arguments of
+  getArg, indexInBound and substring and the arguments of join;
+- the positions where a MISSING argument short-circuits, and the result
+  returned then;
+- whether results go through the query cache.
+
+Registry.call checks arity, then MISSING, then the kinds, in that order,
+and only then runs the body; the rule validator reads arity from the
+same records.  Cached are every built-in that returns a list (so the
+exists index, keyed by container identity, sees one object per query)
+and every one whose cost grows with the model or touches the disk.  O(1)
+accessors and string helpers are cheaper than a cache lookup and are
+called directly.
 
 Missing-value policy: predicates return false when a required input is
 MISSING, string transformers return MISSING, element/list getters return
 an empty list.  That keeps rules free of false positives when optional
 metadata is absent, at the cost of silently skipping such items.
+README's "Built-in functions" section lists every built-in's kinds and
+its result on a missing argument.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from mecheck.model.items import (
@@ -51,27 +66,51 @@ class UnknownBuiltinError(Exception):
         self.name = name
 
 
+# The stop of an unbounded arity range.
+UNBOUNDED = sys.maxsize
+
+
+def arity_message(name: str, arity: range, got: int) -> str:
+    """The complaint about calling `name` with `got` arguments; shared by
+    Registry.call and the rule validator."""
+    low = arity.start
+    if arity.stop == UNBOUNDED:
+        expected = f"at least {low}"
+    elif arity.stop == low + 1:
+        expected = str(low)
+    else:
+        expected = f"{low} to {arity.stop - 1}"
+    return f"'{name}' takes {expected} argument(s), got {got}"
+
+
 class BuiltinArityError(Exception):
-    def __init__(self, name: str, expected: str, got: int):
-        super().__init__(f"'{name}' takes {expected} argument(s), got {got}")
+    def __init__(self, name: str, arity: range, got: int):
+        super().__init__(arity_message(name, arity, got))
         self.name = name
-        self.expected = expected
-        self.got = got
 
 
 class BuiltinTypeError(Exception):
-    def __init__(self, name: str, arg_index: int, expected: str, got: str):
-        super().__init__(
-            f"'{name}' argument {arg_index + 1} must be {expected}, got {got}"
-        )
-        self.name = name
-        self.arg_index = arg_index
+    """Argument arg_index has the wrong kind.  Bodies raise it without the
+    built-in's name; Registry.call fills the name in."""
+
+    name = "?"
+
+    def __init__(self, arg_index: int, expected: str, got: str):
+        super().__init__(arg_index, expected, got)
+
+    def __str__(self):
+        arg_index, expected, got = self.args
+        return f"'{self.name}' argument {arg_index + 1} must be {expected}, got {got}"
 
 
 class PreconditionError(Exception):
-    def __init__(self, name: str, message: str):
-        super().__init__(f"'{name}': {message}")
-        self.name = name
+    """Arguments of the right kinds that the built-in cannot answer for;
+    Registry.call fills in the name."""
+
+    name = "?"
+
+    def __str__(self):
+        return f"'{self.name}': {self.args[0]}"
 
 
 # What Registry.call raises for a bad call; the interpreter turns each
@@ -158,11 +197,100 @@ def _glob_to_regex(glob: str) -> re.Pattern:
                       "".join(".*" + re.escape(p) for p in parts[1:]))
 
 
+# Argument kinds: the accepted types and the text an error gives for them.
+TEXT = (str, "text")
+XML_NODE = ((XmlFile, XmlElement), "an XML file or element")
+ELEMENT = (XmlElement, "an XML element")
+CLASS = (ClassItem, "a class")
+METHOD = (MethodItem, "a method")
+FIELD = (FieldItem, "a field")
+CALLABLE = ((MethodItem, ConstructorItem), "a method or constructor")
+ANNOTATED = ((ClassItem, MethodItem, FieldItem, ConstructorItem),
+             "a class, method, field, or constructor")
+NAMED = ((ClassItem, MethodItem, FieldItem, ConstructorItem, XmlFile, XmlElement),
+         "a class, method, field, or file")
+CLASS_OR_TEXT = ((ClassItem, str), "a class or text")
+SITE_OR_TEXT = ((CallSite, str), "text")
+TEXT_OR_LIST = ((str, list), "text or a list")
+
+
+@dataclass(frozen=True, slots=True)
+class Builtin:
+    """One built-in: its contract and its implementation.
+
+    Registry.call runs fn(registry, model, args) only when len(args) is in
+    arity, no position in missing holds MISSING (else the call returns
+    on_missing, a fresh list for a list), and each (position, types,
+    expected) of checks holds an instance of types.
+    """
+
+    name: str
+    fn: Callable
+    arity: range
+    checks: tuple[tuple[int, type | tuple[type, ...], str], ...] = ()
+    missing: tuple[int, ...] = ()
+    on_missing: object = None
+    cached: bool = False
+
+
+# Every built-in, by name, filled by @builtin.
+BUILTINS: dict[str, Builtin] = {}
+
+
+def builtin(
+    name: str,
+    arity: int | tuple[int, int | None],
+    *kinds: tuple,
+    missing: tuple[int, ...] = (),
+    on_missing: object = None,
+    cached: bool = False,
+):
+    """Declare the decorated Registry method as the built-in `name`.
+
+    arity is a count or (min, max), max None for no limit; kinds gives the
+    kinds of the leading arguments; a MISSING argument at a position in
+    missing makes the call return on_missing; cached routes results
+    through the query cache.
+    """
+    low, high = (arity, arity) if isinstance(arity, int) else arity
+    checks = tuple((i, *kind) for i, kind in enumerate(kinds))
+
+    def register(fn):
+        BUILTINS[name] = Builtin(
+            name, fn, range(low, UNBOUNDED if high is None else high + 1),
+            checks, missing, on_missing, cached,
+        )
+        return fn
+
+    return register
+
+
+def _int_like(args: list, i: int) -> int:
+    """args[i] as an integer: an int, or text holding one."""
+    v = args[i]
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v.strip())
+        except ValueError:
+            pass
+    raise BuiltinTypeError(i, "an integer", kind_name(v))
+
+
+def _element_pattern(text: str) -> re.Pattern:
+    """An element-name glob; "<bean>" means "bean"."""
+    if text.startswith("<") and text.endswith(">"):
+        text = text[1:-1]
+    return _glob_to_regex(text)
+
+
 class Registry:
     """Dispatch table for built-in functions.
 
     One Registry serves a whole run; every call receives the model
     explicitly so the registry itself stays reusable across models.
+    builtins is the table call dispatches through.
     """
 
     def __init__(
@@ -172,121 +300,30 @@ class Registry:
     ):
         self.lib_patterns = lib_patterns or LibraryPatternSet.default()
         self.resource_roots = tuple(resource_roots)
-        self._table = {}
-        self._signatures = {}
-        self._cacheable = set()
-        self._register_all()
-
-    # -- public API ---------------------------------------------------------
-
-    def names(self) -> list[str]:
-        return sorted(self._table)
-
-    def signatures(self) -> dict[str, tuple[int, int | None]]:
-        return dict(self._signatures)
-
-    def is_cacheable(self, name: str) -> bool:
-        return name in self._cacheable
+        self.builtins: dict[str, Builtin] = BUILTINS
 
     def call(self, name: str, args: list, model: ProjectModel):
-        fn = self._table.get(name)
-        if fn is None:
+        spec = self.builtins.get(name)
+        if spec is None:
             raise UnknownBuiltinError(name)
-        low, high = self._signatures[name]
-        n = len(args)
-        if n < low or (high is not None and n > high):
-            if high is None:
-                expected = f"at least {low}"
-            elif low == high:
-                expected = str(low)
-            else:
-                expected = f"{low} to {high}"
-            raise BuiltinArityError(name, expected, n)
-        return fn(model, args)
-
-    def _register_all(self):
-        for name, low, high, cacheable, method_name in _BUILTIN_SPEC:
-            self._table[name] = getattr(self, method_name)
-            self._signatures[name] = (low, high)
-            if cacheable:
-                self._cacheable.add(name)
-
-    # -- argument checking helpers -------------------------------------------
-
-    @staticmethod
-    def _text(name, args, i):
-        v = args[i]
-        if not isinstance(v, str):
-            raise BuiltinTypeError(name, i, "text", kind_name(v))
-        return v
-
-    @staticmethod
-    def _text_or_missing(name, args, i):
-        v = args[i]
-        if v is MISSING or isinstance(v, str):
-            return v
-        raise BuiltinTypeError(name, i, "text", kind_name(v))
-
-    @staticmethod
-    def _int_like(name, args, i):
-        v = args[i]
-        if isinstance(v, bool):
-            raise BuiltinTypeError(name, i, "an integer", kind_name(v))
-        if isinstance(v, int):
-            return v
-        if isinstance(v, str):
-            try:
-                return int(v.strip())
-            except ValueError:
-                raise BuiltinTypeError(name, i, "an integer", "text") from None
-        raise BuiltinTypeError(name, i, "an integer", kind_name(v))
-
-    @staticmethod
-    def _xml_node(name, args, i):
-        v = args[i]
-        if not isinstance(v, (XmlFile, XmlElement)):
-            raise BuiltinTypeError(name, i, "an XML file or element", kind_name(v))
-        return v
-
-    @staticmethod
-    def _element(name, args, i):
-        v = args[i]
-        if not isinstance(v, XmlElement):
-            raise BuiltinTypeError(name, i, "an XML element", kind_name(v))
-        return v
-
-    @staticmethod
-    def _class_item(name, args, i):
-        v = args[i]
-        if not isinstance(v, ClassItem):
-            raise BuiltinTypeError(name, i, "a class", kind_name(v))
-        return v
-
-    @staticmethod
-    def _callable_item(name, args, i):
-        v = args[i]
-        if not isinstance(v, (MethodItem, ConstructorItem)):
-            raise BuiltinTypeError(name, i, "a method or constructor", kind_name(v))
-        return v
-
-    @staticmethod
-    def _annotated_item(name, args, i):
-        v = args[i]
-        if not isinstance(v, (ClassItem, MethodItem, FieldItem, ConstructorItem)):
-            raise BuiltinTypeError(
-                name, i, "a class, method, field, or constructor", kind_name(v)
-            )
-        return v
-
-    @staticmethod
-    def _elm_pattern(name, args, i):
-        pat = Registry._text(name, args, i)
-        if pat.startswith("<") and pat.endswith(">"):
-            pat = pat[1:-1]
-        return pat
+        if len(args) not in spec.arity:
+            raise BuiltinArityError(name, spec.arity, len(args))
+        for i in spec.missing:
+            if args[i] is MISSING:
+                result = spec.on_missing
+                return [] if type(result) is list else result
+        try:
+            for i, types, expected in spec.checks:
+                if not isinstance(args[i], types):
+                    raise BuiltinTypeError(i, expected, kind_name(args[i]))
+            return spec.fn(self, model, args)
+        except (BuiltinTypeError, PreconditionError) as exc:
+            exc.name = name
+            raise
 
     # -- XML group -------------------------------------------------------------
 
+    @builtin("getXMLs", 0, cached=True)
     def _get_xmls(self, model, args):
         return list(model.xml_files)
 
@@ -297,141 +334,100 @@ class Registry:
             return node.iter_elements()
         return (e for child in node.children for e in child.iter_subtree())
 
+    @builtin("getElms", 2, XML_NODE, TEXT, missing=(0,), on_missing=[], cached=True)
     def _get_elms(self, model, args):
-        if args[0] is MISSING:
-            return []
-        node = self._xml_node("getElms", args, 0)
-        pat = _glob_to_regex(self._elm_pattern("getElms", args, 1))
-        return [e for e in self._iter_scope(node) if pat.fullmatch(e.name)]
+        pat = _element_pattern(args[1])
+        return [e for e in self._iter_scope(args[0]) if pat.fullmatch(e.name)]
 
+    @builtin("elementExists", 2, XML_NODE, TEXT, missing=(0,), on_missing=False, cached=True)
     def _element_exists(self, model, args):
-        if args[0] is MISSING:
-            return False
-        node = self._xml_node("elementExists", args, 0)
-        pat = _glob_to_regex(self._elm_pattern("elementExists", args, 1))
-        return any(pat.fullmatch(e.name) for e in self._iter_scope(node))
+        pat = _element_pattern(args[1])
+        return any(pat.fullmatch(e.name) for e in self._iter_scope(args[0]))
 
+    @builtin("getAttr", 2, ELEMENT, TEXT, missing=(0,), on_missing=MISSING)
     def _get_attr(self, model, args):
-        if args[0] is MISSING:
-            return MISSING
-        elem = self._element("getAttr", args, 0)
-        name = self._text("getAttr", args, 1)
-        return elem.attrs.get(name, MISSING)
+        return args[0].attrs.get(args[1], MISSING)
 
+    @builtin("getAttrs", 2, ELEMENT, TEXT, missing=(0,), on_missing=[], cached=True)
     def _get_attrs(self, model, args):
-        if args[0] is MISSING:
-            return []
-        elem = self._element("getAttrs", args, 0)
-        pat = _glob_to_regex(self._text("getAttrs", args, 1))
-        return [v for k, v in elem.attrs.items() if pat.fullmatch(k)]
+        pat = _glob_to_regex(args[1])
+        return [v for k, v in args[0].attrs.items() if pat.fullmatch(k)]
 
+    @builtin("hasAttr", 2, ELEMENT, TEXT, missing=(0,), on_missing=False)
     def _has_attr(self, model, args):
-        if args[0] is MISSING:
-            return False
-        elem = self._element("hasAttr", args, 0)
-        return self._text("hasAttr", args, 1) in elem.attrs
+        return args[1] in args[0].attrs
 
     # -- code elements ----------------------------------------------------------
 
+    @builtin("getClasses", 0, cached=True)
     def _get_classes(self, model, args):
         return list(model.classes)
 
+    @builtin("classExists", 1, TEXT, missing=(0,), on_missing=False)
     def _class_exists(self, model, args):
-        if args[0] is MISSING:
-            return False
-        return self._text("classExists", args, 0) in model.class_by_fqn
+        return args[0] in model.class_by_fqn
 
+    @builtin("locateClassFQN", 1, TEXT)
     def _locate_class_fqn(self, model, args):
-        fqn = self._text("locateClassFQN", args, 0)
-        cls = model.class_by_fqn.get(fqn)
+        cls = model.class_by_fqn.get(args[0])
         if cls is None:
-            raise PreconditionError("locateClassFQN", f"no class named {fqn}")
+            raise PreconditionError(f"no class named {args[0]}")
         return cls
 
+    @builtin("locateClassSN", 1, TEXT, cached=True)
     def _locate_class_sn(self, model, args):
-        sn = self._text("locateClassSN", args, 0)
-        matches = model.classes_by_sn.get(sn, [])
+        matches = model.classes_by_sn.get(args[0], [])
         if len(matches) != 1:
-            raise PreconditionError(
-                "locateClassSN",
-                f"simple name {sn} matches {len(matches)} classes",
-            )
+            raise PreconditionError(f"simple name {args[0]} matches {len(matches)} classes")
         return matches[0]
 
+    @builtin("isUniqueSN", 1, TEXT, missing=(0,), on_missing=False, cached=True)
     def _is_unique_sn(self, model, args):
-        if args[0] is MISSING:
-            return False
-        sn = self._text("isUniqueSN", args, 0)
-        return len(model.classes_by_sn.get(sn, [])) == 1
+        return len(model.classes_by_sn.get(args[0], [])) == 1
 
+    @builtin("getSN", 1, CLASS_OR_TEXT, missing=(0,), on_missing=MISSING)
     def _get_sn(self, model, args):
         v = args[0]
-        if v is MISSING:
-            return MISSING
-        if isinstance(v, ClassItem):
-            return v.simple_name
-        if isinstance(v, str):
-            return v.rsplit(".", 1)[-1]
-        raise BuiltinTypeError("getSN", 0, "a class or text", kind_name(v))
+        return v.simple_name if isinstance(v, ClassItem) else v.rsplit(".", 1)[-1]
 
+    @builtin("getFQN", 1, CLASS, missing=(0,), on_missing=MISSING)
     def _get_fqn(self, model, args):
-        if args[0] is MISSING:
-            return MISSING
-        return self._class_item("getFQN", args, 0).fqn
+        return args[0].fqn
 
+    @builtin("getName", 1, NAMED, missing=(0,), on_missing=MISSING)
     def _get_name(self, model, args):
         v = args[0]
-        if v is MISSING:
-            return MISSING
         if isinstance(v, ClassItem):
             return v.simple_name
-        if isinstance(v, (MethodItem, FieldItem)):
-            return v.name
         if isinstance(v, ConstructorItem):
             return v.owner.simple_name
         if isinstance(v, XmlFile):
             return v.path
-        if isinstance(v, XmlElement):
-            return v.name
-        raise BuiltinTypeError(
-            "getName", 0, "a class, method, field, or file", kind_name(v)
-        )
+        return v.name  # a method, field or element
 
+    @builtin("getType", 1, FIELD, missing=(0,), on_missing=MISSING)
     def _get_type(self, model, args):
-        v = args[0]
-        if v is MISSING:
-            return MISSING
-        if isinstance(v, FieldItem):
-            return v.type_name
-        raise BuiltinTypeError("getType", 0, "a field", kind_name(v))
+        return args[0].type_name
 
+    @builtin("getReturnType", 1, METHOD, missing=(0,), on_missing=MISSING)
     def _get_return_type(self, model, args):
-        v = args[0]
-        if v is MISSING:
-            return MISSING
-        if not isinstance(v, MethodItem):
-            raise BuiltinTypeError("getReturnType", 0, "a method", kind_name(v))
-        return v.return_type
+        return args[0].return_type
 
+    @builtin("getMethods", 1, CLASS, missing=(0,), on_missing=[], cached=True)
     def _get_methods(self, model, args):
-        if args[0] is MISSING:
-            return []
-        return list(self._class_item("getMethods", args, 0).members().methods)
+        return list(args[0].members().methods)
 
+    @builtin("getFields", 1, CLASS, missing=(0,), on_missing=[], cached=True)
     def _get_fields(self, model, args):
-        if args[0] is MISSING:
-            return []
-        return list(self._class_item("getFields", args, 0).members().fields)
+        return list(args[0].members().fields)
 
+    @builtin("getConstructors", 1, CLASS, missing=(0,), on_missing=[], cached=True)
     def _get_constructors(self, model, args):
-        if args[0] is MISSING:
-            return []
-        return list(self._class_item("getConstructors", args, 0).members().constructors)
+        return list(args[0].members().constructors)
 
+    @builtin("getFamily", 1, CLASS, missing=(0,), on_missing=[], cached=True)
     def _get_family(self, model, args):
-        if args[0] is MISSING:
-            return []
-        cls = self._class_item("getFamily", args, 0)
+        cls = args[0]
         family = [cls]
         seen = {id(cls)}
         queue = [cls]
@@ -453,77 +449,55 @@ class Registry:
         matches = model.classes_by_sn.get(name, [])
         return matches[0] if len(matches) == 1 else None
 
+    @builtin("hasField", 2, CLASS, TEXT, missing=(0, 1), on_missing=False)
     def _has_field(self, model, args):
-        if args[0] is MISSING or args[1] is MISSING:
-            return False
-        cls = self._class_item("hasField", args, 0)
-        name = self._text("hasField", args, 1)
-        return any(f.name == name for f in cls.members().fields)
+        return any(f.name == args[1] for f in args[0].members().fields)
 
+    @builtin("hasParam", 2, CALLABLE, TEXT, missing=(0, 1), on_missing=False)
     def _has_param(self, model, args):
-        if args[0] is MISSING or args[1] is MISSING:
-            return False
-        target = self._callable_item("hasParam", args, 0)
-        name = self._text("hasParam", args, 1)
-        return any(p.name == name for p in target.params)
+        return any(p.name == args[1] for p in args[0].params)
 
+    @builtin("hasParamType", 2, CALLABLE, TEXT, missing=(0, 1), on_missing=False)
     def _has_param_type(self, model, args):
-        if args[0] is MISSING or args[1] is MISSING:
-            return False
-        target = self._callable_item("hasParamType", args, 0)
-        type_name = self._text("hasParamType", args, 1)
-        return any(p.type_name == type_name for p in target.params)
+        return any(p.type_name == args[1] for p in args[0].params)
 
+    @builtin("indexInBound", 2, CALLABLE, missing=(0, 1), on_missing=False)
     def _index_in_bound(self, model, args):
-        if args[0] is MISSING or args[1] is MISSING:
-            return False
-        target = self._callable_item("indexInBound", args, 0)
-        idx = self._int_like("indexInBound", args, 1)
-        return target.param_count >= idx + 1
+        return args[0].param_count >= _int_like(args, 1) + 1
 
+    @builtin("isIterable", 1, METHOD, missing=(0,), on_missing=False)
     def _is_iterable(self, model, args):
-        if args[0] is MISSING:
-            return False
-        v = args[0]
-        if not isinstance(v, MethodItem):
-            raise BuiltinTypeError("isIterable", 0, "a method", kind_name(v))
-        rt = v.return_type
+        rt = args[0].return_type
         if rt.endswith("[]"):
             return True
         base = rt.split("<", 1)[0].strip()
         base = base.rsplit(".", 1)[-1]
         return base in ITERABLE_BASE_NAMES
 
+    @builtin("callExists", 1, TEXT, missing=(0,), on_missing=False, cached=True)
     def _call_exists(self, model, args):
-        if args[0] is MISSING:
-            return False
-        name = self._text("callExists", args, 0)
-        return bool(model.call_sites(name))
+        return bool(model.call_sites(args[0]))
 
+    @builtin("getArg", 2, SITE_OR_TEXT, missing=(0,), on_missing=[], cached=True)
     def _get_arg(self, model, args):
         """Two forms: (callee name, index) lists that argument across all
         captured call sites of the callee, skipping non-literal values;
         (call site, index) returns one argument or MISSING."""
-        if args[0] is MISSING:
-            return []
+        idx = _int_like(args, 1)
         if isinstance(args[0], CallSite):
             site = args[0]
-            idx = self._int_like("getArg", args, 1)
             if 0 <= idx < len(site.string_args) and site.string_args[idx] is not None:
                 return site.string_args[idx]
             return MISSING
-        name = self._text("getArg", args, 0)
-        idx = self._int_like("getArg", args, 1)
         out = []
-        for site in model.call_sites(name):
+        for site in model.call_sites(args[0]):
             if 0 <= idx < len(site.string_args) and site.string_args[idx] is not None:
                 out.append(site.string_args[idx])
         return out
 
+    @builtin("isLibraryClass", 1, TEXT, missing=(0,), on_missing=False, cached=True)
     def _is_library_class(self, model, args):
-        if args[0] is MISSING:
-            return False
-        return self.lib_patterns.matches(self._text("isLibraryClass", args, 0))
+        return self.lib_patterns.matches(args[0])
 
     # -- annotations ---------------------------------------------------------------
 
@@ -537,11 +511,9 @@ class Registry:
                 return anno
         return None
 
+    @builtin("getAnnotated", 2, TEXT, TEXT, missing=(0,), on_missing=[], cached=True)
     def _get_annotated(self, model, args):
-        if args[0] is MISSING:
-            return []
-        query = self._text("getAnnotated", args, 0)
-        kind = self._text("getAnnotated", args, 1)
+        query, kind = args
         if kind == "class":
             return [c for c in model.classes if self._find_anno(c, query)]
         if kind == "method":
@@ -558,23 +530,15 @@ class Registry:
                     f for f in c.members().fields if self._find_anno(f, query)
                 )
             return out
-        raise PreconditionError(
-            "getAnnotated", f"kind must be class, method, or field, got {kind!r}"
-        )
+        raise PreconditionError(f"kind must be class, method, or field, got {kind!r}")
 
+    @builtin("hasAnnotation", 2, ANNOTATED, TEXT, missing=(0, 1), on_missing=False)
     def _has_annotation(self, model, args):
-        if args[0] is MISSING or args[1] is MISSING:
-            return False
-        item = self._annotated_item("hasAnnotation", args, 0)
-        query = self._text("hasAnnotation", args, 1)
-        return self._find_anno(item, query) is not None
+        return self._find_anno(args[0], args[1]) is not None
 
+    @builtin("getAnnoAttr", 3, ANNOTATED, TEXT, TEXT, missing=(0,), on_missing=MISSING)
     def _get_anno_attr(self, model, args):
-        if args[0] is MISSING:
-            return MISSING
-        item = self._annotated_item("getAnnoAttr", args, 0)
-        query = self._text("getAnnoAttr", args, 1)
-        attr = self._text("getAnnoAttr", args, 2)
+        item, query, attr = args
         anno = self._find_anno(item, query)
         if anno is None:
             return MISSING
@@ -583,71 +547,49 @@ class Registry:
             return MISSING
         return values[0]
 
+    @builtin("getAnnoAttrNames", 2, ANNOTATED, TEXT, missing=(0,), on_missing=[], cached=True)
     def _get_anno_attr_names(self, model, args):
-        if args[0] is MISSING:
-            return []
-        item = self._annotated_item("getAnnoAttrNames", args, 0)
-        query = self._text("getAnnoAttrNames", args, 1)
-        anno = self._find_anno(item, query)
+        anno = self._find_anno(args[0], args[1])
         return list(anno.attrs.keys()) if anno is not None else []
 
+    @builtin("hasAnnoAttr", 3, ANNOTATED, TEXT, TEXT, missing=(0,), on_missing=False)
     def _has_anno_attr(self, model, args):
-        if args[0] is MISSING:
-            return False
-        item = self._annotated_item("hasAnnoAttr", args, 0)
-        query = self._text("hasAnnoAttr", args, 1)
-        attr = self._text("hasAnnoAttr", args, 2)
+        item, query, attr = args
         anno = self._find_anno(item, query)
         return anno is not None and attr in anno.attrs
 
     # -- strings and paths ------------------------------------------------------------
 
+    @builtin("startsWith", 2, TEXT, TEXT, missing=(0, 1), on_missing=False)
     def _starts_with(self, model, args):
-        if args[0] is MISSING or args[1] is MISSING:
-            return False
-        return self._text("startsWith", args, 0).startswith(
-            self._text("startsWith", args, 1)
-        )
+        return args[0].startswith(args[1])
 
+    @builtin("endsWith", 2, TEXT, TEXT, missing=(0, 1), on_missing=False)
     def _ends_with(self, model, args):
-        if args[0] is MISSING or args[1] is MISSING:
-            return False
-        return self._text("endsWith", args, 0).endswith(
-            self._text("endsWith", args, 1)
-        )
+        return args[0].endswith(args[1])
 
+    @builtin("isEmpty", 1, TEXT_OR_LIST, missing=(0,), on_missing=True)
     def _is_empty(self, model, args):
-        v = args[0]
-        if v is MISSING:
-            return True
-        if isinstance(v, str) or isinstance(v, list):
-            return len(v) == 0
-        raise BuiltinTypeError("isEmpty", 0, "text or a list", kind_name(v))
+        return len(args[0]) == 0
 
+    @builtin("indexOf", 2, TEXT, TEXT, missing=(0, 1), on_missing=-1)
     def _index_of(self, model, args):
-        if args[0] is MISSING or args[1] is MISSING:
-            return -1
-        return self._text("indexOf", args, 0).find(self._text("indexOf", args, 1))
+        return args[0].find(args[1])
 
+    @builtin("substring", (2, 3), TEXT, missing=(0,), on_missing=MISSING)
     def _substring(self, model, args):
-        if args[0] is MISSING:
-            return MISSING
-        s = self._text("substring", args, 0)
-        start = self._int_like("substring", args, 1)
-        end = self._int_like("substring", args, 2) if len(args) == 3 else len(s)
-        start = max(start, 0)
-        end = max(end, 0)
-        return s[start:end]
+        s = args[0]
+        start = _int_like(args, 1)
+        end = _int_like(args, 2) if len(args) == 3 else len(s)
+        return s[max(start, 0):max(end, 0)]
 
+    @builtin("upperCase", 1, TEXT, missing=(0,), on_missing=MISSING)
     def _upper_case(self, model, args):
-        v = args[0]
-        if v is MISSING:
-            return MISSING
-        s = self._text("upperCase", args, 0)
         return "".join(
-            chr(ord(c) - 32) if "a" <= c <= "z" else c for c in s
+            chr(ord(c) - 32) if "a" <= c <= "z" else c for c in args[0]
         )
 
+    @builtin("join", (2, None))
     def _join(self, model, args):
         """Concatenate all-text or all-list arguments.
 
@@ -668,69 +610,8 @@ class Registry:
         first_bad = next(
             i for i, a in enumerate(args) if not isinstance(a, str)
         )
-        raise BuiltinTypeError("join", first_bad, f"all text or all lists ({kinds})", kind_name(args[first_bad]))
+        raise BuiltinTypeError(first_bad, f"all text or all lists ({kinds})", kind_name(args[first_bad]))
 
+    @builtin("pathExists", 1, TEXT, missing=(0,), on_missing=False, cached=True)
     def _path_exists(self, model, args):
-        if args[0] is MISSING:
-            return False
-        raw = self._text("pathExists", args, 0)
-        return resolve_resource_path(raw, model, self.resource_roots) is not None
-
-
-# name, min arity, max arity (None = unbounded), cacheable, implementation
-_BUILTIN_SPEC = [
-    # XML
-    ("getXMLs", 0, 0, True, "_get_xmls"),
-    ("getElms", 2, 2, True, "_get_elms"),
-    ("elementExists", 2, 2, True, "_element_exists"),
-    ("getAttr", 2, 2, False, "_get_attr"),
-    ("getAttrs", 2, 2, True, "_get_attrs"),
-    ("hasAttr", 2, 2, False, "_has_attr"),
-    # code elements
-    ("getClasses", 0, 0, True, "_get_classes"),
-    ("classExists", 1, 1, False, "_class_exists"),
-    ("locateClassFQN", 1, 1, False, "_locate_class_fqn"),
-    ("locateClassSN", 1, 1, True, "_locate_class_sn"),
-    ("isUniqueSN", 1, 1, True, "_is_unique_sn"),
-    ("getSN", 1, 1, False, "_get_sn"),
-    ("getFQN", 1, 1, False, "_get_fqn"),
-    ("getName", 1, 1, False, "_get_name"),
-    ("getType", 1, 1, False, "_get_type"),
-    ("getReturnType", 1, 1, False, "_get_return_type"),
-    ("getMethods", 1, 1, True, "_get_methods"),
-    ("getFields", 1, 1, True, "_get_fields"),
-    ("getConstructors", 1, 1, True, "_get_constructors"),
-    ("getFamily", 1, 1, True, "_get_family"),
-    ("hasField", 2, 2, False, "_has_field"),
-    ("hasParam", 2, 2, False, "_has_param"),
-    ("hasParamType", 2, 2, False, "_has_param_type"),
-    ("indexInBound", 2, 2, False, "_index_in_bound"),
-    ("isIterable", 1, 1, False, "_is_iterable"),
-    ("callExists", 1, 1, True, "_call_exists"),
-    ("getArg", 2, 2, True, "_get_arg"),
-    ("isLibraryClass", 1, 1, True, "_is_library_class"),
-    # annotations
-    ("getAnnotated", 2, 2, True, "_get_annotated"),
-    ("hasAnnotation", 2, 2, False, "_has_annotation"),
-    ("getAnnoAttr", 3, 3, False, "_get_anno_attr"),
-    ("getAnnoAttrNames", 2, 2, True, "_get_anno_attr_names"),
-    ("hasAnnoAttr", 3, 3, False, "_has_anno_attr"),
-    # strings and paths
-    ("startsWith", 2, 2, False, "_starts_with"),
-    ("endsWith", 2, 2, False, "_ends_with"),
-    ("isEmpty", 1, 1, False, "_is_empty"),
-    ("indexOf", 2, 2, False, "_index_of"),
-    ("substring", 2, 3, False, "_substring"),
-    ("upperCase", 1, 1, False, "_upper_case"),
-    ("join", 2, None, False, "_join"),
-    ("pathExists", 1, 1, True, "_path_exists"),
-]
-
-CACHEABLE_BUILTINS = frozenset(
-    name for name, _, _, cacheable, _ in _BUILTIN_SPEC if cacheable
-)
-
-
-def builtin_signatures() -> dict[str, tuple[int, int | None]]:
-    """Name -> (min arity, max arity or None) for every built-in."""
-    return {name: (low, high) for name, low, high, _, _ in _BUILTIN_SPEC}
+        return resolve_resource_path(args[0], model, self.resource_roots) is not None

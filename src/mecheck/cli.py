@@ -91,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         lib_patterns_file=args.lib_patterns,
         resource_roots=resource_roots,
         ignore_globs=ignore_globs,
-        output_format=args.format,
-        fail_on_findings=not args.no_fail,
     )
 
     try:
@@ -110,9 +108,9 @@ def main(argv: list[str] | None = None) -> int:
     for diagnostic in summary.diagnostics:
         print(f"mecheck: rule error: {diagnostic}", file=sys.stderr)
 
-    sys.stdout.write(runner.render_reports(summary, config.output_format))
+    sys.stdout.write(runner.render_reports(summary, args.format))
 
-    if summary.reports and config.fail_on_findings:
+    if summary.reports and not args.no_fail:
         return EXIT_FINDINGS
     return EXIT_CLEAN
 

@@ -19,7 +19,7 @@ from mecheck.model.items import (
     XmlElement,
     XmlFile,
 )
-from mecheck.model.project import ModelConfig, ProjectModel, RootNotFound, build_model
+from mecheck.model.project import ProjectModel, RootNotFound, build_model
 from mecheck.model.xmldoc import MalformedXmlError, parse_xml
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "MalformedXmlError",
     "Members",
     "MethodItem",
-    "ModelConfig",
     "Param",
     "ProjectModel",
     "RootNotFound",

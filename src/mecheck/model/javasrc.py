@@ -664,7 +664,7 @@ def _parse_params(toks, i, n):
     j = _skip_balanced(toks, i, "(", ")")
     inner = toks[i + 1 : j - 1]
     params: list[Param] = []
-    for part in _split_top_level(inner, ","):
+    for part in _split_params(inner):
         k = 0
         while k < len(part):
             if part[k].text == "@":
@@ -693,6 +693,29 @@ def _parse_params(toks, i, n):
             idx += 2
         params.append(Param(_render_type(type_toks) + suffix, name))
     return tuple(params), j
+
+
+def _split_params(tokens: list[JTok]) -> list[list[JTok]]:
+    """Split a parameter list at its commas, except those inside brackets
+    or a generic type's <...> (the tokenizer emits each '>' of '>>' and
+    '>>>' on its own).  Unlike in call and annotation arguments, '<' here
+    is never a less-than outside brackets."""
+    parts: list[list[JTok]] = [[]]
+    depth = angles = 0
+    for tok in tokens:
+        if tok.text in ("(", "{", "["):
+            depth += 1
+        elif tok.text in (")", "}", "]"):
+            depth -= 1
+        elif depth == 0 and tok.text == "<":
+            angles += 1
+        elif depth == 0 and tok.text == ">":
+            angles -= 1
+        if tok.text == "," and depth == 0 and angles == 0:
+            parts.append([])
+        else:
+            parts[-1].append(tok)
+    return parts
 
 
 def _skip_throws(toks, i, n):

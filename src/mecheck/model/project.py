@@ -34,11 +34,6 @@ class RootNotFound(Exception):
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS
-
-
-@dataclass(frozen=True)
 class ModelWarning:
     path: str
     message: str
@@ -47,16 +42,14 @@ class ModelWarning:
 class ProjectModel:
     """Everything the built-in query functions read."""
 
-    def __init__(self, root: Path, config: ModelConfig):
+    def __init__(self, root: Path):
         self.root = root
-        self.config = config
         self.xml_files: list[XmlFile] = []
         self.classes: list[ClassItem] = []
         self.class_by_fqn: dict[str, ClassItem] = {}
         self.classes_by_sn: dict[str, list[ClassItem]] = {}
         self.warnings: list[ModelWarning] = []
         self.java_file_count = 0
-        self.xml_parse_counts: dict[str, int] = {}
 
     def warn(self, path: str, message: str) -> None:
         self.warnings.append(ModelWarning(path, message))
@@ -75,24 +68,25 @@ def _is_ignored(name: str, globs: tuple[str, ...]) -> bool:
     return any(fnmatch.fnmatch(name, glob) for glob in globs)
 
 
-def build_model(root: str | Path, config: ModelConfig | None = None) -> ProjectModel:
+def build_model(
+    root: str | Path, ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS
+) -> ProjectModel:
     """Walk the project root and build the queryable model."""
     root_path = Path(root)
     if not root_path.is_dir():
         raise RootNotFound(f"project root is not a directory: {root}")
-    cfg = config or ModelConfig()
-    model = ProjectModel(root_path, cfg)
+    model = ProjectModel(root_path)
 
     xml_paths: list[str] = []
     java_paths: list[str] = []
     for dirpath, dirnames, filenames in os.walk(root_path):
         rel_dir = Path(dirpath).relative_to(root_path)
         dirnames[:] = sorted(
-            d for d in dirnames if not _is_ignored(d, cfg.ignore_globs)
+            d for d in dirnames if not _is_ignored(d, ignore_globs)
         )
         for fname in filenames:
             # the directories above were pruned already
-            if _is_ignored(fname, cfg.ignore_globs):
+            if _is_ignored(fname, ignore_globs):
                 continue
             rel = (rel_dir / fname).as_posix() if rel_dir.parts else fname
             lower = fname.lower()
@@ -104,7 +98,6 @@ def build_model(root: str | Path, config: ModelConfig | None = None) -> ProjectM
     java_paths.sort()
 
     for rel in xml_paths:
-        model.xml_parse_counts[rel] = model.xml_parse_counts.get(rel, 0) + 1
         try:
             model.xml_files.append(parse_xml(root_path / rel, rel))
         except MalformedXmlError as exc:

@@ -26,42 +26,40 @@ class Diagnostic:
     column: int
 
 
-def validate_rule(rule: ast.Rule, signatures: dict | None = None) -> list[Diagnostic]:
+def validate_rule(rule: ast.Rule) -> list[Diagnostic]:
     """Validate one rule; an empty result means the rule is runnable."""
-    sigs = signatures if signatures is not None else registry_mod.builtin_signatures()
     out: list[Diagnostic] = []
-    _check_stmts(rule.body, [set()], sigs, out)
+    _check_stmts(rule.body, [set()], out)
     return out
 
 
 def _check_stmts(
     stmts: tuple[ast.Stmt, ...],
     scopes: list[set[str]],
-    sigs: dict,
     out: list[Diagnostic],
 ) -> None:
     # Each body list gets its own scope set; declarations extend it for
     # the statements that follow.
     for stmt in stmts:
         if isinstance(stmt, ast.ForStmt):
-            _check_exp(stmt.container, scopes, sigs, out)
-            _check_stmts(stmt.body, scopes + [{stmt.var}], sigs, out)
+            _check_exp(stmt.container, scopes, out)
+            _check_stmts(stmt.body, scopes + [{stmt.var}], out)
         elif isinstance(stmt, ast.IfStmt):
-            _check_exp(stmt.cond, scopes, sigs, out)
-            _check_stmts(stmt.body, scopes + [set()], sigs, out)
+            _check_exp(stmt.cond, scopes, out)
+            _check_stmts(stmt.body, scopes + [set()], out)
         elif isinstance(stmt, ast.AssertStmt):
-            _check_exp(stmt.cond, scopes, sigs, out)
+            _check_exp(stmt.cond, scopes, out)
             for arg in stmt.message.args:
-                _check_exp(arg, scopes, sigs, out)
+                _check_exp(arg, scopes, out)
         elif isinstance(stmt, ast.DeclStmt):
-            _check_exp(stmt.init, scopes, sigs, out)
+            _check_exp(stmt.init, scopes, out)
             scopes[-1].add(stmt.var)
         else:
             raise TypeError(f"unknown statement node: {stmt!r}")
 
 
 def _check_exp(
-    exp: ast.Exp, scopes: list[set[str]], sigs: dict, out: list[Diagnostic]
+    exp: ast.Exp, scopes: list[set[str]], out: list[Diagnostic]
 ) -> None:
     if isinstance(exp, ast.Identifier):
         if not any(exp.name in scope for scope in scopes):
@@ -76,8 +74,8 @@ def _check_exp(
     elif isinstance(exp, ast.Literal):
         pass
     elif isinstance(exp, ast.FunctionCall):
-        sig = sigs.get(exp.name)
-        if sig is None:
+        spec = registry_mod.BUILTINS.get(exp.name)
+        if spec is None:
             out.append(
                 Diagnostic(
                     UNKNOWN_BUILTIN,
@@ -86,38 +84,29 @@ def _check_exp(
                     exp.span.column,
                 )
             )
-        else:
-            low, high = sig
-            n = len(exp.args)
-            if n < low or (high is not None and n > high):
-                if high is None:
-                    accepted = f"at least {low}"
-                elif low == high:
-                    accepted = str(low)
-                else:
-                    accepted = f"{low} to {high}"
-                out.append(
-                    Diagnostic(
-                        BUILTIN_ARITY,
-                        f"'{exp.name}' takes {accepted} argument(s), got {n}",
-                        exp.span.line,
-                        exp.span.column,
-                    )
+        elif len(exp.args) not in spec.arity:
+            out.append(
+                Diagnostic(
+                    BUILTIN_ARITY,
+                    registry_mod.arity_message(exp.name, spec.arity, len(exp.args)),
+                    exp.span.line,
+                    exp.span.column,
                 )
+            )
         for arg in exp.args:
-            _check_exp(arg, scopes, sigs, out)
+            _check_exp(arg, scopes, out)
     elif isinstance(exp, ast.Paren):
-        _check_exp(exp.inner, scopes, sigs, out)
+        _check_exp(exp.inner, scopes, out)
     elif isinstance(exp, ast.Eq):
-        _check_exp(exp.lhs, scopes, sigs, out)
-        _check_exp(exp.rhs, scopes, sigs, out)
+        _check_exp(exp.lhs, scopes, out)
+        _check_exp(exp.rhs, scopes, out)
     elif isinstance(exp, ast.Exists):
-        _check_exp(exp.container, scopes, sigs, out)
-        _check_exp(exp.predicate, scopes + [{exp.var}], sigs, out)
+        _check_exp(exp.container, scopes, out)
+        _check_exp(exp.predicate, scopes + [{exp.var}], out)
     elif isinstance(exp, ast.And) or isinstance(exp, ast.Or):
-        _check_exp(exp.left, scopes, sigs, out)
-        _check_exp(exp.right, scopes, sigs, out)
+        _check_exp(exp.left, scopes, out)
+        _check_exp(exp.right, scopes, out)
     elif isinstance(exp, ast.Not):
-        _check_exp(exp.operand, scopes, sigs, out)
+        _check_exp(exp.operand, scopes, out)
     else:
         raise TypeError(f"unknown expression node: {exp!r}")

@@ -14,12 +14,7 @@ from pathlib import Path
 
 from mecheck import builtins as builtins_mod
 from mecheck import rulepack
-from mecheck.model.project import (
-    DEFAULT_IGNORE_GLOBS,
-    ModelConfig,
-    ProjectModel,
-    build_model,
-)
+from mecheck.model.project import DEFAULT_IGNORE_GLOBS, ProjectModel, build_model
 from mecheck.runtime.cache import QueryCache
 from mecheck.runtime.interpreter import BugReport, Interpreter, RuntimeRuleError
 
@@ -34,8 +29,6 @@ class CheckerConfig:
     lib_patterns_file: str | None = None
     resource_roots: tuple[str, ...] = builtins_mod.DEFAULT_RESOURCE_ROOTS
     ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS
-    output_format: str = TEXT
-    fail_on_findings: bool = True
     use_cache: bool = True
 
 
@@ -45,9 +38,7 @@ class RunSummary:
     rules_executed: int = 0
     diagnostics: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    timings_ms: dict[str, float] = field(default_factory=dict)
     cache_stats: dict[str, int] = field(default_factory=dict)
-    parse_counts: dict[str, int] = field(default_factory=dict)
     elapsed_ms: float = 0.0
 
 
@@ -58,10 +49,7 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
     rules = rulepack.load_rulepack(rules_dir)
 
     if model is None:
-        model = build_model(
-            Path(config.project_root),
-            ModelConfig(ignore_globs=tuple(config.ignore_globs)),
-        )
+        model = build_model(Path(config.project_root), tuple(config.ignore_globs))
 
     if config.lib_patterns_file:
         patterns = builtins_mod.LibraryPatternSet.from_file(config.lib_patterns_file)
@@ -76,21 +64,15 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
     sink: list[BugReport] = []
     for rule in rules:
         interp = Interpreter(model, registry, cache)
-        rule_started = time.perf_counter()
         try:
             interp.run_rule(rule, sink)
         except RuntimeRuleError as exc:
             summary.diagnostics.append(str(exc))
-        summary.timings_ms[rule.name] = (time.perf_counter() - rule_started) * 1000.0
         summary.rules_executed += 1
 
     summary.reports = sink
     summary.warnings = [f"{w.path}: {w.message}" for w in model.warnings]
     summary.cache_stats = cache.stats() if cache is not None else {}
-    summary.parse_counts = {
-        "xml_files": len(model.xml_parse_counts),
-        "java_files": model.java_file_count,
-    }
     summary.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return summary
 

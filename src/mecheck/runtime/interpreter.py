@@ -400,7 +400,8 @@ class Interpreter:
         rule_name, line, column = self._rule_name, exp.span.line, exp.span.column
         errors = builtins_mod.CALL_ERRORS
 
-        if self.cache is not None and self.registry.is_cacheable(name):
+        spec = self.registry.builtins.get(name)
+        if self.cache is not None and spec is not None and spec.cached:
             key_of, get = canonical_key, self.cache.get_or_compute
 
             def cached_call(env):

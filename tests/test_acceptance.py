@@ -113,7 +113,6 @@ def test_c4_cache_effectiveness():
         summary_on = run_checker(
             CheckerConfig(project_root=str(case), use_cache=True), model=model
         )
-        assert all(v == 1 for v in model.xml_parse_counts.values()), case
         summary_off = run_checker(
             CheckerConfig(project_root=str(case), use_cache=False), model=model
         )

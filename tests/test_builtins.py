@@ -3,15 +3,14 @@ import random
 import pytest
 
 from mecheck.builtins import (
+    BUILTINS,
     BuiltinArityError,
     BuiltinTypeError,
-    CACHEABLE_BUILTINS,
     LibraryPatternSet,
     PatternFileError,
     PreconditionError,
     Registry,
     UnknownBuiltinError,
-    builtin_signatures,
     resolve_resource_path,
 )
 from mecheck.model.project import build_model
@@ -155,22 +154,19 @@ def app(model):
 
 
 def test_registry_has_41_builtins(reg):
-    assert len(reg.names()) == 41
-    assert set(reg.names()) == set(builtin_signatures())
+    assert len(BUILTINS) == 41
+    assert reg.builtins is BUILTINS
+    assert all(name == spec.name for name, spec in BUILTINS.items())
 
 
-def test_cacheable_set(reg):
+def test_cacheable_set():
     # every list-returning built-in (the exists index keys on container
     # identity) and every one whose cost grows with the model or the disk
     lists = {"getXMLs", "getElms", "getAttrs", "getClasses", "getMethods", "getFields",
              "getConstructors", "getFamily", "getArg", "getAnnotated", "getAnnoAttrNames"}
     model_wide = {"elementExists", "isLibraryClass", "pathExists", "callExists",
                   "locateClassSN", "isUniqueSN"}
-    assert CACHEABLE_BUILTINS == lists | model_wide
-    for name in ("startsWith", "endsWith", "isEmpty", "indexOf", "join", "substring",
-                 "upperCase", "getAttr", "hasAttr", "getName", "locateClassFQN"):
-        assert not reg.is_cacheable(name)
-    assert reg.is_cacheable("getMethods")
+    assert {name for name, spec in BUILTINS.items() if spec.cached} == lists | model_wide
 
 
 def test_unknown_builtin(call):
@@ -609,3 +605,78 @@ def test_string_properties_seeded(call):
         j = rng.randrange(0, 8)
         assert call("substring", s, i, j) == s[i:j]
         assert call("upperCase", s) == s.upper()
+
+
+# -- the built-in contract: MISSING and wrong-kind first arguments ---------------
+
+ANNOTATED = "a class, method, field, or constructor"
+CALLABLE = "a method or constructor"
+
+# name: (the other arguments, result with MISSING first, what argument 1
+# must be).  A result that is a string is the error text it raises.
+CONTRACT = {
+    "getElms": (("bean",), [], "an XML file or element"),
+    "elementExists": (("bean",), False, "an XML file or element"),
+    "getAttr": (("id",), MISSING, "an XML element"),
+    "getAttrs": (("id",), [], "an XML element"),
+    "hasAttr": (("id",), False, "an XML element"),
+    "classExists": ((), False, "text"),
+    "locateClassFQN": ((), "'locateClassFQN' argument 1 must be text, got missing", "text"),
+    "locateClassSN": ((), "'locateClassSN' argument 1 must be text, got missing", "text"),
+    "isUniqueSN": ((), False, "text"),
+    "getSN": ((), MISSING, "a class or text"),
+    "getFQN": ((), MISSING, "a class"),
+    "getName": ((), MISSING, "a class, method, field, or file"),
+    "getType": ((), MISSING, "a field"),
+    "getReturnType": ((), MISSING, "a method"),
+    "getMethods": ((), [], "a class"),
+    "getFields": ((), [], "a class"),
+    "getConstructors": ((), [], "a class"),
+    "getFamily": ((), [], "a class"),
+    "hasField": (("x",), False, "a class"),
+    "hasParam": (("x",), False, CALLABLE),
+    "hasParamType": (("x",), False, CALLABLE),
+    "indexInBound": ((0,), False, CALLABLE),
+    "isIterable": ((), False, "a method"),
+    "callExists": ((), False, "text"),
+    "getArg": ((0,), [], "text"),
+    "isLibraryClass": ((), False, "text"),
+    "getAnnotated": (("class",), [], "text"),
+    "hasAnnotation": (("x",), False, ANNOTATED),
+    "getAnnoAttr": (("x", "y"), MISSING, ANNOTATED),
+    "getAnnoAttrNames": (("x",), [], ANNOTATED),
+    "hasAnnoAttr": (("x", "y"), False, ANNOTATED),
+    "startsWith": (("x",), False, "text"),
+    "endsWith": (("x",), False, "text"),
+    "isEmpty": ((), True, "text or a list"),
+    "indexOf": (("x",), -1, "text"),
+    "substring": ((0,), MISSING, "text"),
+    "upperCase": ((), MISSING, "text"),
+    "join": (("x",), MISSING, "all text or all lists (bool, text)"),
+    "pathExists": ((), False, "text"),
+}
+
+
+def test_contract_table_names_every_builtin_with_arguments():
+    assert len(CONTRACT) == 39  # the 41 built-ins less getXMLs and getClasses
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_missing_first_argument(call, name):
+    rest, expected, _ = CONTRACT[name]
+    if isinstance(expected, str):
+        with pytest.raises(BuiltinTypeError) as exc:
+            call(name, MISSING, *rest)
+        assert str(exc.value) == expected
+    else:
+        result = call(name, MISSING, *rest)
+        assert type(result) is type(expected)
+        assert result == expected
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_wrong_kind_first_argument(call, name):
+    rest, _, must_be = CONTRACT[name]
+    with pytest.raises(BuiltinTypeError) as exc:
+        call(name, True, *rest)
+    assert str(exc.value) == f"'{name}' argument 1 must be {must_be}, got bool"

@@ -221,6 +221,22 @@ def test_qualified_param_annotations_keep_constructor_types(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("0 findings across 15 rules\n")
 
 
+def test_generic_constructor_param_counts_once_for_r5(tmp_path, capsys):
+    root = tmp_path / "r3"
+    shutil.copytree(FIXTURES / "r3" / "clean", root)
+    (root / "src/main/java/com/fix/r3/Notifier.java").write_text(
+        "package com.fix.r3;\n\npublic class Notifier {\n"
+        "    public Notifier(java.util.Map<String, Integer> opts) { }\n}\n"
+    )
+    beans = root / "src/main/resources/beans.xml"
+    text = beans.read_text()
+    start, end = text.index("    <constructor-arg"), text.index("  </bean>")
+    beans.write_text(text[:start] + '    <constructor-arg index="1" value="x"/>\n' + text[end:])
+    assert cli.main(["--project", str(root), "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [(r["rule"].split("-", 1)[0], r["line"]) for r in reports] == [("r5", 4)]
+
+
 def test_deeply_nested_xml_is_checked(tmp_path, capsys):
     depth = 3000
     root = write_project(tmp_path, {

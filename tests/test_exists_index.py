@@ -7,6 +7,8 @@ planner picks only the shapes it can answer exactly, and that r15's cost
 grows with lookups + beans rather than lookups x beans.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,23 +116,23 @@ class ProbeRegistry(builtins_mod.Registry):
         self.positions: list = []
         self.values: list = []
         self.current = None
-        for name, arity, fn in (
-            ("items", 0, lambda model, args: self.positions),
-            ("key", 1, self._key),
-            ("probe", 0, self._probe),
-        ):
-            self._table[name] = fn
-            self._signatures[name] = (arity, arity)
+        self.builtins = {
+            **self.builtins,
+            "items": builtins_mod.Builtin("items", lambda reg, model, args: reg.positions,
+                                          range(0, 1)),
+            "key": builtins_mod.Builtin("key", ProbeRegistry._key, range(1, 2)),
+            "probe": builtins_mod.Builtin("probe", ProbeRegistry._probe, range(0, 1)),
+        }
 
     def _key(self, model, args):
         value = self.values[args[0]]
         if value is RAISE:
-            raise builtins_mod.PreconditionError("key", f"no key at position {args[0]}")
+            raise builtins_mod.PreconditionError(f"no key at position {args[0]}")
         return value
 
     def _probe(self, model, args):
         if self.current is RAISE:
-            raise builtins_mod.PreconditionError("probe", "no probe value")
+            raise builtins_mod.PreconditionError("no probe value")
         return self.current
 
 
@@ -264,15 +266,16 @@ def test_r15_getattr_calls_grow_with_lookups_plus_beans(tmp_path):
     def run(cache):
         # getAttr is not cached, so its table entry sees every evaluation
         registry = builtins_mod.Registry()
-        assert not registry.is_cacheable("getAttr")
-        get_attr = registry._table["getAttr"]
+        get_attr = registry.builtins["getAttr"]
+        assert not get_attr.cached
         calls = []
 
-        def counting(model, args):
+        def counting(reg, model, args):
             calls.append(1)
-            return get_attr(model, args)
+            return get_attr.fn(reg, model, args)
 
-        registry._table["getAttr"] = counting
+        registry.builtins = {**registry.builtins,
+                             "getAttr": dataclasses.replace(get_attr, fn=counting)}
         interp = Interpreter(model, registry, cache)
         return interp.run_rule(r15), interp.stats, len(calls)
 

@@ -302,6 +302,23 @@ def test_qualified_and_parenthesised_param_annotations_dropped():
     ]
 
 
+def test_generic_param_types_keep_their_commas():
+    src = (
+        "class A { void f(java.util.Map<String, Map<K, V>> o, int n) { } "
+        "A(@Max(1 < 2) int a, List<List<Map<K, V>>> b, Map<String, Integer>... c) { } }"
+    )
+    members = members_of(src)
+    assert [(p.type_name, p.name) for p in members.methods[0].params] == [
+        ("java.util.Map<String, Map<K, V>>", "o"),
+        ("int", "n"),
+    ]
+    assert [(p.type_name, p.name) for p in members.constructors[0].params] == [
+        ("int", "a"),
+        ("List<List<Map<K, V>>>", "b"),
+        ("Map<String, Integer>...", "c"),
+    ]
+
+
 def test_members_are_items_owned_by_the_class():
     src = 'class M { int f; M() { getBean("a"); } void r() { getBean("b"); } }'
     toks = tokenize_java(src)

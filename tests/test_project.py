@@ -1,11 +1,7 @@
 import pytest
 
-from mecheck.model import javasrc
-from mecheck.model.project import (
-    ModelConfig,
-    RootNotFound,
-    build_model,
-)
+from mecheck.model import javasrc, project
+from mecheck.model.project import RootNotFound, build_model
 
 SMALL = {
     "src/main/resources/beans.xml": '<beans><bean id="b" class="com.acme.A"/></beans>',
@@ -58,8 +54,7 @@ def test_ignored_directories_pruned(make_project):
 def test_custom_ignore_globs(make_project):
     files = dict(SMALL)
     files["legacy/Old.java"] = "public class Old { }"
-    config = ModelConfig(ignore_globs=("legacy", "target", "build", "out", ".git"))
-    model = build_model(make_project(files), config)
+    model = build_model(make_project(files), ("legacy", "target", "build", "out", ".git"))
     assert "Old" not in [c.simple_name for c in model.classes]
 
 
@@ -67,7 +62,7 @@ def test_ignore_glob_skips_files_by_name(make_project):
     files = dict(SMALL)
     files["src/main/java/com/acme/LegacyThing.java"] = "package com.acme;\npublic class LegacyThing { }"
     files["src/main/resources/OldLegacyBeans.xml"] = "<beans/>"
-    model = build_model(make_project(files), ModelConfig(ignore_globs=("*Legacy*",)))
+    model = build_model(make_project(files), ("*Legacy*",))
     assert sorted(c.fqn for c in model.classes) == ["com.acme.A", "com.acme.B"]
     assert [x.path for x in model.xml_files] == ["src/main/resources/beans.xml"]
     assert model.java_file_count == 2
@@ -113,9 +108,20 @@ def test_malformed_xml_warns_and_skips(make_project):
     assert any(w.path == "bad.xml" for w in model.warnings)
 
 
-def test_xml_parsed_once_per_file(make_project):
-    model = build_model(make_project(SMALL))
-    assert model.xml_parse_counts == {"src/main/resources/beans.xml": 1}
+def test_xml_parsed_once_per_file(make_project, monkeypatch):
+    files = dict(SMALL)
+    files["conf/other.xml"] = "<beans/>"
+    parsed = []
+    real = project.parse_xml
+
+    def spy(path, rel):
+        parsed.append(rel)
+        return real(path, rel)
+
+    monkeypatch.setattr(project, "parse_xml", spy)
+    model = build_model(make_project(files))
+    assert parsed == ["conf/other.xml", "src/main/resources/beans.xml"]
+    assert [x.path for x in model.xml_files] == parsed
 
 
 def spy_on(monkeypatch, name):
