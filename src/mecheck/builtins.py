@@ -197,6 +197,9 @@ def _glob_to_regex(glob: str) -> re.Pattern:
                       "".join(".*" + re.escape(p) for p in parts[1:]))
 
 
+# The range of a Java int, which bounds the text _int_like reads.
+INT_MIN, INT_MAX = -(2**31), 2**31 - 1
+
 # Argument kinds: the accepted types and the text an error gives for them.
 TEXT = (str, "text")
 XML_NODE = ((XmlFile, XmlElement), "an XML file or element")
@@ -208,9 +211,9 @@ CALLABLE = ((MethodItem, ConstructorItem), "a method or constructor")
 ANNOTATED = ((ClassItem, MethodItem, FieldItem, ConstructorItem),
              "a class, method, field, or constructor")
 NAMED = ((ClassItem, MethodItem, FieldItem, ConstructorItem, XmlFile, XmlElement),
-         "a class, method, field, or file")
+         "a class, method, field, constructor, XML file, or XML element")
 CLASS_OR_TEXT = ((ClassItem, str), "a class or text")
-SITE_OR_TEXT = ((CallSite, str), "text")
+SITE_OR_TEXT = ((CallSite, str), "a call site or text")
 TEXT_OR_LIST = ((str, list), "text or a list")
 
 
@@ -266,15 +269,19 @@ def builtin(
 
 
 def _int_like(args: list, i: int) -> int:
-    """args[i] as an integer: an int, or text holding one."""
+    """args[i] as an integer: an int, or text that Java's Integer.parseInt
+    reads: an optional sign, then decimal digits (any Unicode decimal
+    digit, as Character.digit reads them), with no '_' or blanks, and a
+    value that fits in 32 bits."""
     v = args[i]
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, str):
-        try:
-            return int(v.strip())
-        except ValueError:
-            pass
+        digits = v[1:] if v[:1] in ("+", "-") else v
+        if digits.isdecimal():
+            value = int(v)
+            if INT_MIN <= value <= INT_MAX:
+                return value
     raise BuiltinTypeError(i, "an integer", kind_name(v))
 
 
@@ -463,7 +470,13 @@ class Registry:
 
     @builtin("indexInBound", 2, CALLABLE, missing=(0, 1), on_missing=False)
     def _index_in_bound(self, model, args):
-        return args[0].param_count >= _int_like(args, 1) + 1
+        """Whether 0 <= index < the parameter count; false for an index
+        that is not an integer, which Spring rejects too."""
+        try:
+            index = _int_like(args, 1)
+        except BuiltinTypeError:
+            return False
+        return 0 <= index < args[0].param_count
 
     @builtin("isIterable", 1, METHOD, missing=(0,), on_missing=False)
     def _is_iterable(self, model, args):

@@ -100,7 +100,7 @@ class Members:
 class ClassItem:
     simple_name: str
     fqn: str
-    kind: str  # "class" | "interface" | "enum"
+    kind: str  # "class" | "interface" | "enum" | "record"
     supertype_names: tuple[str, ...]
     annotations: tuple[AnnotationUse, ...]
     file_path: str

@@ -1,7 +1,18 @@
 """Declaration-level Java source scanning.
 
-tokenize_java turns one file's text into a token list; the model builder
-runs it once per file and runs both phases below over the same tokens:
+tokenize_java turns one file's text into a token list of its declarations;
+the model builder runs it once per file and runs both phases below over
+the same tokens:
+
+  * tokenize_java emits the tokens of everything outside member bodies:
+    the package and imports, type headers, annotations, field
+    declarations with their initializers, and method and constructor
+    signatures.  Of each member body (method, constructor and initializer
+    bodies, enum constant bodies, blocks in field initializers) it emits
+    only the braces around it and the watched calls inside it; one
+    compiled regex jumps over the rest, skipping literals and comments as
+    the tokenizer reads them.  A _DeclState follows scan_declarations over
+    the emitted tokens to tell a member body from a type body.
 
   * scan_declarations walks a whole file and records the package, the
     imports, and every type declaration (name, kind, supertypes as
@@ -11,11 +22,13 @@ runs it once per file and runs both phases below over the same tokens:
   * extract_members re-walks one type's body range and builds its model
     items: fields, methods (signature level), constructors, and the call
     sites of the WATCHED_CALLEES found inside bodies and initializers,
-    all owned by the ClassItem the builder made for that type.
+    all owned by the ClassItem the builder made for that type.  A record's
+    components become its fields and its canonical constructor.
 
 This is deliberately not a full Java parser: declarations and annotation
 arguments are read precisely, statement-level code is only scanned for
-watched calls and string/class-literal arguments.
+watched calls and string/class-literal arguments, and local and anonymous
+types are not declarations of the model.
 """
 
 from __future__ import annotations
@@ -53,7 +66,7 @@ MODIFIERS = frozenset(
     ]
 )
 
-TYPE_KEYWORDS = ("class", "interface", "enum")
+TYPE_KEYWORDS = ("class", "interface", "enum", "record")
 
 # Callees whose call sites (and literal arguments) the model records.
 WATCHED_CALLEES = frozenset(["ClassPathXmlApplicationContext", "getBean"])
@@ -103,97 +116,502 @@ def _ident_end(text: str, j: int) -> int:
 
 
 def tokenize_java(text: str) -> list[JTok]:
-    """Lossy Java tokenizer: identifiers, literals, single-char punct.
+    """Lossy declaration-level Java tokenizer: identifiers, literals,
+    single-char punct.
 
     Comments and whitespace are dropped.  Literal text keeps its quotes.
-    Unterminated comments or strings end the token stream early rather
-    than raising: downstream scanning is best effort.  Only '\n' counts
-    as a line break; callers read sources with universal newlines.
+    Unterminated comments or text blocks end the token stream early, and an
+    unterminated string or char literal ends at its line end, rather than
+    raising: downstream scanning is best effort.  Only '\\n' counts as a
+    line break; callers read sources with universal newlines.
+
+    Member bodies are not tokenized.  A '{' that opens a block at the
+    member level of a type body (or of the file), outside parentheses, and
+    that is not itself a type body, opens a method, constructor or
+    initializer body, an enum constant's body, or a block inside a field
+    initializer.  For such a block the stream holds only that '{', the
+    tokens of each watched call in it (callee name through the matching
+    ')'), and its closing '}', all with their source lines.  A block that
+    could not be skipped without changing what scan_declarations and
+    extract_members read is tokenized in full: one holding an annotation,
+    one the text ends inside, one whose watched call does not balance its
+    own brackets, and, in a field initializer or an enum's constant list,
+    one whose parentheses or brackets do not balance.
     """
     toks: list[JTok] = []
     append = toks.append
     ident_rest = _IDENT_REST.match
     blanks = _BLANKS.match
+    decls = _DeclState()
+    body: _Body | None = None  # set while a watched call of a skipped body is tokenized
     i = 0
     n = len(text)
     line = 1
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\f":
-            i = blanks(text, i).end()
-            continue
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_" or ch == "$":
-            j = ident_rest(text, i + 1).end()
-            append(JTok(IDENT, text[i:j], line))
-            i = j
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            i = text.find("\n", i)
-            if i == -1:
-                break
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            end = text.find("*/", i + 2)
-            if end == -1:
-                break
-            line += text.count("\n", i, end + 2)
-            i = end + 2
-            continue
-        if ch == '"' or ch == "'":
-            if ch == '"' and text.startswith('"""', i):
-                end = text.find('"""', i + 3)
+    while True:
+        while i < n:
+            ch = text[i]
+            if ch in " \t\r\f":
+                i = blanks(text, i).end()
+                continue
+            if ch == "\n":
+                line += 1
+                i += 1
+                continue
+            if ch.isalpha() or ch == "_" or ch == "$":
+                j = ident_rest(text, i + 1).end()
+                append(JTok(IDENT, text[i:j], line))
+                i = j
+                continue
+            if ch == "/" and i + 1 < n and text[i + 1] == "/":
+                i = text.find("\n", i)
+                if i == -1:
+                    break
+                continue
+            if ch == "/" and i + 1 < n and text[i + 1] == "*":
+                end = text.find("*/", i + 2)
                 if end == -1:
                     break
-                append(JTok(STRING, text[i : end + 3], line))
-                line += text.count("\n", i, end + 3)
-                i = end + 3
+                line += text.count("\n", i, end + 2)
+                i = end + 2
                 continue
-            j = i + 1
-            while j < n and text[j] != ch and text[j] != "\n":
-                if text[j] == "\\" and j + 1 < n:
-                    j += 2
+            if ch == '"' or ch == "'":
+                if ch == '"' and text.startswith('"""', i):
+                    end = text.find('"""', i + 3)
+                    if end == -1:
+                        break
+                    append(JTok(STRING, text[i : end + 3], line))
+                    line += text.count("\n", i, end + 3)
+                    i = end + 3
+                    continue
+                j = i + 1
+                while j < n and text[j] != ch and text[j] != "\n":
+                    if text[j] == "\\" and j + 1 < n:
+                        j += 2
+                    else:
+                        j += 1
+                if j < n and text[j] == ch:
+                    append(JTok(STRING if ch == '"' else CHAR, text[i : j + 1], line))
+                    i = j + 1
                 else:
+                    i = j
+                continue
+            if ch.isdigit():
+                j = i + 1
+                while j < n and (text[j].isalnum() or text[j] in "._"):
+                    # A dot only belongs to the number when a digit follows;
+                    # otherwise it is member access (e.g. 1 .toString()).
+                    if text[j] == "." and not (j + 1 < n and text[j + 1].isdigit()):
+                        break
                     j += 1
-            if j < n and text[j] == ch:
-                append(JTok(STRING if ch == '"' else CHAR, text[i : j + 1], line))
-                i = j + 1
-            else:
+                append(JTok(NUMBER, text[i:j], line))
                 i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                # A dot only belongs to the number when a digit follows;
-                # otherwise it is member access (e.g. 1 .toString()).
-                if text[j] == "." and not (j + 1 < n and text[j + 1].isdigit()):
-                    break
-                j += 1
-            append(JTok(NUMBER, text[i:j], line))
-            i = j
-            continue
-        # only non-ASCII characters reach the category test
-        if ch > "\x7f" and unicodedata.category(ch) in _IDENT_START_CATEGORIES:
-            j = _ident_end(text, i + 1)
-            prev = toks[-1] if toks else None
-            if (
-                prev is not None
-                and prev.kind == IDENT
-                and text.startswith(prev.text, i - len(prev.text))
-            ):
-                # continues the identifier just before it, e.g. the £ of a£b;
-                # nothing skipped (blanks, comments) ends with an identifier char
-                prev.text += text[i:j]
+                continue
+            # only non-ASCII characters reach the category test
+            if ch > "\x7f" and unicodedata.category(ch) in _IDENT_START_CATEGORIES:
+                j = _ident_end(text, i + 1)
+                prev = toks[-1] if toks else None
+                if (
+                    prev is not None
+                    and prev.kind == IDENT
+                    and text.startswith(prev.text, i - len(prev.text))
+                ):
+                    # continues the identifier just before it, e.g. the £ of a£b;
+                    # nothing skipped (blanks, comments, bodies) ends with an
+                    # identifier char
+                    prev.text += text[i:j]
+                else:
+                    append(JTok(IDENT, text[i:j], line))
+                i = j
+                continue
+            append(JTok(PUNCT, ch, line))
+            i += 1
+            if body is None:
+                if ch == "{" and decls.opens_member_body(toks):
+                    body = _Body(len(toks), i, line, decls.guarded)
+                    i, line, body = body.skip(text, toks, i, line)
+            elif ch in "(){}[]@":
+                i, line, body = body.track(ch, text, toks, i, line)
+        if body is None:
+            return toks
+        # the text ended inside a watched call: tokenize that body in full
+        i, line, body = body.rewind(toks)
+
+
+# What the scan of a skipped body stops at; the group numbers are the codes
+# _Body.skip dispatches on.  Literals and comments are matched whole, the
+# way tokenize_java reads them, so no brace or name inside them is seen.
+# Each match first jumps over the characters no stop starts with; a '/' or
+# a callee's first letter that starts no stop, and the end of the text,
+# match with no group, so that no search fails and starts over.
+_CALLEE_STARTS = "".join(sorted({name[0] for name in WATCHED_CALLEES}))
+
+
+def _body_stops(extra_chars: str, extra_groups: str) -> re.Pattern:
+    return re.compile(
+        rf"""[^{{}}"'/@{_CALLEE_STARTS}{extra_chars}]*+(?:"""
+        r"(\{)|(\})"
+        # 3: a text block or a comment
+        r'|(""".*?"""|//[^\n]*|/\*.*?\*/)'
+        # 4: a string or char literal, ending at its line end when unterminated
+        r'|((?!""")"[^"\\\n]*(?:\\.[^"\\\n]*)*"?|\'[^\'\\\n]*(?:\\.[^\'\\\n]*)*\'?)'
+        # 5: an annotation, or a text block or comment that is never closed
+        r'|(@|"""|/\*)'
+        # 6: a watched callee's name, not inside a longer word
+        r"|(?<![A-Za-z0-9_$])(" + "|".join(sorted(WATCHED_CALLEES)) + r")(?![\w$])"
+        + extra_groups
+        + rf"|[/{_CALLEE_STARTS}]|\Z)",
+        re.S,
+    )
+
+
+_BODY = _body_stops("", "")
+# 7-10: parentheses and brackets, for bodies whose nesting must balance
+_GUARDED_BODY = _body_stops(r"()\[\]", r"|(\()|(\))|(\[)|(\])")
+# From the end of a callee's name: blanks and comments, then '('.
+_CALL_OPEN = re.compile(r"(?:[ \t\r\f\n]|//[^\n]*\n|/\*.*?\*/)*+\(", re.S)
+
+
+class _Body:
+    """A member body that tokenize_java skips.
+
+    It keeps where the body starts, so that the tokenizer can rewind and
+    tokenize it in full, and how deeply the scan is nested in braces,
+    parentheses and brackets.  While a watched call is tokenized, the
+    call_* counts hold the nesting inside that call.
+    """
+
+    __slots__ = ("ntoks", "pos", "line", "stops", "depth", "parens", "brackets",
+                 "call_parens", "call_braces", "call_brackets")
+
+    def __init__(self, ntoks: int, pos: int, line: int, guarded: bool):
+        self.ntoks = ntoks  # the tokens before the body, its '{' included
+        self.pos = pos  # the text index just past the '{'
+        self.line = line
+        self.stops = _GUARDED_BODY if guarded else _BODY
+        self.depth = 1
+        self.parens = self.brackets = 0
+        self.call_parens = self.call_braces = self.call_brackets = 0
+
+    def skip(self, text: str, toks: list[JTok], pos: int, line: int):
+        """Scan from pos, at line, to the next watched call or to the '}'
+        that closes the body.  Returns where tokenizing goes on: (index,
+        line, self) at a call's callee, (index past the '}', line, None)
+        after emitting that '}', or the rewind to the body's start."""
+        esc = 0  # escaped line breaks inside literals, which do not count as lines
+        for m in self.stops.finditer(text, pos):
+            code = m.lastindex
+            if code is None:
+                continue
+            if code == 4:
+                start, end = m.span(4)
+                if text.find("\n", start, end) >= 0:
+                    esc += text.count("\n", start, end)
+            elif code == 2:
+                self.depth -= 1
+                if self.depth == 0:
+                    if self.parens or self.brackets:
+                        return self.rewind(toks)
+                    end = m.start(2)
+                    line += text.count("\n", pos, end) - esc
+                    toks.append(JTok(PUNCT, "}", line))
+                    return end + 1, line, None
+            elif code == 1:
+                self.depth += 1
+            elif code == 6:
+                start, end = m.span(6)
+                if _is_call(text, start, end):
+                    return start, line + text.count("\n", pos, start) - esc, self
+            elif code == 7:
+                self.parens += 1
+            elif code == 8:
+                self.parens -= 1
+                if self.parens < 0:
+                    return self.rewind(toks)
+            elif code == 9:
+                self.brackets += 1
+            elif code == 10:
+                self.brackets -= 1
+                if self.brackets < 0:
+                    return self.rewind(toks)
+            elif code == 5:
+                return self.rewind(toks)
+        # a comment runs to the end of the text, or the body is never closed
+        return self.rewind(toks)
+
+    def track(self, ch: str, text: str, toks: list[JTok], pos: int, line: int):
+        """Follow one bracket (or '@') of the watched call being tokenized.
+        Once its ')' closes the call, the scan of the body goes on; a call
+        whose braces or brackets do not balance, or that holds an
+        annotation, makes the body be tokenized in full."""
+        if ch == "(":
+            self.call_parens += 1
+        elif ch == ")":
+            self.call_parens -= 1
+            if self.call_parens == 0:
+                if self.call_braces or self.call_brackets:
+                    return self.rewind(toks)
+                return self.skip(text, toks, pos, line)
+        elif ch == "{":
+            self.call_braces += 1
+        elif ch == "}":
+            self.call_braces -= 1
+            if self.call_braces < 0:
+                return self.rewind(toks)
+        elif ch == "[":
+            self.call_brackets += 1
+        elif ch == "]":
+            self.call_brackets -= 1
+            if self.call_brackets < 0:
+                return self.rewind(toks)
+        else:
+            return self.rewind(toks)
+        return pos, line, self
+
+    def rewind(self, toks: list[JTok]):
+        """Drop what was emitted for the body; go on just past its '{'."""
+        del toks[self.ntoks:]
+        return self.pos, self.line, None
+
+
+def _is_call(text: str, start: int, end: int) -> bool:
+    """Whether the callee name at text[start:end] is a whole identifier
+    token followed by '('."""
+    if (
+        end < len(text)
+        and text[end] > "\x7f"
+        and unicodedata.category(text[end]) in _IDENT_PART_CATEGORIES
+    ):
+        return False  # a currency symbol or connector continues the name
+    if start and text[start - 1] > "\x7f":
+        # Some non-ASCII characters before it are tokens of their own, others
+        # are part of an identifier or number: lex the run they are in.
+        run = start
+        while run and (text[run - 1] > "\x7f" or text[run - 1] in _WORD_OR_DOT):
+            run -= 1
+        last = _lex_run(text[run:end])[-1]
+        if last.kind != IDENT or last.text != text[start:end]:
+            return False
+    return _CALL_OPEN.match(text, end) is not None
+
+
+# The tokenizer itself, for _is_call, even where tokenize_java is wrapped.
+_lex_run = tokenize_java
+_WORD_OR_DOT = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$.")
+
+# _DeclState modes: _NORMAL, or the construct that is consuming tokens.
+(
+    _NORMAL,
+    _AT,  # after '@'
+    _ANNO_NAME,  # after a name part of an annotation
+    _ANNO_DOT,  # after a '.' that may continue an annotation's name
+    _ANNO_ARGS,  # inside an annotation's parentheses
+    _KEYWORD,  # after a type keyword that may start a declaration
+    _TYPE_NAME,  # after a declared type's name
+    _TYPE_PARAMS,  # after its type parameters, if any
+    _TYPE_HEADER,  # in the rest of its header
+    _TYPE_LIST,  # in an extends, implements or permits list
+    _ANGLES,  # inside <...> of a header
+    _COMPONENTS,  # inside a record's component list
+    _IMPORT,
+    _PACKAGE,  # expecting a name part of the package clause
+    _PACKAGE_DOT,  # after a name part of the package clause
+) = range(15)
+
+_HEADER_LISTS = frozenset(["extends", "implements", "permits"])
+# The words and punctuation _DeclState acts on in _NORMAL mode.
+_STRUCTURAL = frozenset(["{", "}", ";", "(", ")", "[", "]", "@", "=", "package", "import", *TYPE_KEYWORDS])
+
+
+class _DeclState:
+    """scan_declarations' reading of the tokens emitted so far.
+
+    tokenize_java feeds it at each '{' it emits, to learn whether that
+    brace opens a member body.  It follows what scan_declarations follows:
+    the brace depth, the open type bodies, pending annotations, and the
+    constructs whose tokens scan_declarations consumes without looking at
+    their braces (annotations, type headers, package and import clauses).
+    It also counts the parentheses and brackets outside those constructs,
+    and notes whether the tokens are in a field initializer or an enum's
+    constant list, where extract_members counts a body's parentheses and
+    brackets along with its braces (guarded).
+    """
+
+    def __init__(self):
+        self.done = 0  # tokens followed so far
+        self.depth = 0
+        self.types: list[int] = []  # body depth of each open type
+        self.mode = _NORMAL
+        self.nest = 0  # parentheses or angle brackets counted by the mode
+        self.after_angles = _TYPE_PARAMS  # mode that <...> returns to
+        self.keyword = ""
+        self.pending = False  # annotations wait for a declaration
+        self.package_seen = False
+        self.parens = self.brackets = 0
+        self.guarded = False
+
+    def opens_member_body(self, toks: list[JTok]) -> bool:
+        """Follow toks on; whether its last token, a '{', opens a member body."""
+        end = len(toks)
+        depth = self.depth
+        types = self.types
+        mode = self.mode
+        pending = self.pending
+        parens = self.parens
+        brackets = self.brackets
+        body_at = -1
+        for k in range(self.done, end):
+            tok = toks[k]
+            text = tok.text
+            if mode == _NORMAL:
+                if text not in _STRUCTURAL:
+                    if pending and tok.kind != PUNCT and text not in MODIFIERS:
+                        pending = False
+                    continue
             else:
-                append(JTok(IDENT, text[i:j], line))
-            i = j
-            continue
-        append(JTok(PUNCT, ch, line))
-        i += 1
-    return toks
+                if mode == _ANNO_ARGS or mode == _COMPONENTS:
+                    if text == "(":
+                        self.nest += 1
+                    elif text == ")":
+                        self.nest -= 1
+                        if self.nest == 0:
+                            mode = _NORMAL if mode == _ANNO_ARGS else _TYPE_HEADER
+                    continue
+                if mode == _IMPORT:
+                    if text == ";":
+                        mode = _NORMAL
+                    continue
+                if mode == _ANGLES:
+                    if text == "<":
+                        self.nest += 1
+                    elif text == ">":
+                        self.nest -= 1
+                        if self.nest == 0:
+                            mode = self.after_angles
+                    continue
+                if mode == _TYPE_NAME:
+                    if text == "<":
+                        mode, self.nest, self.after_angles = _ANGLES, 1, _TYPE_PARAMS
+                        continue
+                    mode = _TYPE_PARAMS
+                if mode == _TYPE_PARAMS:
+                    if text == "(" and self.keyword == "record":
+                        mode, self.nest = _COMPONENTS, 1
+                        continue
+                    mode = _TYPE_HEADER
+                if mode == _TYPE_HEADER or mode == _TYPE_LIST:
+                    if text == "{":
+                        types.append(depth + 1)
+                        depth += 1
+                        pending = False
+                        self.guarded = self.keyword == "enum"
+                        mode = _NORMAL
+                    elif text in _HEADER_LISTS:
+                        mode = _TYPE_LIST
+                    elif text == "<" and mode == _TYPE_LIST:
+                        mode, self.nest, self.after_angles = _ANGLES, 1, _TYPE_LIST
+                    continue
+                # the modes below end at a token that is then read as usual
+                if mode == _AT:
+                    mode = _NORMAL
+                    if text != "interface":
+                        pending = True
+                        if tok.kind == IDENT:
+                            mode = _ANNO_NAME
+                            continue
+                        if text == "(":
+                            mode, self.nest = _ANNO_ARGS, 1
+                            continue
+                elif mode == _ANNO_NAME:
+                    if text == ".":
+                        mode = _ANNO_DOT
+                        continue
+                    if text == "(":
+                        mode, self.nest = _ANNO_ARGS, 1
+                        continue
+                    mode = _NORMAL
+                elif mode == _ANNO_DOT:
+                    if tok.kind == IDENT:
+                        mode = _ANNO_NAME
+                        continue
+                    mode = _NORMAL
+                elif mode == _KEYWORD:
+                    if tok.kind == IDENT:
+                        mode = _TYPE_NAME
+                        continue
+                    pending = False
+                    mode = _NORMAL
+                elif mode == _PACKAGE:
+                    if tok.kind == IDENT:
+                        mode = _PACKAGE_DOT
+                        continue
+                    mode = _NORMAL
+                    if text == ";":
+                        continue
+                else:  # _PACKAGE_DOT
+                    if text == ".":
+                        mode = _PACKAGE
+                        continue
+                    mode = _NORMAL
+                    if text == ";":
+                        continue
+                if text not in _STRUCTURAL:
+                    if pending and tok.kind != PUNCT and text not in MODIFIERS:
+                        pending = False
+                    continue
+            # a _NORMAL token that may change the state
+            if text == "(":
+                parens += 1
+            elif text == ")":
+                parens -= 1
+            elif text == "{":
+                if (
+                    not (pending or parens or brackets)
+                    and (depth == 0 or (types and depth == types[-1]))
+                ):
+                    body_at = k
+                depth += 1
+            elif text == "}":
+                depth -= 1
+                if types and depth < types[-1]:
+                    types.pop()
+                    self.guarded = False
+            elif text == ";":
+                pending = False
+                if self.guarded and (depth == 0 or (types and depth == types[-1])):
+                    self.guarded = False
+            elif text == "[":
+                brackets += 1
+            elif text == "]":
+                brackets -= 1
+            elif text == "=":
+                if depth == 0 or (types and depth == types[-1]):
+                    self.guarded = True
+            elif text == "@":
+                mode = _AT
+            elif tok.kind == IDENT:
+                if (
+                    text in TYPE_KEYWORDS
+                    and (depth == 0 or (types and depth == types[-1]))
+                    and (k == 0 or toks[k - 1].text != ".")
+                ):
+                    mode = _KEYWORD
+                    self.keyword = text
+                elif depth == 0 and text == "package" and not self.package_seen:
+                    self.package_seen = True
+                    mode = _PACKAGE
+                elif depth == 0 and text == "import":
+                    mode = _IMPORT
+                else:
+                    pending = False
+            else:
+                pending = False
+        self.depth = depth
+        self.mode = mode
+        self.pending = pending
+        self.parens = parens
+        self.brackets = brackets
+        self.done = end
+        return body_at == end - 1
 
 
 @dataclass
@@ -208,6 +626,8 @@ class RawType:
     nesting: tuple[str, ...]  # enclosing simple names, outermost first
     body_start: int = -1  # first token index inside the body
     body_end: int = -1  # index of the closing '}'
+    # a record's components: (component, its annotations, its name's line)
+    components: tuple[tuple[Param, tuple[AnnotationUse, ...], int], ...] = ()
 
     @property
     def chain(self) -> tuple[str, ...]:
@@ -315,13 +735,18 @@ def _read_dotted(toks: list[JTok], i: int) -> tuple[str, int]:
 
 
 def _parse_type_header(toks, i, pending, open_types):
-    """From the class/interface/enum keyword to its opening brace."""
+    """From the class/interface/enum/record keyword to its opening brace."""
     n = len(toks)
     kind = toks[i].text
     name_tok = toks[i + 1]
     i += 2
     if i < n and toks[i].text == "<":
         i = _skip_balanced(toks, i, "<", ">")
+    components = ()
+    if kind == "record" and i < n and toks[i].text == "(":
+        j = _skip_balanced(toks, i, "(", ")")
+        components = tuple(_parse_param_list(toks[i + 1 : j - 1]))
+        i = j
     supers: list[str] = []
     while i < n and toks[i].text != "{":
         word = toks[i].text
@@ -345,6 +770,7 @@ def _parse_type_header(toks, i, pending, open_types):
         line=name_tok.line,
         nesting=nesting,
         body_start=i + 1,
+        components=components,
     )
     return raw, i + 1
 
@@ -567,7 +993,13 @@ def extract_members(toks: list[JTok], raw: RawType, owner: ClassItem) -> Members
             continue
         if text in TYPE_KEYWORDS and i + 1 < n and toks[i + 1].kind == IDENT:
             # nested type: its members belong to its own ClassItem
-            j = i
+            j = i + 2
+            if text == "record":
+                # its components may hold braces, in annotation arguments
+                if j < n and toks[j].text == "<":
+                    j = _skip_balanced(toks, j, "<", ">")
+                if j < n and toks[j].text == "(":
+                    j = _skip_balanced(toks, j, "(", ")")
             while j < n and toks[j].text != "{":
                 j += 1
             i = _skip_balanced(toks, j, "{", "}") if j < n else n
@@ -594,7 +1026,29 @@ def extract_members(toks: list[JTok], raw: RawType, owner: ClassItem) -> Members
         # field declaration, possibly with several declarators
         i = _parse_field_decl(toks, j, n, type_text, tuple(pending), owner, fields, calls)
         pending = []
+    if raw.kind == "record":
+        _add_record_members(raw, owner, fields, ctors)
     return Members(tuple(fields), tuple(methods), tuple(ctors), tuple(calls))
+
+
+def _add_record_members(raw, owner, fields, ctors):
+    """A record's components are its first fields, and the parameters of
+    its canonical constructor unless the body declares that constructor
+    with its parameter list.  (A compact canonical constructor, `Name {`,
+    reads as an initializer block.)"""
+    fields[:0] = [
+        FieldItem(param.name, _array_of_varargs(param.type_name), annos, owner, line)
+        for param, annos, line in raw.components
+    ]
+    params = tuple(param for param, _, _ in raw.components)
+    types = [param.type_name for param in params]
+    if not any([p.type_name for p in ctor.params] == types for ctor in ctors):
+        ctors.insert(0, ConstructorItem(params, (), owner, raw.line))
+
+
+def _array_of_varargs(type_name: str) -> str:
+    """A varargs component `T...` is a field of type `T[]`."""
+    return type_name[:-3] + "[]" if type_name.endswith("...") else type_name
 
 
 def _skip_enum_constants(toks, lo, hi, owner, calls):
@@ -662,13 +1116,20 @@ def _parse_callable_rest(toks, i, n, owner, calls):
 def _parse_params(toks, i, n):
     """i points at '('; returns (params, index past ')')."""
     j = _skip_balanced(toks, i, "(", ")")
-    inner = toks[i + 1 : j - 1]
-    params: list[Param] = []
+    return tuple(param for param, _, _ in _parse_param_list(toks[i + 1 : j - 1])), j
+
+
+def _parse_param_list(inner):
+    """The parameters (or record components) between a '(' and its ')':
+    (param, its annotations, its name's line) for each."""
+    params = []
     for part in _split_params(inner):
+        annos = []
         k = 0
         while k < len(part):
             if part[k].text == "@":
-                _, k = _parse_annotation(part, k)
+                anno, k = _parse_annotation(part, k)
+                annos.append(anno)
             elif part[k].kind == IDENT and part[k].text == "final":
                 k += 1
             else:
@@ -685,14 +1146,16 @@ def _parse_params(toks, i, n):
         if name_idx is None or name_idx == 0:
             continue
         type_toks = rest[:name_idx]
-        name = rest[name_idx].text
+        name_tok = rest[name_idx]
         suffix = ""
         idx = name_idx + 1
         while idx + 1 < len(rest) and rest[idx].text == "[" and rest[idx + 1].text == "]":
             suffix += "[]"
             idx += 2
-        params.append(Param(_render_type(type_toks) + suffix, name))
-    return tuple(params), j
+        params.append(
+            (Param(_render_type(type_toks) + suffix, name_tok.text), tuple(annos), name_tok.line)
+        )
+    return params
 
 
 def _split_params(tokens: list[JTok]) -> list[list[JTok]]:

@@ -2,10 +2,12 @@
 
 build_model walks a project directory once and parses everything in one
 pass: every XML file, and every Java file, which is read and tokenized
-once.  Its declarations are scanned from those tokens; for each class it
-keeps, build_model makes the ClassItem and javasrc.extract_members builds
-that class's member items from the same tokens before they are dropped,
-so the model never goes back to a source file.
+once, at declaration level (member bodies yield only their watched calls;
+see javasrc).  Its declarations are scanned from those tokens; for each
+class it keeps, build_model makes the ClassItem and
+javasrc.extract_members builds that class's member items from the same
+tokens before they are dropped, so the model never goes back to a source
+file.
 
 File discovery is deterministic: relative paths, sorted lexicographically
 with '/' separators.  Directories whose name matches an ignore glob

@@ -57,3 +57,4 @@ def test_traced_check_records_every_layer(monkeypatch, capsys):
                 "builtin:getAttr"} | {f"rule:r{i}" for i in range(1, 16)}
     assert expected <= names
     assert tracer.counters["project.java_files"] > 0
+    assert tracer.counters["javasrc.tokens"] > 0

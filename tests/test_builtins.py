@@ -386,10 +386,31 @@ def test_index_in_bound_coerces_numeric_text(call):
     assert call("indexInBound", ctor, 0) is True
     assert call("indexInBound", ctor, 1) is False
     assert call("indexInBound", ctor, "0") is True
-    assert call("indexInBound", ctor, " 0 ") is True
+    assert call("indexInBound", ctor, "+0") is True
+    assert call("indexInBound", ctor, "٠") is True  # an Arabic-Indic zero
     assert call("indexInBound", ctor, "1") is False
-    with pytest.raises(BuiltinTypeError):
-        call("indexInBound", ctor, "abc")
+    # text Integer.parseInt rejects is out of bound, not an error
+    for text in ("abc", " 0 ", "0_0", "", "-", "0.0", "99999999999"):
+        assert call("indexInBound", ctor, text) is False
+    assert call("indexInBound", ctor, "-1") is False
+    assert call("indexInBound", ctor, -1) is False
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), ("+7", 7), ("-7", -7), ("007", 7), ("٣", 3), ("2147483647", 2147483647),
+    ("-2147483648", -2147483648),
+])
+def test_integer_text_reads_like_parse_int(call, text, value):
+    assert call("substring", "x" * 12 + "abc", text) == ("x" * 12 + "abc")[max(value, 0):]
+    assert call("getArg", "getBean", text) == []
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1", "1 ", "", "+", "-", "1.0", "0x1", "2147483648",
+                                  "-2147483649", "++1", "1e3"])
+def test_integer_text_parse_int_rejects_is_a_type_error(call, text):
+    for name, args in (("substring", ("abcdef", text)), ("getArg", ("getBean", text))):
+        with pytest.raises(BuiltinTypeError, match=f"'{name}' argument 2 must be an integer, got text"):
+            call(name, *args)
 
 
 def test_is_iterable(call):
@@ -626,7 +647,7 @@ CONTRACT = {
     "isUniqueSN": ((), False, "text"),
     "getSN": ((), MISSING, "a class or text"),
     "getFQN": ((), MISSING, "a class"),
-    "getName": ((), MISSING, "a class, method, field, or file"),
+    "getName": ((), MISSING, "a class, method, field, constructor, XML file, or XML element"),
     "getType": ((), MISSING, "a field"),
     "getReturnType": ((), MISSING, "a method"),
     "getMethods": ((), [], "a class"),
@@ -639,7 +660,7 @@ CONTRACT = {
     "indexInBound": ((0,), False, CALLABLE),
     "isIterable": ((), False, "a method"),
     "callExists": ((), False, "text"),
-    "getArg": ((0,), [], "text"),
+    "getArg": ((0,), [], "a call site or text"),
     "isLibraryClass": ((), False, "text"),
     "getAnnotated": (("class",), [], "text"),
     "hasAnnotation": (("x",), False, ANNOTATED),

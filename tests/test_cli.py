@@ -251,3 +251,40 @@ def test_deeply_nested_xml_is_checked(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reports"] == []
     assert payload["summary"]["rulesExecuted"] == 15
+
+
+def r5_project(tmp_path, index, java=None):
+    """fixtures/r5/clean with one constructor-arg index changed, and
+    optionally another Endpoint source."""
+    root = tmp_path / "r5"
+    shutil.copytree(FIXTURES / "r5" / "clean", root)
+    beans = root / "src/main/resources/beans.xml"
+    beans.write_text(beans.read_text().replace('index="1"', f'index="{index}"'))
+    if java is not None:
+        (root / "src/main/java/com/fix/r5/Endpoint.java").write_text(java)
+    return root
+
+
+@pytest.mark.parametrize("index", ["abc", "1_0", "-1", " 1", "2"])
+def test_r5_reports_an_index_spring_rejects(tmp_path, capsys, index):
+    root = r5_project(tmp_path, index)
+    assert cli.main(["--project", str(root), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    reports = json.loads(out)["reports"]
+    assert [(r["rule"].split("-", 1)[0], r["line"]) for r in reports] == [("r5", 5)]
+    assert f"Index {index} of" in reports[0]["message"]
+
+
+RECORD_ENDPOINT = (
+    "package com.fix.r5;\n\npublic record Endpoint(String host, int port) {\n"
+    "    public Endpoint {\n        java.util.Objects.requireNonNull(host);\n    }\n}\n"
+)
+
+
+@pytest.mark.parametrize("index, code", [("1", 0), ("2", 1)])
+def test_r5_reads_a_record_canonical_constructor(tmp_path, capsys, index, code):
+    root = r5_project(tmp_path, index, RECORD_ENDPOINT)
+    assert cli.main(["--project", str(root), "--format", "json"]) == code
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["rule"].split("-", 1)[0] for r in reports] == ["r5"] * code

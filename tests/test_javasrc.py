@@ -117,7 +117,14 @@ FRAGMENTS = [
     ).map("".join)
 )
 def test_tokenizer_matches_reference(text):
-    assert triples(text) == reference_tokenizer.tokenize(text)
+    """Exact up to the first '{' token, which may open a member body (at
+    file level too); after it, that body holds only its watched calls."""
+    expected = reference_tokenizer.tokenize(text)
+    first_brace = next((k for k, tok in enumerate(expected) if tok[:2] == (PUNCT, "{")), None)
+    if first_brace is None:
+        assert triples(text) == expected
+    else:
+        assert triples(text)[: first_brace + 1] == expected[: first_brace + 1]
 
 
 def test_package_imports_and_class():
@@ -512,3 +519,96 @@ def test_duplicate_member_names_all_recorded():
     src = "class A { void f() { } void f(int x) { } }"
     members = members_of(src)
     assert [(m.name, len(m.params)) for m in members.methods] == [("f", 0), ("f", 1)]
+
+
+# -- records ----------------------------------------------------------------
+
+
+RECORD_SOURCE = """package com.acme;
+
+@Immutable
+public record Cfg(@Value("${db.url}") String url, int port, String... tags) implements Marker {
+    static int count = 0;
+
+    Cfg {
+        ctx.getBean("checked");
+    }
+
+    public String host() { return url; }
+
+    record Inner(java.util.Map<String, Integer> m) {}
+}
+"""
+
+
+def test_record_is_a_class_whose_components_are_fields():
+    decls = decls_of(RECORD_SOURCE)
+    assert [(t.chain, t.kind) for t in decls.types] == [(("Cfg",), "record"), (("Cfg", "Inner"), "record")]
+    cfg = decls.types[0]
+    assert cfg.supertype_names == ("Marker",)
+    assert [a.name for a in cfg.annotations] == ["Immutable"]
+    assert cfg.line == 4
+    m = members_of(RECORD_SOURCE)
+    assert [(f.name, f.type_name, [a.name for a in f.annotations], f.line) for f in m.fields] == [
+        ("url", "String", ["Value"], 4), ("port", "int", [], 4), ("tags", "String[]", [], 4),
+        ("count", "int", [], 5),
+    ]
+    assert [x.name for x in m.methods] == ["host"]
+
+
+def test_record_canonical_constructor_and_compact_form():
+    m = members_of(RECORD_SOURCE)
+    # the compact form `Cfg { ... }` is no method, and declares no other constructor
+    assert [(c.line, [(p.type_name, p.name) for p in c.params]) for c in m.constructors] == [
+        (4, [("String", "url"), ("int", "port"), ("String...", "tags")]),
+    ]
+    assert [(c.callee_name, c.string_args, c.line) for c in m.call_sites] == [("getBean", ("checked",), 8)]
+    inner = members_of(RECORD_SOURCE, 1)
+    assert [(f.name, f.type_name) for f in inner.fields] == [("m", "java.util.Map<String, Integer>")]
+    assert [len(c.params) for c in inner.constructors] == [1]
+
+
+def test_explicit_canonical_constructor_is_not_repeated():
+    src = (
+        "record Point(int x, int y) {\n"
+        "    Point(int x, int y) { this.x = x; this.y = y; }\n"
+        "    Point(int both) { this(both, both); }\n"
+        "}\n"
+    )
+    m = members_of(src)
+    assert [(c.line, [p.type_name for p in c.params]) for c in m.constructors] == [
+        (2, ["int", "int"]), (3, ["int"]),
+    ]
+
+
+def test_nested_record_is_not_a_method_of_its_outer_class():
+    src = (
+        "class Outer {\n"
+        "    record Inner<T>(@A({1, 2}) T value) implements I { void m() { getBean(\"in\"); } }\n"
+        "    int after;\n"
+        "}\n"
+    )
+    decls = decls_of(src)
+    assert [t.chain for t in decls.types] == [("Outer",), ("Outer", "Inner")]
+    outer = members_of(src)
+    assert outer.methods == () and outer.call_sites == ()
+    assert [f.name for f in outer.fields] == ["after"]
+    inner = members_of(src, 1)
+    assert [(f.name, f.type_name, [a.attrs for a in f.annotations]) for f in inner.fields] == [
+        ("value", "T", [{"value": ["1", "2"]}]),
+    ]
+    assert [c.string_args for c in inner.call_sites] == [("in",)]
+
+
+def test_record_not_followed_by_a_name_stays_an_identifier():
+    src = (
+        "class Log {\n"
+        "    String record;\n"
+        "    void record(int entry) { record.trim(); }\n"
+        "    Object other = record;\n"
+        "}\n"
+    )
+    assert [t.simple_name for t in decls_of(src).types] == ["Log"]
+    m = members_of(src)
+    assert [(f.name, f.type_name) for f in m.fields] == [("record", "String"), ("other", "Object")]
+    assert [(x.name, x.return_type) for x in m.methods] == [("record", "void")]
