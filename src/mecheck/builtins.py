@@ -470,12 +470,15 @@ class Registry:
 
     @builtin("indexInBound", 2, CALLABLE, missing=(0, 1), on_missing=False)
     def _index_in_bound(self, model, args):
-        """Whether 0 <= index < the parameter count; false for an index
-        that is not an integer, which Spring rejects too."""
+        """Whether 0 <= index < the parameter count; false for text that
+        is not an integer, which Spring rejects too.  An index of any
+        other kind is a rule error."""
         try:
             index = _int_like(args, 1)
         except BuiltinTypeError:
-            return False
+            if isinstance(args[1], str):
+                return False
+            raise
         return 0 <= index < args[0].param_count
 
     @builtin("isIterable", 1, METHOD, missing=(0,), on_missing=False)

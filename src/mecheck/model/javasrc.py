@@ -11,8 +11,9 @@ the same tokens:
     bodies, enum constant bodies, blocks in field initializers) it emits
     only the braces around it and the watched calls inside it; one
     compiled regex jumps over the rest, skipping literals and comments as
-    the tokenizer reads them.  A _DeclState follows scan_declarations over
-    the emitted tokens to tell a member body from a type body.
+    the tokenizer reads them.  To tell a member body from a type body it
+    resumes scan_declarations' scan, _scan, over the tokens emitted so far
+    at each '{'.
 
   * scan_declarations walks a whole file and records the package, the
     imports, and every type declaration (name, kind, supertypes as
@@ -126,23 +127,26 @@ def tokenize_java(text: str) -> list[JTok]:
     line break; callers read sources with universal newlines.
 
     Member bodies are not tokenized.  A '{' that opens a block at the
-    member level of a type body (or of the file), outside parentheses, and
-    that is not itself a type body, opens a method, constructor or
+    member level of a type body (or of the file), outside parentheses and
+    not after a pending annotation, and that is not itself a type body (as
+    _scan reads the tokens before it), opens a method, constructor or
     initializer body, an enum constant's body, or a block inside a field
-    initializer.  For such a block the stream holds only that '{', the
-    tokens of each watched call in it (callee name through the matching
-    ')'), and its closing '}', all with their source lines.  A block that
-    could not be skipped without changing what scan_declarations and
-    extract_members read is tokenized in full: one holding an annotation,
-    one the text ends inside, one whose watched call does not balance its
-    own brackets, and, in a field initializer or an enum's constant list,
-    one whose parentheses or brackets do not balance.
+    initializer.  For such a block the stream holds only
+    that '{', the tokens of each watched call in it (callee name through
+    the matching ')'), and its closing '}', all with their source lines.
+    A block that could not be skipped without changing what
+    scan_declarations and extract_members read is tokenized in full: one
+    holding an annotation, one the text ends inside, one whose watched
+    call does not balance its own brackets, and, in a field initializer or
+    an enum's constant list, one whose parentheses or brackets do not
+    balance.  A '{' inside an annotation, import clause or type header is
+    tokenized as it stands.
     """
     toks: list[JTok] = []
+    scan = _scan(toks, FileDecls(package=None, imports=[]), final=False)
     append = toks.append
     ident_rest = _IDENT_REST.match
     blanks = _BLANKS.match
-    decls = _DeclState()
     body: _Body | None = None  # set while a watched call of a skipped body is tokenized
     i = 0
     n = len(text)
@@ -226,9 +230,11 @@ def tokenize_java(text: str) -> list[JTok]:
             append(JTok(PUNCT, ch, line))
             i += 1
             if body is None:
-                if ch == "{" and decls.opens_member_body(toks):
-                    body = _Body(len(toks), i, line, decls.guarded)
-                    i, line, body = body.skip(text, toks, i, line)
+                if ch == "{":
+                    guarded = next(scan)
+                    if guarded is not None:
+                        body = _Body(len(toks), i, line, guarded)
+                        i, line, body = body.skip(text, toks, i, line)
             elif ch in "(){}[]@":
                 i, line, body = body.track(ch, text, toks, i, line)
         if body is None:
@@ -242,13 +248,14 @@ def tokenize_java(text: str) -> list[JTok]:
 # way tokenize_java reads them, so no brace or name inside them is seen.
 # Each match first jumps over the characters no stop starts with; a '/' or
 # a callee's first letter that starts no stop, and the end of the text,
-# match with no group, so that no search fails and starts over.
+# match with no group, so that no search fails and starts over, and no
+# match gives back what the jump took.
 _CALLEE_STARTS = "".join(sorted({name[0] for name in WATCHED_CALLEES}))
 
 
 def _body_stops(extra_chars: str, extra_groups: str) -> re.Pattern:
     return re.compile(
-        rf"""[^{{}}"'/@{_CALLEE_STARTS}{extra_chars}]*+(?:"""
+        rf"""[^{{}}"'/@{_CALLEE_STARTS}{extra_chars}]*(?:"""
         r"(\{)|(\})"
         # 3: a text block or a comment
         r'|(""".*?"""|//[^\n]*|/\*.*?\*/)'
@@ -267,8 +274,9 @@ def _body_stops(extra_chars: str, extra_groups: str) -> re.Pattern:
 _BODY = _body_stops("", "")
 # 7-10: parentheses and brackets, for bodies whose nesting must balance
 _GUARDED_BODY = _body_stops(r"()\[\]", r"|(\()|(\))|(\[)|(\])")
-# From the end of a callee's name: blanks and comments, then '('.
-_CALL_OPEN = re.compile(r"(?:[ \t\r\f\n]|//[^\n]*\n|/\*.*?\*/)*+\(", re.S)
+# From the end of a callee's name: blanks and comments, then '('.  A
+# comment ends at its first '*/' however the match backtracks.
+_CALL_OPEN = re.compile(r"(?:[ \t\r\f\n]|//[^\n]*\n|/\*(?:[^*]|\*(?!/))*\*/)*\(")
 
 
 class _Body:
@@ -398,222 +406,6 @@ def _is_call(text: str, start: int, end: int) -> bool:
 _lex_run = tokenize_java
 _WORD_OR_DOT = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$.")
 
-# _DeclState modes: _NORMAL, or the construct that is consuming tokens.
-(
-    _NORMAL,
-    _AT,  # after '@'
-    _ANNO_NAME,  # after a name part of an annotation
-    _ANNO_DOT,  # after a '.' that may continue an annotation's name
-    _ANNO_ARGS,  # inside an annotation's parentheses
-    _KEYWORD,  # after a type keyword that may start a declaration
-    _TYPE_NAME,  # after a declared type's name
-    _TYPE_PARAMS,  # after its type parameters, if any
-    _TYPE_HEADER,  # in the rest of its header
-    _TYPE_LIST,  # in an extends, implements or permits list
-    _ANGLES,  # inside <...> of a header
-    _COMPONENTS,  # inside a record's component list
-    _IMPORT,
-    _PACKAGE,  # expecting a name part of the package clause
-    _PACKAGE_DOT,  # after a name part of the package clause
-) = range(15)
-
-_HEADER_LISTS = frozenset(["extends", "implements", "permits"])
-# The words and punctuation _DeclState acts on in _NORMAL mode.
-_STRUCTURAL = frozenset(["{", "}", ";", "(", ")", "[", "]", "@", "=", "package", "import", *TYPE_KEYWORDS])
-
-
-class _DeclState:
-    """scan_declarations' reading of the tokens emitted so far.
-
-    tokenize_java feeds it at each '{' it emits, to learn whether that
-    brace opens a member body.  It follows what scan_declarations follows:
-    the brace depth, the open type bodies, pending annotations, and the
-    constructs whose tokens scan_declarations consumes without looking at
-    their braces (annotations, type headers, package and import clauses).
-    It also counts the parentheses and brackets outside those constructs,
-    and notes whether the tokens are in a field initializer or an enum's
-    constant list, where extract_members counts a body's parentheses and
-    brackets along with its braces (guarded).
-    """
-
-    def __init__(self):
-        self.done = 0  # tokens followed so far
-        self.depth = 0
-        self.types: list[int] = []  # body depth of each open type
-        self.mode = _NORMAL
-        self.nest = 0  # parentheses or angle brackets counted by the mode
-        self.after_angles = _TYPE_PARAMS  # mode that <...> returns to
-        self.keyword = ""
-        self.pending = False  # annotations wait for a declaration
-        self.package_seen = False
-        self.parens = self.brackets = 0
-        self.guarded = False
-
-    def opens_member_body(self, toks: list[JTok]) -> bool:
-        """Follow toks on; whether its last token, a '{', opens a member body."""
-        end = len(toks)
-        depth = self.depth
-        types = self.types
-        mode = self.mode
-        pending = self.pending
-        parens = self.parens
-        brackets = self.brackets
-        body_at = -1
-        for k in range(self.done, end):
-            tok = toks[k]
-            text = tok.text
-            if mode == _NORMAL:
-                if text not in _STRUCTURAL:
-                    if pending and tok.kind != PUNCT and text not in MODIFIERS:
-                        pending = False
-                    continue
-            else:
-                if mode == _ANNO_ARGS or mode == _COMPONENTS:
-                    if text == "(":
-                        self.nest += 1
-                    elif text == ")":
-                        self.nest -= 1
-                        if self.nest == 0:
-                            mode = _NORMAL if mode == _ANNO_ARGS else _TYPE_HEADER
-                    continue
-                if mode == _IMPORT:
-                    if text == ";":
-                        mode = _NORMAL
-                    continue
-                if mode == _ANGLES:
-                    if text == "<":
-                        self.nest += 1
-                    elif text == ">":
-                        self.nest -= 1
-                        if self.nest == 0:
-                            mode = self.after_angles
-                    continue
-                if mode == _TYPE_NAME:
-                    if text == "<":
-                        mode, self.nest, self.after_angles = _ANGLES, 1, _TYPE_PARAMS
-                        continue
-                    mode = _TYPE_PARAMS
-                if mode == _TYPE_PARAMS:
-                    if text == "(" and self.keyword == "record":
-                        mode, self.nest = _COMPONENTS, 1
-                        continue
-                    mode = _TYPE_HEADER
-                if mode == _TYPE_HEADER or mode == _TYPE_LIST:
-                    if text == "{":
-                        types.append(depth + 1)
-                        depth += 1
-                        pending = False
-                        self.guarded = self.keyword == "enum"
-                        mode = _NORMAL
-                    elif text in _HEADER_LISTS:
-                        mode = _TYPE_LIST
-                    elif text == "<" and mode == _TYPE_LIST:
-                        mode, self.nest, self.after_angles = _ANGLES, 1, _TYPE_LIST
-                    continue
-                # the modes below end at a token that is then read as usual
-                if mode == _AT:
-                    mode = _NORMAL
-                    if text != "interface":
-                        pending = True
-                        if tok.kind == IDENT:
-                            mode = _ANNO_NAME
-                            continue
-                        if text == "(":
-                            mode, self.nest = _ANNO_ARGS, 1
-                            continue
-                elif mode == _ANNO_NAME:
-                    if text == ".":
-                        mode = _ANNO_DOT
-                        continue
-                    if text == "(":
-                        mode, self.nest = _ANNO_ARGS, 1
-                        continue
-                    mode = _NORMAL
-                elif mode == _ANNO_DOT:
-                    if tok.kind == IDENT:
-                        mode = _ANNO_NAME
-                        continue
-                    mode = _NORMAL
-                elif mode == _KEYWORD:
-                    if tok.kind == IDENT:
-                        mode = _TYPE_NAME
-                        continue
-                    pending = False
-                    mode = _NORMAL
-                elif mode == _PACKAGE:
-                    if tok.kind == IDENT:
-                        mode = _PACKAGE_DOT
-                        continue
-                    mode = _NORMAL
-                    if text == ";":
-                        continue
-                else:  # _PACKAGE_DOT
-                    if text == ".":
-                        mode = _PACKAGE
-                        continue
-                    mode = _NORMAL
-                    if text == ";":
-                        continue
-                if text not in _STRUCTURAL:
-                    if pending and tok.kind != PUNCT and text not in MODIFIERS:
-                        pending = False
-                    continue
-            # a _NORMAL token that may change the state
-            if text == "(":
-                parens += 1
-            elif text == ")":
-                parens -= 1
-            elif text == "{":
-                if (
-                    not (pending or parens or brackets)
-                    and (depth == 0 or (types and depth == types[-1]))
-                ):
-                    body_at = k
-                depth += 1
-            elif text == "}":
-                depth -= 1
-                if types and depth < types[-1]:
-                    types.pop()
-                    self.guarded = False
-            elif text == ";":
-                pending = False
-                if self.guarded and (depth == 0 or (types and depth == types[-1])):
-                    self.guarded = False
-            elif text == "[":
-                brackets += 1
-            elif text == "]":
-                brackets -= 1
-            elif text == "=":
-                if depth == 0 or (types and depth == types[-1]):
-                    self.guarded = True
-            elif text == "@":
-                mode = _AT
-            elif tok.kind == IDENT:
-                if (
-                    text in TYPE_KEYWORDS
-                    and (depth == 0 or (types and depth == types[-1]))
-                    and (k == 0 or toks[k - 1].text != ".")
-                ):
-                    mode = _KEYWORD
-                    self.keyword = text
-                elif depth == 0 and text == "package" and not self.package_seen:
-                    self.package_seen = True
-                    mode = _PACKAGE
-                elif depth == 0 and text == "import":
-                    mode = _IMPORT
-                else:
-                    pending = False
-            else:
-                pending = False
-        self.depth = depth
-        self.mode = mode
-        self.pending = pending
-        self.parens = parens
-        self.brackets = brackets
-        self.done = end
-        return body_at == end - 1
-
-
 @dataclass
 class RawType:
     """Phase-one record of one type declaration."""
@@ -644,78 +436,155 @@ class FileDecls:
 def scan_declarations(toks: list[JTok]) -> FileDecls:
     """Phase one: package, imports, and type declaration skeletons."""
     decls = FileDecls(package=None, imports=[])
+    for _ in _scan(toks, decls, final=True):
+        pass
+    return decls
+
+
+# The tokens _scan does more with than clear pending annotations.
+_SCAN_PUNCT = frozenset("{};=()@")
+_SCAN_WORDS = frozenset(["package", "import", *TYPE_KEYWORDS])
+
+# A construct that a '{' leaves open is read again at each later '{' until
+# it closes; after this many times the file's later braces all open no
+# member body (they are tokenized in full), so that no input costs more
+# than linear time.
+_MAX_STALLS = 16
+
+
+def _scan(toks: list[JTok], decls: FileDecls, final: bool):
+    """scan_declarations' reading of toks into decls, as a generator.
+
+    Unless final, toks grows: tokenize_java resumes the generator each
+    time it has emitted a '{'.  It reads on to the end of toks, or stops
+    before a construct (annotation, import clause, type header) that runs
+    past that brace, and yields None unless the brace opens a member body:
+    one at the member level of a type body (or of the file), outside
+    parentheses, with no annotation pending, that is not a type body or
+    part of a construct.  For a member body it yields whether the body is
+    guarded: in a field initializer or an enum's constant list, where
+    extract_members counts its parentheses and brackets along with its
+    braces.
+    """
     depth = 0
     open_types: list[tuple[RawType, int]] = []  # (type, depth of its body)
     pending: list[AnnotationUse] = []
+    parens = 0
+    guarded = False
+    member_body = -1  # the last '{' read that opens a member body
+    stall_at = -1  # the start of the construct left open
+    stalls = 0  # how often it was
     i = 0
-    n = len(toks)
-    while i < n:
-        tok = toks[i]
-        if tok.kind == PUNCT:
-            if tok.text == "{":
-                depth += 1
-            elif tok.text == "}":
-                depth -= 1
-                if open_types and depth < open_types[-1][1]:
-                    raw, _ = open_types.pop()
-                    raw.body_end = i
-            elif tok.text == ";":
-                pending = []
-            elif tok.text == "@":
-                if i + 1 < n and toks[i + 1].text == "interface":
-                    # annotation type declaration: let the 'interface'
-                    # branch record it
+    while True:
+        n = len(toks)
+        while i < n:
+            tok = toks[i]
+            if tok.kind == PUNCT:
+                text = tok.text
+                if text not in _SCAN_PUNCT:
                     i += 1
                     continue
-                anno, i = _parse_annotation(toks, i)
-                pending.append(anno)
-                continue
-            i += 1
-            continue
-        if tok.kind == IDENT:
-            word = tok.text
-            if word == "package" and depth == 0 and decls.package is None:
-                name, i = _read_dotted(toks, i + 1)
-                decls.package = name
-                continue
-            if word == "import" and depth == 0:
-                j = i + 1
-                prefix = ""
-                if j < n and toks[j].text == "static":
-                    prefix = "static "
-                    j += 1
-                parts = []
-                while j < n and toks[j].text != ";":
-                    parts.append(toks[j].text)
-                    j += 1
-                decls.imports.append(prefix + "".join(parts))
-                i = j + 1
-                continue
-            at_member_level = depth == 0 or (
-                open_types and depth == open_types[-1][1]
-            )
-            prev = toks[i - 1] if i > 0 else None
-            if (
-                word in TYPE_KEYWORDS
-                and at_member_level
-                and (prev is None or prev.text != ".")
-                and i + 1 < n
-                and toks[i + 1].kind == IDENT
-            ):
-                raw, i = _parse_type_header(toks, i, pending, open_types)
-                pending = []
-                if raw is not None:
-                    decls.types.append(raw)
-                    open_types.append((raw, depth + 1))
+                if text == "{":
+                    if not (pending or parens) and (
+                        depth == 0 or (open_types and depth == open_types[-1][1])
+                    ):
+                        member_body = i
                     depth += 1
+                elif text == "}":
+                    depth -= 1
+                    if open_types and depth < open_types[-1][1]:
+                        raw, _ = open_types.pop()
+                        raw.body_end = i
+                        guarded = False
+                elif text == ";":
+                    pending = []
+                    if depth == 0 or (open_types and depth == open_types[-1][1]):
+                        guarded = False
+                elif text == "=":
+                    if depth == 0 or (open_types and depth == open_types[-1][1]):
+                        guarded = True
+                elif text == "(":
+                    parens += 1
+                elif text == ")":
+                    parens -= 1
+                elif text == "@":
+                    if i + 1 < n and toks[i + 1].text == "interface":
+                        # annotation type declaration: let the 'interface'
+                        # branch record it
+                        i += 1
+                        continue
+                    anno, j = _parse_annotation(toks, i)
+                    if j >= n and not final:
+                        break
+                    pending.append(anno)
+                    i = j
+                    continue
+                i += 1
                 continue
-            if word not in MODIFIERS:
-                pending = []
+            if tok.kind == IDENT:
+                word = tok.text
+                if word not in _SCAN_WORDS:
+                    if word not in MODIFIERS:
+                        pending = []
+                    i += 1
+                    continue
+                if word == "package" and depth == 0 and decls.package is None:
+                    name, i = _read_dotted(toks, i + 1)
+                    decls.package = name
+                    continue
+                if word == "import" and depth == 0:
+                    j = i + 1
+                    prefix = ""
+                    if j < n and toks[j].text == "static":
+                        prefix = "static "
+                        j += 1
+                    parts = []
+                    while j < n and toks[j].text != ";":
+                        parts.append(toks[j].text)
+                        j += 1
+                    if j >= n and not final:
+                        break
+                    decls.imports.append(prefix + "".join(parts))
+                    i = j + 1
+                    continue
+                at_member_level = depth == 0 or (
+                    open_types and depth == open_types[-1][1]
+                )
+                prev = toks[i - 1] if i > 0 else None
+                if (
+                    word in TYPE_KEYWORDS
+                    and at_member_level
+                    and (prev is None or prev.text != ".")
+                    and i + 1 < n
+                    and toks[i + 1].kind == IDENT
+                ):
+                    raw, j = _parse_type_header(toks, i, pending, open_types)
+                    if raw is None and not final:
+                        break
+                    i = j
+                    pending = []
+                    if raw is not None:
+                        decls.types.append(raw)
+                        open_types.append((raw, depth + 1))
+                        depth += 1
+                        guarded = raw.kind == "enum"
+                    continue
+                if word not in MODIFIERS:
+                    pending = []
+                i += 1
+                continue
+            pending = []
             i += 1
-            continue
-        pending = []
-        i += 1
-    return decls
+        if final:
+            return
+        if i < n:  # stopped before a construct left open
+            if i != stall_at:
+                stall_at, stalls = i, 0
+            stalls += 1
+            if stalls > _MAX_STALLS:
+                while True:
+                    yield None
+        yield guarded if member_body == n - 1 else None
 
 
 def _read_dotted(toks: list[JTok], i: int) -> tuple[str, int]:

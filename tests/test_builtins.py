@@ -396,6 +396,15 @@ def test_index_in_bound_coerces_numeric_text(call):
     assert call("indexInBound", ctor, -1) is False
 
 
+def test_index_in_bound_rejects_an_index_of_another_kind(call):
+    greeter = call("locateClassFQN", "com.acme.Greeter")
+    ctor = call("getConstructors", greeter)[0]
+    for index, kind in ((True, "bool"), ([], "list"), (greeter, "class")):
+        with pytest.raises(BuiltinTypeError) as exc:
+            call("indexInBound", ctor, index)
+        assert str(exc.value) == f"'indexInBound' argument 2 must be an integer, got {kind}"
+
+
 @pytest.mark.parametrize("text, value", [
     ("7", 7), ("+7", 7), ("-7", -7), ("007", 7), ("٣", 3), ("2147483647", 2147483647),
     ("-2147483648", -2147483648),

@@ -3,6 +3,7 @@ import reference_tokenizer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecheck.model import javasrc
 from mecheck.model.items import ClassItem
 from mecheck.model.javasrc import (
     CHAR,
@@ -10,6 +11,7 @@ from mecheck.model.javasrc import (
     NUMBER,
     PUNCT,
     STRING,
+    JTok,
     decode_java_string,
     extract_members,
     scan_declarations,
@@ -105,8 +107,20 @@ FRAGMENTS = [
     "é", "ä", "µ", "²", "٣", "Ⅷ", "£", "€", "‿", "«", "$", "_", "a", "Zq", "0", "9", "0x1F", "3.14", "1_000", ".",
     '"', "'", '"""', "\\", '\\"', "\\'", "//", "/*", "*/", "*",
     " ", "\t", "\f", "\r", "\n", "\r\n",
-    "(", ")", "{", "}", ";", "@", "<", ">", ",", "=", "class", "getBean",
+    "(", ")", "{", "}", ";", "@", "<", ">", ",", "=", "class", "getBean", "class Zq {",
 ]
+
+
+def first_member_body(tokens):
+    """The index of the first '{' of the (kind, text, line) tokens that
+    opens a member body, as tokenize_java's scan reads them, or None."""
+    toks = []
+    scan = javasrc._scan(toks, javasrc.FileDecls(package=None, imports=[]), final=False)
+    for k, tok in enumerate(tokens):
+        toks.append(JTok(*tok))
+        if tok[:2] == (PUNCT, "{") and next(scan) is not None:
+            return k
+    return None
 
 
 @settings(max_examples=1000, deadline=None)
@@ -117,14 +131,32 @@ FRAGMENTS = [
     ).map("".join)
 )
 def test_tokenizer_matches_reference(text):
-    """Exact up to the first '{' token, which may open a member body (at
-    file level too); after it, that body holds only its watched calls."""
+    """Exact up to the first '{' that opens a member body (at file level
+    too), and everywhere when there is none; after it, that body holds
+    only its watched calls."""
     expected = reference_tokenizer.tokenize(text)
-    first_brace = next((k for k, tok in enumerate(expected) if tok[:2] == (PUNCT, "{")), None)
-    if first_brace is None:
+    body = first_member_body(expected)
+    if body is None:
         assert triples(text) == expected
     else:
-        assert triples(text)[: first_brace + 1] == expected[: first_brace + 1]
+        assert triples(text)[: body + 1] == expected[: body + 1]
+
+
+def test_first_member_body_passes_type_bodies_and_annotations():
+    tokens = reference_tokenizer.tokenize('class A { @B({"{"}) int[] f = {1}; }')
+    assert tokens[first_member_body(tokens) - 1][1] == "="
+    assert first_member_body(reference_tokenizer.tokenize("class A { class B { } }")) is None
+    assert first_member_body(reference_tokenizer.tokenize("enum E { X { }, Y }")) == 4
+
+
+def test_a_construct_left_open_is_read_again_a_bounded_number_of_times(monkeypatch):
+    reads = []
+    parse_annotation = javasrc._parse_annotation
+    monkeypatch.setattr(javasrc, "_parse_annotation",
+                        lambda toks, i: reads.append(i) or parse_annotation(toks, i))
+    toks = tokenize_java("class A { @A( " + "(x){ } " * 1000)
+    assert len(reads) == javasrc._MAX_STALLS + 1
+    assert [t.text for t in toks].count("{") == 1001  # no body is skipped
 
 
 def test_package_imports_and_class():
@@ -499,6 +531,24 @@ def test_unwatched_calls_ignored():
 def test_call_line_numbers():
     src = 'class M {\n  void r() {\n    Object a = ctx.getBean("x");\n  }\n}'
     assert members_of(src).call_sites[0].line == 3
+
+
+@pytest.mark.parametrize("header", [
+    "record R(@A({1}) int x)",
+    "class A<T extends @B({1}) X>",
+    "class A implements I<@B({1}) X>",
+])
+def test_a_type_header_holding_braces_still_opens_a_type_body(header):
+    texts = [t.text for t in tokenize_java(f"{header} {{ void m() {{ f(); }} }}")]
+    assert texts[-6:] == ["m", "(", ")", "{", "}", "}"]  # the body of m is skipped
+
+
+@pytest.mark.parametrize("before", ["int x = 1;", "enum E { A, B; }", "enum E { A }"])
+def test_only_initializers_and_enum_constants_need_balanced_bodies(before):
+    # a body whose parentheses do not balance is skipped outside a field
+    # initializer or an enum's constant list
+    texts = [t.text for t in tokenize_java(f"class A {{ {before} void m() {{ f(; }} }}")]
+    assert texts[-4:] == [")", "{", "}", "}"]
 
 
 def test_text_block_is_one_token():

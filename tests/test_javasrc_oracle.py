@@ -168,8 +168,11 @@ def test_unbalanced_field_initializer_block_is_tokenized_in_full():
     "class A {\n  @(x) { y(); }\n  class B { }\n}\n",
     # an annotation whose parentheses never close
     "class A {\n  @Named(\"open) void m() { x(); }\n  void n() { y()); }\n  int f;\n}\n",
+    # an enum constant body whose parentheses do not balance
+    "enum E {\n  A { void f() { g(1; } }, B;\n  int x;\n  void m() { getBean(\"b\"); }\n}\n",
     # an import runs to its ';', braces and all
     "import x { a; }\nclass B { void m() { getBean(\"b\"); } }\n",
+    "import x { a { b; } }\nclass B { void m() { getBean(\"b\"); } }\n",
     "package p { class Q { void m() { } } }\nclass R { }\n",
     # callee names inside longer identifiers, next to non-ASCII characters
     "class A {\n  void m() { ½getBean(\"x\"); £getBean(\"y\"); getBean£(\"z\"); x‿getBean(\"w\"); }\n}\n",
