@@ -645,25 +645,32 @@ def _parse_type_header(toks, i, pending, open_types):
 
 
 def _parse_type_list(toks, i):
-    """Comma-separated type names, as written, up to a structural stop."""
+    """Comma-separated type names, as written but without their type
+    annotations, up to a structural stop."""
     names = []
     n = len(toks)
     current: list[JTok] = []
+    angles = 0  # depth inside type arguments
     while i < n:
         t = toks[i]
-        if t.text in ("{", "extends", "implements", "permits"):
-            break
-        if t.text == "," :
-            if current:
-                names.append(_render_type(current))
-            current = []
-            i += 1
+        text = t.text
+        if text == "@":
+            # arguments and all, though they hold braces or commas
+            _, i = _parse_annotation(toks, i)
             continue
-        if t.text == "<":
-            j = _skip_balanced(toks, i, "<", ">")
-            current.extend(toks[i:j])
-            i = j
-            continue
+        if not angles:
+            if text in ("{", "extends", "implements", "permits"):
+                break
+            if text == ",":
+                if current:
+                    names.append(_render_type(current))
+                current = []
+                i += 1
+                continue
+        if text == "<":
+            angles += 1
+        elif text == ">" and angles:
+            angles -= 1
         current.append(t)
         i += 1
     if current:

@@ -5,20 +5,22 @@ closures, one per statement and one per expression node.  Literal
 values, built-in names, argument counts, source spans and whether a
 call goes through the query cache are settled at compile time, so
 running a rule does no dispatch on node types.  Statements are called
-as stmt(env, sink), expressions as exp(env); a compiled rule runs
-against a fresh EnvStack each time.
+as stmt(slots, sink), expressions as exp(slots).
 
-Scoping model: a frame is a dict from variable name to value; the type a
-rule declares for a variable is not kept or checked at run time.
-run_rule pushes one frame around the rule body.  A for loop pushes one
-frame before evaluating its container, rebinds the loop variable per
-element, clears the frame's bindings between iterations (iteration-local
-declarations must not leak into the next pass), and pops after the loop.
-An if statement evaluates its condition in the current environment and
-pushes a frame around the body.  A declaration binds in the innermost
-frame.  exists pushes a frame for its bound variable, returns true at the
-first element whose predicate holds, and pops even on that early exit.
-AND and OR do not evaluate their right side when the left side decides.
+Scoping model: variables are resolved when the rule compiles, by the
+scope walk rsl/validator.py makes.  The rule body, each for and if body
+and each exists predicate is a scope; a declaration is visible to the
+statements after it in its scope, a for or exists variable to its body
+or predicate, and an inner binding shadows an outer one.  Each binding
+site (for variable, exists variable, declaration) owns one index in a
+flat list of slots, and a read compiles to a fetch of the slot it
+resolves to; a read that resolves to none compiles to a raise of
+"variable 'x' is not bound" at its position.  run_rule runs the body over
+a fresh list of slots, one per binding site, so nothing is pushed,
+popped or cleared at run time: a for loop or an exists writes its
+variable's slot per element, a declaration writes its own.  The type a
+rule declares for a variable is not kept or checked at run time.  AND
+and OR do not evaluate their right side when the left side decides.
 
 A failed assert renders the message template and emits a BugReport; the
 report's position comes from the first message argument that carries a
@@ -50,6 +52,7 @@ without a cache every exists scans.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,11 +61,12 @@ from mecheck.model.project import ProjectModel
 from mecheck.rsl import ast
 from mecheck.runtime import values as V
 from mecheck.runtime.cache import QueryCache, canonical_key
-from mecheck.runtime.env import EnvStack, UnboundVariable
 
-# A compiled expression: env -> value.  A compiled statement: (env, sink) -> None.
-CompiledExp = Callable[[EnvStack], object]
-CompiledStmt = Callable[[EnvStack, list], None]
+# A compiled expression: slots -> value.  A compiled statement: (slots, sink) -> None.
+CompiledExp = Callable[[list], object]
+CompiledStmt = Callable[[list, list], None]
+# Compile-time scopes, innermost last: variable name -> slot.
+Scopes = list[dict[str, int]]
 
 # Nodes whose value is always a Python bool, so a condition needs no check.
 _BOOL_NODES = (ast.Eq, ast.Exists, ast.And, ast.Or, ast.Not)
@@ -205,8 +209,9 @@ class Interpreter:
         self.cache = cache
         self.stats = EvalStats()
         self._rule_name = "<none>"
-        # id(rule) -> (rule, compiled body); holding the rule keeps its id unique
-        self._compiled: dict[int, tuple[ast.Rule, CompiledStmt]] = {}
+        self._nslots = 0  # binding sites of the rule being compiled
+        # id(rule) -> (rule, compiled body, slot count); holding the rule keeps its id unique
+        self._compiled: dict[int, tuple[ast.Rule, CompiledStmt, int]] = {}
 
     # -- entry point ----------------------------------------------------------
 
@@ -218,95 +223,90 @@ class Interpreter:
         self._rule_name = rule.name
         entry = self._compiled.get(id(rule))
         if entry is None:
-            entry = self._compiled[id(rule)] = (rule, self._compile_block(rule.body))
-        body = entry[1]
-        env = EnvStack()
-        env.push()
-        try:
-            body(env, sink)
-        finally:
-            env.pop()
+            self._nslots = 0
+            body = self._compile_block(rule.body, [{}])
+            entry = self._compiled[id(rule)] = (rule, body, self._nslots)
+        _, body, nslots = entry
+        body([None] * nslots, sink)
         return sink
+
+    def _bind(self, scopes: Scopes, name: str) -> int:
+        """A new slot for a binding site, visible from now on in the
+        innermost scope."""
+        slot = scopes[-1][name] = self._nslots
+        self._nslots += 1
+        return slot
 
     # -- statements -------------------------------------------------------------
 
-    def _compile_block(self, stmts: tuple[ast.Stmt, ...]) -> CompiledStmt:
-        compiled = tuple(self._compile_stmt(s) for s in stmts)
+    def _compile_block(self, stmts: tuple[ast.Stmt, ...], scopes: Scopes) -> CompiledStmt:
+        compiled = tuple(self._compile_stmt(s, scopes) for s in stmts)
         if len(compiled) == 1:
             return compiled[0]
 
-        def block(env, sink):
+        def block(slots, sink):
             for stmt in compiled:
-                stmt(env, sink)
+                stmt(slots, sink)
 
         return block
 
-    def _compile_stmt(self, stmt: ast.Stmt) -> CompiledStmt:
+    def _compile_stmt(self, stmt: ast.Stmt, scopes: Scopes) -> CompiledStmt:
         if isinstance(stmt, ast.ForStmt):
-            return self._compile_for(stmt)
+            return self._compile_for(stmt, scopes)
         if isinstance(stmt, ast.IfStmt):
-            return self._compile_if(stmt)
+            return self._compile_if(stmt, scopes)
         if isinstance(stmt, ast.AssertStmt):
-            return self._compile_assert(stmt)
+            return self._compile_assert(stmt, scopes)
         if isinstance(stmt, ast.DeclStmt):
-            init = self._compile_exp(stmt.init)
-            var = stmt.var
+            init = self._compile_exp(stmt.init, scopes)
+            slot = self._bind(scopes, stmt.var)
 
-            def declare(env, sink):
-                env.top()[var] = init(env)
+            def declare(slots, sink):
+                slots[slot] = init(slots)
 
             return declare
         error = self._error(
             f"unknown statement node {type(stmt).__name__}", stmt.span
         )
 
-        def unknown(env, sink):
+        def unknown(slots, sink):
             raise error()
 
         return unknown
 
-    def _compile_for(self, stmt: ast.ForStmt) -> CompiledStmt:
-        container = self._compile_exp(stmt.container)
-        body = self._compile_block(stmt.body)
-        var = stmt.var
+    def _compile_for(self, stmt: ast.ForStmt, scopes: Scopes) -> CompiledStmt:
+        container = self._compile_exp(stmt.container, scopes)
+        inner = scopes + [{}]
+        slot = self._bind(inner, stmt.var)
+        body = self._compile_block(stmt.body, inner)
 
-        def run_for(env, sink):
-            frame = env.push()
-            try:
-                for element in _iteration_items(container(env)):
-                    frame[var] = element
-                    body(env, sink)
-                    frame.clear()
-            finally:
-                env.pop()
+        def run_for(slots, sink):
+            for element in _iteration_items(container(slots)):
+                slots[slot] = element
+                body(slots, sink)
 
         return run_for
 
-    def _compile_if(self, stmt: ast.IfStmt) -> CompiledStmt:
-        cond = self._compile_cond(stmt.cond)
-        body = self._compile_block(stmt.body)
+    def _compile_if(self, stmt: ast.IfStmt, scopes: Scopes) -> CompiledStmt:
+        cond = self._compile_cond(stmt.cond, scopes)
+        body = self._compile_block(stmt.body, scopes + [{}])
 
-        def run_if(env, sink):
-            if not cond(env):
-                return
-            env.push()
-            try:
-                body(env, sink)
-            finally:
-                env.pop()
+        def run_if(slots, sink):
+            if cond(slots):
+                body(slots, sink)
 
         return run_if
 
-    def _compile_assert(self, stmt: ast.AssertStmt) -> CompiledStmt:
-        cond = self._compile_cond(stmt.cond)
-        args = tuple(self._compile_exp(arg) for arg in stmt.message.args)
+    def _compile_assert(self, stmt: ast.AssertStmt, scopes: Scopes) -> CompiledStmt:
+        cond = self._compile_cond(stmt.cond, scopes)
+        args = tuple(self._compile_exp(arg, scopes) for arg in stmt.message.args)
         template = stmt.message.template
         rule_name = self._rule_name
 
-        def run_assert(env, sink):
-            if cond(env):
+        def run_assert(slots, sink):
+            if cond(slots):
                 return
-            arg_values = [arg(env) for arg in args]
+            arg_values = [arg(slots) for arg in args]
             file_path, line = "", 0
             for value in arg_values:
                 loc = V.location_of(value)
@@ -327,42 +327,45 @@ class Interpreter:
 
     # -- expressions -----------------------------------------------------------------
 
-    def _compile_exp(self, exp: ast.Exp) -> CompiledExp:
+    def _compile_exp(self, exp: ast.Exp, scopes: Scopes) -> CompiledExp:
         if isinstance(exp, ast.Identifier):
-            return self._compile_identifier(exp)
+            return self._compile_identifier(exp, scopes)
         if isinstance(exp, ast.Literal):
             value = exp.value
-            return lambda env: value
+            return lambda slots: value
         if isinstance(exp, ast.FunctionCall):
-            return self._compile_call(exp)
+            return self._compile_call(exp, scopes)
         if isinstance(exp, ast.Paren):
-            return self._compile_exp(exp.inner)
+            return self._compile_exp(exp.inner, scopes)
         if isinstance(exp, ast.Eq):
-            lhs, rhs = self._compile_exp(exp.lhs), self._compile_exp(exp.rhs)
+            lhs = self._compile_exp(exp.lhs, scopes)
+            rhs = self._compile_exp(exp.rhs, scopes)
             value_eq = V.value_eq
-            return lambda env: value_eq(lhs(env), rhs(env))
+            return lambda slots: value_eq(lhs(slots), rhs(slots))
         if isinstance(exp, ast.Exists):
-            return self._compile_exists(exp)
+            return self._compile_exists(exp, scopes)
         if isinstance(exp, ast.And):
-            left, right = self._compile_cond(exp.left), self._compile_cond(exp.right)
-            return lambda env: left(env) and right(env)
+            left = self._compile_cond(exp.left, scopes)
+            right = self._compile_cond(exp.right, scopes)
+            return lambda slots: left(slots) and right(slots)
         if isinstance(exp, ast.Or):
-            left, right = self._compile_cond(exp.left), self._compile_cond(exp.right)
-            return lambda env: left(env) or right(env)
+            left = self._compile_cond(exp.left, scopes)
+            right = self._compile_cond(exp.right, scopes)
+            return lambda slots: left(slots) or right(slots)
         if isinstance(exp, ast.Not):
-            operand = self._compile_cond(exp.operand)
-            return lambda env: not operand(env)
+            operand = self._compile_cond(exp.operand, scopes)
+            return lambda slots: not operand(slots)
         error = self._error(f"unknown expression node {type(exp).__name__}", exp.span)
 
-        def unknown(env):
+        def unknown(slots):
             raise error()
 
         return unknown
 
-    def _compile_cond(self, exp: ast.Exp) -> CompiledExp:
+    def _compile_cond(self, exp: ast.Exp, scopes: Scopes) -> CompiledExp:
         """exp as a condition: its value must be a bool or MISSING
         (false); anything else fails the rule at exp's position."""
-        value_of = self._compile_exp(exp)
+        value_of = self._compile_exp(exp, scopes)
         inner = exp
         while isinstance(inner, ast.Paren):
             inner = inner.inner
@@ -370,8 +373,10 @@ class Interpreter:
             return value_of
         rule_name, span, is_truthy = self._rule_name, exp.span, V.is_truthy
 
-        def cond(env):
-            value = value_of(env)
+        def cond(slots):
+            value = value_of(slots)
+            if value is True or value is False:
+                return value
             try:
                 return is_truthy(value)
             except V.ValueTypeError as exc:
@@ -381,21 +386,32 @@ class Interpreter:
 
         return cond
 
-    def _compile_identifier(self, exp: ast.Identifier) -> CompiledExp:
+    def _compile_identifier(self, exp: ast.Identifier, scopes: Scopes) -> CompiledExp:
+        for scope in reversed(scopes):
+            slot = scope.get(exp.name)
+            if slot is not None:
+                return operator.itemgetter(slot)
+        error = self._error(f"variable '{exp.name}' is not bound", exp.span)
+
+        def unbound(slots):
+            raise error()
+
+        return unbound
+
+    def _compile_args(self, args: tuple[ast.Exp, ...], scopes: Scopes) -> CompiledExp:
+        """slots -> the list of a call's argument values."""
+        compiled = tuple(self._compile_exp(arg, scopes) for arg in args)
+        if len(compiled) == 1:
+            (first,) = compiled
+            return lambda slots: [first(slots)]
+        if len(compiled) == 2:
+            first, second = compiled
+            return lambda slots: [first(slots), second(slots)]
+        return lambda slots: [arg(slots) for arg in compiled]
+
+    def _compile_call(self, exp: ast.FunctionCall, scopes: Scopes) -> CompiledExp:
         name = exp.name
-        error = self._error(f"variable '{name}' is not bound", exp.span)
-
-        def lookup(env):
-            try:
-                return env.lookup(name)
-            except UnboundVariable:
-                raise error() from None
-
-        return lookup
-
-    def _compile_call(self, exp: ast.FunctionCall) -> CompiledExp:
-        name = exp.name
-        args = tuple(self._compile_exp(arg) for arg in exp.args)
+        values_of = self._compile_args(exp.args, scopes)
         stats, model, call = self.stats, self.model, self.registry.call
         rule_name, line, column = self._rule_name, exp.span.line, exp.span.column
         errors = builtins_mod.CALL_ERRORS
@@ -404,8 +420,8 @@ class Interpreter:
         if self.cache is not None and spec is not None and spec.cached:
             key_of, get = canonical_key, self.cache.get_or_compute
 
-            def cached_call(env):
-                values = [arg(env) for arg in args]
+            def cached_call(slots):
+                values = values_of(slots)
                 stats.builtin_calls += 1
                 try:
                     return get(key_of(name, values), call, name, values, model)
@@ -414,8 +430,8 @@ class Interpreter:
 
             return cached_call
 
-        def direct_call(env):
-            values = [arg(env) for arg in args]
+        def direct_call(slots):
+            values = values_of(slots)
             stats.builtin_calls += 1
             try:
                 return call(name, values, model)
@@ -424,37 +440,31 @@ class Interpreter:
 
         return direct_call
 
-    def _compile_exists(self, exp: ast.Exists) -> CompiledExp:
-        container = self._compile_exp(exp.container)
-        predicate = self._compile_cond(exp.predicate)
-        var = exp.var
+    def _compile_exists(self, exp: ast.Exists, scopes: Scopes) -> CompiledExp:
+        container = self._compile_exp(exp.container, scopes)
+        inner = scopes + [{}]
+        slot = self._bind(inner, exp.var)
+        predicate = self._compile_cond(exp.predicate, inner)
         stats = self.stats
         plan = plan_exists(exp) if self.cache is not None else None
         if plan is not None:
-            keyed = self._compile_exp(plan.keyed)
-            probe = self._compile_exp(plan.probe)
+            keyed = self._compile_exp(plan.keyed, inner)
+            probe = self._compile_exp(plan.probe, inner)
             probe_first = plan.probe_first
             index_lookup = self._index_lookup
 
-        def exists(env):
-            frame = env.push()
-            try:
-                items = container(env)
-                if plan is not None and isinstance(items, list) and items:
-                    found = index_lookup(
-                        exp, items, keyed, probe, probe_first, env, frame
-                    )
-                    if found is not None:
-                        return found
-                for element in _iteration_items(items):
-                    frame[var] = element
-                    stats.exists_predicate_evals += 1
-                    if predicate(env):
-                        return True
-                    frame.clear()
-                return False
-            finally:
-                env.pop()
+        def exists(slots):
+            items = container(slots)
+            if plan is not None and isinstance(items, list) and items:
+                found = index_lookup(exp, items, keyed, probe, probe_first, slots, slot)
+                if found is not None:
+                    return found
+            for element in _iteration_items(items):
+                slots[slot] = element
+                stats.exists_predicate_evals += 1
+                if predicate(slots):
+                    return True
+            return False
 
         return exists
 
@@ -473,25 +483,26 @@ class Interpreter:
         keyed: CompiledExp,
         probe: CompiledExp,
         probe_first: bool,
-        env: EnvStack,
-        frame: dict[str, object],
+        slots: list,
+        slot: int,
     ) -> bool | None:
         """Answer a non-empty exists from its index, counting and failing
-        as the scan would; None means the scan must answer."""
+        as the scan would; None means the scan must answer.  slot is the
+        exists variable's."""
         indexes = self.cache.exists_indexes
-        slot = (id(exp), id(container))
-        index = indexes.get(slot)
+        index_id = (id(exp), id(container))
+        index = indexes.get(index_id)
         if index is None:
-            index = indexes[slot] = ExistsIndex(exp, container)
+            index = indexes[index_id] = ExistsIndex(exp, container)
         stats = self.stats
         # the scan's first iteration evaluates f(x0) before a right-hand e
         if not probe_first and index.built == 0 and not index.complete():
-            self._grow_index(index, keyed, env, frame)
+            self._grow_index(index, keyed, slots, slot)
         pos = None
         # unless f(x0) failed, which ends the scan before e is evaluated
         if probe_first or index.built > 0 or index.error is None:
             try:
-                value = probe(env)
+                value = probe(slots)
             except RuntimeRuleError:
                 stats.exists_predicate_evals += 1
                 raise
@@ -500,7 +511,7 @@ class Interpreter:
                 return None
             pos = index.first.get(key)
             while pos is None and not index.complete():
-                self._grow_index(index, keyed, env, frame)
+                self._grow_index(index, keyed, slots, slot)
                 pos = index.first.get(key)
             if pos is None and index.unkeyed:
                 return None
@@ -515,19 +526,15 @@ class Interpreter:
         return False
 
     @staticmethod
-    def _grow_index(
-        index: ExistsIndex, keyed: CompiledExp, env: EnvStack, frame: dict[str, object]
-    ) -> None:
+    def _grow_index(index: ExistsIndex, keyed: CompiledExp, slots: list, slot: int) -> None:
         """Evaluate f at the next unindexed position."""
         pos = index.built
-        frame[index.node.var] = index.container[pos]
+        slots[slot] = index.container[pos]
         try:
-            value = keyed(env)
+            value = keyed(slots)
         except RuntimeRuleError as exc:
             index.error = (exc.cause, exc.line, exc.column)
             return
-        finally:
-            frame.clear()
         key = V.index_key(value)
         if key is None:
             index.unkeyed = True

@@ -58,3 +58,12 @@ def test_traced_check_records_every_layer(monkeypatch, capsys):
     assert expected <= names
     assert tracer.counters["project.java_files"] > 0
     assert tracer.counters["javasrc.tokens"] > 0
+    # a cached built-in is still dispatched through Registry.call ...
+    assert "builtin:getElms" in names
+    # ... and so is every evaluated call the query cache does not answer
+    registry_calls = sum(
+        calls for name, calls in zip(tracer.names, tracer.calls) if name.startswith("builtin:")
+    )
+    counters = tracer.counters
+    assert counters["cache.hits"] > 0
+    assert registry_calls == counters["interpreter.builtin_calls"] - counters["cache.hits"]

@@ -191,6 +191,27 @@ def test_generic_supertype_rendering():
     assert t.supertype_names == ("AbstractList<String>",)
 
 
+@pytest.mark.parametrize("header", [
+    'class A implements @Tag({"x"}) B',
+    "class A implements @NonNull B",
+    "class A implements @a.b.Tag(value = {1, 2}, k = \"}\") B",
+])
+def test_type_annotations_are_not_part_of_supertype_names(header):
+    toks = tokenize_java(header + " { int f; void m() { getBean(\"y\"); } }")
+    raw = scan_declarations(toks).types[0]
+    assert raw.supertype_names == ("B",)
+    members = extract_members(toks, raw, owner_of(raw))
+    assert [f.name for f in members.fields] == ["f"]
+    assert [m.name for m in members.methods] == ["m"]
+    assert [c.callee_name for c in members.call_sites] == ["getBean"]
+
+
+def test_type_annotations_inside_supertype_type_arguments_are_dropped():
+    src = "class A extends Base<@NonNull String, Map<@K({1}) K, V>> implements I { }"
+    t = decls_of(src).types[0]
+    assert t.supertype_names == ("Base<String, Map<K, V>>", "I")
+
+
 def test_interface_and_enum_kinds():
     src = "interface I { }\nenum E { A, B }\n"
     decls = decls_of(src)
