@@ -130,7 +130,6 @@ class LibraryPatternSet:
     """
 
     def __init__(self, patterns: list[str]):
-        self.sources = list(patterns)
         self._compiled = []
         for pat in patterns:
             try:

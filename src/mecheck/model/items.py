@@ -117,16 +117,12 @@ class ClassItem:
 @dataclass(eq=False)
 class XmlElement:
     """One XML element; name and attribute keys have namespace prefixes
-    stripped, raw names are kept for display."""
+    stripped."""
 
     name: str
-    raw_name: str
     attrs: dict[str, str]
-    raw_attr_names: tuple[str, ...]
     line: int
-    ordinal: int
     children: list["XmlElement"] = field(default_factory=list)
-    text: str = ""
     file: "XmlFile | None" = field(default=None, repr=False)
 
     def iter_subtree(self):

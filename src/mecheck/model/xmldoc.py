@@ -1,9 +1,9 @@
 """XML configuration file parsing.
 
-Built on expat.  Elements keep document order (a per-file ordinal),
-1-based line numbers, attribute order, and accumulated character data
-(CDATA included).  Namespace prefixes are stripped from element and
-attribute names for matching; the raw names are retained for display.
+Built on expat.  Elements keep document order, 1-based line numbers and
+attribute order; character data is not kept.  Namespace prefixes are
+stripped from element and attribute names; when two attributes share a
+local name, the first one wins.
 """
 
 from __future__ import annotations
@@ -39,30 +39,17 @@ def parse_xml(abs_path: Path, rel_path: str) -> XmlFile:
 
     parser = expat.ParserCreate()
     parser.ordered_attributes = True
-    parser.buffer_text = True
 
     stack: list[XmlElement] = []
     root_holder: list[XmlElement] = []
-    counter = [0]
 
     def on_start(raw_name, attr_list):
         attrs: dict[str, str] = {}
-        raw_names = []
         for i in range(0, len(attr_list), 2):
-            raw_attr = attr_list[i]
-            raw_names.append(raw_attr)
-            local = _local_name(raw_attr)
+            local = _local_name(attr_list[i])
             if local not in attrs:
                 attrs[local] = attr_list[i + 1]
-        elem = XmlElement(
-            name=_local_name(raw_name),
-            raw_name=raw_name,
-            attrs=attrs,
-            raw_attr_names=tuple(raw_names),
-            line=parser.CurrentLineNumber,
-            ordinal=counter[0],
-        )
-        counter[0] += 1
+        elem = XmlElement(name=_local_name(raw_name), attrs=attrs, line=parser.CurrentLineNumber)
         if stack:
             stack[-1].children.append(elem)
         else:
@@ -72,13 +59,8 @@ def parse_xml(abs_path: Path, rel_path: str) -> XmlFile:
     def on_end(raw_name):
         stack.pop()
 
-    def on_chardata(data_text):
-        if stack:
-            stack[-1].text += data_text
-
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end
-    parser.CharacterDataHandler = on_chardata
 
     try:
         parser.Parse(data, True)

@@ -9,6 +9,8 @@ tokens of the shape ``<bean>``.  ``//`` starts a line comment.
 
 from __future__ import annotations
 
+import codecs
+import re
 from dataclasses import dataclass
 
 KEYWORDS = frozenset(
@@ -72,7 +74,11 @@ class NonUtf8Input(LexError):
 
 
 def decode_source(data: bytes) -> str:
-    """Decode rule-file bytes as UTF-8, mapping failures to NonUtf8Input."""
+    """Decode rule-file bytes as UTF-8, mapping failures to NonUtf8Input.
+
+    One leading byte-order mark is dropped; positions count from after it.
+    """
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -82,37 +88,25 @@ def decode_source(data: bytes) -> str:
         raise NonUtf8Input("input is not valid UTF-8", line, column) from exc
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+# What may follow a string literal's opening quote: anything on the line
+# but a quote or backslash, or the escapes \" and \\.
+_STRING_BODY = r'(?:[^"\\\n]|\\["\\])*'
 
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-class _Scanner:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.src)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < len(self.src) else ""
-
-    def advance(self) -> str:
-        ch = self.src[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
+# One alternative per token shape, tried in order at each position.  `\w`
+# is str.isalnum() plus "_", and `\d` is str.isdecimal().  Words and
+# element types must also start with a letter or "_"; tokenize checks that
+# on the first character, which no character class expresses.
+_TOKEN = re.compile(
+    r"(?P<blank>[ \t\r\n]+|//[^\n]*)"
+    rf'|(?P<string>"{_STRING_BODY}")'
+    r"|(?P<char>'(?:[^\\\n]|\\['\\])')"
+    r"|(?P<element><\w+(?:-\w+)*>)"
+    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<word>\w+(?:-\w+)*)"
+    r"|(?P<punct>==|[(){},;=])"
+)
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_KINDS = {"string": STRING, "char": CHAR, "element": ELEMENT_TYPE, "punct": PUNCT}
 
 
 def tokenize(source: str) -> list[Token]:
@@ -121,127 +115,56 @@ def tokenize(source: str) -> list[Token]:
     Raises UnterminatedString or InvalidCharacter with the offending
     position.  Comments and whitespace are dropped.
     """
-    sc = _Scanner(source)
     tokens: list[Token] = []
-    while not sc.at_end():
-        ch = sc.peek()
-        if ch in " \t\r\n":
-            sc.advance()
+    pos, line, line_start = 0, 1, 0
+    while pos < len(source):
+        col = pos - line_start + 1
+        m = _TOKEN.match(source, pos)
+        if m is None:
+            raise _lex_error(source, pos, line, col)
+        group, text = m.lastgroup, m.group()
+        pos = m.end()
+        if group == "blank":
+            newline = text.rfind("\n")
+            if newline >= 0:
+                line += text.count("\n")
+                line_start = m.start() + newline + 1
             continue
-        if ch == "/" and sc.peek(1) == "/":
-            while not sc.at_end() and sc.peek() != "\n":
-                sc.advance()
-            continue
-        line, col = sc.line, sc.col
-        if ch == '"':
-            tokens.append(_scan_string(sc, line, col))
-            continue
-        if ch == "'":
-            tokens.append(_scan_char(sc, line, col))
-            continue
-        if ch == "<":
-            tokens.append(_scan_element_type(sc, line, col))
-            continue
-        if ch.isdigit():
-            tokens.append(_scan_number(sc, line, col))
-            continue
-        if _is_ident_start(ch):
-            tokens.append(_scan_word(sc, line, col))
-            continue
-        if ch == "=" and sc.peek(1) == "=":
-            sc.advance()
-            sc.advance()
-            tokens.append(Token(PUNCT, "==", line, col))
-            continue
-        if ch in "(){},;=":
-            sc.advance()
-            tokens.append(Token(PUNCT, ch, line, col))
-            continue
-        raise InvalidCharacter(f"unexpected character {ch!r}", line, col)
+        if group in ("word", "element") and not _starts_name(text.lstrip("<")[0]):
+            raise _lex_error(source, m.start(), line, col)
+        if group == "word":
+            kind = KEYWORD if text in KEYWORDS else IDENT
+        elif group == "number":
+            kind = FLOAT if "." in text else INT
+        else:
+            kind = _KINDS[group]
+        tokens.append(Token(kind, text, line, col))
     return tokens
 
 
-def _scan_string(sc: _Scanner, line: int, col: int) -> Token:
-    sc.advance()
-    out = ['"']
-    while True:
-        if sc.at_end() or sc.peek() == "\n":
-            raise UnterminatedString("unterminated string literal", line, col)
-        ch = sc.advance()
-        if ch == "\\":
-            if sc.at_end():
-                raise UnterminatedString("unterminated string literal", line, col)
-            esc_line, esc_col = sc.line, sc.col - 1
-            nxt = sc.advance()
-            if nxt not in ('"', "\\"):
-                raise InvalidCharacter(f"unsupported escape \\{nxt}", esc_line, esc_col)
-            out.append("\\" + nxt)
-            continue
-        out.append(ch)
-        if ch == '"':
-            break
-    return Token(STRING, "".join(out), line, col)
+def _starts_name(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
 
 
-def _scan_char(sc: _Scanner, line: int, col: int) -> Token:
-    sc.advance()
-    if sc.at_end() or sc.peek() == "\n":
-        raise UnterminatedString("unterminated char literal", line, col)
-    ch = sc.advance()
-    body = ch
-    if ch == "\\":
-        if sc.at_end():
-            raise UnterminatedString("unterminated char literal", line, col)
-        nxt = sc.advance()
-        if nxt not in ("'", "\\"):
-            raise InvalidCharacter(f"unsupported escape \\{nxt}", line, col)
-        body += nxt
-    if sc.at_end() or sc.peek() != "'":
-        raise UnterminatedString("unterminated char literal", line, col)
-    sc.advance()
-    return Token(CHAR, "'" + body + "'", line, col)
-
-
-def _scan_element_type(sc: _Scanner, line: int, col: int) -> Token:
-    sc.advance()
-    if sc.at_end() or not _is_ident_start(sc.peek()):
-        raise InvalidCharacter("'<' must start an element type like <bean>", line, col)
-    name = _scan_ident_text(sc)
-    if sc.at_end() or sc.peek() != ">":
-        raise InvalidCharacter("unclosed element type; expected '>'", line, col)
-    sc.advance()
-    return Token(ELEMENT_TYPE, "<" + name + ">", line, col)
-
-
-def _scan_number(sc: _Scanner, line: int, col: int) -> Token:
-    digits = []
-    while not sc.at_end() and sc.peek().isdigit():
-        digits.append(sc.advance())
-    if sc.peek() == "." and sc.peek(1).isdigit():
-        digits.append(sc.advance())
-        while not sc.at_end() and sc.peek().isdigit():
-            digits.append(sc.advance())
-        return Token(FLOAT, "".join(digits), line, col)
-    return Token(INT, "".join(digits), line, col)
-
-
-def _scan_ident_text(sc: _Scanner) -> str:
-    parts = [sc.advance()]
-    while not sc.at_end():
-        ch = sc.peek()
-        if _is_ident_char(ch):
-            parts.append(sc.advance())
-        elif ch == "-" and _is_ident_char(sc.peek(1)):
-            parts.append(sc.advance())
-        else:
-            break
-    return "".join(parts)
-
-
-def _scan_word(sc: _Scanner, line: int, col: int) -> Token:
-    text = _scan_ident_text(sc)
-    kind = KEYWORD if text in KEYWORDS else IDENT
-    return Token(kind, text, line, col)
+def _lex_error(source: str, pos: int, line: int, col: int) -> LexError:
+    """The error for text at pos that starts no token."""
+    ch = source[pos]
+    if ch == '"':
+        stop = _STRING_PREFIX.match(source, pos + 1).end()
+        if source[stop : stop + 1] == "\\" and stop + 1 < len(source):
+            escape = source[stop + 1]
+            return InvalidCharacter(f"unsupported escape \\{escape}", line, col + stop - pos)
+        return UnterminatedString("unterminated string literal", line, col)
+    if ch == "'":
+        body = source[pos + 1 : pos + 3]
+        if len(body) == 2 and body[0] == "\\" and body[1] not in "'\\":
+            return InvalidCharacter(f"unsupported escape \\{body[1]}", line, col)
+        return UnterminatedString("unterminated char literal", line, col)
+    if ch == "<":
+        if _starts_name(source[pos + 1 : pos + 2]):
+            return InvalidCharacter("unclosed element type; expected '>'", line, col)
+        return InvalidCharacter("'<' must start an element type like <bean>", line, col)
+    return InvalidCharacter(f"unexpected character {ch!r}", line, col)
 
 
 def unescape_string(lexeme: str) -> str:

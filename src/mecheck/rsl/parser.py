@@ -24,15 +24,30 @@ NOT binds tighter than AND, AND tighter than OR; chains of the same
 operator associate to the right.  There is no else clause.  The first
 msg argument is the template; it must contain exactly one %s per
 remaining argument.
+
+A rule nests at most MAX_NESTING levels deep.  Each statement is one
+level deeper than the block around it, and so is each expression inside
+another: a parenthesised expression, the operand of NOT, the right
+operand of AND, OR and ==, a call argument, and the container and
+predicate of exists.
 """
 
 from __future__ import annotations
+
+from typing import Callable, TypeVar
 
 from mecheck.rsl import ast
 from mecheck.rsl import lexer
 from mecheck.rsl.lexer import Token
 
 TYPE_KEYWORDS = {"file", "class", "method", "field", "String"}
+
+# Parsing, validating, compiling and running a rule each recurse a few
+# Python frames per level, so this bound keeps a rule well inside the
+# interpreter's recursion limit.  The shipped rules nest at most 14 deep.
+MAX_NESTING = 64
+
+_T = TypeVar("_T")
 
 
 class RslSyntaxError(Exception):
@@ -71,6 +86,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.idx = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -102,6 +118,19 @@ class _Parser:
         if not self.at(kind, lexeme):
             raise self.error(what or (lexeme if lexeme else kind))
         return self.advance()
+
+    def nested(self, parse: Callable[[], _T]) -> _T:
+        """Run a sub-parse one nesting level deeper.
+
+        A syntax error ends the whole parse, so the level is not restored
+        when parse() raises.
+        """
+        if self.depth == MAX_NESTING:
+            raise self.error(f"at most {MAX_NESTING} levels of nesting")
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     @staticmethod
     def start_of(tok: Token) -> tuple[int, int]:
@@ -136,7 +165,7 @@ class _Parser:
         while not self.at(lexer.PUNCT, "}"):
             if self.peek() is None:
                 raise self.error("'}'")
-            stmts.append(self.parse_stmt())
+            stmts.append(self.nested(self.parse_stmt))
         close = self.advance()
         if not stmts:
             raise RslSyntaxError("at least one statement", close, close.line, close.column)
@@ -231,7 +260,7 @@ class _Parser:
         left = self.parse_and()
         if self.at(lexer.KEYWORD, "OR"):
             self.advance()
-            right = self.parse_exp()
+            right = self.nested(self.parse_exp)
             return ast.Or(left, right, self.span_to_node_from(left, right))
         return left
 
@@ -239,14 +268,14 @@ class _Parser:
         left = self.parse_not()
         if self.at(lexer.KEYWORD, "AND"):
             self.advance()
-            right = self.parse_and()
+            right = self.nested(self.parse_and)
             return ast.And(left, right, self.span_to_node_from(left, right))
         return left
 
     def parse_not(self) -> ast.Exp:
         if self.at(lexer.KEYWORD, "NOT"):
             first = self.advance()
-            operand = self.parse_not()
+            operand = self.nested(self.parse_not)
             return ast.Not(operand, self.span_to_node(first, operand.span))
         return self.parse_simexp()
 
@@ -262,7 +291,7 @@ class _Parser:
             raise self.error("an expression")
         if tok.kind == lexer.PUNCT and tok.lexeme == "(":
             first = self.advance()
-            inner = self.parse_exp()
+            inner = self.nested(self.parse_exp)
             last = self.expect(lexer.PUNCT, ")", what="')'")
             return ast.Paren(inner, self.span(first, last))
         if tok.kind == lexer.KEYWORD and tok.lexeme == "exists":
@@ -288,7 +317,7 @@ class _Parser:
                 call = self.parse_call()
                 if self.at(lexer.PUNCT, "=="):
                     self.advance()
-                    rhs = self.parse_simexp()
+                    rhs = self.nested(self.parse_simexp)
                     return ast.Eq(call, rhs, self.span_to_node_from(call, rhs))
                 return call
             self.advance()
@@ -300,10 +329,10 @@ class _Parser:
         self.expect(lexer.PUNCT, "(", what="'('")
         args: list[ast.Exp] = []
         if not self.at(lexer.PUNCT, ")"):
-            args.append(self.parse_simexp())
+            args.append(self.nested(self.parse_simexp))
             while self.at(lexer.PUNCT, ","):
                 self.advance()
-                args.append(self.parse_simexp())
+                args.append(self.nested(self.parse_simexp))
         last = self.expect(lexer.PUNCT, ")", what="')'")
         return ast.FunctionCall(name.lexeme, tuple(args), self.span(name, last))
 
@@ -313,10 +342,10 @@ class _Parser:
         decl_type = self.parse_type()
         var = self.expect(lexer.IDENT, what="bound variable name")
         self.expect(lexer.KEYWORD, "in", what="'in'")
-        container = self.parse_exp()
+        container = self.nested(self.parse_exp)
         self.expect(lexer.PUNCT, ")", what="')'")
         self.expect(lexer.PUNCT, "(", what="'('")
-        predicate = self.parse_exp()
+        predicate = self.nested(self.parse_exp)
         last = self.expect(lexer.PUNCT, ")", what="')'")
         return ast.Exists(
             decl_type, var.lexeme, container, predicate, self.span(first, last)

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from mecheck import cli
+from mecheck.rsl.parser import MAX_NESTING
+from mecheck.rulepack import default_rules_dir
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -184,6 +186,50 @@ def test_rule_runtime_error_is_diagnostic_not_crash(tmp_path, capsys):
     assert "rule error" in captured.err
     assert "always-boom" in captured.err
     assert "0 findings across 2 rules" in captured.out
+
+
+def assert_condition(cond):
+    return f'Rule probe {{\n  assert ({cond}) {{ msg("never"); }}\n}}\n'
+
+
+# isEmpty's argument sits two levels below the assert statement's level.
+AT_BOUND = MAX_NESTING - 2
+
+
+@pytest.mark.parametrize(
+    "rule, code, err",
+    [
+        ('Rule digit {\n  String x = substring("abc", ², 1);\n}\n', 2, "unexpected character '²'"),
+        (assert_condition("(" * 250 + 'isEmpty("")' + ")" * 250), 2, "levels of nesting"),
+        (assert_condition("NOT " * 900 + 'isEmpty("")'), 2, "levels of nesting"),
+        (assert_condition("(" * AT_BOUND + 'isEmpty("")' + ")" * AT_BOUND), 0, ""),
+        (assert_condition("NOT " * AT_BOUND + 'isEmpty("")'), 0, ""),
+    ],
+    ids=["non-decimal-digit", "250-parens", "900-nots", "parens-at-bound", "nots-at-bound"],
+)
+def test_rule_pack_mistakes_exit_two_at_load(tmp_path, capsys, rule, code, err):
+    root = write_project(tmp_path, CLEAN)
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    (rules / "probe.rsl").write_text(rule, encoding="utf-8")
+    assert cli.main(["--project", str(root), "--rules", str(rules)]) == code
+    captured = capsys.readouterr()
+    assert err in captured.err
+    assert captured.err.startswith("mecheck: error: probe.rsl: ") == bool(err)
+    assert ("0 findings across 1 rules" in captured.out) == (code == 0)
+
+
+def test_rule_files_may_start_with_a_bom(tmp_path, capsys):
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    for path in default_rules_dir().glob("*.rsl"):
+        (rules / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for fixture in ("r2/buggy-1", "r15/buggy-1", "combined-clean"):
+        root = FIXTURES / fixture
+        code = cli.main(["--project", str(root)])
+        shipped = capsys.readouterr()
+        assert cli.main(["--project", str(root), "--rules", str(rules)]) == code
+        assert capsys.readouterr() == shipped
 
 
 def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):

@@ -183,3 +183,92 @@ def test_decode_source_rejects_bad_bytes():
 def test_escape_unescape_round_trip():
     for text in ['plain', 'has "quotes"', "back\\slash", '\\" mixed "\\']:
         assert unescape_string(escape_string(text)) == text
+
+
+def test_decode_source_drops_one_leading_bom():
+    assert decode_source(b"\xef\xbb\xbfRule x { }") == "Rule x { }"
+    assert decode_source(b"\xef\xbb\xbf\xef\xbb\xbfx") == "\ufeffx"
+
+
+def test_decode_source_counts_positions_after_the_bom():
+    with pytest.raises(NonUtf8Input) as exc:
+        decode_source(b"\xef\xbb\xbf\xff")
+    assert (exc.value.line, exc.value.column) == (1, 1)
+
+
+def error_of(source):
+    with pytest.raises((InvalidCharacter, UnterminatedString)) as exc:
+        tokenize(source)
+    return type(exc.value), exc.value.reason, exc.value.line, exc.value.column
+
+
+def unexpected(ch, column, line=1):
+    return InvalidCharacter, f"unexpected character {ch!r}", line, column
+
+
+@pytest.mark.parametrize("source, column", [("x = ²", 5), ("①", 1), ("1.²", 2), ("12²", 3)])
+def test_non_decimal_digits_are_unexpected(source, column):
+    assert error_of(source) == unexpected(source[column - 1], column)
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    assert kinds_and_lexemes("٣ ٣.٣") == [(INT, "٣"), (FLOAT, "٣.٣")]
+
+
+def test_word_starts_with_a_letter_or_underscore():
+    assert kinds_and_lexemes("é _x a½Ⅻ٣") == [(IDENT, "é"), (IDENT, "_x"), (IDENT, "a½Ⅻ٣")]
+    assert error_of("½x") == unexpected("½", 1)
+    assert error_of("x Ⅻ") == unexpected("Ⅻ", 3)
+
+
+def test_hyphen_joins_two_word_characters_only():
+    assert kinds_and_lexemes("a-½ b_-_c") == [(IDENT, "a-½"), (IDENT, "b_-_c")]
+    assert error_of("a--b") == unexpected("-", 2)
+    assert error_of("name-") == unexpected("-", 5)
+
+
+def test_number_then_dot_is_an_int_and_a_stray_dot():
+    assert error_of("1.") == unexpected(".", 2)
+
+
+def test_triple_quote_is_the_quote_char():
+    assert kinds_and_lexemes("'''") == [(CHAR, "'''")]
+
+
+def test_char_escape_error_is_at_the_opening_quote():
+    assert error_of("x '\\q'") == (InvalidCharacter, "unsupported escape \\q", 1, 3)
+
+
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        ('x "a\\qb"', (InvalidCharacter, "unsupported escape \\q", 1, 5)),
+        ('x "a\\\nb"', (InvalidCharacter, "unsupported escape \\\n", 1, 5)),
+        ('x "a\\', (UnterminatedString, "unterminated string literal", 1, 3)),
+        ('x "a\r\n"', (UnterminatedString, "unterminated string literal", 1, 3)),
+    ],
+)
+def test_string_escape_and_end_errors(source, error):
+    assert error_of(source) == error
+
+
+def test_string_keeps_a_carriage_return():
+    assert kinds_and_lexemes('"a\rb"') == [(STRING, '"a\rb"')]
+
+
+@pytest.mark.parametrize(
+    "source, reason",
+    [
+        ("<1x>", "'<' must start an element type like <bean>"),
+        ("<", "'<' must start an element type like <bean>"),
+        ("<bean", "unclosed element type; expected '>'"),
+        ("<bean->", "unclosed element type; expected '>'"),
+    ],
+)
+def test_element_type_errors(source, reason):
+    assert error_of(" " + source) == (InvalidCharacter, reason, 1, 2)
+
+
+def test_carriage_return_and_tab_are_one_column_each():
+    toks = tokenize("\tx\ry\r\n z")
+    assert [(t.lexeme, t.line, t.column) for t in toks] == [("x", 1, 2), ("y", 1, 4), ("z", 2, 2)]

@@ -1,7 +1,7 @@
 import pytest
 
 from mecheck.rsl import ast
-from mecheck.rsl.parser import ArityMismatch, RslSyntaxError, parse_rule
+from mecheck.rsl.parser import MAX_NESTING, ArityMismatch, RslSyntaxError, parse_rule
 
 RULE = """\
 Rule method-exists {
@@ -220,3 +220,26 @@ def test_structurally_equal_ignores_spans():
     assert ast.structurally_equal(a, b)
     c = parse_rule("Rule t { String x = getFQN(y); }")
     assert not ast.structurally_equal(a, c)
+
+
+def nested_rule(shape, depth):
+    """A rule whose deepest expression, isEmpty's argument, is `depth` levels deep."""
+    k = depth - 2  # levels between the outermost statement and that argument
+    if shape == "paren":
+        stmt = 'assert (' + "(" * k + 'isEmpty("")' + ")" * k + ') { msg("never"); }'
+    elif shape == "not":
+        stmt = 'assert (' + "NOT " * k + 'isEmpty("")) { msg("never"); }'
+    else:
+        stmt = 'if (isEmpty("x")) { ' * k + 'assert (isEmpty("")) { msg("never"); }' + " }" * k
+    return f"Rule deep {{\n{stmt}\n}}\n"
+
+
+@pytest.mark.parametrize("shape", ["paren", "not", "block"])
+def test_nesting_is_bounded_where_it_crosses_the_bound(shape):
+    parse_rule(nested_rule(shape, MAX_NESTING))
+    source = nested_rule(shape, MAX_NESTING + 1)
+    with pytest.raises(RslSyntaxError) as exc:
+        parse_rule(source)
+    assert exc.value.expected == f"at most {MAX_NESTING} levels of nesting"
+    assert exc.value.found.lexeme == '""'
+    assert (exc.value.line, exc.value.column) == (2, source.splitlines()[1].index('("")') + 2)

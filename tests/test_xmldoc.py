@@ -48,12 +48,6 @@ def test_line_numbers(tmp_path):
     assert doc.root.children[1].line == 8
 
 
-def test_ordinals_follow_document_order(tmp_path):
-    doc = parse_text(tmp_path, BEANS)
-    ordinals = [e.ordinal for e in doc.iter_elements()]
-    assert ordinals == [0, 1, 2, 3, 4]
-
-
 def test_every_element_backrefs_its_file(tmp_path):
     doc = parse_text(tmp_path, BEANS)
     assert all(e.file is doc for e in doc.iter_elements())
@@ -68,23 +62,13 @@ def test_namespace_prefix_stripped_from_names(tmp_path):
     doc = parse_text(tmp_path, text)
     child = doc.root.children[0]
     assert child.name == "list"
-    assert child.raw_name == "util:list"
     assert child.attrs == {"id": "xs", "size": "2"}
-    assert child.raw_attr_names == ("id", "util:size")
 
 
 def test_attr_collision_after_prefix_strip_keeps_first(tmp_path):
     text = '<r xmlns:a="urn:a"><e size="1" a:size="2"/></r>'
     doc = parse_text(tmp_path, text)
     assert doc.root.children[0].attrs["size"] == "1"
-
-
-def test_text_and_cdata_collected(tmp_path):
-    text = "<r><v>plain</v><c><![CDATA[a < b & c]]></c></r>"
-    doc = parse_text(tmp_path, text)
-    v, c = doc.root.children
-    assert v.text == "plain"
-    assert c.text == "a < b & c"
 
 
 def test_iter_subtree_is_document_order(tmp_path):
