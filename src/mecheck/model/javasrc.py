@@ -79,21 +79,11 @@ CHAR = "char"
 NUMBER = "number"
 
 
-class JTok:
-    """One token: its kind (IDENT, PUNCT, STRING, CHAR or NUMBER), its
-    text as written and its 1-based line.  A plain slotted class, because
-    a file yields thousands of tokens and a frozen dataclass costs several
-    times as much to create."""
-
-    __slots__ = ("kind", "text", "line")
-
-    def __init__(self, kind: str, text: str, line: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-
-    def __repr__(self) -> str:
-        return f"JTok({self.kind!r}, {self.text!r}, {self.line})"
+# A token is a plain (kind, text, line) tuple: its kind (IDENT, PUNCT,
+# STRING, CHAR or NUMBER), its text as written and its 1-based line.  A
+# file yields thousands of tokens, and a tuple is the cheapest record to
+# create; the scanners below read them by index or by unpacking.
+Token = tuple[str, str, int]
 
 
 # The rest of an identifier: re's \w is exactly str.isalnum() plus '_'.
@@ -116,7 +106,7 @@ def _ident_end(text: str, j: int) -> int:
         j += 1
 
 
-def tokenize_java(text: str) -> list[JTok]:
+def tokenize_java(text: str) -> list[Token]:
     """Lossy declaration-level Java tokenizer: identifiers, literals,
     single-char punct.
 
@@ -128,10 +118,10 @@ def tokenize_java(text: str) -> list[JTok]:
 
     Member bodies are not tokenized.  A '{' that opens a block at the
     member level of a type body (or of the file), outside parentheses and
-    not after a pending annotation, and that is not itself a type body (as
-    _scan reads the tokens before it), opens a method, constructor or
-    initializer body, an enum constant's body, or a block inside a field
-    initializer.  For such a block the stream holds only
+    brackets and not after a pending annotation, and that is not itself a
+    type body (as _scan reads the tokens before it), opens a method,
+    constructor or initializer body, an enum constant's body, or a block
+    inside a field initializer.  For such a block the stream holds only
     that '{', the tokens of each watched call in it (callee name through
     the matching ')'), and its closing '}', all with their source lines.
     A block that could not be skipped without changing what
@@ -142,7 +132,7 @@ def tokenize_java(text: str) -> list[JTok]:
     balance.  A '{' inside an annotation, import clause or type header is
     tokenized as it stands.
     """
-    toks: list[JTok] = []
+    toks: list[Token] = []
     scan = _scan(toks, FileDecls(package=None, imports=[]), final=False)
     append = toks.append
     ident_rest = _IDENT_REST.match
@@ -163,7 +153,7 @@ def tokenize_java(text: str) -> list[JTok]:
                 continue
             if ch.isalpha() or ch == "_" or ch == "$":
                 j = ident_rest(text, i + 1).end()
-                append(JTok(IDENT, text[i:j], line))
+                append((IDENT, text[i:j], line))
                 i = j
                 continue
             if ch == "/" and i + 1 < n and text[i + 1] == "/":
@@ -183,7 +173,7 @@ def tokenize_java(text: str) -> list[JTok]:
                     end = text.find('"""', i + 3)
                     if end == -1:
                         break
-                    append(JTok(STRING, text[i : end + 3], line))
+                    append((STRING, text[i : end + 3], line))
                     line += text.count("\n", i, end + 3)
                     i = end + 3
                     continue
@@ -194,7 +184,7 @@ def tokenize_java(text: str) -> list[JTok]:
                     else:
                         j += 1
                 if j < n and text[j] == ch:
-                    append(JTok(STRING if ch == '"' else CHAR, text[i : j + 1], line))
+                    append((STRING if ch == '"' else CHAR, text[i : j + 1], line))
                     i = j + 1
                 else:
                     i = j
@@ -207,7 +197,7 @@ def tokenize_java(text: str) -> list[JTok]:
                     if text[j] == "." and not (j + 1 < n and text[j + 1].isdigit()):
                         break
                     j += 1
-                append(JTok(NUMBER, text[i:j], line))
+                append((NUMBER, text[i:j], line))
                 i = j
                 continue
             # only non-ASCII characters reach the category test
@@ -216,18 +206,18 @@ def tokenize_java(text: str) -> list[JTok]:
                 prev = toks[-1] if toks else None
                 if (
                     prev is not None
-                    and prev.kind == IDENT
-                    and text.startswith(prev.text, i - len(prev.text))
+                    and prev[0] == IDENT
+                    and text.startswith(prev[1], i - len(prev[1]))
                 ):
                     # continues the identifier just before it, e.g. the £ of a£b;
                     # nothing skipped (blanks, comments, bodies) ends with an
                     # identifier char
-                    prev.text += text[i:j]
+                    toks[-1] = (IDENT, prev[1] + text[i:j], prev[2])
                 else:
-                    append(JTok(IDENT, text[i:j], line))
+                    append((IDENT, text[i:j], line))
                 i = j
                 continue
-            append(JTok(PUNCT, ch, line))
+            append((PUNCT, ch, line))
             i += 1
             if body is None:
                 if ch == "{":
@@ -300,7 +290,7 @@ class _Body:
         self.parens = self.brackets = 0
         self.call_parens = self.call_braces = self.call_brackets = 0
 
-    def skip(self, text: str, toks: list[JTok], pos: int, line: int):
+    def skip(self, text: str, toks: list[Token], pos: int, line: int):
         """Scan from pos, at line, to the next watched call or to the '}'
         that closes the body.  Returns where tokenizing goes on: (index,
         line, self) at a call's callee, (index past the '}', line, None)
@@ -321,7 +311,7 @@ class _Body:
                         return self.rewind(toks)
                     end = m.start(2)
                     line += text.count("\n", pos, end) - esc
-                    toks.append(JTok(PUNCT, "}", line))
+                    toks.append((PUNCT, "}", line))
                     return end + 1, line, None
             elif code == 1:
                 self.depth += 1
@@ -346,7 +336,7 @@ class _Body:
         # a comment runs to the end of the text, or the body is never closed
         return self.rewind(toks)
 
-    def track(self, ch: str, text: str, toks: list[JTok], pos: int, line: int):
+    def track(self, ch: str, text: str, toks: list[Token], pos: int, line: int):
         """Follow one bracket (or '@') of the watched call being tokenized.
         Once its ')' closes the call, the scan of the body goes on; a call
         whose braces or brackets do not balance, or that holds an
@@ -375,7 +365,7 @@ class _Body:
             return self.rewind(toks)
         return pos, line, self
 
-    def rewind(self, toks: list[JTok]):
+    def rewind(self, toks: list[Token]):
         """Drop what was emitted for the body; go on just past its '{'."""
         del toks[self.ntoks:]
         return self.pos, self.line, None
@@ -397,7 +387,7 @@ def _is_call(text: str, start: int, end: int) -> bool:
         while run and (text[run - 1] > "\x7f" or text[run - 1] in _WORD_OR_DOT):
             run -= 1
         last = _lex_run(text[run:end])[-1]
-        if last.kind != IDENT or last.text != text[start:end]:
+        if last[0] != IDENT or last[1] != text[start:end]:
             return False
     return _CALL_OPEN.match(text, end) is not None
 
@@ -433,7 +423,7 @@ class FileDecls:
     types: list[RawType] = field(default_factory=list)
 
 
-def scan_declarations(toks: list[JTok]) -> FileDecls:
+def scan_declarations(toks: list[Token]) -> FileDecls:
     """Phase one: package, imports, and type declaration skeletons."""
     decls = FileDecls(package=None, imports=[])
     for _ in _scan(toks, decls, final=True):
@@ -442,7 +432,7 @@ def scan_declarations(toks: list[JTok]) -> FileDecls:
 
 
 # The tokens _scan does more with than clear pending annotations.
-_SCAN_PUNCT = frozenset("{};=()@")
+_SCAN_PUNCT = frozenset("{};=()[]@")
 _SCAN_WORDS = frozenset(["package", "import", *TYPE_KEYWORDS])
 
 # A construct that a '{' leaves open is read again at each later '{' until
@@ -452,7 +442,7 @@ _SCAN_WORDS = frozenset(["package", "import", *TYPE_KEYWORDS])
 _MAX_STALLS = 16
 
 
-def _scan(toks: list[JTok], decls: FileDecls, final: bool):
+def _scan(toks: list[Token], decls: FileDecls, final: bool):
     """scan_declarations' reading of toks into decls, as a generator.
 
     Unless final, toks grows: tokenize_java resumes the generator each
@@ -460,17 +450,28 @@ def _scan(toks: list[JTok], decls: FileDecls, final: bool):
     before a construct (annotation, import clause, type header) that runs
     past that brace, and yields None unless the brace opens a member body:
     one at the member level of a type body (or of the file), outside
-    parentheses, with no annotation pending, that is not a type body or
-    part of a construct.  For a member body it yields whether the body is
-    guarded: in a field initializer or an enum's constant list, where
-    extract_members counts its parentheses and brackets along with its
-    braces.
+    parentheses and brackets, with no annotation pending, that is not a
+    type body or part of a construct.  For a member body it yields whether
+    the body is guarded: in a field initializer or an enum's constant list,
+    where extract_members counts its parentheses and brackets along with
+    its braces.  Such a construct stays guarded up to a ';' at member level
+    where it has closed all it opened; a '{' where it has closed more than
+    it opened opens no member body, and neither does any '{' of a type
+    declared inside it.
     """
     depth = 0
     open_types: list[tuple[RawType, int]] = []  # (type, depth of its body)
     pending: list[AnnotationUse] = []
-    parens = 0
+    parens = brackets = 0  # open anywhere in the file
     guarded = False
+    # What the guarded construct has opened and not closed since it began:
+    # parentheses and braces, and brackets.  extract_members ends it at a
+    # ';' (or a field initializer at a ',') where its own count is 0.
+    nest = nest_brackets = 0
+    # The body depth of the outermost type declared inside a guarded
+    # construct, or 0: extract_members reads such a type's tokens as part of
+    # the construct, so none of its braces opens a member body.
+    opaque = 0
     member_body = -1  # the last '{' read that opens a member body
     stall_at = -1  # the start of the construct left open
     stalls = 0  # how often it was
@@ -478,37 +479,57 @@ def _scan(toks: list[JTok], decls: FileDecls, final: bool):
     while True:
         n = len(toks)
         while i < n:
-            tok = toks[i]
-            if tok.kind == PUNCT:
-                text = tok.text
+            kind, text, _ = toks[i]
+            if kind == PUNCT:
                 if text not in _SCAN_PUNCT:
                     i += 1
                     continue
                 if text == "{":
-                    if not (pending or parens) and (
-                        depth == 0 or (open_types and depth == open_types[-1][1])
+                    if (
+                        not (pending or parens or brackets or opaque)
+                        and (depth == 0 or (open_types and depth == open_types[-1][1]))
+                        # a ',' or ';' in the body would end the construct
+                        and not (guarded and (nest < 0 or nest_brackets < 0))
                     ):
                         member_body = i
                     depth += 1
+                    nest += 1
                 elif text == "}":
                     depth -= 1
+                    nest -= 1
                     if open_types and depth < open_types[-1][1]:
                         raw, _ = open_types.pop()
                         raw.body_end = i
-                        guarded = False
+                        if depth < opaque:
+                            opaque = 0
+                        elif not opaque:
+                            guarded = False
                 elif text == ";":
                     pending = []
-                    if depth == 0 or (open_types and depth == open_types[-1][1]):
+                    if (
+                        depth == 0 or (open_types and depth == open_types[-1][1])
+                    ) and not (nest or nest_brackets):
                         guarded = False
                 elif text == "=":
-                    if depth == 0 or (open_types and depth == open_types[-1][1]):
+                    if not guarded and (
+                        depth == 0 or (open_types and depth == open_types[-1][1])
+                    ):
                         guarded = True
+                        nest = nest_brackets = 0
                 elif text == "(":
                     parens += 1
+                    nest += 1
                 elif text == ")":
                     parens -= 1
+                    nest -= 1
+                elif text == "[":
+                    brackets += 1
+                    nest_brackets += 1
+                elif text == "]":
+                    brackets -= 1
+                    nest_brackets -= 1
                 elif text == "@":
-                    if i + 1 < n and toks[i + 1].text == "interface":
+                    if i + 1 < n and toks[i + 1][1] == "interface":
                         # annotation type declaration: let the 'interface'
                         # branch record it
                         i += 1
@@ -516,31 +537,34 @@ def _scan(toks: list[JTok], decls: FileDecls, final: bool):
                     anno, j = _parse_annotation(toks, i)
                     if j >= n and not final:
                         break
+                    if guarded:  # extract_members counts the arguments' brackets too
+                        opened, opened_brackets = _nesting(toks, i, j)
+                        nest += opened
+                        nest_brackets += opened_brackets
                     pending.append(anno)
                     i = j
                     continue
                 i += 1
                 continue
-            if tok.kind == IDENT:
-                word = tok.text
-                if word not in _SCAN_WORDS:
-                    if word not in MODIFIERS:
+            if kind == IDENT:
+                if text not in _SCAN_WORDS:
+                    if text not in MODIFIERS:
                         pending = []
                     i += 1
                     continue
-                if word == "package" and depth == 0 and decls.package is None:
+                if text == "package" and depth == 0 and decls.package is None:
                     name, i = _read_dotted(toks, i + 1)
                     decls.package = name
                     continue
-                if word == "import" and depth == 0:
+                if text == "import" and depth == 0:
                     j = i + 1
                     prefix = ""
-                    if j < n and toks[j].text == "static":
+                    if j < n and toks[j][1] == "static":
                         prefix = "static "
                         j += 1
                     parts = []
-                    while j < n and toks[j].text != ";":
-                        parts.append(toks[j].text)
+                    while j < n and toks[j][1] != ";":
+                        parts.append(toks[j][1])
                         j += 1
                     if j >= n and not final:
                         break
@@ -550,26 +574,33 @@ def _scan(toks: list[JTok], decls: FileDecls, final: bool):
                 at_member_level = depth == 0 or (
                     open_types and depth == open_types[-1][1]
                 )
-                prev = toks[i - 1] if i > 0 else None
                 if (
-                    word in TYPE_KEYWORDS
+                    text in TYPE_KEYWORDS
                     and at_member_level
-                    and (prev is None or prev.text != ".")
+                    and (i == 0 or toks[i - 1][1] != ".")
                     and i + 1 < n
-                    and toks[i + 1].kind == IDENT
+                    and toks[i + 1][0] == IDENT
                 ):
                     raw, j = _parse_type_header(toks, i, pending, open_types)
                     if raw is None and not final:
                         break
-                    i = j
+                    if guarded:  # the construct reads on through the header
+                        opened, opened_brackets = _nesting(toks, i, j)
+                        nest += opened
+                        nest_brackets += opened_brackets
                     pending = []
                     if raw is not None:
                         decls.types.append(raw)
                         open_types.append((raw, depth + 1))
                         depth += 1
-                        guarded = raw.kind == "enum"
+                        if guarded:
+                            opaque = opaque or depth
+                        else:
+                            guarded = raw.kind == "enum"
+                            nest = nest_brackets = 0
+                    i = j
                     continue
-                if word not in MODIFIERS:
+                if text not in MODIFIERS:
                     pending = []
                 i += 1
                 continue
@@ -587,18 +618,34 @@ def _scan(toks: list[JTok], decls: FileDecls, final: bool):
         yield guarded if member_body == n - 1 else None
 
 
-def _read_dotted(toks: list[JTok], i: int) -> tuple[str, int]:
+def _nesting(toks: list[Token], lo: int, hi: int) -> tuple[int, int]:
+    """How many parentheses and braces, and how many brackets, toks[lo:hi]
+    opens and does not close (negative where it closes more)."""
+    opened = opened_brackets = 0
+    for _, text, _ in toks[lo:hi]:
+        if text in ("(", "{"):
+            opened += 1
+        elif text in (")", "}"):
+            opened -= 1
+        elif text == "[":
+            opened_brackets += 1
+        elif text == "]":
+            opened_brackets -= 1
+    return opened, opened_brackets
+
+
+def _read_dotted(toks: list[Token], i: int) -> tuple[str, int]:
     parts = []
     n = len(toks)
-    while i < n and toks[i].kind == IDENT:
-        parts.append(toks[i].text)
+    while i < n and toks[i][0] == IDENT:
+        parts.append(toks[i][1])
         i += 1
-        if i < n and toks[i].text == ".":
+        if i < n and toks[i][1] == ".":
             parts.append(".")
             i += 1
         else:
             break
-    if i < n and toks[i].text == ";":
+    if i < n and toks[i][1] == ";":
         i += 1
     return "".join(parts), i
 
@@ -606,19 +653,19 @@ def _read_dotted(toks: list[JTok], i: int) -> tuple[str, int]:
 def _parse_type_header(toks, i, pending, open_types):
     """From the class/interface/enum/record keyword to its opening brace."""
     n = len(toks)
-    kind = toks[i].text
+    kind = toks[i][1]
     name_tok = toks[i + 1]
     i += 2
-    if i < n and toks[i].text == "<":
+    if i < n and toks[i][1] == "<":
         i = _skip_balanced(toks, i, "<", ">")
     components = ()
-    if kind == "record" and i < n and toks[i].text == "(":
+    if kind == "record" and i < n and toks[i][1] == "(":
         j = _skip_balanced(toks, i, "(", ")")
         components = tuple(_parse_param_list(toks[i + 1 : j - 1]))
         i = j
     supers: list[str] = []
-    while i < n and toks[i].text != "{":
-        word = toks[i].text
+    while i < n and toks[i][1] != "{":
+        word = toks[i][1]
         if word in ("extends", "implements"):
             i += 1
             names, i = _parse_type_list(toks, i)
@@ -632,11 +679,11 @@ def _parse_type_header(toks, i, pending, open_types):
         return None, n
     nesting = tuple(rt.simple_name for rt, _ in open_types)
     raw = RawType(
-        simple_name=name_tok.text,
+        simple_name=name_tok[1],
         kind="interface" if kind == "interface" else kind,
         supertype_names=tuple(supers),
         annotations=tuple(pending),
-        line=name_tok.line,
+        line=name_tok[2],
         nesting=nesting,
         body_start=i + 1,
         components=components,
@@ -649,11 +696,11 @@ def _parse_type_list(toks, i):
     annotations, up to a structural stop."""
     names = []
     n = len(toks)
-    current: list[JTok] = []
+    current: list[Token] = []
     angles = 0  # depth inside type arguments
     while i < n:
         t = toks[i]
-        text = t.text
+        text = t[1]
         if text == "@":
             # arguments and all, though they hold braces or commas
             _, i = _parse_annotation(toks, i)
@@ -683,7 +730,7 @@ def _skip_balanced(toks, i, open_ch, close_ch):
     depth = 0
     n = len(toks)
     while i < n:
-        t = toks[i].text
+        t = toks[i][1]
         if t == open_ch:
             depth += 1
         elif t == close_ch:
@@ -694,11 +741,11 @@ def _skip_balanced(toks, i, open_ch, close_ch):
     return n
 
 
-def _render_type(tokens: list[JTok]) -> str:
+def _render_type(tokens: list[Token]) -> str:
     """Render type tokens the way a reader would write them."""
     out: list[str] = []
     for tok in tokens:
-        text = tok.text
+        text = tok[1]
         if text == ",":
             out.append(", ")
         elif text in ("<", ">", "[", "]", ".", "(", ")"):
@@ -716,20 +763,20 @@ def _render_type(tokens: list[JTok]) -> str:
 def _parse_annotation(toks, i):
     """i points at '@'; returns (AnnotationUse, next index)."""
     n = len(toks)
-    at_line = toks[i].line
+    at_line = toks[i][2]
     i += 1
     name_parts = []
-    while i < n and toks[i].kind == IDENT:
-        name_parts.append(toks[i].text)
+    while i < n and toks[i][0] == IDENT:
+        name_parts.append(toks[i][1])
         i += 1
-        if i < n and toks[i].text == "." and i + 1 < n and toks[i + 1].kind == IDENT:
+        if i < n and toks[i][1] == "." and i + 1 < n and toks[i + 1][0] == IDENT:
             name_parts.append(".")
             i += 1
         else:
             break
     name = "".join(name_parts)
     attrs: dict[str, list[str]] = {}
-    if i < n and toks[i].text == "(":
+    if i < n and toks[i][1] == "(":
         j = _skip_balanced(toks, i, "(", ")")
         inner = toks[i + 1 : j - 1]
         attrs = _parse_annotation_args(inner)
@@ -737,15 +784,15 @@ def _parse_annotation(toks, i):
     return AnnotationUse(name=name, attrs=attrs, line=at_line), i
 
 
-def _parse_annotation_args(tokens: list[JTok]) -> dict[str, list[str]]:
+def _parse_annotation_args(tokens: list[Token]) -> dict[str, list[str]]:
     if not tokens:
         return {}
     attrs: dict[str, list[str]] = {}
     for part in _split_top_level(tokens, ","):
         if not part:
             continue
-        if len(part) >= 2 and part[0].kind == IDENT and part[1].text == "=":
-            key = part[0].text
+        if len(part) >= 2 and part[0][0] == IDENT and part[1][1] == "=":
+            key = part[0][1]
             values = _parse_annotation_value(part[2:])
         else:
             key = "value"
@@ -755,10 +802,10 @@ def _parse_annotation_args(tokens: list[JTok]) -> dict[str, list[str]]:
     return attrs
 
 
-def _parse_annotation_value(tokens: list[JTok]) -> list[str]:
+def _parse_annotation_value(tokens: list[Token]) -> list[str]:
     if not tokens:
         return []
-    if tokens[0].text == "{" and tokens[-1].text == "}":
+    if tokens[0][1] == "{" and tokens[-1][1] == "}":
         values = []
         for part in _split_top_level(tokens[1:-1], ","):
             if part:
@@ -767,21 +814,22 @@ def _parse_annotation_value(tokens: list[JTok]) -> list[str]:
     return [_render_annotation_scalar(tokens)]
 
 
-def _render_annotation_scalar(tokens: list[JTok]) -> str:
-    if len(tokens) == 1 and tokens[0].kind == STRING:
-        return decode_java_string(tokens[0].text)
-    return "".join(t.text for t in tokens)
+def _render_annotation_scalar(tokens: list[Token]) -> str:
+    if len(tokens) == 1 and tokens[0][0] == STRING:
+        return decode_java_string(tokens[0][1])
+    return "".join(t[1] for t in tokens)
 
 
-def _split_top_level(tokens: list[JTok], sep: str) -> list[list[JTok]]:
-    parts: list[list[JTok]] = [[]]
+def _split_top_level(tokens: list[Token], sep: str) -> list[list[Token]]:
+    parts: list[list[Token]] = [[]]
     depth = 0
     for tok in tokens:
-        if tok.text in ("(", "{", "["):
+        text = tok[1]
+        if text in ("(", "{", "["):
             depth += 1
-        elif tok.text in (")", "}", "]"):
+        elif text in (")", "}", "]"):
             depth -= 1
-        if tok.text == sep and depth == 0:
+        if text == sep and depth == 0:
             parts.append([])
         else:
             parts[-1].append(tok)
@@ -819,7 +867,7 @@ def decode_java_string(lexeme: str) -> str:
 # -- member extraction --------------------------------------------------------
 
 
-def extract_members(toks: list[JTok], raw: RawType, owner: ClassItem) -> Members:
+def extract_members(toks: list[Token], raw: RawType, owner: ClassItem) -> Members:
     """Phase two: the members and watched call sites of one type body, as
     model items owned by owner.  Call sites are numbered in source order."""
     fields: list[FieldItem] = []
@@ -834,11 +882,10 @@ def extract_members(toks: list[JTok], raw: RawType, owner: ClassItem) -> Members
     pending: list[AnnotationUse] = []
     n = hi
     while i < n:
-        tok = toks[i]
-        text = tok.text
-        if tok.kind == PUNCT:
+        kind, text, line = toks[i]
+        if kind == PUNCT:
             if text == "@":
-                if i + 1 < n and toks[i + 1].text == "interface":
+                if i + 1 < n and toks[i + 1][1] == "interface":
                     i += 1
                     continue
                 anno, i = _parse_annotation(toks, i)
@@ -860,42 +907,42 @@ def extract_members(toks: list[JTok], raw: RawType, owner: ClassItem) -> Members
                 continue
             i += 1
             continue
-        if tok.kind != IDENT:
+        if kind != IDENT:
             pending = []
             i += 1
             continue
         if text in MODIFIERS:
             i += 1
             continue
-        if text in TYPE_KEYWORDS and i + 1 < n and toks[i + 1].kind == IDENT:
+        if text in TYPE_KEYWORDS and i + 1 < n and toks[i + 1][0] == IDENT:
             # nested type: its members belong to its own ClassItem
             j = i + 2
             if text == "record":
                 # its components may hold braces, in annotation arguments
-                if j < n and toks[j].text == "<":
+                if j < n and toks[j][1] == "<":
                     j = _skip_balanced(toks, j, "<", ">")
-                if j < n and toks[j].text == "(":
+                if j < n and toks[j][1] == "(":
                     j = _skip_balanced(toks, j, "(", ")")
-            while j < n and toks[j].text != "{":
+            while j < n and toks[j][1] != "{":
                 j += 1
             i = _skip_balanced(toks, j, "{", "}") if j < n else n
             pending = []
             continue
-        if text == raw.simple_name and i + 1 < n and toks[i + 1].text == "(":
+        if text == raw.simple_name and i + 1 < n and toks[i + 1][1] == "(":
             params, i = _parse_callable_rest(toks, i + 1, n, owner, calls)
-            ctors.append(ConstructorItem(params, tuple(pending), owner, tok.line))
+            ctors.append(ConstructorItem(params, tuple(pending), owner, line))
             pending = []
             continue
         type_text, j = _parse_type_ref(toks, i, n)
-        if type_text is None or j >= n or toks[j].kind != IDENT:
+        if type_text is None or j >= n or toks[j][0] != IDENT:
             pending = []
             i += 1
             continue
         name_tok = toks[j]
-        if j + 1 < n and toks[j + 1].text == "(":
+        if j + 1 < n and toks[j + 1][1] == "(":
             params, i = _parse_callable_rest(toks, j + 1, n, owner, calls)
             methods.append(
-                MethodItem(name_tok.text, type_text, params, tuple(pending), owner, name_tok.line)
+                MethodItem(name_tok[1], type_text, params, tuple(pending), owner, name_tok[2])
             )
             pending = []
             continue
@@ -932,7 +979,7 @@ def _skip_enum_constants(toks, lo, hi, owner, calls):
     depth = 0
     i = lo
     while i < hi:
-        text = toks[i].text
+        text = toks[i][1]
         if text in ("(", "{"):
             depth += 1
         elif text in (")", "}"):
@@ -951,24 +998,24 @@ def _parse_type_ref(toks, i, n):
     Returns (rendered text, next index) or (None, i) when toks[i] does
     not start a type.
     """
-    if i >= n or toks[i].kind != IDENT:
+    if i >= n or toks[i][0] != IDENT:
         return None, i
     collected = [toks[i]]
     i += 1
-    while i + 1 < n and toks[i].text == "." and toks[i + 1].kind == IDENT:
+    while i + 1 < n and toks[i][1] == "." and toks[i + 1][0] == IDENT:
         collected.append(toks[i])
         collected.append(toks[i + 1])
         i += 2
-    if i < n and toks[i].text == "<":
+    if i < n and toks[i][1] == "<":
         j = _skip_balanced(toks, i, "<", ">")
         collected.extend(toks[i:j])
         i = j
-    while i + 1 < n and toks[i].text == "[" and toks[i + 1].text == "]":
+    while i + 1 < n and toks[i][1] == "[" and toks[i + 1][1] == "]":
         collected.append(toks[i])
         collected.append(toks[i + 1])
         i += 2
     # varargs
-    if i + 2 < n and toks[i].text == "." and toks[i + 1].text == "." and toks[i + 2].text == ".":
+    if i + 2 < n and toks[i][1] == "." and toks[i + 1][1] == "." and toks[i + 2][1] == ".":
         collected.extend(toks[i : i + 3])
         i += 3
     return _render_type(collected), i
@@ -980,11 +1027,11 @@ def _parse_callable_rest(toks, i, n, owner, calls):
     (params, index past the declaration)."""
     params, i = _parse_params(toks, i, n)
     i = _skip_throws(toks, i, n)
-    if i < n and toks[i].text == "{":
+    if i < n and toks[i][1] == "{":
         end = _skip_balanced(toks, i, "{", "}")
         _scan_calls(toks, i + 1, end - 1, owner, calls)
         return params, end
-    if i < n and toks[i].text == ";":
+    if i < n and toks[i][1] == ";":
         return params, i + 1
     return params, i
 
@@ -1003,10 +1050,10 @@ def _parse_param_list(inner):
         annos = []
         k = 0
         while k < len(part):
-            if part[k].text == "@":
+            if part[k][1] == "@":
                 anno, k = _parse_annotation(part, k)
                 annos.append(anno)
-            elif part[k].kind == IDENT and part[k].text == "final":
+            elif part[k][0] == IDENT and part[k][1] == "final":
                 k += 1
             else:
                 break
@@ -1016,7 +1063,7 @@ def _parse_param_list(inner):
         # name is the last identifier; what precedes it is the type
         name_idx = None
         for idx in range(len(rest) - 1, -1, -1):
-            if rest[idx].kind == IDENT:
+            if rest[idx][0] == IDENT:
                 name_idx = idx
                 break
         if name_idx is None or name_idx == 0:
@@ -1025,32 +1072,33 @@ def _parse_param_list(inner):
         name_tok = rest[name_idx]
         suffix = ""
         idx = name_idx + 1
-        while idx + 1 < len(rest) and rest[idx].text == "[" and rest[idx + 1].text == "]":
+        while idx + 1 < len(rest) and rest[idx][1] == "[" and rest[idx + 1][1] == "]":
             suffix += "[]"
             idx += 2
         params.append(
-            (Param(_render_type(type_toks) + suffix, name_tok.text), tuple(annos), name_tok.line)
+            (Param(_render_type(type_toks) + suffix, name_tok[1]), tuple(annos), name_tok[2])
         )
     return params
 
 
-def _split_params(tokens: list[JTok]) -> list[list[JTok]]:
+def _split_params(tokens: list[Token]) -> list[list[Token]]:
     """Split a parameter list at its commas, except those inside brackets
     or a generic type's <...> (the tokenizer emits each '>' of '>>' and
     '>>>' on its own).  Unlike in call and annotation arguments, '<' here
     is never a less-than outside brackets."""
-    parts: list[list[JTok]] = [[]]
+    parts: list[list[Token]] = [[]]
     depth = angles = 0
     for tok in tokens:
-        if tok.text in ("(", "{", "["):
+        text = tok[1]
+        if text in ("(", "{", "["):
             depth += 1
-        elif tok.text in (")", "}", "]"):
+        elif text in (")", "}", "]"):
             depth -= 1
-        elif depth == 0 and tok.text == "<":
+        elif depth == 0 and text == "<":
             angles += 1
-        elif depth == 0 and tok.text == ">":
+        elif depth == 0 and text == ">":
             angles -= 1
-        if tok.text == "," and depth == 0 and angles == 0:
+        if text == "," and depth == 0 and angles == 0:
             parts.append([])
         else:
             parts[-1].append(tok)
@@ -1058,9 +1106,9 @@ def _split_params(tokens: list[JTok]) -> list[list[JTok]]:
 
 
 def _skip_throws(toks, i, n):
-    if i < n and toks[i].kind == IDENT and toks[i].text == "throws":
+    if i < n and toks[i][0] == IDENT and toks[i][1] == "throws":
         i += 1
-        while i < n and toks[i].text not in ("{", ";"):
+        while i < n and toks[i][1] not in ("{", ";"):
             i += 1
     return i
 
@@ -1068,21 +1116,21 @@ def _skip_throws(toks, i, n):
 def _parse_field_decl(toks, j, n, type_text, annos, owner, fields, calls):
     """Field declarators from the first name at j to the closing ';'."""
     while j < n:
-        if toks[j].kind != IDENT:
+        if toks[j][0] != IDENT:
             break
         name_tok = toks[j]
         suffix = ""
         j += 1
-        while j + 1 < n and toks[j].text == "[" and toks[j + 1].text == "]":
+        while j + 1 < n and toks[j][1] == "[" and toks[j + 1][1] == "]":
             suffix += "[]"
             j += 2
-        fields.append(FieldItem(name_tok.text, type_text + suffix, annos, owner, name_tok.line))
-        if j < n and toks[j].text == "=":
+        fields.append(FieldItem(name_tok[1], type_text + suffix, annos, owner, name_tok[2]))
+        if j < n and toks[j][1] == "=":
             j += 1
             init_start = j
             depth = 0
             while j < n:
-                text = toks[j].text
+                text = toks[j][1]
                 if text in ("(", "{", "["):
                     depth += 1
                 elif text in (")", "}", "]"):
@@ -1091,11 +1139,11 @@ def _parse_field_decl(toks, j, n, type_text, annos, owner, fields, calls):
                     break
                 j += 1
             _scan_calls(toks, init_start, j, owner, calls)
-        if j < n and toks[j].text == ",":
+        if j < n and toks[j][1] == ",":
             j += 1
             continue
         break
-    while j < n and toks[j].text != ";":
+    while j < n and toks[j][1] != ";":
         j += 1
     return j + 1 if j < n else n
 
@@ -1105,16 +1153,16 @@ def _scan_calls(toks, lo, hi, owner, calls):
     owner, numbered on from len(calls); nested calls are found too."""
     j = lo
     while j < hi:
-        tok = toks[j]
+        kind, text, line = toks[j]
         if (
-            tok.kind == IDENT
-            and tok.text in WATCHED_CALLEES
+            kind == IDENT
+            and text in WATCHED_CALLEES
             and j + 1 < hi
-            and toks[j + 1].text == "("
+            and toks[j + 1][1] == "("
         ):
             args = _parse_call_args(toks, j + 1, hi)
             calls.append(
-                CallSite(tok.text, args, owner, owner.file_path, tok.line, ordinal=len(calls))
+                CallSite(text, args, owner, owner.file_path, line, ordinal=len(calls))
             )
         j += 1
 
@@ -1132,20 +1180,20 @@ def _parse_call_args(toks, i, hi):
     return tuple(args)
 
 
-def _classify_arg(part: list[JTok]) -> str | None:
-    if len(part) == 1 and part[0].kind == STRING:
-        return decode_java_string(part[0].text)
+def _classify_arg(part: list[Token]) -> str | None:
+    if len(part) == 1 and part[0][0] == STRING:
+        return decode_java_string(part[0][1])
     # Foo.class or com.acme.Foo.class
     if (
         len(part) >= 3
-        and part[-1].kind == IDENT
-        and part[-1].text == "class"
-        and part[-2].text == "."
+        and part[-1][0] == IDENT
+        and part[-1][1] == "class"
+        and part[-2][1] == "."
     ):
         ok = all(
-            (t.kind == IDENT if idx % 2 == 0 else t.text == ".")
+            (t[0] == IDENT if idx % 2 == 0 else t[1] == ".")
             for idx, t in enumerate(part)
         )
         if ok:
-            return "".join(t.text for t in part)
+            return "".join(t[1] for t in part)
     return None

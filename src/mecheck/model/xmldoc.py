@@ -71,6 +71,11 @@ def parse_xml(abs_path: Path, rel_path: str) -> XmlFile:
             exc.lineno,
             exc.offset + 1,
         ) from exc
+    finally:
+        # The handlers refer to the parser; dropping them breaks that
+        # cycle, so the parser is freed when this returns, not by a
+        # cyclic garbage collection.
+        parser.StartElementHandler = parser.EndElementHandler = None
 
     if not root_holder:
         raise MalformedXmlError(rel_path, "no root element", 1, 1)

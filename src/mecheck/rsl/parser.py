@@ -34,6 +34,7 @@ predicate of exists.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, TypeVar
 
 from mecheck.rsl import ast
@@ -307,7 +308,14 @@ class _Parser:
             return ast.Literal(value, "char", self.span(tok, tok))
         if tok.kind == lexer.INT:
             self.advance()
-            return ast.Literal(int(tok.lexeme), "int", self.span(tok, tok))
+            try:
+                value = int(tok.lexeme)
+            except ValueError:  # more digits than int() converts
+                limit = sys.get_int_max_str_digits()
+                raise RslSyntaxError(
+                    f"an integer of at most {limit} digits", tok, tok.line, tok.column
+                ) from None
+            return ast.Literal(value, "int", self.span(tok, tok))
         if tok.kind == lexer.FLOAT:
             self.advance()
             return ast.Literal(float(tok.lexeme), "float", self.span(tok, tok))

@@ -451,12 +451,13 @@ class Interpreter:
             keyed = self._compile_exp(plan.keyed, inner)
             probe = self._compile_exp(plan.probe, inner)
             probe_first = plan.probe_first
-            index_lookup = self._index_lookup
+            indexes, rule_name = self.cache.exists_indexes, self._rule_name
 
         def exists(slots):
             items = container(slots)
             if plan is not None and isinstance(items, list) and items:
-                found = index_lookup(exp, items, keyed, probe, probe_first, slots, slot)
+                found = _index_lookup(indexes, stats, rule_name, exp, items, keyed, probe,
+                                      probe_first, slots, slot)
                 if found is not None:
                     return found
             for element in _iteration_items(items):
@@ -474,70 +475,75 @@ class Interpreter:
         rule_name = self._rule_name
         return lambda: RuntimeRuleError(rule_name, cause, span.line, span.column)
 
-    # -- indexed exists ------------------------------------------------------------
 
-    def _index_lookup(
-        self,
-        exp: ast.Exists,
-        container: list,
-        keyed: CompiledExp,
-        probe: CompiledExp,
-        probe_first: bool,
-        slots: list,
-        slot: int,
-    ) -> bool | None:
-        """Answer a non-empty exists from its index, counting and failing
-        as the scan would; None means the scan must answer.  slot is the
-        exists variable's."""
-        indexes = self.cache.exists_indexes
-        index_id = (id(exp), id(container))
-        index = indexes.get(index_id)
-        if index is None:
-            index = indexes[index_id] = ExistsIndex(exp, container)
-        stats = self.stats
-        # the scan's first iteration evaluates f(x0) before a right-hand e
-        if not probe_first and index.built == 0 and not index.complete():
-            self._grow_index(index, keyed, slots, slot)
-        pos = None
-        # unless f(x0) failed, which ends the scan before e is evaluated
-        if probe_first or index.built > 0 or index.error is None:
-            try:
-                value = probe(slots)
-            except RuntimeRuleError:
-                stats.exists_predicate_evals += 1
-                raise
-            key = V.index_key(value)
-            if key is None:
-                return None
-            pos = index.first.get(key)
-            while pos is None and not index.complete():
-                self._grow_index(index, keyed, slots, slot)
-                pos = index.first.get(key)
-            if pos is None and index.unkeyed:
-                return None
-        stats.exists_index_lookups += 1
-        if pos is not None:
-            stats.exists_predicate_evals += pos + 1
-            return True
-        if index.error is not None:
-            stats.exists_predicate_evals += index.built + 1
-            raise RuntimeRuleError(self._rule_name, *index.error)
-        stats.exists_predicate_evals += len(container)
-        return False
+# -- indexed exists ------------------------------------------------------------
 
-    @staticmethod
-    def _grow_index(index: ExistsIndex, keyed: CompiledExp, slots: list, slot: int) -> None:
-        """Evaluate f at the next unindexed position."""
-        pos = index.built
-        slots[slot] = index.container[pos]
+
+def _index_lookup(
+    indexes: dict[tuple[int, int], ExistsIndex],
+    stats: EvalStats,
+    rule_name: str,
+    exp: ast.Exists,
+    container: list,
+    keyed: CompiledExp,
+    probe: CompiledExp,
+    probe_first: bool,
+    slots: list,
+    slot: int,
+) -> bool | None:
+    """Answer a non-empty exists from its index, counting and failing
+    as the scan would; None means the scan must answer.  slot is the
+    exists variable's.  It is given the cache's indexes, the stats and the
+    rule name rather than the interpreter, so that a compiled rule holds no
+    reference back to its interpreter and both are freed by reference
+    counting."""
+    index_id = (id(exp), id(container))
+    index = indexes.get(index_id)
+    if index is None:
+        index = indexes[index_id] = ExistsIndex(exp, container)
+    # the scan's first iteration evaluates f(x0) before a right-hand e
+    if not probe_first and index.built == 0 and not index.complete():
+        _grow_index(index, keyed, slots, slot)
+    pos = None
+    # unless f(x0) failed, which ends the scan before e is evaluated
+    if probe_first or index.built > 0 or index.error is None:
         try:
-            value = keyed(slots)
-        except RuntimeRuleError as exc:
-            index.error = (exc.cause, exc.line, exc.column)
-            return
+            value = probe(slots)
+        except RuntimeRuleError:
+            stats.exists_predicate_evals += 1
+            raise
         key = V.index_key(value)
         if key is None:
-            index.unkeyed = True
-            return
-        index.first.setdefault(key, pos)
-        index.built = pos + 1
+            return None
+        pos = index.first.get(key)
+        while pos is None and not index.complete():
+            _grow_index(index, keyed, slots, slot)
+            pos = index.first.get(key)
+        if pos is None and index.unkeyed:
+            return None
+    stats.exists_index_lookups += 1
+    if pos is not None:
+        stats.exists_predicate_evals += pos + 1
+        return True
+    if index.error is not None:
+        stats.exists_predicate_evals += index.built + 1
+        raise RuntimeRuleError(rule_name, *index.error)
+    stats.exists_predicate_evals += len(container)
+    return False
+
+
+def _grow_index(index: ExistsIndex, keyed: CompiledExp, slots: list, slot: int) -> None:
+    """Evaluate f at the next unindexed position."""
+    pos = index.built
+    slots[slot] = index.container[pos]
+    try:
+        value = keyed(slots)
+    except RuntimeRuleError as exc:
+        index.error = (exc.cause, exc.line, exc.column)
+        return
+    key = V.index_key(value)
+    if key is None:
+        index.unkeyed = True
+        return
+    index.first.setdefault(key, pos)
+    index.built = pos + 1

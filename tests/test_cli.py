@@ -1,5 +1,9 @@
+import gc
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +12,8 @@ from mecheck import cli
 from mecheck.rsl.parser import MAX_NESTING
 from mecheck.rulepack import default_rules_dir
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 CLEAN = {
     "ctx.xml": "<beans/>",
@@ -204,8 +209,12 @@ AT_BOUND = MAX_NESTING - 2
         (assert_condition("NOT " * 900 + 'isEmpty("")'), 2, "levels of nesting"),
         (assert_condition("(" * AT_BOUND + 'isEmpty("")' + ")" * AT_BOUND), 0, ""),
         (assert_condition("NOT " * AT_BOUND + 'isEmpty("")'), 0, ""),
+        ('Rule huge {\n  String x = substring("abc", ' + "9" * 5000 + ', 1);\n}\n', 2,
+         f"expected an integer of at most {sys.get_int_max_str_digits()} digits, "
+         f"found '{'9' * 5000}' at line 2, column 31"),
     ],
-    ids=["non-decimal-digit", "250-parens", "900-nots", "parens-at-bound", "nots-at-bound"],
+    ids=["non-decimal-digit", "250-parens", "900-nots", "parens-at-bound", "nots-at-bound",
+         "5000-digit-int"],
 )
 def test_rule_pack_mistakes_exit_two_at_load(tmp_path, capsys, rule, code, err):
     root = write_project(tmp_path, CLEAN)
@@ -334,3 +343,66 @@ def test_r5_reads_a_record_canonical_constructor(tmp_path, capsys, index, code):
     assert cli.main(["--project", str(root), "--format", "json"]) == code
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert [r["rule"].split("-", 1)[0] for r in reports] == ["r5"] * code
+
+
+# The two ways a user starts a check in its own process: the `mecheck`
+# console script (which calls run()) and `python -m mecheck.cli`.
+ENTRIES = {
+    "console-script": ["-c", "from mecheck.cli import run; run()"],
+    "module": ["-m", "mecheck.cli"],
+}
+
+
+def run_entry(entry, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *ENTRIES[entry], *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def without_elapsed(stdout):
+    payload = json.loads(stdout)
+    del payload["summary"]["elapsedMs"]
+    return payload
+
+
+def many_findings_project(tmp_path):
+    """A project whose JSON report is larger than a pipe's buffer."""
+    beans = "".join(f'  <bean id="b{i}" class="com.missing.Gone{i}"/>\n' for i in range(600))
+    return write_project(tmp_path, {"beans.xml": f"<beans>\n{beans}</beans>\n"}, sub="many")
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("case, args, code", [
+    ("clean", ["--project", FIXTURES / "combined-clean"], 0),
+    ("findings", ["--project", FIXTURES / "r2" / "buggy-1"], 1),
+    ("findings-json", ["--project", FIXTURES / "r15" / "buggy-1", "--format", "json"], 1),
+    ("no-fail-json", ["--project", FIXTURES / "r6" / "buggy-1", "--format", "json", "--no-fail"], 0),
+    ("missing-project", ["--project", FIXTURES / "no-such-project"], 2),
+    ("bad-flag", ["--project", FIXTURES / "combined-clean", "--format", "xml"], 2),
+])
+def test_console_entries_exit_and_print_as_main_does(entry, case, args, code, capsys):
+    proc = run_entry(entry, args)
+    assert proc.returncode == code, proc.stderr
+    assert cli.main([str(a) for a in args]) == code
+    assert gc.isenabled()  # only run() pauses the collector
+    captured = capsys.readouterr()
+    assert proc.stderr == captured.err
+    if "--format" in args and code != 2:
+        assert without_elapsed(proc.stdout) == without_elapsed(captured.out)
+    else:
+        assert proc.stdout == captured.out
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_console_entries_write_complete_json_to_a_pipe(entry, tmp_path, capsys):
+    root = many_findings_project(tmp_path)
+    args = ["--project", root, "--format", "json"]
+    proc = run_entry(entry, args)
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stdout) > 1 << 16
+    payload = without_elapsed(proc.stdout)
+    assert payload["summary"]["reports"] == len(payload["reports"]) == 600
+    assert cli.main([str(a) for a in args]) == 1
+    assert payload == without_elapsed(capsys.readouterr().out)
+    assert gc.isenabled()

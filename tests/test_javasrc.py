@@ -11,7 +11,6 @@ from mecheck.model.javasrc import (
     NUMBER,
     PUNCT,
     STRING,
-    JTok,
     decode_java_string,
     extract_members,
     scan_declarations,
@@ -36,23 +35,32 @@ def members_of(source, type_index=0):
 
 def test_tokenizer_drops_comments_and_keeps_strings():
     toks = tokenize_java('// line\n/* block\nmore */ String s = "a \\"b\\" c"; char c = \'x\';')
-    texts = [t.text for t in toks]
+    texts = [text for _, text, _ in toks]
     assert texts[0] == "String"
     assert '"a \\"b\\" c"' in texts
-    strings = [t for t in toks if t.kind == STRING]
+    strings = [t for t in toks if t[0] == STRING]
     assert len(strings) == 1
-    chars = [t for t in toks if t.kind == CHAR]
-    assert [t.text for t in chars] == ["'x'"]
+    chars = [t for t in toks if t[0] == CHAR]
+    assert [text for _, text, _ in chars] == ["'x'"]
+
+
+def test_tokens_are_plain_kind_text_line_tuples():
+    assert tokenize_java('class A {\n  String s = "x";\n}') == [
+        (IDENT, "class", 1), (IDENT, "A", 1), (PUNCT, "{", 1),
+        (IDENT, "String", 2), (IDENT, "s", 2), (PUNCT, "=", 2), (STRING, '"x"', 2), (PUNCT, ";", 2),
+        (PUNCT, "}", 3),
+    ]
+    assert {type(tok) for tok in tokenize_java("a£b 1 'c' { f(); }")} == {tuple}
 
 
 def test_tokenizer_line_numbers():
     toks = tokenize_java("class A {\n  int x;\n}")
-    x = [t for t in toks if t.text == "x"][0]
-    assert x.line == 2
+    _, _, line = [t for t in toks if t[1] == "x"][0]
+    assert line == 2
 
 
 def triples(text):
-    return [(t.kind, t.text, t.line) for t in tokenize_java(text)]
+    return tokenize_java(text)
 
 
 @pytest.mark.parametrize(
@@ -117,7 +125,7 @@ def first_member_body(tokens):
     toks = []
     scan = javasrc._scan(toks, javasrc.FileDecls(package=None, imports=[]), final=False)
     for k, tok in enumerate(tokens):
-        toks.append(JTok(*tok))
+        toks.append(tok)
         if tok[:2] == (PUNCT, "{") and next(scan) is not None:
             return k
     return None
@@ -156,7 +164,7 @@ def test_a_construct_left_open_is_read_again_a_bounded_number_of_times(monkeypat
                         lambda toks, i: reads.append(i) or parse_annotation(toks, i))
     toks = tokenize_java("class A { @A( " + "(x){ } " * 1000)
     assert len(reads) == javasrc._MAX_STALLS + 1
-    assert [t.text for t in toks].count("{") == 1001  # no body is skipped
+    assert [text for _, text, _ in toks].count("{") == 1001  # no body is skipped
 
 
 def test_package_imports_and_class():
@@ -560,7 +568,7 @@ def test_call_line_numbers():
     "class A implements I<@B({1}) X>",
 ])
 def test_a_type_header_holding_braces_still_opens_a_type_body(header):
-    texts = [t.text for t in tokenize_java(f"{header} {{ void m() {{ f(); }} }}")]
+    texts = [text for _, text, _ in tokenize_java(f"{header} {{ void m() {{ f(); }} }}")]
     assert texts[-6:] == ["m", "(", ")", "{", "}", "}"]  # the body of m is skipped
 
 
@@ -568,7 +576,7 @@ def test_a_type_header_holding_braces_still_opens_a_type_body(header):
 def test_only_initializers_and_enum_constants_need_balanced_bodies(before):
     # a body whose parentheses do not balance is skipped outside a field
     # initializer or an enum's constant list
-    texts = [t.text for t in tokenize_java(f"class A {{ {before} void m() {{ f(; }} }}")]
+    texts = [text for _, text, _ in tokenize_java(f"class A {{ {before} void m() {{ f(; }} }}")]
     assert texts[-4:] == [")", "{", "}", "}"]
 
 

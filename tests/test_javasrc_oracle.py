@@ -8,14 +8,13 @@ and call sites, with the same annotations, lines and ordinals; a built
 model must hold the same classes and warnings.
 """
 
-import importlib.util
 import os
-import sys
 from pathlib import Path
 
 import pytest
 import reference_javasrc
-from hypothesis import HealthCheck, given, settings
+from benchgen import write_workload
+from hypothesis import HealthCheck, example, given, settings
 from javagen import java_sources
 
 from mecheck.model import javasrc, project
@@ -23,8 +22,6 @@ from mecheck.model.items import ClassItem
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
-# One bench/gen.py project per workload, generated from this seed.
-BENCH_SEED = 7
 
 
 def annos(annotations):
@@ -98,22 +95,9 @@ def test_fixture_files_match_reference():
         assert front_end_view(javasrc, text) == front_end_view(reference_javasrc, text), path
 
 
-def load_bench_gen():
-    """bench/gen.py, imported from its file; it is only read."""
-    if "bench_gen" not in sys.modules:
-        spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["bench_gen"] = module  # its dataclasses look their module up
-        spec.loader.exec_module(module)
-    return sys.modules["bench_gen"]
-
-
 @pytest.mark.parametrize("workload", ["java-wide", "getbean-lookups", "bean-props"])
 def test_bench_workload_models_match_reference(workload, tmp_path, monkeypatch):
-    gen = load_bench_gen()
-    files, _ = gen.generate(workload, BENCH_SEED)
-    gen.write_tree(files, tmp_path / "project")
-    assert_same_model(tmp_path / "project", monkeypatch)
+    assert_same_model(write_workload(workload, tmp_path / "project"), monkeypatch)
 
 
 def test_member_bodies_keep_only_watched_calls():
@@ -126,7 +110,7 @@ def test_member_bodies_keep_only_watched_calls():
         "  }\n"
         "}\n"
     )
-    toks = [(t.text, t.line) for t in javasrc.tokenize_java(text)]
+    toks = [(tok[1], tok[2]) for tok in javasrc.tokenize_java(text)]
     assert toks == [
         ("class", 1), ("A", 1), ("{", 1),
         ("int", 2), ("f", 2), ("=", 2), ("1", 2), (";", 2),
@@ -146,7 +130,7 @@ def test_bodies_that_could_change_the_parse_are_tokenized_in_full(body):
     text = f"class A {{\n  void m() {{ {body} }}\n}}\n"
     import reference_tokenizer
 
-    assert [(t.kind, t.text, t.line) for t in javasrc.tokenize_java(text)] == \
+    assert javasrc.tokenize_java(text) == \
         reference_tokenizer.tokenize(text)
 
 
@@ -154,7 +138,17 @@ def test_unbalanced_field_initializer_block_is_tokenized_in_full():
     text = "class A {\n  Runnable r = () -> { foo(\"x);\n  };\n  int g;\n}\n"
     view = front_end_view(javasrc, text)
     assert view == front_end_view(reference_javasrc, text)
-    assert "(" in [t.text for t in javasrc.tokenize_java(text)]
+    assert "(" in [tok[1] for tok in javasrc.tokenize_java(text)]
+
+
+# Each was once misread: a '{' was skipped as a member body while
+# extract_members was still inside a field initializer or an enum's
+# constant list, which then no longer ended where it does in the full
+# token stream.  Fields o, h and b were lost, and E gained a field g.
+UNCLOSED_BRACKET_INITIALIZER = "class A{e r={[};{)},o"
+OVERCLOSED_INITIALIZER = "class B{w(}class A{e f=y);e g={1,2};e h;}"
+OVERCLOSED_BY_ANNOTATION = "class A{e f=@A(]) x,{a,b};}"
+TYPE_IN_ENUM_CONSTANTS = "enum E{class B{B(){w(}}e f;e g;}"
 
 
 @pytest.mark.parametrize("text", [
@@ -176,6 +170,14 @@ def test_unbalanced_field_initializer_block_is_tokenized_in_full():
     "package p { class Q { void m() { } } }\nclass R { }\n",
     # callee names inside longer identifiers, next to non-ASCII characters
     "class A {\n  void m() { ½getBean(\"x\"); £getBean(\"y\"); getBean£(\"z\"); x‿getBean(\"w\"); }\n}\n",
+    # a field initializer whose '[' stays open past a ';' at member level
+    UNCLOSED_BRACKET_INITIALIZER,
+    # a field initializer closing more than it opened, after a '(' left open
+    OVERCLOSED_INITIALIZER,
+    # ... or in an annotation's arguments
+    OVERCLOSED_BY_ANNOTATION,
+    # a type declared in an enum's constant list, whose member body opens a '('
+    TYPE_IN_ENUM_CONSTANTS,
 ])
 def test_malformed_declarations_match_reference(text):
     assert front_end_view(javasrc, text) == front_end_view(reference_javasrc, text)
@@ -183,5 +185,9 @@ def test_malformed_declarations_match_reference(text):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(java_sources())
+@example(UNCLOSED_BRACKET_INITIALIZER)
+@example(OVERCLOSED_INITIALIZER)
+@example(OVERCLOSED_BY_ANNOTATION)
+@example(TYPE_IN_ENUM_CONSTANTS)
 def test_generated_sources_match_reference(text):
     assert front_end_view(javasrc, text) == front_end_view(reference_javasrc, text)
