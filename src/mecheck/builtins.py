@@ -37,7 +37,6 @@ import functools
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 
 from mecheck.model.items import (
@@ -51,6 +50,7 @@ from mecheck.model.items import (
     XmlFile,
 )
 from mecheck.model.project import ProjectModel
+from mecheck.record import Record
 from mecheck.runtime.values import MISSING, kind_name
 
 DEFAULT_RESOURCE_ROOTS = ("src/main/resources", "src/test/resources", "WEB-INF")
@@ -216,8 +216,7 @@ SITE_OR_TEXT = ((CallSite, str), "a call site or text")
 TEXT_OR_LIST = ((str, list), "text or a list")
 
 
-@dataclass(frozen=True, slots=True)
-class Builtin:
+class Builtin(Record):
     """One built-in: its contract and its implementation.
 
     Registry.call runs fn(registry, model, args) only when len(args) is in
@@ -226,13 +225,19 @@ class Builtin:
     expected) of checks holds an instance of types.
     """
 
+    __slots__ = ("name", "fn", "arity", "checks", "missing", "on_missing", "cached")
     name: str
     fn: Callable
     arity: range
-    checks: tuple[tuple[int, type | tuple[type, ...], str], ...] = ()
-    missing: tuple[int, ...] = ()
-    on_missing: object = None
-    cached: bool = False
+    checks: tuple[tuple[int, type | tuple[type, ...], str], ...]
+    missing: tuple[int, ...]
+    on_missing: object
+    cached: bool
+
+    def __init__(self, name: str, fn: Callable, arity: range,
+                 checks: tuple[tuple[int, type | tuple[type, ...], str], ...] = (),
+                 missing: tuple[int, ...] = (), on_missing: object = None, cached: bool = False):
+        super().__init__(name, fn, arity, checks, missing, on_missing, cached)
 
 
 # Every built-in, by name, filled by @builtin.

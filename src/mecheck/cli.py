@@ -15,7 +15,6 @@ import argparse
 import gc
 import os
 import sys
-import traceback
 
 from mecheck import builtins as builtins_mod
 from mecheck import runner
@@ -100,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mecheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        import traceback  # only here: importing it costs every check's start
+
         print("mecheck: internal error", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
 
 from mecheck.model.items import (
     AnnotationUse,
@@ -396,31 +395,42 @@ def _is_call(text: str, start: int, end: int) -> bool:
 _lex_run = tokenize_java
 _WORD_OR_DOT = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$.")
 
-@dataclass
+
 class RawType:
     """Phase-one record of one type declaration."""
 
-    simple_name: str
-    kind: str
-    supertype_names: tuple[str, ...]
-    annotations: tuple[AnnotationUse, ...]
-    line: int
-    nesting: tuple[str, ...]  # enclosing simple names, outermost first
-    body_start: int = -1  # first token index inside the body
-    body_end: int = -1  # index of the closing '}'
-    # a record's components: (component, its annotations, its name's line)
-    components: tuple[tuple[Param, tuple[AnnotationUse, ...], int], ...] = ()
+    __slots__ = (
+        "simple_name", "kind", "supertype_names", "annotations", "line", "nesting",
+        "body_start", "body_end", "components",
+    )
+
+    def __init__(self, simple_name: str, kind: str, supertype_names: tuple[str, ...],
+                 annotations: tuple[AnnotationUse, ...], line: int, nesting: tuple[str, ...],
+                 body_start: int = -1, body_end: int = -1,
+                 components: tuple[tuple[Param, tuple[AnnotationUse, ...], int], ...] = ()):
+        self.simple_name = simple_name
+        self.kind = kind
+        self.supertype_names = supertype_names
+        self.annotations = annotations
+        self.line = line
+        self.nesting = nesting  # enclosing simple names, outermost first
+        self.body_start = body_start  # first token index inside the body
+        self.body_end = body_end  # index of the closing '}'
+        # a record's components: (component, its annotations, its name's line)
+        self.components = components
 
     @property
     def chain(self) -> tuple[str, ...]:
         return self.nesting + (self.simple_name,)
 
 
-@dataclass
 class FileDecls:
-    package: str | None
-    imports: list[str]
-    types: list[RawType] = field(default_factory=list)
+    __slots__ = ("package", "imports", "types")
+
+    def __init__(self, package: str | None, imports: list[str], types: list[RawType] | None = None):
+        self.package = package
+        self.imports = imports
+        self.types = [] if types is None else types
 
 
 def scan_declarations(toks: list[Token]) -> FileDecls:

@@ -13,7 +13,9 @@ File discovery is deterministic: relative paths, sorted lexicographically
 with '/' separators.  Directories whose name matches an ignore glob
 (default: target, build, out, .git) are pruned, and files whose name
 matches one are skipped.  Unreadable or malformed files are skipped with
-a warning; a duplicate fully-qualified class name keeps the first
+a warning; so is a .java or .xml path that is not a regular file (a FIFO,
+socket or device, which a read could block on forever), without being
+opened.  A duplicate fully-qualified class name keeps the first
 occurrence in path order and warns about the rest.
 """
 
@@ -21,22 +23,24 @@ from __future__ import annotations
 
 import fnmatch
 import os
-from dataclasses import dataclass
+import stat
 from pathlib import Path
 
 from mecheck.model import javasrc
 from mecheck.model.items import CallSite, ClassItem, XmlFile
 from mecheck.model.xmldoc import MalformedXmlError, parse_xml
+from mecheck.record import Record
 
 DEFAULT_IGNORE_GLOBS = ("target", "build", "out", ".git")
+NOT_REGULAR = "skipped: not a regular file"
 
 
 class RootNotFound(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ModelWarning:
+class ModelWarning(Record):
+    __slots__ = ("path", "message")
     path: str
     message: str
 
@@ -70,6 +74,15 @@ def _is_ignored(name: str, globs: tuple[str, ...]) -> bool:
     return any(fnmatch.fnmatch(name, glob) for glob in globs)
 
 
+def _not_regular(path: Path) -> bool:
+    """Whether path is there but is not a regular file.  A path that
+    cannot be looked up is left to the reader, which reports why."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return False
+
+
 def build_model(
     root: str | Path, ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS
 ) -> ProjectModel:
@@ -100,12 +113,18 @@ def build_model(
     java_paths.sort()
 
     for rel in xml_paths:
+        if _not_regular(root_path / rel):
+            model.warn(rel, NOT_REGULAR)
+            continue
         try:
             model.xml_files.append(parse_xml(root_path / rel, rel))
         except MalformedXmlError as exc:
             model.warn(rel, f"skipped malformed XML: {exc.reason} (line {exc.line})")
 
     for rel in java_paths:
+        if _not_regular(root_path / rel):
+            model.warn(rel, NOT_REGULAR)
+            continue
         try:
             text = (root_path / rel).read_text(encoding="utf-8", errors="replace")
         except OSError as exc:

@@ -1,19 +1,18 @@
 """AST node classes for the RSL rule language.
 
 Every node carries a Span (1-based line/column, end exclusive on the
-column).  Nodes are frozen dataclasses; structural comparison that ignores
-spans is provided by structurally_equal, which the printer round-trip
-tests rely on.
+column).  Nodes are immutable value records (mecheck.record): two nodes
+are equal when they are of the same class and their fields, spans
+included, are equal.  A node's fields are its __slots__, in order.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from mecheck.record import Record
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
+    __slots__ = ("line", "column", "end_line", "end_column")
     line: int
     column: int
     end_line: int
@@ -30,10 +29,13 @@ FIELD = "field"
 TEXT = "String"
 
 
-@dataclass(frozen=True)
-class TypeTag:
+class TypeTag(Record):
+    __slots__ = ("kind", "element_name")
     kind: str
-    element_name: str | None = None
+    element_name: str | None
+
+    def __init__(self, kind: str, element_name: str | None = None):
+        super().__init__(kind, element_name)
 
     def label(self) -> str:
         if self.kind == ELEMENT:
@@ -41,49 +43,49 @@ class TypeTag:
         return self.kind
 
 
-class Exp:
-    pass
+class Exp(Record):
+    __slots__ = ()
 
 
-class Stmt:
-    pass
+class Stmt(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Identifier(Exp):
+    __slots__ = ("name", "span")
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
 class Literal(Exp):
+    __slots__ = ("value", "kind", "span")
     value: str | int | float
     kind: str  # "string" | "char" | "int" | "float"
     span: Span
 
 
-@dataclass(frozen=True)
 class FunctionCall(Exp):
+    __slots__ = ("name", "args", "span")
     name: str
     args: tuple[Exp, ...]
     span: Span
 
 
-@dataclass(frozen=True)
 class Paren(Exp):
+    __slots__ = ("inner", "span")
     inner: Exp
     span: Span
 
 
-@dataclass(frozen=True)
 class Eq(Exp):
+    __slots__ = ("lhs", "rhs", "span")
     lhs: FunctionCall
     rhs: Exp
     span: Span
 
 
-@dataclass(frozen=True)
 class Exists(Exp):
+    __slots__ = ("decl_type", "var", "container", "predicate", "span")
     decl_type: TypeTag
     var: str
     container: Exp
@@ -91,35 +93,35 @@ class Exists(Exp):
     span: Span
 
 
-@dataclass(frozen=True)
 class And(Exp):
+    __slots__ = ("left", "right", "span")
     left: Exp
     right: Exp
     span: Span
 
 
-@dataclass(frozen=True)
 class Or(Exp):
+    __slots__ = ("left", "right", "span")
     left: Exp
     right: Exp
     span: Span
 
 
-@dataclass(frozen=True)
 class Not(Exp):
+    __slots__ = ("operand", "span")
     operand: Exp
     span: Span
 
 
-@dataclass(frozen=True)
-class MsgStmt:
+class MsgStmt(Record):
+    __slots__ = ("template", "args", "span")
     template: str
     args: tuple[Exp, ...]
     span: Span
 
 
-@dataclass(frozen=True)
 class ForStmt(Stmt):
+    __slots__ = ("decl_type", "var", "container", "body", "span")
     decl_type: TypeTag
     var: str
     container: Exp
@@ -127,48 +129,30 @@ class ForStmt(Stmt):
     span: Span
 
 
-@dataclass(frozen=True)
 class IfStmt(Stmt):
+    __slots__ = ("cond", "body", "span")
     cond: Exp
     body: tuple[Stmt, ...]
     span: Span
 
 
-@dataclass(frozen=True)
 class AssertStmt(Stmt):
+    __slots__ = ("cond", "message", "span")
     cond: Exp
     message: MsgStmt
     span: Span
 
 
-@dataclass(frozen=True)
 class DeclStmt(Stmt):
+    __slots__ = ("decl_type", "var", "init", "span")
     decl_type: TypeTag
     var: str
     init: Exp
     span: Span
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
+    __slots__ = ("name", "body", "span")
     name: str
     body: tuple[Stmt, ...]
     span: Span
-
-
-def structurally_equal(a: object, b: object) -> bool:
-    """Compare two AST fragments, ignoring Span fields."""
-    if type(a) is not type(b):
-        return False
-    if dataclasses.is_dataclass(a):
-        for f in dataclasses.fields(a):
-            if f.type == "Span" or isinstance(getattr(a, f.name), Span):
-                continue
-            if not structurally_equal(getattr(a, f.name), getattr(b, f.name)):
-                return False
-        return True
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(
-            structurally_equal(x, y) for x, y in zip(a, b)
-        )
-    return a == b

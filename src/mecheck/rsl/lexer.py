@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass
 
 KEYWORDS = frozenset(
     [
@@ -43,12 +42,16 @@ PUNCT = "punctuation"
 ELEMENT_TYPE = "element-type"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    lexeme: str
-    line: int
-    column: int
+    """One token: its kind, its text as written, and where it starts."""
+
+    __slots__ = ("kind", "lexeme", "line", "column")
+
+    def __init__(self, kind: str, lexeme: str, line: int, column: int):
+        self.kind = kind
+        self.lexeme = lexeme
+        self.line = line
+        self.column = column
 
 
 class LexError(Exception):

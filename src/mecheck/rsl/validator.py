@@ -8,9 +8,8 @@ Returns diagnostics instead of raising so callers can report them all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mecheck import builtins as registry_mod
+from mecheck.record import Record
 from mecheck.rsl import ast
 
 UNDECLARED_VARIABLE = "undeclared-variable"
@@ -18,8 +17,8 @@ UNKNOWN_BUILTIN = "unknown-builtin"
 BUILTIN_ARITY = "builtin-arity"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "line", "column")
     code: str
     message: str
     line: int

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from mecheck import builtins as builtins_mod
 from mecheck import rulepack
 from mecheck.model.project import DEFAULT_IGNORE_GLOBS, ProjectModel, build_model
+from mecheck.record import Record
 from mecheck.runtime.cache import QueryCache
 from mecheck.runtime.interpreter import BugReport, Interpreter, RuntimeRuleError
 
@@ -22,24 +22,41 @@ TEXT = "text"
 JSON = "json"
 
 
-@dataclass(frozen=True)
-class CheckerConfig:
+class CheckerConfig(Record):
+    __slots__ = (
+        "project_root", "rules_dir", "lib_patterns_file", "resource_roots",
+        "ignore_globs", "use_cache",
+    )
     project_root: str
-    rules_dir: str | None = None
-    lib_patterns_file: str | None = None
-    resource_roots: tuple[str, ...] = builtins_mod.DEFAULT_RESOURCE_ROOTS
-    ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS
-    use_cache: bool = True
+    rules_dir: str | None
+    lib_patterns_file: str | None
+    resource_roots: tuple[str, ...]
+    ignore_globs: tuple[str, ...]
+    use_cache: bool
+
+    def __init__(self, project_root: str, rules_dir: str | None = None,
+                 lib_patterns_file: str | None = None,
+                 resource_roots: tuple[str, ...] = builtins_mod.DEFAULT_RESOURCE_ROOTS,
+                 ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS, use_cache: bool = True):
+        super().__init__(
+            project_root, rules_dir, lib_patterns_file, resource_roots, ignore_globs, use_cache
+        )
 
 
-@dataclass
 class RunSummary:
-    reports: list[BugReport] = field(default_factory=list)
-    rules_executed: int = 0
-    diagnostics: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    cache_stats: dict[str, int] = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    """What one check found and did; run_checker fills it in."""
+
+    __slots__ = (
+        "reports", "rules_executed", "diagnostics", "warnings", "cache_stats", "elapsed_ms",
+    )
+
+    def __init__(self):
+        self.reports: list[BugReport] = []
+        self.rules_executed = 0
+        self.diagnostics: list[str] = []
+        self.warnings: list[str] = []
+        self.cache_stats: dict[str, int] = {}
+        self.elapsed_ms = 0.0
 
 
 def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> RunSummary:

@@ -51,13 +51,12 @@ without a cache every exists scans.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 from mecheck import builtins as builtins_mod
 from mecheck.model.project import ProjectModel
+from mecheck.record import Record
 from mecheck.rsl import ast
 from mecheck.runtime import values as V
 from mecheck.runtime.cache import QueryCache, canonical_key
@@ -72,8 +71,8 @@ Scopes = list[dict[str, int]]
 _BOOL_NODES = (ast.Eq, ast.Exists, ast.And, ast.Or, ast.Not)
 
 
-@dataclass(frozen=True)
-class BugReport:
+class BugReport(Record):
+    __slots__ = ("rule_name", "message", "file_path", "line", "ordinal")
     rule_name: str
     message: str
     file_path: str
@@ -92,27 +91,31 @@ class RuntimeRuleError(Exception):
         self.column = column
 
 
-@dataclass
 class EvalStats:
-    builtin_calls: int = 0
-    exists_predicate_evals: int = 0
-    exists_index_lookups: int = 0
+    """Counters one Interpreter adds to as its rules run."""
+
+    __slots__ = ("builtin_calls", "exists_predicate_evals", "exists_index_lookups")
+
+    def __init__(self):
+        self.builtin_calls = 0
+        self.exists_predicate_evals = 0
+        self.exists_index_lookups = 0
 
 
 def _walk(exp: ast.Exp):
     """exp and every expression below it."""
     yield exp
-    for f in dataclasses.fields(exp):
-        child = getattr(exp, f.name)
+    for name in exp.__slots__:
+        child = getattr(exp, name)
         for c in child if isinstance(child, tuple) else (child,):
             if isinstance(c, ast.Exp):
                 yield from _walk(c)
 
 
-@dataclass(frozen=True)
-class EqPlan:
+class EqPlan(Record):
     """How an index answers `exists (T x in C) (keyed == probe)`."""
 
+    __slots__ = ("keyed", "probe", "probe_first")
     keyed: ast.Exp  # f(x): the side that mentions x
     probe: ast.Exp  # e: the side that does not
     probe_first: bool  # e is the left side, so a scan evaluates it before f(x)

@@ -1,12 +1,13 @@
-"""Canonical pretty-printer for rule ASTs.
+"""Canonical pretty-printer for rule ASTs, for round-trip tests.
 
 format_rule(parse_rule(text)) produces source that parses back to a
-structurally identical AST.  Two-space indentation, one statement per
-line, spaces around keywords and after commas.
+structurally identical AST (structurally_equal).  Two-space indentation,
+one statement per line, spaces around keywords and after commas.
 """
 
 from __future__ import annotations
 
+from mecheck.record import Record
 from mecheck.rsl import ast
 from mecheck.rsl.lexer import escape_string
 
@@ -93,3 +94,20 @@ def _format(exp: ast.Exp, need: int) -> str:
         text = f"{left} OR {right}"
         return f"({text})" if need > _PREC_OR else text
     raise TypeError(f"unknown expression node: {exp!r}")
+
+
+def structurally_equal(a: object, b: object) -> bool:
+    """Compare two AST fragments, ignoring Span fields."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Record):
+        return all(
+            structurally_equal(getattr(a, name), getattr(b, name))
+            for name in a.__slots__
+            if not isinstance(getattr(a, name), ast.Span)
+        )
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(
+            structurally_equal(x, y) for x, y in zip(a, b)
+        )
+    return a == b

@@ -7,8 +7,6 @@ planner picks only the shapes it can answer exactly, and that r15's cost
 grows with lookups + beans rather than lookups x beans.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,8 +272,10 @@ def test_r15_getattr_calls_grow_with_lookups_plus_beans(tmp_path):
             calls.append(1)
             return get_attr.fn(reg, model, args)
 
+        # every field of getAttr's record but fn, which is replaced
+        fields = {name: getattr(get_attr, name) for name in type(get_attr).__slots__}
         registry.builtins = {**registry.builtins,
-                             "getAttr": dataclasses.replace(get_attr, fn=counting)}
+                             "getAttr": builtins_mod.Builtin(**{**fields, "fn": counting})}
         interp = Interpreter(model, registry, cache)
         return interp.run_rule(r15), interp.stats, len(calls)
 

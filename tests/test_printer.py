@@ -2,15 +2,15 @@ from pathlib import Path
 
 from mecheck.rsl import ast
 from mecheck.rsl.parser import parse_rule
-from mecheck.rsl.printer import format_exp, format_rule
 from mecheck.rulepack import default_rules_dir
+from rsl_printer import format_exp, format_rule, structurally_equal
 
 
 def round_trips(source):
     first = parse_rule(source)
     printed = format_rule(first)
     second = parse_rule(printed)
-    return ast.structurally_equal(first, second)
+    return structurally_equal(first, second)
 
 
 def test_round_trip_simple_rule():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -6,12 +5,11 @@ import pytest
 import genrules
 from mecheck.builtins import Registry
 from mecheck.model.project import build_model
-from mecheck.rsl import ast
 from mecheck.rsl.parser import parse_rule
-from mecheck.rsl.printer import format_rule
 from mecheck.rsl.validator import UNDECLARED_VARIABLE, validate_rule
 from mecheck.runtime.cache import QueryCache
 from mecheck.runtime.interpreter import Interpreter, RuntimeRuleError
+from rsl_printer import format_rule, structurally_equal
 
 BEAN_IDS = ["one", "two", "three"]
 
@@ -33,17 +31,22 @@ def report_rows(sink):
     return [(r.message, r.file_path, r.line, r.ordinal) for r in sink]
 
 
+def stats_row(stats):
+    """Every EvalStats counter, in field order."""
+    return tuple(getattr(stats, name) for name in type(stats).__slots__)
+
+
 def run_once(interp, rule):
     """One run of rule: its reports, its rule error text (or None) and
     the EvalStats counts it added."""
-    before = dataclasses.astuple(interp.stats)
+    before = stats_row(interp.stats)
     sink = []
     try:
         interp.run_rule(rule, sink)
         error = None
     except RuntimeRuleError as exc:
         error = str(exc)
-    delta = tuple(b - a for a, b in zip(before, dataclasses.astuple(interp.stats)))
+    delta = tuple(b - a for a, b in zip(before, stats_row(interp.stats)))
     return report_rows(sink), error, delta
 
 
@@ -90,7 +93,7 @@ def run_invalid_cases(model, seed, per_variant):
             with pytest.raises(RuntimeRuleError) as err:
                 interp.run_rule(rule, sink)
             assert leaked in err.value.cause, source
-            first = (report_rows(sink), str(err.value), dataclasses.astuple(interp.stats))
+            first = (report_rows(sink), str(err.value), stats_row(interp.stats))
             assert_no_state_leak(interp, rule, first, source)
             executed += 1
     return executed
@@ -116,7 +119,7 @@ def test_generated_rules_round_trip_through_printer(model):
         source = genrules.render_rule(gen.rule(), "rt-case", with_beanid=with_beanid)
         first = parse_rule(source)
         second = parse_rule(format_rule(first))
-        assert ast.structurally_equal(first, second), source
+        assert structurally_equal(first, second), source
 
 
 def differential_corpus(seed, valid, per_variant):

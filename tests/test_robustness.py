@@ -5,12 +5,17 @@ run_checker: Java sources from tests/javagen.py, deeply nested code, open
 comments and text blocks, byte order marks, bytes that are not UTF-8, and
 XML with a huge attribute count or deep nesting.  The exit code is 0, 1 or
 2, never 3 (internal error), and the reports do not depend on the query
-cache.
+cache.  A source path that is no regular file is skipped, never read.
 """
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from javagen import java_sources
@@ -94,3 +99,24 @@ def test_generated_trees_never_abort_and_ignore_the_cache(tmp_path, capsys, file
     cached = runner.run_checker(runner.CheckerConfig(project_root=str(root)))
     uncached = runner.run_checker(runner.CheckerConfig(project_root=str(root), use_cache=False))
     assert reports_without_time(cached) == reports_without_time(uncached)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifos_named_like_sources_are_skipped_unopened(tmp_path):
+    # Opening a FIFO for reading blocks until a writer comes, so a check
+    # that read one would never end; the timeout catches that.
+    (tmp_path / "ctx.xml").write_text('<beans><bean id="a" class="p.A"/></beans>\n')
+    (tmp_path / "A.java").write_text("package p;\npublic class A { }\n")
+    os.mkfifo(tmp_path / "X.java")
+    os.mkfifo(tmp_path / "pipe.xml")
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "mecheck.cli", "--project", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "mecheck: warning: pipe.xml: skipped: not a regular file",
+        "mecheck: warning: X.java: skipped: not a regular file",
+    ]
+    assert proc.stdout == "0 findings across 15 rules\n"
