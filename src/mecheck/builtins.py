@@ -189,11 +189,28 @@ def resolve_resource_path(
     return None
 
 
-@functools.lru_cache(maxsize=1024)
-def _glob_to_regex(glob: str) -> re.Pattern:
+# Distinct glob texts a run keeps compiled; rules that build patterns at
+# run time can ask for more, and the least recently used are dropped.
+GLOB_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=GLOB_MEMO_SIZE)
+def _glob_matcher(glob: str) -> Callable[[str], object]:
+    """A name -> truthy test for a glob in which '*' matches any run of
+    characters: plain equality when there is no '*'."""
+    if "*" not in glob:
+        return glob.__eq__
     parts = glob.split("*")
-    return re.compile("".join(re.escape(p) for p in parts[:1]) +
-                      "".join(".*" + re.escape(p) for p in parts[1:]))
+    return re.compile(re.escape(parts[0]) +
+                      "".join(".*" + re.escape(p) for p in parts[1:])).fullmatch
+
+
+@functools.lru_cache(maxsize=GLOB_MEMO_SIZE)
+def _element_matcher(text: str) -> Callable[[str], object]:
+    """The test for an element-name glob; "<bean>" means "bean"."""
+    if text.startswith("<") and text.endswith(">"):
+        text = text[1:-1]
+    return _glob_matcher(text)
 
 
 # The range of a Java int, which bounds the text _int_like reads.
@@ -289,11 +306,25 @@ def _int_like(args: list, i: int) -> int:
     raise BuiltinTypeError(i, "an integer", kind_name(v))
 
 
-def _element_pattern(text: str) -> re.Pattern:
-    """An element-name glob; "<bean>" means "bean"."""
-    if text.startswith("<") and text.endswith(">"):
-        text = text[1:-1]
-    return _glob_to_regex(text)
+def _scope_matches(node: XmlFile | XmlElement, match: Callable[[str], object],
+                   first_only: bool) -> list[XmlElement]:
+    """The elements of node's search scope whose names match, in document
+    order (only the first when first_only).  A file's scope includes its
+    root; an element's holds only its descendants.  One walk with an
+    explicit stack, so nesting depth is not limited by recursion."""
+    stack = [node.root] if isinstance(node, XmlFile) else node.children[::-1]
+    found = []
+    pop, push = stack.pop, stack.extend
+    while stack:
+        elem = pop()
+        if match(elem.name):
+            found.append(elem)
+            if first_only:
+                break
+        children = elem.children
+        if children:
+            push(reversed(children))
+    return found
 
 
 class Registry:
@@ -338,22 +369,13 @@ class Registry:
     def _get_xmls(self, model, args):
         return list(model.xml_files)
 
-    def _iter_scope(self, node):
-        """Search scope: a file includes its root, an element only its
-        descendants."""
-        if isinstance(node, XmlFile):
-            return node.iter_elements()
-        return (e for child in node.children for e in child.iter_subtree())
-
     @builtin("getElms", 2, XML_NODE, TEXT, missing=(0,), on_missing=[], cached=True)
     def _get_elms(self, model, args):
-        pat = _element_pattern(args[1])
-        return [e for e in self._iter_scope(args[0]) if pat.fullmatch(e.name)]
+        return _scope_matches(args[0], _element_matcher(args[1]), False)
 
     @builtin("elementExists", 2, XML_NODE, TEXT, missing=(0,), on_missing=False, cached=True)
     def _element_exists(self, model, args):
-        pat = _element_pattern(args[1])
-        return any(pat.fullmatch(e.name) for e in self._iter_scope(args[0]))
+        return bool(_scope_matches(args[0], _element_matcher(args[1]), True))
 
     @builtin("getAttr", 2, ELEMENT, TEXT, missing=(0,), on_missing=MISSING)
     def _get_attr(self, model, args):
@@ -361,8 +383,8 @@ class Registry:
 
     @builtin("getAttrs", 2, ELEMENT, TEXT, missing=(0,), on_missing=[], cached=True)
     def _get_attrs(self, model, args):
-        pat = _glob_to_regex(args[1])
-        return [v for k, v in args[0].attrs.items() if pat.fullmatch(k)]
+        match = _glob_matcher(args[1])
+        return [v for k, v in args[0].attrs.items() if match(k)]
 
     @builtin("hasAttr", 2, ELEMENT, TEXT, missing=(0,), on_missing=False)
     def _has_attr(self, model, args):

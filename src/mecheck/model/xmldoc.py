@@ -4,6 +4,12 @@ Built on expat.  Elements keep document order, 1-based line numbers and
 attribute order; character data is not kept.  Namespace prefixes are
 stripped from element and attribute names; when two attributes share a
 local name, the first one wins.
+
+Each element's attrs is the dict expat builds for its start tag (in
+document order, DTD-defaulted attributes last), kept as it is unless a
+name in it has a prefix; only then is a new dict of local names built.
+The XmlFile is made before parsing, so every element gets its file, its
+parent's children list and its line when it is created, in one pass.
 """
 
 from __future__ import annotations
@@ -27,6 +33,14 @@ def _local_name(raw: str) -> str:
     return raw.rsplit(":", 1)[-1]
 
 
+def _local_attrs(attrs: dict[str, str]) -> dict[str, str]:
+    """attrs keyed by local names; the first of two equal ones wins."""
+    local: dict[str, str] = {}
+    for name, value in attrs.items():
+        local.setdefault(_local_name(name), value)
+    return local
+
+
 def parse_xml(abs_path: Path, rel_path: str) -> XmlFile:
     """Parse one XML file into an XmlFile tree.
 
@@ -38,26 +52,24 @@ def parse_xml(abs_path: Path, rel_path: str) -> XmlFile:
         raise MalformedXmlError(rel_path, f"cannot read file: {exc}", 0, 0) from exc
 
     parser = expat.ParserCreate()
-    parser.ordered_attributes = True
+    xml_file = XmlFile(rel_path, None)
+    # The children list of each open element, innermost last; the first
+    # list takes the root.
+    top: list[XmlElement] = []
+    open_lists = [top]
+    push, pop = open_lists.append, open_lists.pop
 
-    stack: list[XmlElement] = []
-    root_holder: list[XmlElement] = []
+    def on_start(name, attrs):
+        if ":" in name:
+            name = _local_name(name)
+        if attrs and ":" in "".join(attrs):
+            attrs = _local_attrs(attrs)
+        elem = XmlElement(name, attrs, parser.CurrentLineNumber, [], xml_file)
+        open_lists[-1].append(elem)
+        push(elem.children)
 
-    def on_start(raw_name, attr_list):
-        attrs: dict[str, str] = {}
-        for i in range(0, len(attr_list), 2):
-            local = _local_name(attr_list[i])
-            if local not in attrs:
-                attrs[local] = attr_list[i + 1]
-        elem = XmlElement(name=_local_name(raw_name), attrs=attrs, line=parser.CurrentLineNumber)
-        if stack:
-            stack[-1].children.append(elem)
-        else:
-            root_holder.append(elem)
-        stack.append(elem)
-
-    def on_end(raw_name):
-        stack.pop()
+    def on_end(name):
+        pop()
 
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end
@@ -77,10 +89,7 @@ def parse_xml(abs_path: Path, rel_path: str) -> XmlFile:
         # cyclic garbage collection.
         parser.StartElementHandler = parser.EndElementHandler = None
 
-    if not root_holder:
+    if not top:
         raise MalformedXmlError(rel_path, "no root element", 1, 1)
-
-    xml_file = XmlFile(path=rel_path, root=root_holder[0])
-    for elem in xml_file.iter_elements():
-        elem.file = xml_file
+    xml_file.root = top[0]
     return xml_file

@@ -37,11 +37,6 @@ class TypeTag(Record):
     def __init__(self, kind: str, element_name: str | None = None):
         super().__init__(kind, element_name)
 
-    def label(self) -> str:
-        if self.kind == ELEMENT:
-            return f"<{self.element_name}>"
-        return self.kind
-
 
 class Exp(Record):
     __slots__ = ()

@@ -174,8 +174,3 @@ def unescape_string(lexeme: str) -> str:
     """Turn a string-literal lexeme (quotes included) into its text value."""
     body = lexeme[1:-1]
     return body.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def escape_string(text: str) -> str:
-    """Inverse of unescape_string: text value -> quoted lexeme."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -5,7 +5,11 @@ closures, one per statement and one per expression node.  Literal
 values, built-in names, argument counts, source spans and whether a
 call goes through the query cache are settled at compile time, so
 running a rule does no dispatch on node types.  Statements are called
-as stmt(slots, sink), expressions as exp(slots).
+as stmt(slots, sink), expressions as exp(slots).  A call's arguments
+compile to one closure that builds their list; literals and bound
+variable reads are folded into it for the common shapes, so
+hasAttr(bean, "class") builds [slots[i], "class"] with no call per
+argument.
 
 Scoping model: variables are resolved when the rule compiles, by the
 scope walk rsl/validator.py makes.  The rule body, each for and if body
@@ -390,10 +394,9 @@ class Interpreter:
         return cond
 
     def _compile_identifier(self, exp: ast.Identifier, scopes: Scopes) -> CompiledExp:
-        for scope in reversed(scopes):
-            slot = scope.get(exp.name)
-            if slot is not None:
-                return operator.itemgetter(slot)
+        slot = _slot_of(exp.name, scopes)
+        if slot is not None:
+            return operator.itemgetter(slot)
         error = self._error(f"variable '{exp.name}' is not bound", exp.span)
 
         def unbound(slots):
@@ -402,7 +405,25 @@ class Interpreter:
         return unbound
 
     def _compile_args(self, args: tuple[ast.Exp, ...], scopes: Scopes) -> CompiledExp:
-        """slots -> the list of a call's argument values."""
+        """slots -> a new list of a call's argument values.
+
+        Literals and reads of bound variables are folded into the list for
+        the common shapes: hasAttr(bean, "class") runs as
+        [slots[a], "class"], with no call per argument.  Other shapes and
+        other arguments compile to a closure each."""
+        match [_fold(arg, scopes) for arg in args]:
+            case [("slot", a)]:
+                return lambda slots: [slots[a]]
+            case [("value", v)]:
+                return lambda slots: [v]
+            case [("slot", a), ("value", v)]:
+                return lambda slots: [slots[a], v]
+            case [("slot", a), ("slot", b)]:
+                return lambda slots: [slots[a], slots[b]]
+            case [("value", v), ("value", w)]:
+                return lambda slots: [v, w]
+            case [("slot", a), ("value", v), ("value", w)]:
+                return lambda slots: [slots[a], v, w]
         compiled = tuple(self._compile_exp(arg, scopes) for arg in args)
         if len(compiled) == 1:
             (first,) = compiled
@@ -477,6 +498,29 @@ class Interpreter:
         compiled code need not know the rule."""
         rule_name = self._rule_name
         return lambda: RuntimeRuleError(rule_name, cause, span.line, span.column)
+
+
+def _slot_of(name: str, scopes: Scopes) -> int | None:
+    """The slot a read of name resolves to, innermost scope first."""
+    for scope in reversed(scopes):
+        slot = scope.get(name)
+        if slot is not None:
+            return slot
+    return None
+
+
+def _fold(exp: ast.Exp, scopes: Scopes) -> tuple[str, object] | None:
+    """("value", v) for a literal, ("slot", i) for a bound variable read,
+    None for anything else (an unbound read keeps its raising closure)."""
+    while isinstance(exp, ast.Paren):
+        exp = exp.inner
+    if isinstance(exp, ast.Literal):
+        return ("value", exp.value)
+    if isinstance(exp, ast.Identifier):
+        slot = _slot_of(exp.name, scopes)
+        if slot is not None:
+            return ("slot", slot)
+    return None
 
 
 # -- indexed exists ------------------------------------------------------------

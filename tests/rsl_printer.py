@@ -9,12 +9,23 @@ from __future__ import annotations
 
 from mecheck.record import Record
 from mecheck.rsl import ast
-from mecheck.rsl.lexer import escape_string
 
 _PREC_OR = 1
 _PREC_AND = 2
 _PREC_NOT = 3
 _PREC_ATOM = 4
+
+
+def escape_string(text: str) -> str:
+    """Inverse of lexer.unescape_string: text value -> quoted lexeme."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def type_label(tag: ast.TypeTag) -> str:
+    """A declared type as rule source writes it: <bean>, String, class, ..."""
+    if tag.kind == ast.ELEMENT:
+        return f"<{tag.element_name}>"
+    return tag.kind
 
 
 def format_rule(rule: ast.Rule) -> str:
@@ -28,8 +39,8 @@ def format_rule(rule: ast.Rule) -> str:
 def _format_stmt(stmt: ast.Stmt, depth: int, lines: list[str]) -> None:
     pad = "  " * depth
     if isinstance(stmt, ast.ForStmt):
-        head = f"{pad}for ({stmt.decl_type.label()} {stmt.var} in {format_exp(stmt.container)}) {{"
-        lines.append(head)
+        container = format_exp(stmt.container)
+        lines.append(f"{pad}for ({type_label(stmt.decl_type)} {stmt.var} in {container}) {{")
         for child in stmt.body:
             _format_stmt(child, depth + 1, lines)
         lines.append(pad + "}")
@@ -47,7 +58,7 @@ def _format_stmt(stmt: ast.Stmt, depth: int, lines: list[str]) -> None:
         lines.append(pad + "}")
     elif isinstance(stmt, ast.DeclStmt):
         lines.append(
-            f"{pad}{stmt.decl_type.label()} {stmt.var} = {format_exp(stmt.init)};"
+            f"{pad}{type_label(stmt.decl_type)} {stmt.var} = {format_exp(stmt.init)};"
         )
     else:
         raise TypeError(f"unknown statement node: {stmt!r}")
@@ -77,7 +88,8 @@ def _format(exp: ast.Exp, need: int) -> str:
         rhs = _format(exp.rhs, _PREC_ATOM)
         return f"{_format(exp.lhs, _PREC_ATOM)} == {rhs}"
     if isinstance(exp, ast.Exists):
-        head = f"exists ({exp.decl_type.label()} {exp.var} in {_format(exp.container, _PREC_OR)})"
+        container = _format(exp.container, _PREC_OR)
+        head = f"exists ({type_label(exp.decl_type)} {exp.var} in {container})"
         return f"{head} ({_format(exp.predicate, _PREC_OR)})"
     if isinstance(exp, ast.Not):
         text = f"NOT {_format(exp.operand, _PREC_NOT)}"

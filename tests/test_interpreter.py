@@ -403,3 +403,51 @@ Rule partial {
     with pytest.raises(RuntimeRuleError):
         interp.run_rule(parse_rule(src), sink=sink)
     assert [r.message for r in sink] == ["kept"]
+
+
+def test_literal_and_variable_arguments_reach_the_registry_in_fresh_lists(model):
+    src = """\
+Rule shapes {
+  for (file xml in getXMLs()) {
+    for (<bean> bean in getElms(xml, "<bean>")) {
+      String id = getAttr(bean, ("id"));
+      String first = substring(id, 0, 1);
+      assert (classExists("com.x.Svc") AND (endsWith(id, first) OR startsWith("two", "tw"))) {
+        msg("%s", upperCase(id));
+      }
+    }
+  }
+}
+"""
+    interp = Interpreter(model)
+    seen, call = [], interp.registry.call
+
+    def record(name, args, model):
+        seen.append((name, args))
+        return call(name, args, model)
+
+    interp.registry.call = record
+    assert interp.run_rule(parse_rule(src)) == []
+    xml = model.xml_files[0]
+    one, two = xml.root.children
+    assert seen == [
+        ("getXMLs", []),
+        ("getElms", [xml, "<bean>"]),
+        ("getAttr", [one, "id"]), ("substring", ["one", 0, 1]), ("classExists", ["com.x.Svc"]),
+        ("endsWith", ["one", "o"]), ("startsWith", ["two", "tw"]),
+        ("getAttr", [two, "id"]), ("substring", ["two", 0, 1]), ("classExists", ["com.x.Svc"]),
+        ("endsWith", ["two", "t"]), ("startsWith", ["two", "tw"]),
+    ]
+    assert len({id(args) for _, args in seen}) == len(seen)
+    assert interp.stats.builtin_calls == len(seen)
+
+
+@pytest.mark.parametrize("args", ['nobody', 'nobody, "id"', 'xml, nobody', '"<bean>", nobody',
+                                  'xml, "a", nobody'])
+def test_an_unbound_argument_fails_at_its_own_position(model, args):
+    src = f'Rule unbound {{\n  for (file xml in getXMLs()) {{\n    String v = getAttr({args});\n  }}\n}}\n'
+    column = src.splitlines()[2].index("nobody") + 1
+    with pytest.raises(RuntimeRuleError) as exc:
+        run(model, src)
+    assert (exc.value.cause, exc.value.line, exc.value.column) == (
+        "variable 'nobody' is not bound", 3, column)

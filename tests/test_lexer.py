@@ -13,10 +13,10 @@ from mecheck.rsl.lexer import (
     NonUtf8Input,
     UnterminatedString,
     decode_source,
-    escape_string,
     tokenize,
     unescape_string,
 )
+from rsl_printer import escape_string
 
 
 def kinds_and_lexemes(source):

@@ -6,6 +6,11 @@ comments and text blocks, byte order marks, bytes that are not UTF-8, and
 XML with a huge attribute count or deep nesting.  The exit code is 0, 1 or
 2, never 3 (internal error), and the reports do not depend on the query
 cache.  A source path that is no regular file is skipped, never read.
+
+XML shapes a beans file may legally take (prefixed names, colliding local
+names, namespace declarations, DTD-defaulted attributes, CDATA, comments
+and processing instructions, a Latin-1 declaration, 3000-deep nesting)
+each have a pinned model and a pinned CLI result.
 """
 
 import itertools
@@ -21,6 +26,8 @@ from hypothesis import strategies as st
 from javagen import java_sources
 
 from mecheck import cli, runner
+from mecheck.builtins import Registry
+from mecheck.model.xmldoc import parse_xml
 
 BOM = "﻿".encode()
 NOT_UTF8 = [b"\xff\xfe", b"caf\xe9", b"\xc3", b"\x80\x81"]
@@ -120,3 +127,166 @@ def test_fifos_named_like_sources_are_skipped_unopened(tmp_path):
         "mecheck: warning: X.java: skipped: not a regular file",
     ]
     assert proc.stdout == "0 findings across 15 rules\n"
+
+
+# -- XML shapes ---------------------------------------------------------------
+
+SHAPES_JAVA = ("package com.acme;\n\npublic class A {\n    public void start() { }\n"
+               "    public void setName(String n) { }\n}\n")
+BEANS = "src/main/resources/beans.xml"
+
+
+def shape_project(tmp_path, xml):
+    write_tree(tmp_path, {"src/main/java/com/acme/A.java": SHAPES_JAVA.encode(), BEANS: xml})
+    return tmp_path
+
+
+def model_of(root):
+    """(name, attrs as pairs, line) of every element, in document order."""
+    doc = parse_xml(root / BEANS, BEANS)
+    return [(e.name, list(e.attrs.items()), e.line) for e in doc.iter_elements()]
+
+
+def cli_result(root, capsys):
+    code = cli.main(["--project", str(root)])
+    out, err = capsys.readouterr()
+    return code, out.splitlines(), err
+
+
+def r2_line(line, cls, bean):
+    return (f"RULE r2-bean-class-exists {BEANS}:{line}: Bean class {cls} declared by {bean} "
+            "does not exist in the project and matches no library pattern")
+
+
+def test_prefixed_element_and_attribute_names(tmp_path, capsys):
+    root = shape_project(tmp_path, (
+        b'<b:beans xmlns:b="urn:beans" xmlns:p="urn:p">\n'
+        b'  <b:bean id="a" p:class="com.acme.Gone" b:init-method="stop"/>\n'
+        b'  <b:bean b:id="k" class="com.acme.A">\n'
+        b'    <b:property p:name="name" value="x"/>\n'
+        b'    <p:property name="size"/>\n'
+        b'  </b:bean>\n'
+        b'</b:beans>\n'))
+    assert model_of(root) == [
+        ("beans", [("b", "urn:beans"), ("p", "urn:p")], 1),
+        ("bean", [("id", "a"), ("class", "com.acme.Gone"), ("init-method", "stop")], 2),
+        ("bean", [("id", "k"), ("class", "com.acme.A")], 3),
+        ("property", [("name", "name"), ("value", "x")], 4),
+        ("property", [("name", "size")], 5),
+    ]
+    assert cli_result(root, capsys) == (1, [
+        r2_line(2, "com.acme.Gone", '<bean id="a">'),
+        f"RULE r7-property-setter-map {BEANS}:5: Property size of <property> has no setter "
+        "setSize in class com.acme.A",
+        "2 findings across 15 rules",
+    ], "")
+
+
+def test_prefixed_attribute_colliding_with_a_plain_one_keeps_the_first(tmp_path, capsys):
+    root = shape_project(tmp_path, (
+        b'<beans xmlns:p="urn:p">\n'
+        b'  <bean id="u" class="com.acme.A" p:class="com.acme.Gone"/>\n'
+        b'  <bean id="v" p:class="com.acme.Gone" class="com.acme.A"/>\n'
+        b'</beans>\n'))
+    assert model_of(root) == [
+        ("beans", [("p", "urn:p")], 1),
+        ("bean", [("id", "u"), ("class", "com.acme.A")], 2),
+        ("bean", [("id", "v"), ("class", "com.acme.Gone")], 3),
+    ]
+    assert cli_result(root, capsys) == (1, [
+        r2_line(3, "com.acme.Gone", '<bean id="v">'), "1 findings across 15 rules"], "")
+
+
+def test_namespace_declarations_are_attributes(tmp_path, capsys):
+    root = shape_project(tmp_path, (
+        b'<beans xmlns="http://www.springframework.org/schema/beans"\n'
+        b'       xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"\n'
+        b'       xsi:schemaLocation="urn:a urn:b">\n'
+        b'  <bean id="a" class="com.acme.A" xmlns:q="urn:q" q:init-method="stop"/>\n'
+        b'</beans>\n'))
+    assert model_of(root) == [
+        ("beans", [("xmlns", "http://www.springframework.org/schema/beans"),
+                   ("xsi", "http://www.w3.org/2001/XMLSchema-instance"),
+                   ("schemaLocation", "urn:a urn:b")], 1),
+        ("bean", [("id", "a"), ("class", "com.acme.A"), ("q", "urn:q"),
+                  ("init-method", "stop")], 4),
+    ]
+    assert cli_result(root, capsys) == (1, [
+        f'RULE r6-method-exists {BEANS}:4: The referenced method stop of <bean id="a"> '
+        "does not exist in class com.acme.A",
+        "1 findings across 15 rules",
+    ], "")
+
+
+def test_dtd_defaulted_attributes_come_after_the_written_ones(tmp_path, capsys):
+    # A default fills only an attribute the tag leaves out; p:id's local
+    # name collides with a written id, which comes first and wins.
+    root = shape_project(tmp_path, (
+        b'<?xml version="1.0"?>\n'
+        b'<!DOCTYPE beans [\n'
+        b'  <!ATTLIST bean class CDATA "com.acme.Defaulted" p:id CDATA "dflt">\n'
+        b']>\n'
+        b'<beans>\n'
+        b'  <bean id="a"/>\n'
+        b'  <bean class="com.acme.A"/>\n'
+        b'</beans>\n'))
+    assert model_of(root) == [
+        ("beans", [], 5),
+        ("bean", [("id", "a"), ("class", "com.acme.Defaulted")], 6),
+        ("bean", [("class", "com.acme.A"), ("id", "dflt")], 7),
+    ]
+    assert cli_result(root, capsys) == (1, [
+        r2_line(6, "com.acme.Defaulted", '<bean id="a">'), "1 findings across 15 rules"], "")
+
+
+def test_cdata_comments_and_processing_instructions_make_no_elements(tmp_path, capsys):
+    root = shape_project(tmp_path, (
+        b'<?xml version="1.0"?>\n'
+        b'<!-- head -->\n'
+        b'<beans><!-- between --><?mark data?>\n'
+        b'  <bean id="a" class="com.acme.A">'
+        b'<![CDATA[<bean id="fake" class="com.acme.Gone"/>]]></bean>\n'
+        b'  <?mark more?><![CDATA[ ]]><!-- <bean class="com.acme.Gone"/> -->\n'
+        b'  <bean id="b" class="com.acme.Gone"/>\n'
+        b'</beans>\n'
+        b'<!-- tail -->\n'))
+    assert model_of(root) == [
+        ("beans", [], 3),
+        ("bean", [("id", "a"), ("class", "com.acme.A")], 4),
+        ("bean", [("id", "b"), ("class", "com.acme.Gone")], 6),
+    ]
+    assert cli_result(root, capsys) == (1, [
+        r2_line(6, "com.acme.Gone", '<bean id="b">'), "1 findings across 15 rules"], "")
+
+
+def test_latin1_declaration_is_decoded(tmp_path, capsys):
+    root = shape_project(tmp_path, (
+        b'<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+        b'<beans>\n'
+        b'  <bean id="caf\xe9" class="com.acme.Caf\xe9"/>\n'
+        b'</beans>\n'))
+    assert model_of(root) == [
+        ("beans", [], 2),
+        ("bean", [("id", "café"), ("class", "com.acme.Café")], 3),
+    ]
+    assert cli_result(root, capsys) == (1, [
+        r2_line(3, "com.acme.Café", '<bean id="café">'),
+        "1 findings across 15 rules"], "")
+
+
+def test_3000_deep_nesting_is_queried_from_the_file_and_from_inside(tmp_path, capsys):
+    depth = 3000
+    root = shape_project(tmp_path, (
+        "<beans>\n" + "<bean>\n" * (depth - 1) + '<bean class="com.acme.Gone"/>\n'
+        + "</bean>\n" * (depth - 1) + "</beans>\n").encode())
+    doc = parse_xml(root / BEANS, BEANS)
+    call = Registry().call
+    beans = call("getElms", [doc, "<bean>"], None)
+    assert [e.line for e in beans] == list(range(2, depth + 2))
+    assert call("getElms", [doc, "*"], None) == [doc.root, *beans]
+    inner = beans[999]
+    assert call("getElms", [inner, "<bean>"], None) == beans[1000:]
+    assert call("elementExists", [inner, "bean"], None) is True
+    assert call("elementExists", [beans[-1], "bean"], None) is False
+    assert cli_result(root, capsys) == (1, [
+        r2_line(depth + 1, "com.acme.Gone", "<bean>"), "1 findings across 15 rules"], "")
