@@ -1,10 +1,13 @@
 """Declaration-level Java source scanning.
 
-tokenize_java turns one file's text into a token list of its declarations;
-the model builder runs it once per file and runs both phases below over
-the same tokens:
+tokenize_java turns one file's text into a token list of its declarations
+and scans that list for them as it goes; the model builder runs it once
+per file and reads the three phases below from what it returns:
 
-  * tokenize_java emits the tokens of everything outside member bodies:
+  * tokenize_java lexes the text with one compiled pattern, _LEX; a
+    character loop reads only what the pattern leaves (non-ASCII
+    characters, text blocks, and literals and comments that are not
+    closed).  It emits the tokens of everything outside member bodies:
     the package and imports, type headers, annotations, field
     declarations with their initializers, and method and constructor
     signatures.  Of each member body (method, constructor and initializer
@@ -13,12 +16,14 @@ the same tokens:
     compiled regex jumps over the rest, skipping literals and comments as
     the tokenizer reads them.  To tell a member body from a type body it
     resumes scan_declarations' scan, _scan, over the tokens emitted so far
-    at each '{'.
+    at each '{', and lets it read the rest once the text ends.
 
-  * scan_declarations walks a whole file and records the package, the
-    imports, and every type declaration (name, kind, supertypes as
-    written, class-level annotations, and the token range of its body).
-    Method and field bodies are only brace-counted here.
+  * scan_declarations gives the package, the imports, and every type
+    declaration (name, kind, supertypes as written, class-level
+    annotations, and the token range of its body) of a whole file.
+    Method and field bodies are only brace-counted here.  The tokens
+    tokenize_java returns carry what its scan read, so each file is
+    scanned once; any other token list is scanned afresh.
 
   * extract_members re-walks one type's body range and builds its model
     items: fields, methods (signature level), constructors, and the call
@@ -87,7 +92,6 @@ Token = tuple[str, str, int]
 
 # The rest of an identifier: re's \w is exactly str.isalnum() plus '_'.
 _IDENT_REST = re.compile(r"[\w$]*")
-_BLANKS = re.compile(r"[ \t\r\f]+")
 # Besides letters, Java starts identifiers with letter numbers (Nl),
 # currency symbols (Sc) and connectors (Pc); Sc and Pc also continue one,
 # Nl already does through \w.
@@ -103,6 +107,87 @@ def _ident_end(text: str, j: int) -> int:
         if j == n or unicodedata.category(text[j]) not in _IDENT_PART_CATEGORIES:
             return j
         j += 1
+
+
+# Declaration-level text, one token, blank run or comment per match; the
+# group numbers are the codes tokenize_java dispatches on.  A '{' is a
+# match of its own, so that the scan runs after it.  Whatever the pattern
+# does not lex, group 9 hands to the character loop (_lex_char): a
+# non-ASCII character, a text block, and a literal or comment that is not
+# closed.  \w is exactly str.isalnum() plus '_'.
+_LEX = re.compile(
+    # 1: an identifier; it, a line break and punctuation take the blanks
+    # after them along
+    r"([A-Za-z_$][\w$]*)[ \t\r\f]*"
+    r"|[ \t\r\f]+"
+    r"|(\n)[ \t\r\f]*"  # 2: a line break
+    # 3: punctuation, every ASCII character that starts nothing else (a
+    # class of what it is compiles far faster than one of what it is not)
+    r"|([\x00-\x08\x0b\x0e-\x1f!#%&(-.:-@\[-^`|-\x7f]|/(?![/*]))[ \t\r\f]*"
+    r"|(\{)"  # 4
+    r"|//[^\n]*"
+    r"|(/\*.*?\*/)"  # 5: a block comment
+    r'|((?!""")"[^"\\\n]*(?:\\.[^"\\\n]*)*")'  # 6: a string literal
+    r"|('[^'\\\n]*(?:\\.[^'\\\n]*)*')"  # 7: a char literal
+    # 8: a number; a dot in it is followed by a digit, else it is member
+    # access (e.g. 1 .toString())
+    r"|([0-9](?:\w|\.(?=[0-9]))*)"
+    r"|(.)",  # 9
+    re.S,
+)
+
+
+def _lex_char(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int]:
+    """The character loop, for one token at i that _LEX leaves to it.
+    Returns where lexing goes on, and its line; the index is -1 where the
+    token stream ends."""
+    ch = text[i]
+    if ch.isalpha():
+        j = _IDENT_REST.match(text, i + 1).end()
+        toks.append((IDENT, text[i:j], line))
+        return j, line
+    if ch == "/":  # a block comment that is never closed
+        return -1, line
+    n = len(text)
+    if text.startswith('"""', i):
+        end = text.find('"""', i + 3)
+        if end == -1:
+            return -1, line
+        toks.append((STRING, text[i : end + 3], line))
+        return end + 3, line + text.count("\n", i, end + 3)
+    if ch == '"' or ch == "'":  # not closed on its line: dropped up to the line end
+        j = i + 1
+        while j < n and text[j] != "\n":
+            j += 2 if text[j] == "\\" and j + 1 < n else 1
+        return j, line
+    if ch.isdigit():
+        j = i + 1
+        while j < n and (text[j].isalnum() or text[j] in "._"):
+            if text[j] == "." and not (j + 1 < n and text[j + 1].isdigit()):
+                break
+            j += 1
+        toks.append((NUMBER, text[i:j], line))
+        return j, line
+    if unicodedata.category(ch) in _IDENT_START_CATEGORIES:
+        j = _ident_end(text, i + 1)
+        prev = toks[-1] if toks else None
+        if prev is not None and prev[0] == IDENT and text.startswith(prev[1], i - len(prev[1])):
+            # continues the identifier just before it, e.g. the £ of a£b;
+            # nothing skipped (blanks, comments, bodies) ends with an
+            # identifier char
+            toks[-1] = (IDENT, prev[1] + text[i:j], prev[2])
+        else:
+            toks.append((IDENT, text[i:j], line))
+        return j, line
+    toks.append((PUNCT, ch, line))
+    return i + 1, line
+
+
+class _Tokens(list):
+    """tokenize_java's tokens, with the declarations its scan read.  Lexing
+    and the scan fill a plain list, which indexes faster."""
+
+    __slots__ = ("decls",)
 
 
 def tokenize_java(text: str) -> list[Token]:
@@ -130,106 +215,79 @@ def tokenize_java(text: str) -> list[Token]:
     an enum's constant list, one whose parentheses or brackets do not
     balance.  A '{' inside an annotation, import clause or type header is
     tokenized as it stands.
+
+    The list returned carries the declarations that scan read, which
+    scan_declarations hands out without scanning again.
     """
     toks: list[Token] = []
-    scan = _scan(toks, FileDecls(package=None, imports=[]), final=False)
+    decls = FileDecls(package=None, imports=[])
+    scan = _scan(toks, decls, final=False)
+    next(scan)  # started, so that it can be sent the final read
     append = toks.append
-    ident_rest = _IDENT_REST.match
-    blanks = _BLANKS.match
+    lex = _LEX.finditer
     body: _Body | None = None  # set while a watched call of a skipped body is tokenized
     i = 0
-    n = len(text)
     line = 1
     while True:
-        while i < n:
-            ch = text[i]
-            if ch in " \t\r\f":
-                i = blanks(text, i).end()
-                continue
-            if ch == "\n":
+        for m in lex(text, i):
+            code = m.lastindex
+            if code == 1:
+                append((IDENT, m[1], line))
+            elif code == 3:
+                ch = m[3]
+                append((PUNCT, ch, line))
+                if body is not None and ch in "()}[]@":
+                    end = m.end()
+                    i, line, body = body.track(ch, text, toks, end, line)
+                    if i != end:  # skipped on, or rewound
+                        break
+            elif code == 2:
                 line += 1
-                i += 1
+            elif code is None:  # blanks or a line comment
                 continue
-            if ch.isalpha() or ch == "_" or ch == "$":
-                j = ident_rest(text, i + 1).end()
-                append((IDENT, text[i:j], line))
-                i = j
-                continue
-            if ch == "/" and i + 1 < n and text[i + 1] == "/":
-                i = text.find("\n", i)
-                if i == -1:
-                    break
-                continue
-            if ch == "/" and i + 1 < n and text[i + 1] == "*":
-                end = text.find("*/", i + 2)
-                if end == -1:
-                    break
-                line += text.count("\n", i, end + 2)
-                i = end + 2
-                continue
-            if ch == '"' or ch == "'":
-                if ch == '"' and text.startswith('"""', i):
-                    end = text.find('"""', i + 3)
-                    if end == -1:
-                        break
-                    append((STRING, text[i : end + 3], line))
-                    line += text.count("\n", i, end + 3)
-                    i = end + 3
-                    continue
-                j = i + 1
-                while j < n and text[j] != ch and text[j] != "\n":
-                    if text[j] == "\\" and j + 1 < n:
-                        j += 2
-                    else:
-                        j += 1
-                if j < n and text[j] == ch:
-                    append((STRING if ch == '"' else CHAR, text[i : j + 1], line))
-                    i = j + 1
-                else:
-                    i = j
-                continue
-            if ch.isdigit():
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] in "._"):
-                    # A dot only belongs to the number when a digit follows;
-                    # otherwise it is member access (e.g. 1 .toString()).
-                    if text[j] == "." and not (j + 1 < n and text[j + 1].isdigit()):
-                        break
-                    j += 1
-                append((NUMBER, text[i:j], line))
-                i = j
-                continue
-            # only non-ASCII characters reach the category test
-            if ch > "\x7f" and unicodedata.category(ch) in _IDENT_START_CATEGORIES:
-                j = _ident_end(text, i + 1)
-                prev = toks[-1] if toks else None
-                if (
-                    prev is not None
-                    and prev[0] == IDENT
-                    and text.startswith(prev[1], i - len(prev[1]))
-                ):
-                    # continues the identifier just before it, e.g. the £ of a£b;
-                    # nothing skipped (blanks, comments, bodies) ends with an
-                    # identifier char
-                    toks[-1] = (IDENT, prev[1] + text[i:j], prev[2])
-                else:
-                    append((IDENT, text[i:j], line))
-                i = j
-                continue
-            append((PUNCT, ch, line))
-            i += 1
-            if body is None:
-                if ch == "{":
+            elif code == 4:
+                append((PUNCT, "{", line))
+                end = m.end()
+                if body is None:
                     guarded = next(scan)
-                    if guarded is not None:
-                        body = _Body(len(toks), i, line, guarded)
-                        i, line, body = body.skip(text, toks, i, line)
-            elif ch in "(){}[]@":
-                i, line, body = body.track(ch, text, toks, i, line)
-        if body is None:
-            return toks
-        # the text ended inside a watched call: tokenize that body in full
-        i, line, body = body.rewind(toks)
+                    if guarded is None:
+                        continue
+                    body = _Body(len(toks), end, line, guarded)
+                    i, line, body = body.skip(text, toks, end, line)
+                    break
+                i, line, body = body.track("{", text, toks, end, line)
+                if i != end:
+                    break
+            elif code == 5:
+                line += text.count("\n", m.start(), m.end())
+            elif code == 6:
+                append((STRING, m[6], line))
+            elif code == 7:
+                append((CHAR, m[7], line))
+            elif code == 8:
+                end = m.end()
+                if text.startswith(".", end) and text[end + 1 : end + 2].isdigit():
+                    # a dot before a non-ASCII digit continues the number
+                    i, line = _lex_char(text, m.start(), line, toks)
+                    break
+                append((NUMBER, m[8], line))
+            else:
+                i, line = _lex_char(text, m.start(), line, toks)
+                break
+        else:
+            i = -1
+        if i < 0:  # the text or the token stream ended
+            if body is None:
+                break
+            # ... inside a watched call: tokenize that body in full
+            i, line, body = body.rewind(toks)
+    try:
+        scan.send(True)  # reads the rest in final mode, and returns
+    except StopIteration:
+        pass
+    out = _Tokens(toks)
+    out.decls = decls
+    return out
 
 
 # What the scan of a skipped body stops at; the group numbers are the codes
@@ -434,7 +492,11 @@ class FileDecls:
 
 
 def scan_declarations(toks: list[Token]) -> FileDecls:
-    """Phase one: package, imports, and type declaration skeletons."""
+    """Phase one: package, imports, and type declaration skeletons.  The
+    tokens tokenize_java returns carry the declarations its own scan read,
+    so those are not scanned again."""
+    if isinstance(toks, _Tokens):
+        return toks.decls
     decls = FileDecls(package=None, imports=[])
     for _ in _scan(toks, decls, final=True):
         pass
@@ -467,7 +529,9 @@ def _scan(toks: list[Token], decls: FileDecls, final: bool):
     its braces.  Such a construct stays guarded up to a ';' at member level
     where it has closed all it opened; a '{' where it has closed more than
     it opened opens no member body, and neither does any '{' of a type
-    declared inside it.
+    declared inside it.  Once toks is complete, tokenize_java sends the
+    generator True: it then reads the rest as if final, construct left
+    open included, and returns.
     """
     depth = 0
     open_types: list[tuple[RawType, int]] = []  # (type, depth of its body)
@@ -565,6 +629,7 @@ def _scan(toks: list[Token], decls: FileDecls, final: bool):
                 if text == "package" and depth == 0 and decls.package is None:
                     name, i = _read_dotted(toks, i + 1)
                     decls.package = name
+                    pending = []  # the package's own annotations
                     continue
                 if text == "import" and depth == 0:
                     j = i + 1
@@ -623,9 +688,12 @@ def _scan(toks: list[Token], decls: FileDecls, final: bool):
                 stall_at, stalls = i, 0
             stalls += 1
             if stalls > _MAX_STALLS:
-                while True:
-                    yield None
-        yield guarded if member_body == n - 1 else None
+                while not (yield None):
+                    pass
+                final = True
+                continue
+        if (yield guarded if member_body == n - 1 else None):
+            final = True
 
 
 def _nesting(toks: list[Token], lo: int, hi: int) -> tuple[int, int]:
@@ -1038,6 +1106,8 @@ def _parse_callable_rest(toks, i, n, owner, calls):
     params, i = _parse_params(toks, i, n)
     i = _skip_throws(toks, i, n)
     if i < n and toks[i][1] == "{":
+        if i + 1 < n and toks[i + 1][1] == "}":  # what most skipped bodies leave
+            return params, i + 2
         end = _skip_balanced(toks, i, "{", "}")
         _scan_calls(toks, i + 1, end - 1, owner, calls)
         return params, end
@@ -1048,6 +1118,8 @@ def _parse_callable_rest(toks, i, n, owner, calls):
 
 def _parse_params(toks, i, n):
     """i points at '('; returns (params, index past ')')."""
+    if i + 1 < n and toks[i + 1][1] == ")":
+        return (), i + 2
     j = _skip_balanced(toks, i, "(", ")")
     return tuple(param for param, _, _ in _parse_param_list(toks[i + 1 : j - 1])), j
 

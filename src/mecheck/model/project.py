@@ -3,8 +3,9 @@
 build_model walks a project directory once and parses everything in one
 pass: every XML file, and every Java file, which is read and tokenized
 once, at declaration level (member bodies yield only their watched calls;
-see javasrc).  Its declarations are scanned from those tokens; for each
-class it keeps, build_model makes the ClassItem and
+see javasrc).  Its declarations come from the one scan the tokenizer ran
+over those tokens, which scan_declarations hands out; for each class it
+keeps, build_model makes the ClassItem and
 javasrc.extract_members builds that class's member items from the same
 tokens before they are dropped, so the model never goes back to a source
 file.
@@ -74,7 +75,7 @@ def _is_ignored(name: str, globs: tuple[str, ...]) -> bool:
     return any(fnmatch.fnmatch(name, glob) for glob in globs)
 
 
-def _not_regular(path: Path) -> bool:
+def _not_regular(path: str | Path) -> bool:
     """Whether path is there but is not a regular file.  A path that
     cannot be looked up is left to the reader, which reports why."""
     try:
@@ -96,6 +97,7 @@ def build_model(
     java_paths: list[str] = []
     for dirpath, dirnames, filenames in os.walk(root_path):
         rel_dir = Path(dirpath).relative_to(root_path)
+        rel_prefix = rel_dir.as_posix() + "/" if rel_dir.parts else ""
         dirnames[:] = sorted(
             d for d in dirnames if not _is_ignored(d, ignore_globs)
         )
@@ -103,7 +105,7 @@ def build_model(
             # the directories above were pruned already
             if _is_ignored(fname, ignore_globs):
                 continue
-            rel = (rel_dir / fname).as_posix() if rel_dir.parts else fname
+            rel = rel_prefix + fname
             lower = fname.lower()
             if lower.endswith(".xml"):
                 xml_paths.append(rel)
@@ -121,18 +123,23 @@ def build_model(
         except MalformedXmlError as exc:
             model.warn(rel, f"skipped malformed XML: {exc.reason} (line {exc.line})")
 
+    # str(root_path / rel), which has no './' prefix, without a Path per file
+    base = "" if str(root_path) == "." else str(root_path)
     for rel in java_paths:
-        if _not_regular(root_path / rel):
+        path = os.path.join(base, rel)
+        if _not_regular(path):
             model.warn(rel, NOT_REGULAR)
             continue
         try:
-            text = (root_path / rel).read_text(encoding="utf-8", errors="replace")
+            with open(path, encoding="utf-8", errors="replace") as f:
+                text = f.read()
         except OSError as exc:
             model.warn(rel, f"skipped unreadable Java source: {exc}")
             continue
         model.java_file_count += 1
         toks = javasrc.tokenize_java(text)
         decls = javasrc.scan_declarations(toks)
+        toks = list(toks)  # extract_members indexes a plain list faster
         for raw in decls.types:
             chain = ".".join(raw.chain)
             fqn = f"{decls.package}.{chain}" if decls.package else chain

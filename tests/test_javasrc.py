@@ -1,7 +1,8 @@
 import pytest
 import reference_tokenizer
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from javagen import java_sources
 
 from mecheck.model import javasrc
 from mecheck.model.items import ClassItem
@@ -163,8 +164,59 @@ def test_a_construct_left_open_is_read_again_a_bounded_number_of_times(monkeypat
     monkeypatch.setattr(javasrc, "_parse_annotation",
                         lambda toks, i: reads.append(i) or parse_annotation(toks, i))
     toks = tokenize_java("class A { @A( " + "(x){ } " * 1000)
-    assert len(reads) == javasrc._MAX_STALLS + 1
+    scan_declarations(toks)
+    assert len(reads) == javasrc._MAX_STALLS + 2
     assert [text for _, text, _ in toks].count("{") == 1001  # no body is skipped
+
+
+def annos_view(annotations):
+    return [(a.name, a.attrs, a.line) for a in annotations]
+
+
+def decls_view(decls):
+    return decls.package, decls.imports, [
+        (t.simple_name, t.kind, t.supertype_names, annos_view(t.annotations), t.line, t.nesting,
+         t.body_start, t.body_end,
+         [(p.type_name, p.name, annos_view(annos), line) for p, annos, line in t.components])
+        for t in decls.types
+    ]
+
+
+def assert_carried_decls_are_a_fresh_scan(text):
+    toks = tokenize_java(text)
+    assert decls_view(scan_declarations(toks)) == decls_view(scan_declarations(list(toks)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(FRAGMENTS), st.characters(max_codepoint=0x2FFF)),
+        max_size=60,
+    ).map("".join)
+)
+def test_carried_decls_equal_a_fresh_scan_of_fragments(text):
+    """Rewinds, stalls and text that ends inside a watched call included."""
+    assert_carried_decls_are_a_fresh_scan(text)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(java_sources())
+def test_carried_decls_equal_a_fresh_scan_of_generated_sources(text):
+    assert_carried_decls_are_a_fresh_scan(text)
+
+
+def test_carried_decls_after_a_stall_equal_a_fresh_scan():
+    assert_carried_decls_are_a_fresh_scan(
+        "class A { @A( " + "(x){ } " * 40 + ") int f; class B { void m() { } } }")
+
+
+def test_package_annotations_do_not_annotate_the_first_type():
+    decls = decls_of("@Deprecated package com.acme; class A {}")
+    assert decls.package == "com.acme"
+    assert [t.simple_name for t in decls.types] == ["A"]
+    assert decls.types[0].annotations == ()
+    annotated = decls_of("@Deprecated package com.acme; @Named class A {}")
+    assert [a.name for a in annotated.types[0].annotations] == ["Named"]
 
 
 def test_package_imports_and_class():

@@ -129,9 +129,9 @@ def spy_on(monkeypatch, name):
     calls = []
     real = getattr(javasrc, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(javasrc, name, spy)
     return calls
@@ -150,6 +150,31 @@ def test_one_tokenize_call_per_java_file(make_project, monkeypatch):
     assert sorted(c.fqn for c in model.classes) == [
         "com.acme.A", "com.acme.B", "com.acme.Outer", "com.acme.Outer.Inner",
     ]
+
+
+def test_one_declaration_scan_per_java_file(make_project, monkeypatch):
+    files = dict(SMALL)
+    files["src/main/java/com/acme/Outer.java"] = (
+        "package com.acme;\npublic class Outer {\n    static class Inner { int x; }\n"
+        "    void m() { getBean(\"a\"); }\n}\n"
+    )
+    scans = spy_on(monkeypatch, "_scan")
+    model = build_model(make_project(files))
+    assert model.java_file_count == 3
+    assert len(scans) == 3
+    assert len(model.classes) == 4
+
+
+def test_unreadable_java_source_warns_with_the_path_as_given(tmp_path, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "B.java").symlink_to(tmp_path / "nowhere")
+    monkeypatch.chdir(tmp_path)
+    for root, shown in [(".", "a/B.java"), (str(tmp_path), f"{tmp_path}/a/B.java")]:
+        model = build_model(root)
+        assert [(w.path, w.message) for w in model.warnings] == [
+            ("a/B.java",
+             f"skipped unreadable Java source: [Errno 2] No such file or directory: '{shown}'"),
+        ]
 
 
 def test_members_filled_by_build_model(make_project, monkeypatch):

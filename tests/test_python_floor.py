@@ -57,3 +57,7 @@ def test_regexes_use_no_python_3_11_syntax():
 def test_opcode_names_see_3_11_syntax():
     assert "POSSESSIVE_REPEAT" in set(opcode_names(sre_parse.parse("a(?:b|c*+)")))
     assert "ATOMIC_GROUP" in set(opcode_names(sre_parse.parse("(?>a)")))
+
+
+def test_java_token_pattern_is_checked():
+    assert "mecheck.model.javasrc._LEX" in dict(module_patterns())
