@@ -13,22 +13,30 @@ implementation.  The declaration gives:
   getArg, indexInBound and substring and the arguments of join;
 - the positions where a MISSING argument short-circuits, and the result
   returned then;
+- the kind of its result (BOOL, TEXT_OR_MISSING, LIST, ...); the rule
+  compiler uses a call of a BOOL built-in as a condition without a truth
+  check;
 - whether results go through the query cache.
 
-Registry.call checks arity, then MISSING, then the kinds, in that order,
-and only then runs the body; the rule validator reads arity from the
-same records.  Cached are every built-in that returns a list (so the
-exists index, keyed by container identity, sees one object per query)
-and every one whose cost grows with the model or touches the disk.  O(1)
-accessors and string helpers are cheaper than a cache lookup and are
-called directly.
+Each declaration is turned, once, into a checked entry: one closure,
+chosen by the number of kinds the declaration checks, that checks
+arity, then MISSING, then the kinds, in that order, each written out
+with no loop over the declaration, and only then runs the body; it puts
+the built-in's name into the BuiltinTypeError and PreconditionError the
+body raises.  Registry.call looks the name up and calls that entry; it
+is the one dispatch point, so a wrapper on it sees every call.  The rule
+validator reads arity from the same records.  Cached are every built-in
+that returns a list (so the exists index, keyed by container identity,
+sees one object per query) and every one whose cost grows with the model
+or touches the disk.  O(1) accessors and string helpers are cheaper than
+a cache lookup and are called directly.
 
 Missing-value policy: predicates return false when a required input is
 MISSING, string transformers return MISSING, element/list getters return
 an empty list.  That keeps rules free of false positives when optional
 metadata is absent, at the cost of silently skipping such items.
-README's "Built-in functions" section lists every built-in's kinds and
-its result on a missing argument.
+README's "Built-in functions" section lists every built-in's kinds, its
+result and its result on a missing argument.
 """
 
 from __future__ import annotations
@@ -213,6 +221,9 @@ def _element_matcher(text: str) -> Callable[[str], object]:
     return _glob_matcher(text)
 
 
+# upperCase's table: ASCII a-z to A-Z; every other character stays as is.
+_ASCII_UPPER = str.maketrans("abcdefghijklmnopqrstuvwxyz", "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
 # The range of a Java int, which bounds the text _int_like reads.
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 
@@ -232,17 +243,33 @@ CLASS_OR_TEXT = ((ClassItem, str), "a class or text")
 SITE_OR_TEXT = ((CallSite, str), "a call site or text")
 TEXT_OR_LIST = ((str, list), "text or a list")
 
+# Result kinds: the types a call that does not raise returns, and their text.
+BOOL = (bool, "a bool")
+INTEGER = (int, "an integer")
+TEXT_OR_MISSING = ((str, type(MISSING)), "text or missing")
+LIST = (list, "a list")
+ANY = (object, "any value")
 
-class Builtin(Record):
+
+class _Derived(Record):
+    """The slot of what a Builtin derives from its fields: it is not a
+    field, so records compare, hash and rebuild without it."""
+
+    __slots__ = ("entry",)
+    entry: Callable
+
+
+class Builtin(_Derived):
     """One built-in: its contract and its implementation.
 
-    Registry.call runs fn(registry, model, args) only when len(args) is in
-    arity, no position in missing holds MISSING (else the call returns
-    on_missing, a fresh list for a list), and each (position, types,
-    expected) of checks holds an instance of types.
+    Its entry, built with the record, runs fn(registry, model, args) only
+    when len(args) is in arity, no position in missing holds MISSING (else
+    the call returns on_missing, a fresh list for a list), and each
+    (position, types, expected) of checks holds an instance of types.
+    result is the kind of what fn and on_missing give.
     """
 
-    __slots__ = ("name", "fn", "arity", "checks", "missing", "on_missing", "cached")
+    __slots__ = ("name", "fn", "arity", "checks", "missing", "on_missing", "cached", "result")
     name: str
     fn: Callable
     arity: range
@@ -250,11 +277,97 @@ class Builtin(Record):
     missing: tuple[int, ...]
     on_missing: object
     cached: bool
+    result: tuple
 
     def __init__(self, name: str, fn: Callable, arity: range,
                  checks: tuple[tuple[int, type | tuple[type, ...], str], ...] = (),
-                 missing: tuple[int, ...] = (), on_missing: object = None, cached: bool = False):
-        super().__init__(name, fn, arity, checks, missing, on_missing, cached)
+                 missing: tuple[int, ...] = (), on_missing: object = None, cached: bool = False,
+                 result: tuple = ANY):
+        super().__init__(name, fn, arity, checks, missing, on_missing, cached, result)
+        object.__setattr__(self, "entry", _checked_entry(name, fn, arity, checks, missing,
+                                                         on_missing))
+
+
+def _checked_entry(name: str, fn: Callable, arity: range,
+                   checks: tuple[tuple[int, type | tuple[type, ...], str], ...],
+                   missing: tuple[int, ...], on_missing: object) -> Callable:
+    """The entry(registry, model, args) a Builtin record dispatches to: fn
+    behind the record's checks, made in this order: len(args) in arity; a
+    MISSING at a position in missing returns on_missing (a fresh list for
+    a list); the argument at each position of checks has its kind.  It
+    puts name into the BuiltinTypeError and PreconditionError fn raises.
+
+    Every check is written out, with no loop over the record: the entry is
+    one of four closures, by the number of kinds checked, and it reads
+    missing as a pair of positions (one position is read twice)."""
+    if len(missing) > 2 or len(checks) > 3:
+        raise ValueError(f"built-in '{name}' declares more than 2 MISSING positions or 3 kinds")
+    low, stop = arity.start, arity.stop
+    m0, m1 = (missing * 2)[:2] if missing else (0, 0)
+    fresh_list = type(on_missing) is list
+    # checks padded to three; an entry reads only as many as there are
+    (p0, t0, _), (p1, t1, _), (p2, t2, _) = (checks + ((0, object, ""),) * 3)[:3]
+
+    if not checks:
+        def entry(registry, model, args):
+            if not low <= len(args) < stop:
+                raise BuiltinArityError(name, arity, len(args))
+            if missing and (args[m0] is MISSING or args[m1] is MISSING):
+                return [] if fresh_list else on_missing
+            try:
+                return fn(registry, model, args)
+            except (BuiltinTypeError, PreconditionError) as exc:
+                exc.name = name
+                raise
+    elif len(checks) == 1:
+        def entry(registry, model, args):
+            if not low <= len(args) < stop:
+                raise BuiltinArityError(name, arity, len(args))
+            if missing and (args[m0] is MISSING or args[m1] is MISSING):
+                return [] if fresh_list else on_missing
+            if not isinstance(args[p0], t0):
+                raise _kind_error(name, checks, args)
+            try:
+                return fn(registry, model, args)
+            except (BuiltinTypeError, PreconditionError) as exc:
+                exc.name = name
+                raise
+    elif len(checks) == 2:
+        def entry(registry, model, args):
+            if not low <= len(args) < stop:
+                raise BuiltinArityError(name, arity, len(args))
+            if missing and (args[m0] is MISSING or args[m1] is MISSING):
+                return [] if fresh_list else on_missing
+            if not (isinstance(args[p0], t0) and isinstance(args[p1], t1)):
+                raise _kind_error(name, checks, args)
+            try:
+                return fn(registry, model, args)
+            except (BuiltinTypeError, PreconditionError) as exc:
+                exc.name = name
+                raise
+    else:
+        def entry(registry, model, args):
+            if not low <= len(args) < stop:
+                raise BuiltinArityError(name, arity, len(args))
+            if missing and (args[m0] is MISSING or args[m1] is MISSING):
+                return [] if fresh_list else on_missing
+            if not (isinstance(args[p0], t0) and isinstance(args[p1], t1)
+                    and isinstance(args[p2], t2)):
+                raise _kind_error(name, checks, args)
+            try:
+                return fn(registry, model, args)
+            except (BuiltinTypeError, PreconditionError) as exc:
+                exc.name = name
+                raise
+    return entry
+
+
+def _kind_error(name: str, checks: tuple, args: list) -> BuiltinTypeError:
+    """The error for the first argument in checks that lacks its kind."""
+    i, _, expected = next(c for c in checks if not isinstance(args[c[0]], c[1]))
+    exc = BuiltinTypeError(i, expected, kind_name(args[i]))
+    exc.name = name
+    return exc
 
 
 # Every built-in, by name, filled by @builtin.
@@ -265,6 +378,7 @@ def builtin(
     name: str,
     arity: int | tuple[int, int | None],
     *kinds: tuple,
+    result: tuple,
     missing: tuple[int, ...] = (),
     on_missing: object = None,
     cached: bool = False,
@@ -272,9 +386,9 @@ def builtin(
     """Declare the decorated Registry method as the built-in `name`.
 
     arity is a count or (min, max), max None for no limit; kinds gives the
-    kinds of the leading arguments; a MISSING argument at a position in
-    missing makes the call return on_missing; cached routes results
-    through the query cache.
+    kinds of the leading arguments; result is the kind of what it returns;
+    a MISSING argument at a position in missing makes the call return
+    on_missing; cached routes results through the query cache.
     """
     low, high = (arity, arity) if isinstance(arity, int) else arity
     checks = tuple((i, *kind) for i, kind in enumerate(kinds))
@@ -282,7 +396,7 @@ def builtin(
     def register(fn):
         BUILTINS[name] = Builtin(
             name, fn, range(low, UNBOUNDED if high is None else high + 1),
-            checks, missing, on_missing, cached,
+            checks, missing, on_missing, cached, result,
         )
         return fn
 
@@ -345,89 +459,78 @@ class Registry:
         self.builtins: dict[str, Builtin] = BUILTINS
 
     def call(self, name: str, args: list, model: ProjectModel):
-        spec = self.builtins.get(name)
-        if spec is None:
-            raise UnknownBuiltinError(name)
-        if len(args) not in spec.arity:
-            raise BuiltinArityError(name, spec.arity, len(args))
-        for i in spec.missing:
-            if args[i] is MISSING:
-                result = spec.on_missing
-                return [] if type(result) is list else result
         try:
-            for i, types, expected in spec.checks:
-                if not isinstance(args[i], types):
-                    raise BuiltinTypeError(i, expected, kind_name(args[i]))
-            return spec.fn(self, model, args)
-        except (BuiltinTypeError, PreconditionError) as exc:
-            exc.name = name
-            raise
+            entry = self.builtins[name].entry
+        except KeyError:
+            raise UnknownBuiltinError(name) from None
+        return entry(self, model, args)
 
     # -- XML group -------------------------------------------------------------
 
-    @builtin("getXMLs", 0, cached=True)
+    @builtin("getXMLs", 0, result=LIST, cached=True)
     def _get_xmls(self, model, args):
         return list(model.xml_files)
 
-    @builtin("getElms", 2, XML_NODE, TEXT, missing=(0,), on_missing=[], cached=True)
+    @builtin("getElms", 2, XML_NODE, TEXT, result=LIST, missing=(0,), on_missing=[], cached=True)
     def _get_elms(self, model, args):
         return _scope_matches(args[0], _element_matcher(args[1]), False)
 
-    @builtin("elementExists", 2, XML_NODE, TEXT, missing=(0,), on_missing=False, cached=True)
+    @builtin("elementExists", 2, XML_NODE, TEXT, result=BOOL,
+             missing=(0,), on_missing=False, cached=True)
     def _element_exists(self, model, args):
         return bool(_scope_matches(args[0], _element_matcher(args[1]), True))
 
-    @builtin("getAttr", 2, ELEMENT, TEXT, missing=(0,), on_missing=MISSING)
+    @builtin("getAttr", 2, ELEMENT, TEXT, result=TEXT_OR_MISSING, missing=(0,), on_missing=MISSING)
     def _get_attr(self, model, args):
         return args[0].attrs.get(args[1], MISSING)
 
-    @builtin("getAttrs", 2, ELEMENT, TEXT, missing=(0,), on_missing=[], cached=True)
+    @builtin("getAttrs", 2, ELEMENT, TEXT, result=LIST, missing=(0,), on_missing=[], cached=True)
     def _get_attrs(self, model, args):
         match = _glob_matcher(args[1])
         return [v for k, v in args[0].attrs.items() if match(k)]
 
-    @builtin("hasAttr", 2, ELEMENT, TEXT, missing=(0,), on_missing=False)
+    @builtin("hasAttr", 2, ELEMENT, TEXT, result=BOOL, missing=(0,), on_missing=False)
     def _has_attr(self, model, args):
         return args[1] in args[0].attrs
 
     # -- code elements ----------------------------------------------------------
 
-    @builtin("getClasses", 0, cached=True)
+    @builtin("getClasses", 0, result=LIST, cached=True)
     def _get_classes(self, model, args):
         return list(model.classes)
 
-    @builtin("classExists", 1, TEXT, missing=(0,), on_missing=False)
+    @builtin("classExists", 1, TEXT, result=BOOL, missing=(0,), on_missing=False)
     def _class_exists(self, model, args):
         return args[0] in model.class_by_fqn
 
-    @builtin("locateClassFQN", 1, TEXT)
+    @builtin("locateClassFQN", 1, TEXT, result=CLASS)
     def _locate_class_fqn(self, model, args):
         cls = model.class_by_fqn.get(args[0])
         if cls is None:
             raise PreconditionError(f"no class named {args[0]}")
         return cls
 
-    @builtin("locateClassSN", 1, TEXT, cached=True)
+    @builtin("locateClassSN", 1, TEXT, result=CLASS, cached=True)
     def _locate_class_sn(self, model, args):
         matches = model.classes_by_sn.get(args[0], [])
         if len(matches) != 1:
             raise PreconditionError(f"simple name {args[0]} matches {len(matches)} classes")
         return matches[0]
 
-    @builtin("isUniqueSN", 1, TEXT, missing=(0,), on_missing=False, cached=True)
+    @builtin("isUniqueSN", 1, TEXT, result=BOOL, missing=(0,), on_missing=False, cached=True)
     def _is_unique_sn(self, model, args):
         return len(model.classes_by_sn.get(args[0], [])) == 1
 
-    @builtin("getSN", 1, CLASS_OR_TEXT, missing=(0,), on_missing=MISSING)
+    @builtin("getSN", 1, CLASS_OR_TEXT, result=TEXT_OR_MISSING, missing=(0,), on_missing=MISSING)
     def _get_sn(self, model, args):
         v = args[0]
         return v.simple_name if isinstance(v, ClassItem) else v.rsplit(".", 1)[-1]
 
-    @builtin("getFQN", 1, CLASS, missing=(0,), on_missing=MISSING)
+    @builtin("getFQN", 1, CLASS, result=TEXT_OR_MISSING, missing=(0,), on_missing=MISSING)
     def _get_fqn(self, model, args):
         return args[0].fqn
 
-    @builtin("getName", 1, NAMED, missing=(0,), on_missing=MISSING)
+    @builtin("getName", 1, NAMED, result=TEXT_OR_MISSING, missing=(0,), on_missing=MISSING)
     def _get_name(self, model, args):
         v = args[0]
         if isinstance(v, ClassItem):
@@ -438,27 +541,27 @@ class Registry:
             return v.path
         return v.name  # a method, field or element
 
-    @builtin("getType", 1, FIELD, missing=(0,), on_missing=MISSING)
+    @builtin("getType", 1, FIELD, result=TEXT_OR_MISSING, missing=(0,), on_missing=MISSING)
     def _get_type(self, model, args):
         return args[0].type_name
 
-    @builtin("getReturnType", 1, METHOD, missing=(0,), on_missing=MISSING)
+    @builtin("getReturnType", 1, METHOD, result=TEXT_OR_MISSING, missing=(0,), on_missing=MISSING)
     def _get_return_type(self, model, args):
         return args[0].return_type
 
-    @builtin("getMethods", 1, CLASS, missing=(0,), on_missing=[], cached=True)
+    @builtin("getMethods", 1, CLASS, result=LIST, missing=(0,), on_missing=[], cached=True)
     def _get_methods(self, model, args):
         return list(args[0].members().methods)
 
-    @builtin("getFields", 1, CLASS, missing=(0,), on_missing=[], cached=True)
+    @builtin("getFields", 1, CLASS, result=LIST, missing=(0,), on_missing=[], cached=True)
     def _get_fields(self, model, args):
         return list(args[0].members().fields)
 
-    @builtin("getConstructors", 1, CLASS, missing=(0,), on_missing=[], cached=True)
+    @builtin("getConstructors", 1, CLASS, result=LIST, missing=(0,), on_missing=[], cached=True)
     def _get_constructors(self, model, args):
         return list(args[0].members().constructors)
 
-    @builtin("getFamily", 1, CLASS, missing=(0,), on_missing=[], cached=True)
+    @builtin("getFamily", 1, CLASS, result=LIST, missing=(0,), on_missing=[], cached=True)
     def _get_family(self, model, args):
         cls = args[0]
         family = [cls]
@@ -482,19 +585,19 @@ class Registry:
         matches = model.classes_by_sn.get(name, [])
         return matches[0] if len(matches) == 1 else None
 
-    @builtin("hasField", 2, CLASS, TEXT, missing=(0, 1), on_missing=False)
+    @builtin("hasField", 2, CLASS, TEXT, result=BOOL, missing=(0, 1), on_missing=False)
     def _has_field(self, model, args):
         return any(f.name == args[1] for f in args[0].members().fields)
 
-    @builtin("hasParam", 2, CALLABLE, TEXT, missing=(0, 1), on_missing=False)
+    @builtin("hasParam", 2, CALLABLE, TEXT, result=BOOL, missing=(0, 1), on_missing=False)
     def _has_param(self, model, args):
         return any(p.name == args[1] for p in args[0].params)
 
-    @builtin("hasParamType", 2, CALLABLE, TEXT, missing=(0, 1), on_missing=False)
+    @builtin("hasParamType", 2, CALLABLE, TEXT, result=BOOL, missing=(0, 1), on_missing=False)
     def _has_param_type(self, model, args):
         return any(p.type_name == args[1] for p in args[0].params)
 
-    @builtin("indexInBound", 2, CALLABLE, missing=(0, 1), on_missing=False)
+    @builtin("indexInBound", 2, CALLABLE, result=BOOL, missing=(0, 1), on_missing=False)
     def _index_in_bound(self, model, args):
         """Whether 0 <= index < the parameter count; false for text that
         is not an integer, which Spring rejects too.  An index of any
@@ -507,7 +610,7 @@ class Registry:
             raise
         return 0 <= index < args[0].param_count
 
-    @builtin("isIterable", 1, METHOD, missing=(0,), on_missing=False)
+    @builtin("isIterable", 1, METHOD, result=BOOL, missing=(0,), on_missing=False)
     def _is_iterable(self, model, args):
         rt = args[0].return_type
         if rt.endswith("[]"):
@@ -516,11 +619,11 @@ class Registry:
         base = base.rsplit(".", 1)[-1]
         return base in ITERABLE_BASE_NAMES
 
-    @builtin("callExists", 1, TEXT, missing=(0,), on_missing=False, cached=True)
+    @builtin("callExists", 1, TEXT, result=BOOL, missing=(0,), on_missing=False, cached=True)
     def _call_exists(self, model, args):
         return bool(model.call_sites(args[0]))
 
-    @builtin("getArg", 2, SITE_OR_TEXT, missing=(0,), on_missing=[], cached=True)
+    @builtin("getArg", 2, SITE_OR_TEXT, result=ANY, missing=(0,), on_missing=[], cached=True)
     def _get_arg(self, model, args):
         """Two forms: (callee name, index) lists that argument across all
         captured call sites of the callee, skipping non-literal values;
@@ -537,7 +640,7 @@ class Registry:
                 out.append(site.string_args[idx])
         return out
 
-    @builtin("isLibraryClass", 1, TEXT, missing=(0,), on_missing=False, cached=True)
+    @builtin("isLibraryClass", 1, TEXT, result=BOOL, missing=(0,), on_missing=False, cached=True)
     def _is_library_class(self, model, args):
         return self.lib_patterns.matches(args[0])
 
@@ -553,7 +656,7 @@ class Registry:
                 return anno
         return None
 
-    @builtin("getAnnotated", 2, TEXT, TEXT, missing=(0,), on_missing=[], cached=True)
+    @builtin("getAnnotated", 2, TEXT, TEXT, result=LIST, missing=(0,), on_missing=[], cached=True)
     def _get_annotated(self, model, args):
         query, kind = args
         if kind == "class":
@@ -574,11 +677,12 @@ class Registry:
             return out
         raise PreconditionError(f"kind must be class, method, or field, got {kind!r}")
 
-    @builtin("hasAnnotation", 2, ANNOTATED, TEXT, missing=(0, 1), on_missing=False)
+    @builtin("hasAnnotation", 2, ANNOTATED, TEXT, result=BOOL, missing=(0, 1), on_missing=False)
     def _has_annotation(self, model, args):
         return self._find_anno(args[0], args[1]) is not None
 
-    @builtin("getAnnoAttr", 3, ANNOTATED, TEXT, TEXT, missing=(0,), on_missing=MISSING)
+    @builtin("getAnnoAttr", 3, ANNOTATED, TEXT, TEXT, result=TEXT_OR_MISSING,
+             missing=(0,), on_missing=MISSING)
     def _get_anno_attr(self, model, args):
         item, query, attr = args
         anno = self._find_anno(item, query)
@@ -589,12 +693,13 @@ class Registry:
             return MISSING
         return values[0]
 
-    @builtin("getAnnoAttrNames", 2, ANNOTATED, TEXT, missing=(0,), on_missing=[], cached=True)
+    @builtin("getAnnoAttrNames", 2, ANNOTATED, TEXT, result=LIST,
+             missing=(0,), on_missing=[], cached=True)
     def _get_anno_attr_names(self, model, args):
         anno = self._find_anno(args[0], args[1])
         return list(anno.attrs.keys()) if anno is not None else []
 
-    @builtin("hasAnnoAttr", 3, ANNOTATED, TEXT, TEXT, missing=(0,), on_missing=False)
+    @builtin("hasAnnoAttr", 3, ANNOTATED, TEXT, TEXT, result=BOOL, missing=(0,), on_missing=False)
     def _has_anno_attr(self, model, args):
         item, query, attr = args
         anno = self._find_anno(item, query)
@@ -602,36 +707,34 @@ class Registry:
 
     # -- strings and paths ------------------------------------------------------------
 
-    @builtin("startsWith", 2, TEXT, TEXT, missing=(0, 1), on_missing=False)
+    @builtin("startsWith", 2, TEXT, TEXT, result=BOOL, missing=(0, 1), on_missing=False)
     def _starts_with(self, model, args):
         return args[0].startswith(args[1])
 
-    @builtin("endsWith", 2, TEXT, TEXT, missing=(0, 1), on_missing=False)
+    @builtin("endsWith", 2, TEXT, TEXT, result=BOOL, missing=(0, 1), on_missing=False)
     def _ends_with(self, model, args):
         return args[0].endswith(args[1])
 
-    @builtin("isEmpty", 1, TEXT_OR_LIST, missing=(0,), on_missing=True)
+    @builtin("isEmpty", 1, TEXT_OR_LIST, result=BOOL, missing=(0,), on_missing=True)
     def _is_empty(self, model, args):
         return len(args[0]) == 0
 
-    @builtin("indexOf", 2, TEXT, TEXT, missing=(0, 1), on_missing=-1)
+    @builtin("indexOf", 2, TEXT, TEXT, result=INTEGER, missing=(0, 1), on_missing=-1)
     def _index_of(self, model, args):
         return args[0].find(args[1])
 
-    @builtin("substring", (2, 3), TEXT, missing=(0,), on_missing=MISSING)
+    @builtin("substring", (2, 3), TEXT, result=TEXT_OR_MISSING, missing=(0,), on_missing=MISSING)
     def _substring(self, model, args):
         s = args[0]
         start = _int_like(args, 1)
         end = _int_like(args, 2) if len(args) == 3 else len(s)
         return s[max(start, 0):max(end, 0)]
 
-    @builtin("upperCase", 1, TEXT, missing=(0,), on_missing=MISSING)
+    @builtin("upperCase", 1, TEXT, result=TEXT_OR_MISSING, missing=(0,), on_missing=MISSING)
     def _upper_case(self, model, args):
-        return "".join(
-            chr(ord(c) - 32) if "a" <= c <= "z" else c for c in args[0]
-        )
+        return args[0].translate(_ASCII_UPPER)
 
-    @builtin("join", (2, None))
+    @builtin("join", (2, None), result=ANY)
     def _join(self, model, args):
         """Concatenate all-text or all-list arguments.
 
@@ -639,10 +742,12 @@ class Registry:
         join never loses emptiness: the result is empty iff every
         argument is empty.
         """
+        try:
+            return "".join(args)  # fails unless every argument is text
+        except TypeError:
+            pass
         if any(a is MISSING for a in args):
             return MISSING
-        if all(isinstance(a, str) for a in args):
-            return "".join(args)
         if all(isinstance(a, list) for a in args):
             out = []
             for a in args:
@@ -654,6 +759,6 @@ class Registry:
         )
         raise BuiltinTypeError(first_bad, f"all text or all lists ({kinds})", kind_name(args[first_bad]))
 
-    @builtin("pathExists", 1, TEXT, missing=(0,), on_missing=False, cached=True)
+    @builtin("pathExists", 1, TEXT, result=BOOL, missing=(0,), on_missing=False, cached=True)
     def _path_exists(self, model, args):
         return resolve_resource_path(args[0], model, self.resource_roots) is not None

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import fnmatch
 import os
+import re
 import stat
+from collections.abc import Callable
 from pathlib import Path
 
 from mecheck.model import javasrc
@@ -71,8 +73,14 @@ class ProjectModel:
         return out
 
 
-def _is_ignored(name: str, globs: tuple[str, ...]) -> bool:
-    return any(fnmatch.fnmatch(name, glob) for glob in globs)
+def _ignore_matcher(globs: tuple[str, ...]) -> Callable[[str], object]:
+    """A name -> truthy test for whether name matches any of globs, as
+    fnmatch.fnmatch decides, with all globs compiled into one pattern."""
+    if not globs:
+        return lambda name: False
+    pattern = re.compile("|".join(fnmatch.translate(os.path.normcase(g)) for g in globs))
+    normcase, match = os.path.normcase, pattern.match
+    return lambda name: match(normcase(name))
 
 
 def _not_regular(path: str | Path) -> bool:
@@ -93,17 +101,18 @@ def build_model(
         raise RootNotFound(f"project root is not a directory: {root}")
     model = ProjectModel(root_path)
 
+    is_ignored = _ignore_matcher(ignore_globs)
     xml_paths: list[str] = []
     java_paths: list[str] = []
     for dirpath, dirnames, filenames in os.walk(root_path):
         rel_dir = Path(dirpath).relative_to(root_path)
         rel_prefix = rel_dir.as_posix() + "/" if rel_dir.parts else ""
         dirnames[:] = sorted(
-            d for d in dirnames if not _is_ignored(d, ignore_globs)
+            d for d in dirnames if not is_ignored(d)
         )
         for fname in filenames:
             # the directories above were pruned already
-            if _is_ignored(fname, ignore_globs):
+            if is_ignored(fname):
                 continue
             rel = rel_prefix + fname
             lower = fname.lower()

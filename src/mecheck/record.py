@@ -1,7 +1,9 @@
 """Record: the base class of mecheck's immutable value records.
 
 A record's fields are the names in its class's own __slots__, in order;
-a class between Record and a concrete record declares ``__slots__ = ()``.
+a class between Record and a concrete record declares ``__slots__ = ()``,
+or slots for values the record derives from its fields, which the
+record's __init__ sets and which equality, hashing and repr ignore.
 __init__ sets every field once, from positional or keyword arguments;
 a record with default values writes its own __init__ and passes them on.
 Records of the same class compare equal when their fields are equal,

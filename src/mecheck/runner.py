@@ -125,6 +125,8 @@ def render_json(summary: RunSummary) -> str:
             "rulesExecuted": summary.rules_executed,
             "elapsedMs": int(summary.elapsed_ms),
         },
+        "warnings": summary.warnings,
+        "diagnostics": summary.diagnostics,
     }
     return json.dumps(payload, indent=2) + "\n"
 

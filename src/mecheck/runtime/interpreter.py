@@ -5,11 +5,13 @@ closures, one per statement and one per expression node.  Literal
 values, built-in names, argument counts, source spans and whether a
 call goes through the query cache are settled at compile time, so
 running a rule does no dispatch on node types.  Statements are called
-as stmt(slots, sink), expressions as exp(slots).  A call's arguments
-compile to one closure that builds their list; literals and bound
-variable reads are folded into it for the common shapes, so
-hasAttr(bean, "class") builds [slots[i], "class"] with no call per
-argument.
+as stmt(slots, sink), expressions as exp(slots).  A call site compiles to
+one closure that builds the argument list, counts the call and
+dispatches it; for the common shapes of literal and bound-variable
+arguments it builds the list itself, so hasAttr(bean, "class") builds
+[slots[i], "class"] with no call per argument.  A condition must be a bool or MISSING, so it
+is checked at run time, except where its node always gives a bool: ==,
+exists, AND, OR, NOT and a call of a built-in declared to return BOOL.
 
 Scoping model: variables are resolved when the rule compiles, by the
 scope walk rsl/validator.py makes.  The rule body, each for and if body
@@ -31,10 +33,11 @@ report's position comes from the first message argument that carries a
 source location.  Any runtime failure (unbound name, a built-in type or
 precondition error) aborts only the current rule via RuntimeRuleError.
 
-Every built-in call goes through Registry.call; a cached one goes
-through canonical_key and QueryCache.get_or_compute first.  All three
-are looked up when the rule is compiled, so wrappers installed on them
-before a rule runs see every call.
+Every built-in call goes through Registry.call, which runs the
+built-in's checked entry; a cached one goes through canonical_key and
+QueryCache.get_or_compute first.  All three are looked up when the rule
+is compiled, so wrappers installed on them before a rule runs see every
+call.
 
 Indexed exists: with a QueryCache, `exists (T x in C) (f(x) == e)` is
 answered from a hash index of f over C (a hash semi-join) when the
@@ -378,6 +381,10 @@ class Interpreter:
             inner = inner.inner
         if isinstance(inner, _BOOL_NODES):
             return value_of
+        if isinstance(inner, ast.FunctionCall):
+            spec = self.registry.builtins.get(inner.name)
+            if spec is not None and spec.result == builtins_mod.BOOL:
+                return value_of
         rule_name, span, is_truthy = self._rule_name, exp.span, V.is_truthy
 
         def cond(slots):
@@ -405,25 +412,8 @@ class Interpreter:
         return unbound
 
     def _compile_args(self, args: tuple[ast.Exp, ...], scopes: Scopes) -> CompiledExp:
-        """slots -> a new list of a call's argument values.
-
-        Literals and reads of bound variables are folded into the list for
-        the common shapes: hasAttr(bean, "class") runs as
-        [slots[a], "class"], with no call per argument.  Other shapes and
-        other arguments compile to a closure each."""
-        match [_fold(arg, scopes) for arg in args]:
-            case [("slot", a)]:
-                return lambda slots: [slots[a]]
-            case [("value", v)]:
-                return lambda slots: [v]
-            case [("slot", a), ("value", v)]:
-                return lambda slots: [slots[a], v]
-            case [("slot", a), ("slot", b)]:
-                return lambda slots: [slots[a], slots[b]]
-            case [("value", v), ("value", w)]:
-                return lambda slots: [v, w]
-            case [("slot", a), ("value", v), ("value", w)]:
-                return lambda slots: [slots[a], v, w]
+        """slots -> a new list of a call's argument values, one closure call
+        per argument."""
         compiled = tuple(self._compile_exp(arg, scopes) for arg in args)
         if len(compiled) == 1:
             (first,) = compiled
@@ -434,35 +424,88 @@ class Interpreter:
         return lambda slots: [arg(slots) for arg in compiled]
 
     def _compile_call(self, exp: ast.FunctionCall, scopes: Scopes) -> CompiledExp:
-        name = exp.name
-        values_of = self._compile_args(exp.args, scopes)
-        stats, model, call = self.stats, self.model, self.registry.call
+        """The call site: one closure that builds the argument list, counts
+        the call and dispatches it, through the query cache (get) for a
+        cached built-in.  When the arguments are only literals, or in the
+        common shapes of literal and bound-variable arguments, the closure
+        builds the list itself: hasAttr(bean, "class") runs as
+        [slots[a], "class"], with no call per argument.  Other shapes build
+        it with _compile_args."""
+        name, stats, model, call = exp.name, self.stats, self.model, self.registry.call
         rule_name, line, column = self._rule_name, exp.span.line, exp.span.column
         errors = builtins_mod.CALL_ERRORS
-
         spec = self.registry.builtins.get(name)
+        key_of = get = None
         if self.cache is not None and spec is not None and spec.cached:
             key_of, get = canonical_key, self.cache.get_or_compute
 
-            def cached_call(slots):
-                values = values_of(slots)
-                stats.builtin_calls += 1
-                try:
-                    return get(key_of(name, values), call, name, values, model)
-                except errors as exc:
-                    raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+        folded = [_fold(arg, scopes) for arg in exp.args]
+        match folded:
+            case [("slot", a)]:
+                def call_site(slots):
+                    values = [slots[a]]
+                    stats.builtin_calls += 1
+                    try:
+                        if get is None:
+                            return call(name, values, model)
+                        return get(key_of(name, values), call, name, values, model)
+                    except errors as exc:
+                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+            case [("slot", a), ("value", v)]:
+                def call_site(slots):
+                    values = [slots[a], v]
+                    stats.builtin_calls += 1
+                    try:
+                        if get is None:
+                            return call(name, values, model)
+                        return get(key_of(name, values), call, name, values, model)
+                    except errors as exc:
+                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+            case [("slot", a), ("slot", b)]:
+                def call_site(slots):
+                    values = [slots[a], slots[b]]
+                    stats.builtin_calls += 1
+                    try:
+                        if get is None:
+                            return call(name, values, model)
+                        return get(key_of(name, values), call, name, values, model)
+                    except errors as exc:
+                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+            case [("slot", a), ("value", v), ("value", w)]:
+                def call_site(slots):
+                    values = [slots[a], v, w]
+                    stats.builtin_calls += 1
+                    try:
+                        if get is None:
+                            return call(name, values, model)
+                        return get(key_of(name, values), call, name, values, model)
+                    except errors as exc:
+                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+            case _ if all(f is not None and f[0] == "value" for f in folded):
+                literals = [f[1] for f in folded]
 
-            return cached_call
+                def call_site(slots):
+                    values = literals.copy()
+                    stats.builtin_calls += 1
+                    try:
+                        if get is None:
+                            return call(name, values, model)
+                        return get(key_of(name, values), call, name, values, model)
+                    except errors as exc:
+                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+            case _:
+                values_of = self._compile_args(exp.args, scopes)
 
-        def direct_call(slots):
-            values = values_of(slots)
-            stats.builtin_calls += 1
-            try:
-                return call(name, values, model)
-            except errors as exc:
-                raise RuntimeRuleError(rule_name, str(exc), line, column) from None
-
-        return direct_call
+                def call_site(slots):
+                    values = values_of(slots)
+                    stats.builtin_calls += 1
+                    try:
+                        if get is None:
+                            return call(name, values, model)
+                        return get(key_of(name, values), call, name, values, model)
+                    except errors as exc:
+                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+        return call_site
 
     def _compile_exists(self, exp: ast.Exists, scopes: Scopes) -> CompiledExp:
         container = self._compile_exp(exp.container, scopes)

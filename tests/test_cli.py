@@ -75,7 +75,8 @@ def test_json_format(capsys):
     root = FIXTURES / "r2" / "buggy-1"
     assert cli.main(["--project", str(root), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"reports", "summary"}
+    assert set(payload) == {"reports", "summary", "warnings", "diagnostics"}
+    assert payload["warnings"] == payload["diagnostics"] == []
     assert payload["summary"]["reports"] == 1
     assert payload["summary"]["rulesExecuted"] == 15
     assert isinstance(payload["summary"]["elapsedMs"], int)
@@ -84,6 +85,33 @@ def test_json_format(capsys):
     assert report["rule"] == "r2-bean-class-exists"
     assert report["file"] == "src/main/resources/beans.xml"
     assert report["line"] > 0
+
+
+FAILING_RULE = 'Rule probe-fail {\n  class c = locateClassFQN("com.x.Nowhere");\n}\n'
+
+
+def test_json_carries_the_warnings_and_rule_errors_stderr_shows(tmp_path, capsys):
+    root = write_project(tmp_path, {**CLEAN, "bad.xml": "<beans><bean></beans>"})
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    (rules / "fail.rsl").write_text(FAILING_RULE)
+    (rules / "one.rsl").write_text(ONE_RULE)
+    assert cli.main(["--project", str(root), "--rules", str(rules)]) == 0
+    text_out, err = capsys.readouterr()
+    assert cli.main(["--project", str(root), "--rules", str(rules), "--format", "json"]) == 0
+    out, json_err = capsys.readouterr()
+    assert json_err == err
+    payload = json.loads(out)
+    assert payload["reports"] == []
+    assert payload["summary"]["rulesExecuted"] == 2
+    (warning,) = payload["warnings"]
+    (diagnostic,) = payload["diagnostics"]
+    assert warning.startswith("bad.xml: skipped malformed XML: ")
+    assert diagnostic == ("rule probe-fail failed at line 2, column 13: "
+                          "'locateClassFQN': no class named com.x.Nowhere")
+    assert err.splitlines() == [f"mecheck: warning: {warning}",
+                                f"mecheck: rule error: {diagnostic}"]
+    assert text_out == "0 findings across 2 rules\n"
 
 
 def test_text_output_is_deterministic(capsys):

@@ -1,4 +1,8 @@
+import fnmatch
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecheck.model import javasrc, project
 from mecheck.model.project import RootNotFound, build_model
@@ -66,6 +70,17 @@ def test_ignore_glob_skips_files_by_name(make_project):
     assert sorted(c.fqn for c in model.classes) == ["com.acme.A", "com.acme.B"]
     assert [x.path for x in model.xml_files] == ["src/main/resources/beans.xml"]
     assert model.java_file_count == 2
+
+
+GLOB_CHARS = st.sampled_from(["a", "b", ".", "-", "*", "?", "[", "]", "!", "^", "\\"])
+NAME_CHARS = st.sampled_from(["a", "b", ".", "-", "[", "]", "!", "^", "\\", "\n", "A"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.text(GLOB_CHARS, max_size=6), max_size=4), st.text(NAME_CHARS, max_size=6))
+def test_ignore_pattern_agrees_with_fnmatch(globs, name):
+    expected = any(fnmatch.fnmatch(name, glob) for glob in globs)
+    assert bool(project._ignore_matcher(tuple(globs))(name)) == expected
 
 
 def test_fqn_and_simple_name_indexes(make_project):
