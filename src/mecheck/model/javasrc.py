@@ -1,34 +1,33 @@
-"""Declaration-level Java source scanning.
+"""Declaration-level Java source reading.
 
-tokenize_java turns one file's text into a token list of its declarations
-and scans that list for them as it goes; the model builder runs it once
-per file and reads the three phases below from what it returns:
+tokenize_java lexes one Java file into a token list of its declarations
+and reads the file's declarations and members on the way; the model
+builder runs it once per file, and scan_declarations and extract_members
+hand out what it read.
 
-  * tokenize_java lexes the text with one compiled pattern, _LEX; a
-    character loop reads only what the pattern leaves (non-ASCII
-    characters, text blocks, and literals and comments that are not
-    closed).  It emits the tokens of everything outside member bodies:
-    the package and imports, type headers, annotations, field
-    declarations with their initializers, and method and constructor
-    signatures.  Of each member body (method, constructor and initializer
-    bodies, enum constant bodies, blocks in field initializers) it emits
-    only the braces around it and the watched calls inside it; one
-    compiled regex jumps over the rest, skipping literals and comments as
-    the tokenizer reads them.  To tell a member body from a type body it
-    resumes scan_declarations' scan, _scan, over the tokens emitted so far
-    at each '{', and lets it read the rest once the text ends.
-
-  * scan_declarations gives the package, the imports, and every type
-    declaration (name, kind, supertypes as written, class-level
-    annotations, and the token range of its body) of a whole file.
-    Method and field bodies are only brace-counted here.  The tokens
-    tokenize_java returns carry what its scan read, so each file is
-    scanned once; any other token list is scanned afresh.
-
-  * extract_members re-walks one type's body range and builds its model
-    items: fields, methods (signature level), constructors, and the call
-    sites of the WATCHED_CALLEES found inside bodies and initializers,
-    all owned by the ClassItem the builder made for that type.  A record's
+  * The lexer is one compiled pattern, _LEX; a character loop reads only
+    what the pattern leaves (non-ASCII characters, text blocks, and
+    literals and comments that are not closed).  It lexes on demand, up to
+    the next '{' at a time, and marks each '@' and declaration keyword
+    (package, import, class, interface, enum, record), and each brace
+    lexed while a mark waits to be read.
+  * One recursive reader walks each type body for its fields, methods and
+    constructors (signature level), annotations and the call sites of the
+    WATCHED_CALLEES, and recurses into nested types.  Where it reads a
+    method, constructor or initializer body only for its watched calls,
+    it asks the lexer to jump over that body: the tokens then hold its
+    braces and each watched call in it (callee name through the matching
+    ')'), and one compiled regex skips the rest.  Every other '{' is
+    lexed as it stands.
+  * Along with the reader, the declaration scan reads the marked tokens:
+    the package, the imports and every type declaration of the file (name,
+    kind, supertypes as written, annotations, and the token range of its
+    body), by brace depth over the whole file.  The reader recurses into a
+    nested type where the scan opened it at the same keyword and '{'; a
+    type the scan opens anywhere else (in a field initializer, say) is an
+    orphan, read on its own once the file is lexed.
+  * extract_members makes what the reader read of one type into model
+    items owned by the ClassItem the builder made for it; a record's
     components become its fields and its canonical constructor.
 
 This is deliberately not a full Java parser: declarations and annotation
@@ -45,7 +44,6 @@ import unicodedata
 from mecheck.model.items import (
     AnnotationUse,
     CallSite,
-    ClassItem,
     ConstructorItem,
     FieldItem,
     Members,
@@ -53,23 +51,10 @@ from mecheck.model.items import (
     Param,
 )
 
-MODIFIERS = frozenset(
-    [
-        "public",
-        "private",
-        "protected",
-        "static",
-        "final",
-        "abstract",
-        "synchronized",
-        "native",
-        "transient",
-        "volatile",
-        "strictfp",
-        "default",
-        "sealed",
-    ]
-)
+MODIFIERS = frozenset([
+    "public", "private", "protected", "static", "final", "abstract", "synchronized",
+    "native", "transient", "volatile", "strictfp", "default", "sealed",
+])
 
 TYPE_KEYWORDS = ("class", "interface", "enum", "record")
 
@@ -86,9 +71,14 @@ NUMBER = "number"
 # A token is a plain (kind, text, line) tuple: its kind (IDENT, PUNCT,
 # STRING, CHAR or NUMBER), its text as written and its 1-based line.  A
 # file yields thousands of tokens, and a tuple is the cheapest record to
-# create; the scanners below read them by index or by unpacking.
+# create; the reader takes them by index or by unpacking.
 Token = tuple[str, str, int]
 
+# The words the declaration scan reads.  The lexer marks them and each '@'
+# for it, and each brace while a mark waits to be read; the scan reads any
+# other brace as it is lexed.  A token list read afresh has all marked.
+_KEYWORDS = frozenset(["package", "import", *TYPE_KEYWORDS])
+_MARKED = _KEYWORDS | {"{", "}", "@"}
 
 # The rest of an identifier: re's \w is exactly str.isalnum() plus '_'.
 _IDENT_REST = re.compile(r"[\w$]*")
@@ -110,9 +100,8 @@ def _ident_end(text: str, j: int) -> int:
 
 
 # Declaration-level text, one token, blank run or comment per match; the
-# group numbers are the codes tokenize_java dispatches on.  A '{' is a
-# match of its own, so that the scan runs after it.  Whatever the pattern
-# does not lex, group 9 hands to the character loop (_lex_char): a
+# group numbers are the codes _lex dispatches on.  Whatever the pattern
+# does not lex, group 10 hands to the character loop (_lex_char): a
 # non-ASCII character, a text block, and a literal or comment that is not
 # closed.  \w is exactly str.isalnum() plus '_'.
 _LEX = re.compile(
@@ -121,18 +110,20 @@ _LEX = re.compile(
     r"([A-Za-z_$][\w$]*)[ \t\r\f]*"
     r"|[ \t\r\f]+"
     r"|(\n)[ \t\r\f]*"  # 2: a line break
-    # 3: punctuation, every ASCII character that starts nothing else (a
-    # class of what it is compiles far faster than one of what it is not)
-    r"|([\x00-\x08\x0b\x0e-\x1f!#%&(-.:-@\[-^`|-\x7f]|/(?![/*]))[ \t\r\f]*"
+    # 3: punctuation, every ASCII character that starts nothing else but
+    # the marked '{', '}' and '@' (a class of what it is compiles far
+    # faster than one of what it is not)
+    r"|([\x00-\x08\x0b\x0e-\x1f!#%&(-.:-?\[-^`|~\x7f]|/(?![/*]))[ \t\r\f]*"
     r"|(\{)"  # 4
+    r"|([}@])[ \t\r\f]*"  # 5
     r"|//[^\n]*"
-    r"|(/\*.*?\*/)"  # 5: a block comment
-    r'|((?!""")"[^"\\\n]*(?:\\.[^"\\\n]*)*")'  # 6: a string literal
-    r"|('[^'\\\n]*(?:\\.[^'\\\n]*)*')"  # 7: a char literal
-    # 8: a number; a dot in it is followed by a digit, else it is member
+    r"|(/\*.*?\*/)"  # 6: a block comment
+    r'|((?!""")"[^"\\\n]*(?:\\.[^"\\\n]*)*")'  # 7: a string literal
+    r"|('[^'\\\n]*(?:\\.[^'\\\n]*)*')"  # 8: a char literal
+    # 9: a number; a dot in it is followed by a digit, else it is member
     # access (e.g. 1 .toString())
     r"|([0-9](?:\w|\.(?=[0-9]))*)"
-    r"|(.)",  # 9
+    r"|(.)",  # 10
     re.S,
 )
 
@@ -183,248 +174,325 @@ def _lex_char(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int
     return i + 1, line
 
 
-class _Tokens(list):
-    """tokenize_java's tokens, with the declarations its scan read.  Lexing
-    and the scan fill a plain list, which indexes faster."""
+class RawType:
+    """The declaration scan's record of one type declaration, with the
+    members the reader read of it."""
 
-    __slots__ = ("decls",)
+    __slots__ = (
+        "simple_name", "kind", "supertype_names", "annotations", "line", "nesting",
+        "body_start", "body_end", "components", "fused", "members",
+    )
+
+    def __init__(self, simple_name: str, kind: str, supertype_names: tuple[str, ...],
+                 annotations: tuple[AnnotationUse, ...], line: int, nesting: tuple[str, ...],
+                 body_start: int, components: tuple = ()):
+        self.simple_name = simple_name
+        self.kind = kind
+        self.supertype_names = supertype_names
+        self.annotations = annotations
+        self.line = line
+        self.nesting = nesting  # enclosing simple names, outermost first
+        self.body_start = body_start  # first token index inside the body
+        self.body_end = -1  # index of the closing '}', once the scan has read it
+        # a record's components: (component, its annotations, its name's line)
+        self.components = components
+        self.fused = False  # read by the reader's recursion, not as an orphan
+        self.members = None  # (fields, methods, constructors, call sites), as tuples
+
+    @property
+    def chain(self) -> tuple[str, ...]:
+        return self.nesting + (self.simple_name,)
+
+
+class FileDecls:
+    __slots__ = ("package", "imports", "types")
+
+    def __init__(self):
+        self.package: str | None = None
+        self.imports: list[str] = []
+        self.types: list[RawType] = []
+
+
+# A construct that runs past the tokens lexed so far is read again each
+# time the lexer has lexed on; after this many times at the same place the
+# lexer lexes all the rest, so that no input costs more than linear time.
+_MAX_STALLS = 16
+
+
+class _Restart(Exception):
+    """A skipped body might be read differently: read the file unskipped."""
+
+
+class _Short(Exception):
+    """A construct runs past the tokens lexed so far."""
+
+
+class _Reader:
+    """One file's reading: the lexer's place, its tokens and marks, the scan's state."""
+
+    __slots__ = ("text", "pos", "line", "done", "skips", "skipped", "toks", "marks",
+                 "stall_at", "stalls", "decls", "mk", "depth", "stack", "pending", "pend_end",
+                 "stalled", "types_at", "orphans", "drift")
+
+    def __init__(self, text: str, toks: list[Token] | None = None, skips: bool = True):
+        self.text = text
+        self.pos = self.skipped = self.stalls = self.mk = self.depth = self.pend_end = 0
+        self.line = 1
+        self.skips = skips  # whether bodies may be skipped
+        self.done = toks is not None  # all the text is lexed
+        self.toks = [] if toks is None else toks
+        self.marks = [] if toks is None else [k for k, t in enumerate(toks) if t[1] in _MARKED]
+        self.stall_at = self.stalled = -1  # stalled: a construct the scan waits for tokens of
+        self.decls = FileDecls()
+        self.stack: list[tuple[RawType, int]] = []  # the scan's open types, with body depths
+        self.pending: list[AnnotationUse] = []  # the scan's pending annotations
+        self.types_at: dict[int, RawType] = {}  # the types it opened, by keyword index
+        self.orphans = 0  # open types the reader does not recurse into
+        self.drift: list[int] = []  # constructs the scan read unbalanced braces in
 
 
 def tokenize_java(text: str) -> list[Token]:
-    """Lossy declaration-level Java tokenizer: identifiers, literals,
-    single-char punct.
+    """Lossy declaration-level Java tokenizer (identifiers, literals,
+    single-char punct) that reads the file's declarations and members on the
+    way.  Comments and whitespace are dropped; literals keep their quotes.
+    An unterminated comment or text block ends the stream, an unterminated
+    string or char literal its line; only '\\n' breaks lines.  A body the
+    reader skips keeps its braces and watched calls; one is tokenized in full
+    if it holds an annotation, the text ends in it, a watched call in it
+    does not balance its braces or brackets, the scan holds an annotation
+    before it, or an orphan type is open."""
+    global _handed
+    for skips in (True, False):
+        r = _Reader(text, skips=skips)
+        try:
+            _lex(r, 0 if skips else -1)
+            _scan(r)
+            _read_file(r)
+            break
+        except _Restart:  # raised only while bodies are skipped
+            pass
+    _handed = (r.toks, r.decls)
+    return r.toks
 
-    Comments and whitespace are dropped.  Literal text keeps its quotes.
-    Unterminated comments or text blocks end the token stream early, and an
-    unterminated string or char literal ends at its line end, rather than
-    raising: downstream scanning is best effort.  Only '\\n' counts as a
-    line break; callers read sources with universal newlines.
 
-    Member bodies are not tokenized.  A '{' that opens a block at the
-    member level of a type body (or of the file), outside parentheses and
-    brackets and not after a pending annotation, and that is not itself a
-    type body (as _scan reads the tokens before it), opens a method,
-    constructor or initializer body, an enum constant's body, or a block
-    inside a field initializer.  For such a block the stream holds only
-    that '{', the tokens of each watched call in it (callee name through
-    the matching ')'), and its closing '}', all with their source lines.
-    A block that could not be skipped without changing what
-    scan_declarations and extract_members read is tokenized in full: one
-    holding an annotation, one the text ends inside, one whose watched
-    call does not balance its own brackets, and, in a field initializer or
-    an enum's constant list, one whose parentheses or brackets do not
-    balance.  A '{' inside an annotation, import clause or type header is
-    tokenized as it stands.
+# The last token list tokenize_java returned, with what its reader read.
+_handed: tuple[list[Token], FileDecls] | None = None
 
-    The list returned carries the declarations that scan read, which
-    scan_declarations hands out without scanning again.
-    """
-    toks: list[Token] = []
-    decls = FileDecls(package=None, imports=[])
-    scan = _scan(toks, decls, final=False)
-    next(scan)  # started, so that it can be sent the final read
+
+def scan_declarations(toks: list[Token]) -> FileDecls:
+    """Package, imports, and type declaration skeletons, with their
+    members read.  The tokens tokenize_java returned last are not read
+    again: their declarations are handed out once.  Any other token list
+    is read afresh."""
+    global _handed
+    if _handed is not None and _handed[0] is toks:
+        decls = _handed[1]
+        _handed = None
+        return decls
+    r = _Reader("", toks)
+    _scan(r)
+    return _read_file(r)
+
+
+def _lex(r: _Reader, depth: int, body: _Body | None = None) -> None:
+    """Lex on from r.pos: with depth 0 to just past the next '{', with depth
+    1 first through the '}' that closes the last '{' lexed, with -1 to the
+    end.  With body, a watched call in a skipped body starts at r.pos: it is
+    lexed and the skip goes on, or the body is rewound to be lexed in full."""
+    text, toks, marks, i, line = r.text, r.toks, r.marks, r.pos, r.line
     append = toks.append
     lex = _LEX.finditer
-    body: _Body | None = None  # set while a watched call of a skipped body is tokenized
-    i = 0
-    line = 1
+    rewound = body.ntoks if body is not None else -1
     while True:
         for m in lex(text, i):
             code = m.lastindex
             if code == 1:
-                append((IDENT, m[1], line))
+                word = m[1]
+                if word in _KEYWORDS:
+                    marks.append(len(toks))
+                append((IDENT, word, line))
             elif code == 3:
                 ch = m[3]
                 append((PUNCT, ch, line))
-                if body is not None and ch in "()}[]@":
+                if body is not None and ch in "()[]":
                     end = m.end()
-                    i, line, body = body.track(ch, text, toks, end, line)
+                    i, line, body = body.track(ch, r, end, line)
                     if i != end:  # skipped on, or rewound
                         break
             elif code == 2:
                 line += 1
             elif code is None:  # blanks or a line comment
                 continue
-            elif code == 4:
-                append((PUNCT, "{", line))
-                end = m.end()
-                if body is None:
-                    guarded = next(scan)
-                    if guarded is None:
-                        continue
-                    body = _Body(len(toks), end, line, guarded)
-                    i, line, body = body.skip(text, toks, end, line)
-                    break
-                i, line, body = body.track("{", text, toks, end, line)
-                if i != end:
-                    break
-            elif code == 5:
-                line += text.count("\n", m.start(), m.end())
+            elif code == 4 or code == 5:
+                ch = m[code]
+                if body is None and ch != "@" and r.mk == len(marks):
+                    # no mark waits for the scan: it reads the brace on the spot
+                    if ch == "{":
+                        r.depth += 1
+                    else:
+                        _close(r, len(toks))
+                else:
+                    marks.append(len(toks))
+                append((PUNCT, ch, line))
+                if body is not None:
+                    end = m.end()
+                    i, line, body = body.track(ch, r, end, line)
+                    if i != end:
+                        break
+                elif ch == "{":
+                    if not depth:
+                        r.pos = m.end()
+                        r.line = line
+                        return
+                    if depth > 0:
+                        depth += 1
+                elif depth > 0 and ch == "}":
+                    depth -= 1
             elif code == 6:
-                append((STRING, m[6], line))
+                line += text.count("\n", m.start(), m.end())
             elif code == 7:
-                append((CHAR, m[7], line))
+                append((STRING, m[7], line))
             elif code == 8:
+                append((CHAR, m[8], line))
+            elif code == 9:
                 end = m.end()
                 if text.startswith(".", end) and text[end + 1 : end + 2].isdigit():
                     # a dot before a non-ASCII digit continues the number
                     i, line = _lex_char(text, m.start(), line, toks)
                     break
-                append((NUMBER, m[8], line))
+                append((NUMBER, m[9], line))
             else:
                 i, line = _lex_char(text, m.start(), line, toks)
                 break
         else:
             i = -1
+        if body is None and len(toks) == rewound:
+            r.pos, r.line = i, line
+            return
         if i < 0:  # the text or the token stream ended
-            if body is None:
-                break
-            # ... inside a watched call: tokenize that body in full
-            i, line, body = body.rewind(toks)
-    try:
-        scan.send(True)  # reads the rest in final mode, and returns
-    except StopIteration:
-        pass
-    out = _Tokens(toks)
-    out.decls = decls
-    return out
+            if body is not None:  # ... inside a watched call
+                r.pos, r.line, _ = body.rewind(r)
+            else:
+                r.done = True
+                r.pos = len(text)
+                r.line = line
+            return
 
 
 # What the scan of a skipped body stops at; the group numbers are the codes
-# _Body.skip dispatches on.  Literals and comments are matched whole, the
-# way tokenize_java reads them, so no brace or name inside them is seen.
-# Each match first jumps over the characters no stop starts with; a '/' or
-# a callee's first letter that starts no stop, and the end of the text,
-# match with no group, so that no search fails and starts over, and no
-# match gives back what the jump took.
+# _skip dispatches on.  Literals and comments are matched whole, the way
+# the lexer reads them, so no brace or name inside them is seen.  Each
+# match first jumps over the characters no stop starts with, and over the
+# string and char literals closed on their line with no escaped line break
+# in them; a '/' or a callee's first letter that starts no stop, and the
+# end of the text, match with no group, so that no search fails and starts
+# over, and no match gives back what the jump took.
 _CALLEE_STARTS = "".join(sorted({name[0] for name in WATCHED_CALLEES}))
-
-
-def _body_stops(extra_chars: str, extra_groups: str) -> re.Pattern:
-    return re.compile(
-        rf"""[^{{}}"'/@{_CALLEE_STARTS}{extra_chars}]*(?:"""
-        r"(\{)|(\})"
-        # 3: a text block or a comment
-        r'|(""".*?"""|//[^\n]*|/\*.*?\*/)'
-        # 4: a string or char literal, ending at its line end when unterminated
-        r'|((?!""")"[^"\\\n]*(?:\\.[^"\\\n]*)*"?|\'[^\'\\\n]*(?:\\.[^\'\\\n]*)*\'?)'
-        # 5: an annotation, or a text block or comment that is never closed
-        r'|(@|"""|/\*)'
-        # 6: a watched callee's name, not inside a longer word
-        r"|(?<![A-Za-z0-9_$])(" + "|".join(sorted(WATCHED_CALLEES)) + r")(?![\w$])"
-        + extra_groups
-        + rf"|[/{_CALLEE_STARTS}]|\Z)",
-        re.S,
-    )
-
-
-_BODY = _body_stops("", "")
-# 7-10: parentheses and brackets, for bodies whose nesting must balance
-_GUARDED_BODY = _body_stops(r"()\[\]", r"|(\()|(\))|(\[)|(\])")
+_BODY = re.compile(
+    rf"""(?:[^{{}}"'/@{_CALLEE_STARTS}]+"""
+    r'|(?!""")"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"'
+    r"|'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*')*(?:"
+    r"(\{)|(\})"
+    # 3: a text block or a comment
+    r'|(""".*?"""|//[^\n]*|/\*.*?\*/)'
+    # 4: a string or char literal, ending at its line end when unterminated
+    r'|((?!""")"[^"\\\n]*(?:\\.[^"\\\n]*)*"?|\'[^\'\\\n]*(?:\\.[^\'\\\n]*)*\'?)'
+    # 5: an annotation, or a text block or comment that is never closed
+    r'|(@|"""|/\*)'
+    # 6: a watched callee's name, not inside a longer word
+    r"|(?<![A-Za-z0-9_$])(" + "|".join(sorted(WATCHED_CALLEES)) + r")(?![\w$])"
+    rf"|[/{_CALLEE_STARTS}]|\Z)",
+    re.S,
+)
 # From the end of a callee's name: blanks and comments, then '('.  A
 # comment ends at its first '*/' however the match backtracks.
 _CALL_OPEN = re.compile(r"(?:[ \t\r\f\n]|//[^\n]*\n|/\*(?:[^*]|\*(?!/))*\*/)*\(")
 
 
+def _skip(r: _Reader, pos: int, line: int, depth: int):
+    """Scan a skipped body from pos, at line and depth braces deep, to its next
+    watched call (its index, line, depth) or to the '}' that closes it, which
+    it emits (the index past it, line, 0); index -1 means lex it in full."""
+    text = r.text
+    esc = 0  # escaped line breaks inside literals, which do not count as lines
+    for m in _BODY.finditer(text, pos):
+        code = m.lastindex
+        if code is None:
+            continue
+        if code == 4:
+            start, end = m.span(4)
+            if text.find("\n", start, end) >= 0:
+                esc += text.count("\n", start, end)
+        elif code == 2:
+            depth -= 1
+            if depth == 0:
+                end = m.start(2)
+                line += text.count("\n", pos, end) - esc
+                if r.mk == len(r.marks):
+                    _close(r, len(r.toks))
+                else:
+                    r.marks.append(len(r.toks))
+                r.toks.append((PUNCT, "}", line))
+                return end + 1, line, 0
+        elif code == 1:
+            depth += 1
+        elif code == 6:
+            start, end = m.span(6)
+            if _is_call(text, start, end):
+                return start, line + text.count("\n", pos, start) - esc, depth
+        elif code == 5:
+            return -1, line, depth
+    # a comment runs to the end of the text, or the body is never closed
+    return -1, line, depth
+
+
 class _Body:
-    """A member body that tokenize_java skips.
+    """A skipped body while a watched call in it is lexed: where the body
+    starts, so that the lexer can rewind and lex it in full, the skip's
+    brace depth, and the parens, braces and brackets open in the call."""
 
-    It keeps where the body starts, so that the tokenizer can rewind and
-    tokenize it in full, and how deeply the scan is nested in braces,
-    parentheses and brackets.  While a watched call is tokenized, the
-    call_* counts hold the nesting inside that call.
-    """
+    __slots__ = ("ntoks", "nmarks", "pos", "line", "depth", "parens", "braces", "brackets")
 
-    __slots__ = ("ntoks", "pos", "line", "stops", "depth", "parens", "brackets",
-                 "call_parens", "call_braces", "call_brackets")
-
-    def __init__(self, ntoks: int, pos: int, line: int, guarded: bool):
-        self.ntoks = ntoks  # the tokens before the body, its '{' included
+    def __init__(self, ntoks: int, nmarks: int, pos: int, line: int, depth: int):
+        self.ntoks = ntoks  # the tokens up to the body's '{'
+        self.nmarks = nmarks
         self.pos = pos  # the text index just past the '{'
         self.line = line
-        self.stops = _GUARDED_BODY if guarded else _BODY
-        self.depth = 1
-        self.parens = self.brackets = 0
-        self.call_parens = self.call_braces = self.call_brackets = 0
+        self.depth = depth
+        self.parens = self.braces = self.brackets = 0
 
-    def skip(self, text: str, toks: list[Token], pos: int, line: int):
-        """Scan from pos, at line, to the next watched call or to the '}'
-        that closes the body.  Returns where tokenizing goes on: (index,
-        line, self) at a call's callee, (index past the '}', line, None)
-        after emitting that '}', or the rewind to the body's start."""
-        esc = 0  # escaped line breaks inside literals, which do not count as lines
-        for m in self.stops.finditer(text, pos):
-            code = m.lastindex
-            if code is None:
-                continue
-            if code == 4:
-                start, end = m.span(4)
-                if text.find("\n", start, end) >= 0:
-                    esc += text.count("\n", start, end)
-            elif code == 2:
-                self.depth -= 1
-                if self.depth == 0:
-                    if self.parens or self.brackets:
-                        return self.rewind(toks)
-                    end = m.start(2)
-                    line += text.count("\n", pos, end) - esc
-                    toks.append((PUNCT, "}", line))
-                    return end + 1, line, None
-            elif code == 1:
-                self.depth += 1
-            elif code == 6:
-                start, end = m.span(6)
-                if _is_call(text, start, end):
-                    return start, line + text.count("\n", pos, start) - esc, self
-            elif code == 7:
-                self.parens += 1
-            elif code == 8:
-                self.parens -= 1
-                if self.parens < 0:
-                    return self.rewind(toks)
-            elif code == 9:
-                self.brackets += 1
-            elif code == 10:
-                self.brackets -= 1
-                if self.brackets < 0:
-                    return self.rewind(toks)
-            elif code == 5:
-                return self.rewind(toks)
-        # a comment runs to the end of the text, or the body is never closed
-        return self.rewind(toks)
-
-    def track(self, ch: str, text: str, toks: list[Token], pos: int, line: int):
-        """Follow one bracket (or '@') of the watched call being tokenized.
-        Once its ')' closes the call, the scan of the body goes on; a call
-        whose braces or brackets do not balance, or that holds an
-        annotation, makes the body be tokenized in full."""
+    def track(self, ch: str, r: _Reader, pos: int, line: int):
+        """Follow one bracket (or '@') of the call; returns where lexing goes
+        on: (index, line, self) at the next call, (index past the body's '}',
+        line, None) once it is skipped, or the rewind to its start if the
+        call's braces or brackets do not balance or it holds an annotation."""
         if ch == "(":
-            self.call_parens += 1
+            self.parens += 1
         elif ch == ")":
-            self.call_parens -= 1
-            if self.call_parens == 0:
-                if self.call_braces or self.call_brackets:
-                    return self.rewind(toks)
-                return self.skip(text, toks, pos, line)
-        elif ch == "{":
-            self.call_braces += 1
-        elif ch == "}":
-            self.call_braces -= 1
-            if self.call_braces < 0:
-                return self.rewind(toks)
-        elif ch == "[":
-            self.call_brackets += 1
-        elif ch == "]":
-            self.call_brackets -= 1
-            if self.call_brackets < 0:
-                return self.rewind(toks)
+            self.parens -= 1
+            if self.parens == 0:
+                if self.braces or self.brackets:
+                    return self.rewind(r)
+                i, line, self.depth = _skip(r, pos, line, self.depth)
+                if i < 0:
+                    return self.rewind(r)
+                return i, line, self if self.depth else None
+        elif ch in "{}":
+            self.braces += 1 if ch == "{" else -1
+            if self.braces < 0:
+                return self.rewind(r)
+        elif ch in "[]":
+            self.brackets += 1 if ch == "[" else -1
+            if self.brackets < 0:
+                return self.rewind(r)
         else:
-            return self.rewind(toks)
+            return self.rewind(r)
         return pos, line, self
 
-    def rewind(self, toks: list[Token]):
+    def rewind(self, r: _Reader):
         """Drop what was emitted for the body; go on just past its '{'."""
-        del toks[self.ntoks:]
+        del r.toks[self.ntoks :]
+        del r.marks[self.nmarks :]
         return self.pos, self.line, None
 
 
@@ -443,293 +511,370 @@ def _is_call(text: str, start: int, end: int) -> bool:
         run = start
         while run and (text[run - 1] > "\x7f" or text[run - 1] in _WORD_OR_DOT):
             run -= 1
-        last = _lex_run(text[run:end])[-1]
+        lexed = _Reader(text[run:end], skips=False)
+        _lex(lexed, -1)
+        last = lexed.toks[-1]
         if last[0] != IDENT or last[1] != text[start:end]:
             return False
     return _CALL_OPEN.match(text, end) is not None
 
 
-# The tokenizer itself, for _is_call, even where tokenize_java is wrapped.
-_lex_run = tokenize_java
 _WORD_OR_DOT = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$.")
 
 
-class RawType:
-    """Phase-one record of one type declaration."""
-
-    __slots__ = (
-        "simple_name", "kind", "supertype_names", "annotations", "line", "nesting",
-        "body_start", "body_end", "components",
-    )
-
-    def __init__(self, simple_name: str, kind: str, supertype_names: tuple[str, ...],
-                 annotations: tuple[AnnotationUse, ...], line: int, nesting: tuple[str, ...],
-                 body_start: int = -1, body_end: int = -1,
-                 components: tuple[tuple[Param, tuple[AnnotationUse, ...], int], ...] = ()):
-        self.simple_name = simple_name
-        self.kind = kind
-        self.supertype_names = supertype_names
-        self.annotations = annotations
-        self.line = line
-        self.nesting = nesting  # enclosing simple names, outermost first
-        self.body_start = body_start  # first token index inside the body
-        self.body_end = body_end  # index of the closing '}'
-        # a record's components: (component, its annotations, its name's line)
-        self.components = components
-
-    @property
-    def chain(self) -> tuple[str, ...]:
-        return self.nesting + (self.simple_name,)
+def _more(r: _Reader, p: int) -> None:
+    """Lex on for a construct from token p that runs past the tokens lexed so
+    far, a '{' in it through to its '}' (with p at their end, on to the next
+    '{'); all the rest once the same place has asked _MAX_STALLS times."""
+    if 0 <= r.stalled < p:
+        p = r.stalled
+    r.stalls = r.stalls + 1 if p == r.stall_at else 1
+    r.stall_at = p
+    _lex(r, -1 if r.stalls > _MAX_STALLS else 1 if p < len(r.toks) else 0)
+    if r.mk < len(r.marks):
+        _scan(r)
 
 
-class FileDecls:
-    __slots__ = ("package", "imports", "types")
+def _scan(r: _Reader) -> None:
+    """Read the marks lexed since the scan last ran: package, imports,
+    annotations, type headers and braces, as a scan of the whole token list
+    reads them; stop before a construct that runs past the tokens lexed so
+    far (r.stalled).  A type it opens is an orphan until the reader claims it."""
+    toks, marks, stack, mk = r.toks, r.marks, r.stack, r.mk
+    n = len(toks)
+    nm = len(marks)
+    r.stalled = -1
+    while mk < nm:
+        k = marks[mk]
+        mk += 1
+        text = toks[k][1]
+        if text == "{":
+            r.depth += 1
+        elif text == "}":
+            _close(r, k)
+        elif text == "@":
+            if k + 1 < n and toks[k + 1][1] == "interface":
+                continue  # an annotation type: the keyword reads it
+            anno, j = _parse_annotation(toks, k)
+            if j >= n and not r.done:
+                r.stalled = k
+                break
+            mk = _pass(r, mk, j, j, k)
+            if r.pending:
+                _settle(r, k)
+            r.pending.append(anno)
+            r.pend_end = j
+        elif text == "package":
+            if r.depth == 0 and r.decls.package is None:
+                # it cannot run past the last token, a '{' until all is lexed
+                r.decls.package, j = _read_dotted(toks, k + 1)
+                r.pending = []  # the package's own annotations
+                r.pend_end = j
+                while mk < nm and marks[mk] < j:
+                    mk += 1
+        elif text == "import":
+            if r.depth == 0:
+                j = k + 1
+                while j < n and toks[j][1] != ";":
+                    j += 1
+                if j >= n and not r.done:
+                    r.stalled = k
+                    break
+                name = "".join([tok[1] for tok in toks[k + 1 : j]])
+                if j > k + 1 and toks[k + 1][1] == "static":
+                    name = "static " + name[6:]
+                r.decls.imports.append(name)
+                if r.pending:
+                    _settle(r, k)
+                r.pend_end = j + 1
+                while mk < nm and marks[mk] <= j:
+                    mk += 1
+        elif (
+            text in TYPE_KEYWORDS
+            and (r.depth == 0 or (stack and r.depth == stack[-1][1]))
+            and (k == 0 or toks[k - 1][1] != ".")
+            and k + 1 < n
+            and toks[k + 1][0] == IDENT
+        ):
+            raw, j = _parse_type_header(toks, k, stack)
+            if raw is None:
+                if not r.done:
+                    r.stalled = k
+                break  # (with all lexed, no '{' follows: the scan reads no further)
+            mk = _pass(r, mk, j, j - 1, k)
+            if r.pending:
+                _settle(r, k)
+            raw.annotations = tuple(r.pending)
+            r.pending = []
+            r.pend_end = j
+            r.decls.types.append(raw)
+            r.types_at[k] = raw
+            r.depth += 1
+            stack.append((raw, r.depth))
+            r.orphans += 1
+    r.mk = mk - 1 if r.stalled >= 0 else nm  # (all read, or no '{' follows a header)
 
-    def __init__(self, package: str | None, imports: list[str], types: list[RawType] | None = None):
-        self.package = package
-        self.imports = imports
-        self.types = [] if types is None else types
+
+def _pass(r: _Reader, mk: int, j: int, h: int, start: int) -> int:
+    """The first mark from mark mk on not before token j, where the construct
+    the scan read from token start ends.  If its braces marked before token
+    h do not balance, a member walk that counts them parts ways with the
+    scan's depth: start is noted in r.drift."""
+    marks = r.marks
+    toks = r.toks
+    nm = len(marks)
+    balance = low = 0
+    while mk < nm and marks[mk] < j:
+        if marks[mk] < h:
+            text = toks[marks[mk]][1]
+            balance += text == "{"
+            if text == "}":
+                balance -= 1
+                low = min(low, balance)
+        mk += 1
+    if balance or low:
+        r.drift.append(start)
+    return mk
 
 
-def scan_declarations(toks: list[Token]) -> FileDecls:
-    """Phase one: package, imports, and type declaration skeletons.  The
-    tokens tokenize_java returns carry the declarations its own scan read,
-    so those are not scanned again."""
-    if isinstance(toks, _Tokens):
-        return toks.decls
-    decls = FileDecls(package=None, imports=[])
-    for _ in _scan(toks, decls, final=True):
-        pass
-    return decls
+def _close(r: _Reader, k: int) -> None:
+    """The scan reads the '}' at token k."""
+    r.depth -= 1
+    stack = r.stack
+    if stack and r.depth < stack[-1][1]:
+        raw = stack.pop()[0]
+        raw.body_end = k
+        if not raw.fused:
+            r.orphans -= 1
 
 
-# The tokens _scan does more with than clear pending annotations.
-_SCAN_PUNCT = frozenset("{};=()[]@")
-_SCAN_WORDS = frozenset(["package", "import", *TYPE_KEYWORDS])
+def _settle(r: _Reader, k: int) -> bool:
+    """Clear the scan's pending annotations if a token between the end of
+    the last of them and token k does (a ';', a literal, or a word that is
+    no modifier); returns whether none are pending."""
+    for kind, text, _ in r.toks[r.pend_end : k]:
+        if text not in MODIFIERS if kind == IDENT else kind != PUNCT or text == ";":
+            break
+    else:
+        return not r.pending
+    r.pending = []
+    return True
 
-# A construct that a '{' leaves open is read again at each later '{' until
-# it closes; after this many times the file's later braces all open no
-# member body (they are tokenized in full), so that no input costs more
-# than linear time.
-_MAX_STALLS = 16
+
+def _read_file(r: _Reader) -> FileDecls:
+    """Read the file: each top-level type the scan opens, with the types
+    nested in it, and then each orphan on its own."""
+    types = r.decls.types
+    k = 0
+    while k < len(types) or not r.done:
+        if k == len(types):
+            _more(r, len(r.toks) - 1)
+            continue
+        raw = types[k]
+        k += 1
+        if not raw.nesting:
+            raw.fused = True  # claimed: no orphan
+            r.orphans -= raw.body_end < 0
+            _read_body(r, raw, raw.body_start, True)
+    for raw in types:
+        if not raw.fused:
+            _read_body(r, raw, raw.body_start, False)
+    return r.decls
 
 
-def _scan(toks: list[Token], decls: FileDecls, final: bool):
-    """scan_declarations' reading of toks into decls, as a generator.
-
-    Unless final, toks grows: tokenize_java resumes the generator each
-    time it has emitted a '{'.  It reads on to the end of toks, or stops
-    before a construct (annotation, import clause, type header) that runs
-    past that brace, and yields None unless the brace opens a member body:
-    one at the member level of a type body (or of the file), outside
-    parentheses and brackets, with no annotation pending, that is not a
-    type body or part of a construct.  For a member body it yields whether
-    the body is guarded: in a field initializer or an enum's constant list,
-    where extract_members counts its parentheses and brackets along with
-    its braces.  Such a construct stays guarded up to a ';' at member level
-    where it has closed all it opened; a '{' where it has closed more than
-    it opened opens no member body, and neither does any '{' of a type
-    declared inside it.  Once toks is complete, tokenize_java sends the
-    generator True: it then reads the rest as if final, construct left
-    open included, and returns.
-    """
-    depth = 0
-    open_types: list[tuple[RawType, int]] = []  # (type, depth of its body)
+def _read_body(r: _Reader, raw: RawType, i: int, recurse: bool) -> None:
+    """Read raw's members and watched calls, from token i to where the scan
+    closes its body, into raw.members.  With recurse, a nested type the scan
+    opened at the same keyword and '{' is read the same way; any other is
+    skipped to the '}' that balances its '{'.  A construct that runs past the
+    tokens lexed so far is read again, its items dropped, once lexed on."""
+    toks = r.toks
+    fields, methods, ctors, calls = raw.members = ([], [], [], [])
+    while raw.kind == "enum":
+        j = _skip_enum_constants(toks, i, raw.body_end if raw.body_end >= 0 else len(toks), calls)
+        if j < len(toks) or r.done:
+            i = j
+            break
+        del calls[:]
+        _more(r, i)
+    name = raw.simple_name
     pending: list[AnnotationUse] = []
-    parens = brackets = 0  # open anywhere in the file
-    guarded = False
-    # What the guarded construct has opened and not closed since it began:
-    # parentheses and braces, and brackets.  extract_members ends it at a
-    # ';' (or a field initializer at a ',') where its own count is 0.
-    nest = nest_brackets = 0
-    # The body depth of the outermost type declared inside a guarded
-    # construct, or 0: extract_members reads such a type's tokens as part of
-    # the construct, so none of its braces opens a member body.
-    opaque = 0
-    member_body = -1  # the last '{' read that opens a member body
-    stall_at = -1  # the start of the construct left open
-    stalls = 0  # how often it was
-    i = 0
+    n = 0  # where reading stops; 0 to find it again when the lexer may have lexed on
     while True:
-        n = len(toks)
-        while i < n:
-            kind, text, _ = toks[i]
-            if kind == PUNCT:
-                if text not in _SCAN_PUNCT:
-                    i += 1
-                    continue
-                if text == "{":
-                    if (
-                        not (pending or parens or brackets or opaque)
-                        and (depth == 0 or (open_types and depth == open_types[-1][1]))
-                        # a ',' or ';' in the body would end the construct
-                        and not (guarded and (nest < 0 or nest_brackets < 0))
-                    ):
-                        member_body = i
-                    depth += 1
-                    nest += 1
-                elif text == "}":
-                    depth -= 1
-                    nest -= 1
-                    if open_types and depth < open_types[-1][1]:
-                        raw, _ = open_types.pop()
-                        raw.body_end = i
-                        if depth < opaque:
-                            opaque = 0
-                        elif not opaque:
-                            guarded = False
-                elif text == ";":
-                    pending = []
-                    if (
-                        depth == 0 or (open_types and depth == open_types[-1][1])
-                    ) and not (nest or nest_brackets):
-                        guarded = False
-                elif text == "=":
-                    if not guarded and (
-                        depth == 0 or (open_types and depth == open_types[-1][1])
-                    ):
-                        guarded = True
-                        nest = nest_brackets = 0
-                elif text == "(":
-                    parens += 1
-                    nest += 1
-                elif text == ")":
-                    parens -= 1
-                    nest -= 1
-                elif text == "[":
-                    brackets += 1
-                    nest_brackets += 1
-                elif text == "]":
-                    brackets -= 1
-                    nest_brackets -= 1
-                elif text == "@":
-                    if i + 1 < n and toks[i + 1][1] == "interface":
-                        # annotation type declaration: let the 'interface'
-                        # branch record it
-                        i += 1
-                        continue
-                    anno, j = _parse_annotation(toks, i)
-                    if j >= n and not final:
-                        break
-                    if guarded:  # extract_members counts the arguments' brackets too
-                        opened, opened_brackets = _nesting(toks, i, j)
-                        nest += opened
-                        nest_brackets += opened_brackets
-                    pending.append(anno)
-                    i = j
-                    continue
+        if i >= n:
+            n = raw.body_end if raw.body_end >= 0 else len(toks)
+            if i >= n:
+                if raw.body_end >= 0 or r.done:
+                    break
+                _more(r, i)
+                n = 0
+                continue
+        kind, text, line = toks[i]
+        if kind != IDENT:
+            if kind != PUNCT or text == ";":
+                pending = []
+            if kind != PUNCT or text not in "@{<":
                 i += 1
                 continue
-            if kind == IDENT:
-                if text not in _SCAN_WORDS:
-                    if text not in MODIFIERS:
-                        pending = []
-                    i += 1
-                    continue
-                if text == "package" and depth == 0 and decls.package is None:
-                    name, i = _read_dotted(toks, i + 1)
-                    decls.package = name
-                    pending = []  # the package's own annotations
-                    continue
-                if text == "import" and depth == 0:
-                    j = i + 1
-                    prefix = ""
-                    if j < n and toks[j][1] == "static":
-                        prefix = "static "
-                        j += 1
-                    parts = []
-                    while j < n and toks[j][1] != ";":
-                        parts.append(toks[j][1])
-                        j += 1
-                    if j >= n and not final:
-                        break
-                    decls.imports.append(prefix + "".join(parts))
-                    i = j + 1
-                    continue
-                at_member_level = depth == 0 or (
-                    open_types and depth == open_types[-1][1]
-                )
-                if (
-                    text in TYPE_KEYWORDS
-                    and at_member_level
-                    and (i == 0 or toks[i - 1][1] != ".")
-                    and i + 1 < n
-                    and toks[i + 1][0] == IDENT
-                ):
-                    raw, j = _parse_type_header(toks, i, pending, open_types)
-                    if raw is None and not final:
-                        break
-                    if guarded:  # the construct reads on through the header
-                        opened, opened_brackets = _nesting(toks, i, j)
-                        nest += opened
-                        nest_brackets += opened_brackets
-                    pending = []
-                    if raw is not None:
-                        decls.types.append(raw)
-                        open_types.append((raw, depth + 1))
-                        depth += 1
-                        if guarded:
-                            opaque = opaque or depth
-                        else:
-                            guarded = raw.kind == "enum"
-                            nest = nest_brackets = 0
-                    i = j
-                    continue
-                if text not in MODIFIERS:
-                    pending = []
-                i += 1
-                continue
-            pending = []
+        elif text in MODIFIERS:
             i += 1
-        if final:
-            return
-        if i < n:  # stopped before a construct left open
-            if i != stall_at:
-                stall_at, stalls = i, 0
-            stalls += 1
-            if stalls > _MAX_STALLS:
-                while not (yield None):
-                    pass
-                final = True
+            continue
+        count = len(fields)
+        mark = len(calls)
+        try:
+            if text == "@":
+                if i + 1 < n and toks[i + 1][1] == "interface":
+                    i += 1
+                    continue
+                if r.stalled == i:  # the scan waits for the rest of it too
+                    raise _Short
+                anno, j = _parse_annotation(toks, i)
+                if j >= len(toks) and not r.done:
+                    raise _Short
+                pending.append(anno)
+                i = j
                 continue
-        if (yield guarded if member_body == n - 1 else None):
-            final = True
+            if text == "{":  # an instance or static initializer block
+                j = _read_block(r, i, calls)
+                n = 0
+            elif text == "<":
+                j = _skip_balanced(toks, i, "<", ">")
+                if j >= len(toks) and not r.done:
+                    raise _Short
+                i = j
+                continue
+            elif text in TYPE_KEYWORDS and i + 1 < n and toks[i + 1][0] == IDENT:
+                # nested type: its members belong to its own ClassItem
+                j = i + 2
+                if text == "record":
+                    # its components may hold braces, in annotation arguments
+                    if j < n and toks[j][1] == "<":
+                        j = _skip_balanced(toks, j, "<", ">")
+                    if j < n and toks[j][1] == "(":
+                        j = _skip_balanced(toks, j, "(", ")")
+                while j < n and toks[j][1] != "{":
+                    j += 1
+                nested = r.types_at.get(i) if recurse and j < n else None
+                if nested is not None and nested.body_start == j + 1:
+                    nested.fused = True
+                    r.orphans -= nested.body_end < 0
+                    _read_body(r, nested, j + 1, True)
+                    j = _after_nested(r, nested, j)
+                    n = 0
+                elif j < n:
+                    j = _skip_balanced(toks, j, "{", "}")
+            else:
+                j = i + 1
+                if text == name and j < n and toks[j][1] == "(":
+                    method = None  # a constructor
+                else:
+                    if j < n and toks[j][0] == IDENT:  # a one-word type
+                        type_text = text
+                    else:
+                        type_text, j = _parse_type_ref(toks, i, n)
+                        if j >= len(toks) and not r.done:
+                            raise _Short
+                        if type_text is None or j >= n or toks[j][0] != IDENT:
+                            pending = []
+                            i += 1
+                            continue
+                    if not (j + 1 < n and toks[j + 1][1] == "("):
+                        # a field declaration, possibly with several declarators
+                        j = _parse_field_decl(toks, j, n, type_text, tuple(pending), fields, calls)
+                        if j >= len(toks) and not r.done:
+                            raise _Short
+                        pending = []
+                        i = j
+                        continue
+                    method = toks[j]
+                    j += 1
+                # its parameters, any throws clause, and a body or ';'
+                params, j = _parse_params(toks, j, n)
+                if j < n and toks[j][0] == IDENT and toks[j][1] == "throws":
+                    while j < n and toks[j][1] not in ("{", ";"):
+                        j += 1
+                if j < n and toks[j][1] == "{":
+                    j = _read_block(r, j, calls)
+                    n = 0
+                elif j < n and toks[j][1] == ";":
+                    j += 1
+                if j >= len(toks) and not r.done:
+                    raise _Short
+                if method is None:
+                    ctors.append((params, tuple(pending), line))
+                else:
+                    methods.append((method[1], type_text, params, tuple(pending), method[2]))
+                pending = []
+                i = j
+                continue
+            if j >= len(toks) and not r.done:
+                raise _Short
+        except _Short:
+            del fields[count:]
+            del calls[mark:]
+            _more(r, i)
+            n = 0
+            continue
+        pending = []
+        i = j
 
 
-def _nesting(toks: list[Token], lo: int, hi: int) -> tuple[int, int]:
-    """How many parentheses and braces, and how many brackets, toks[lo:hi]
-    opens and does not close (negative where it closes more)."""
-    opened = opened_brackets = 0
-    for _, text, _ in toks[lo:hi]:
-        if text in ("(", "{"):
-            opened += 1
-        elif text in (")", "}"):
-            opened -= 1
-        elif text == "[":
-            opened_brackets += 1
-        elif text == "]":
-            opened_brackets -= 1
-    return opened, opened_brackets
+def _after_nested(r: _Reader, nested: RawType, h: int) -> int:
+    """Past the '}' that balances the nested type's '{' at token h: the '}'
+    the scan closed it at, unless the scan read unbalanced braces in its body
+    (annotation arguments, type headers); then a body skipped so far might be
+    read differently, and the file is read again."""
+    end = nested.body_end
+    if not any(h < d and (end < 0 or d < end) for d in r.drift):
+        return end + 1 if end >= 0 else len(r.toks)
+    if r.skipped:
+        raise _Restart
+    j = _skip_balanced(r.toks, h, "{", "}")
+    while j >= len(r.toks) and not r.done:
+        _more(r, h)
+        j = _skip_balanced(r.toks, h, "{", "}")
+    return j
+
+
+def _read_block(r: _Reader, b: int, calls: list) -> int:
+    """The body from its '{' at b, for its watched calls; returns the index
+    past its '}'.  If b is the last token lexed, the lexer skips the body but
+    where the scan waits for a construct or holds an annotation, or an orphan
+    is open."""
+    toks = r.toks
+    if b == len(toks) - 1 and r.skips and not r.done and r.stalled < 0 and not r.orphans and (
+        not r.pending or _settle(r, b)
+    ):
+        i, line, depth = _skip(r, r.pos, r.line, 1)
+        if i >= 0:
+            body = _Body(b + 1, len(r.marks), r.pos, r.line, depth) if depth else None
+            r.pos = i
+            r.line = line
+            _lex(r, 0, body)
+            r.skipped += len(toks) > b + 1
+            if r.mk < len(r.marks):
+                _scan(r)
+    if b + 1 < len(toks) and toks[b + 1][1] == "}":  # what most skipped bodies leave
+        return b + 2
+    end = _skip_balanced(toks, b, "{", "}")
+    _scan_calls(toks, b + 1, end - 1, calls)
+    return end
 
 
 def _read_dotted(toks: list[Token], i: int) -> tuple[str, int]:
-    parts = []
+    start = i
     n = len(toks)
     while i < n and toks[i][0] == IDENT:
-        parts.append(toks[i][1])
         i += 1
-        if i < n and toks[i][1] == ".":
-            parts.append(".")
-            i += 1
-        else:
+        if i >= n or toks[i][1] != ".":
             break
-    if i < n and toks[i][1] == ";":
         i += 1
-    return "".join(parts), i
+    return "".join(t[1] for t in toks[start:i]), i + 1 if i < n and toks[i][1] == ";" else i
 
 
-def _parse_type_header(toks, i, pending, open_types):
-    """From the class/interface/enum/record keyword to its opening brace."""
+def _parse_type_header(toks, i, stack):
+    """From the class/interface/enum/record keyword to its opening brace;
+    (None, len(toks)) when no '{' follows."""
     n = len(toks)
     kind = toks[i][1]
     name_tok = toks[i + 1]
@@ -744,29 +889,17 @@ def _parse_type_header(toks, i, pending, open_types):
     supers: list[str] = []
     while i < n and toks[i][1] != "{":
         word = toks[i][1]
+        i += 1
         if word in ("extends", "implements"):
-            i += 1
             names, i = _parse_type_list(toks, i)
             supers.extend(names)
         elif word == "permits":
-            i += 1
             _, i = _parse_type_list(toks, i)
-        else:
-            i += 1
     if i >= n:
         return None, n
-    nesting = tuple(rt.simple_name for rt, _ in open_types)
-    raw = RawType(
-        simple_name=name_tok[1],
-        kind="interface" if kind == "interface" else kind,
-        supertype_names=tuple(supers),
-        annotations=tuple(pending),
-        line=name_tok[2],
-        nesting=nesting,
-        body_start=i + 1,
-        components=components,
-    )
-    return raw, i + 1
+    nesting = tuple(rt.simple_name for rt, _ in stack)
+    return RawType(name_tok[1], kind, tuple(supers), (), name_tok[2], nesting, i + 1,
+                   components), i + 1
 
 
 def _parse_type_list(toks, i):
@@ -820,10 +953,18 @@ def _skip_balanced(toks, i, open_ch, close_ch):
 
 
 def _render_type(tokens: list[Token]) -> str:
-    """Render type tokens the way a reader would write them."""
+    """Render type tokens the way a reader would write them, without their
+    type annotations."""
+    if len(tokens) == 1 and tokens[0][1] != "@":
+        return tokens[0][1]
     out: list[str] = []
-    for tok in tokens:
-        text = tok[1]
+    k = 0
+    while k < len(tokens):
+        text = tokens[k][1]
+        if text == "@":
+            _, k = _parse_annotation(tokens, k)
+            continue
+        k += 1
         if text == ",":
             out.append(", ")
         elif text in ("<", ">", "[", "]", ".", "(", ")"):
@@ -833,9 +974,6 @@ def _render_type(tokens: list[Token]) -> str:
                 out.append(" ")
             out.append(text)
     return "".join(out).strip()
-
-
-# -- annotations ------------------------------------------------------------
 
 
 def _parse_annotation(toks, i):
@@ -863,20 +1001,17 @@ def _parse_annotation(toks, i):
 
 
 def _parse_annotation_args(tokens: list[Token]) -> dict[str, list[str]]:
-    if not tokens:
-        return {}
     attrs: dict[str, list[str]] = {}
-    for part in _split_top_level(tokens, ","):
+    for part in _split_top_level(tokens, ",") if tokens else ():
         if not part:
             continue
         if len(part) >= 2 and part[0][0] == IDENT and part[1][1] == "=":
             key = part[0][1]
-            values = _parse_annotation_value(part[2:])
+            part = part[2:]
         else:
             key = "value"
-            values = _parse_annotation_value(part)
         if key not in attrs:
-            attrs[key] = values
+            attrs[key] = _parse_annotation_value(part)
     return attrs
 
 
@@ -884,11 +1019,8 @@ def _parse_annotation_value(tokens: list[Token]) -> list[str]:
     if not tokens:
         return []
     if tokens[0][1] == "{" and tokens[-1][1] == "}":
-        values = []
-        for part in _split_top_level(tokens[1:-1], ","):
-            if part:
-                values.append(_render_annotation_scalar(part))
-        return values
+        return [_render_annotation_scalar(part)
+                for part in _split_top_level(tokens[1:-1], ",") if part]
     return [_render_annotation_scalar(tokens)]
 
 
@@ -898,147 +1030,90 @@ def _render_annotation_scalar(tokens: list[Token]) -> str:
     return "".join(t[1] for t in tokens)
 
 
-def _split_top_level(tokens: list[Token], sep: str) -> list[list[Token]]:
+def _split_top_level(tokens: list[Token], sep: str, angles: bool = False) -> list[list[Token]]:
+    """Split tokens at each sep outside brackets; with angles, also outside
+    a generic type's <...> (each '>' of '>>' and '>>>' is a token of its
+    own), as in a parameter list, where '<' is never a less-than outside
+    brackets."""
     parts: list[list[Token]] = [[]]
     depth = 0
+    nest = 0
     for tok in tokens:
         text = tok[1]
         if text in ("(", "{", "["):
             depth += 1
         elif text in (")", "}", "]"):
             depth -= 1
-        if text == sep and depth == 0:
+        elif angles and depth == 0 and text in ("<", ">"):
+            nest += 1 if text == "<" else -1
+        if text == sep and depth == 0 and nest == 0:
             parts.append([])
         else:
             parts[-1].append(tok)
     return parts
 
 
+# A Unicode escape (JLS 3.3): a backslash that an even number of
+# backslashes precedes, one 'u' or more, four hex digits.
+_UNICODE_ESCAPE = re.compile(r"(?<!\\)((?:\\\\)*)\\u+([0-9A-Fa-f]{4})")
+# An escape sequence (JLS 3.10.7); an octal one takes up to three digits
+# when the first is 0-3, up to two otherwise.
+_ESCAPE = re.compile(r"\\([0-3][0-7]{0,2}|[4-7][0-7]?|.)", re.S)
+_ESCAPES = {"b": "\b", "s": " ", "t": "\t", "n": "\n", "f": "\f", "r": "\r",
+            '"': '"', "'": "'", "\\": "\\"}
+
+
 def decode_java_string(lexeme: str) -> str:
-    """String literal lexeme (quotes included) -> text value."""
+    """String literal lexeme (quotes included) -> text value: Unicode
+    escapes are translated first, then escape sequences.  A backslash
+    before any other character stands for that character.  A text block
+    keeps its text as written."""
     if lexeme.startswith('"""'):
         return lexeme[3:-3]
     body = lexeme[1:-1]
-    out = []
-    i = 0
-    escapes = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", "0": "\0",
-               "'": "'", '"': '"', "\\": "\\"}
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            if nxt == "u" and i + 5 < len(body):
-                try:
-                    out.append(chr(int(body[i + 2 : i + 6], 16)))
-                    i += 6
-                    continue
-                except ValueError:
-                    pass
-            out.append(escapes.get(nxt, nxt))
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    if "\\" not in body:
+        return body
+    body = _UNICODE_ESCAPE.sub(lambda m: m[1] + chr(int(m[2], 16)), body)
+    return _ESCAPE.sub(_unescape, body)
 
 
-# -- member extraction --------------------------------------------------------
+def _unescape(m: re.Match) -> str:
+    escape = m[1]
+    if escape[0] in "01234567":
+        return chr(int(escape, 8))
+    return _ESCAPES.get(escape, escape)
 
 
-def extract_members(toks: list[Token], raw: RawType, owner: ClassItem) -> Members:
-    """Phase two: the members and watched call sites of one type body, as
-    model items owned by owner.  Call sites are numbered in source order."""
-    fields: list[FieldItem] = []
-    methods: list[MethodItem] = []
-    ctors: list[ConstructorItem] = []
-    calls: list[CallSite] = []
-    lo = raw.body_start
-    hi = raw.body_end if raw.body_end >= 0 else len(toks)
-    if raw.kind == "enum":
-        lo = _skip_enum_constants(toks, lo, hi, owner, calls)
-    i = lo
-    pending: list[AnnotationUse] = []
-    n = hi
-    while i < n:
-        kind, text, line = toks[i]
-        if kind == PUNCT:
-            if text == "@":
-                if i + 1 < n and toks[i + 1][1] == "interface":
-                    i += 1
-                    continue
-                anno, i = _parse_annotation(toks, i)
-                pending.append(anno)
-                continue
-            if text == ";":
-                pending = []
-                i += 1
-                continue
-            if text == "{":
-                # instance or static initializer block
-                j = _skip_balanced(toks, i, "{", "}")
-                _scan_calls(toks, i + 1, j - 1, owner, calls)
-                pending = []
-                i = j
-                continue
-            if text == "<":
-                i = _skip_balanced(toks, i, "<", ">")
-                continue
-            i += 1
-            continue
-        if kind != IDENT:
-            pending = []
-            i += 1
-            continue
-        if text in MODIFIERS:
-            i += 1
-            continue
-        if text in TYPE_KEYWORDS and i + 1 < n and toks[i + 1][0] == IDENT:
-            # nested type: its members belong to its own ClassItem
-            j = i + 2
-            if text == "record":
-                # its components may hold braces, in annotation arguments
-                if j < n and toks[j][1] == "<":
-                    j = _skip_balanced(toks, j, "<", ">")
-                if j < n and toks[j][1] == "(":
-                    j = _skip_balanced(toks, j, "(", ")")
-            while j < n and toks[j][1] != "{":
-                j += 1
-            i = _skip_balanced(toks, j, "{", "}") if j < n else n
-            pending = []
-            continue
-        if text == raw.simple_name and i + 1 < n and toks[i + 1][1] == "(":
-            params, i = _parse_callable_rest(toks, i + 1, n, owner, calls)
-            ctors.append(ConstructorItem(params, tuple(pending), owner, line))
-            pending = []
-            continue
-        type_text, j = _parse_type_ref(toks, i, n)
-        if type_text is None or j >= n or toks[j][0] != IDENT:
-            pending = []
-            i += 1
-            continue
-        name_tok = toks[j]
-        if j + 1 < n and toks[j + 1][1] == "(":
-            params, i = _parse_callable_rest(toks, j + 1, n, owner, calls)
-            methods.append(
-                MethodItem(name_tok[1], type_text, params, tuple(pending), owner, name_tok[2])
-            )
-            pending = []
-            continue
-        # field declaration, possibly with several declarators
-        i = _parse_field_decl(toks, j, n, type_text, tuple(pending), owner, fields, calls)
-        pending = []
+def extract_members(toks: list[Token], raw: RawType, owner) -> Members:
+    """The members and watched call sites the reader read of raw's body,
+    as model items owned by owner.  Call sites are numbered in source
+    order."""
+    fields, methods, ctors, calls = raw.members
+    field_items = [FieldItem(name, type_name, annos, owner, line)
+                   for name, type_name, annos, line in fields]
+    ctor_items = [ConstructorItem(params, annos, owner, line) for params, annos, line in ctors]
     if raw.kind == "record":
-        _add_record_members(raw, owner, fields, ctors)
-    return Members(tuple(fields), tuple(methods), tuple(ctors), tuple(calls))
+        _add_record_members(raw, owner, field_items, ctor_items)
+    path = owner.file_path
+    return Members(
+        tuple(field_items),
+        tuple([MethodItem(name, type_name, params, annos, owner, line)
+               for name, type_name, params, annos, line in methods]),
+        tuple(ctor_items),
+        tuple([CallSite(callee, args, owner, path, line, ordinal=k)
+               for k, (callee, args, line) in enumerate(calls)]),
+    )
 
 
 def _add_record_members(raw, owner, fields, ctors):
-    """A record's components are its first fields, and the parameters of
-    its canonical constructor unless the body declares that constructor
-    with its parameter list.  (A compact canonical constructor, `Name {`,
-    reads as an initializer block.)"""
+    """A record's components are its first fields (a varargs component
+    `T...` one of type `T[]`), and the parameters of its canonical
+    constructor unless the body declares that constructor with its
+    parameter list.  (A compact canonical constructor, `Name {`, reads as
+    an initializer block.)"""
     fields[:0] = [
-        FieldItem(param.name, _array_of_varargs(param.type_name), annos, owner, line)
+        FieldItem(param.name, param.type_name[:-3] + "[]" if param.type_name.endswith("...")
+                  else param.type_name, annos, owner, line)
         for param, annos, line in raw.components
     ]
     params = tuple(param for param, _, _ in raw.components)
@@ -1047,12 +1122,7 @@ def _add_record_members(raw, owner, fields, ctors):
         ctors.insert(0, ConstructorItem(params, (), owner, raw.line))
 
 
-def _array_of_varargs(type_name: str) -> str:
-    """A varargs component `T...` is a field of type `T[]`."""
-    return type_name[:-3] + "[]" if type_name.endswith("...") else type_name
-
-
-def _skip_enum_constants(toks, lo, hi, owner, calls):
+def _skip_enum_constants(toks, lo, hi, calls):
     """Enum constants run to the first top-level ';' (or the body end)."""
     depth = 0
     i = lo
@@ -1063,10 +1133,10 @@ def _skip_enum_constants(toks, lo, hi, owner, calls):
         elif text in (")", "}"):
             depth -= 1
         elif text == ";" and depth == 0:
-            _scan_calls(toks, lo, i, owner, calls)
+            _scan_calls(toks, lo, i, calls)
             return i + 1
         i += 1
-    _scan_calls(toks, lo, hi, owner, calls)
+    _scan_calls(toks, lo, hi, calls)
     return hi
 
 
@@ -1099,27 +1169,18 @@ def _parse_type_ref(toks, i, n):
     return _render_type(collected), i
 
 
-def _parse_callable_rest(toks, i, n, owner, calls):
-    """A method or constructor from the '(' at i: its parameters, any
-    throws clause, and a body (scanned for calls) or ';'.  Returns
-    (params, index past the declaration)."""
-    params, i = _parse_params(toks, i, n)
-    i = _skip_throws(toks, i, n)
-    if i < n and toks[i][1] == "{":
-        if i + 1 < n and toks[i + 1][1] == "}":  # what most skipped bodies leave
-            return params, i + 2
-        end = _skip_balanced(toks, i, "{", "}")
-        _scan_calls(toks, i + 1, end - 1, owner, calls)
-        return params, end
-    if i < n and toks[i][1] == ";":
-        return params, i + 1
-    return params, i
-
-
 def _parse_params(toks, i, n):
     """i points at '('; returns (params, index past ')')."""
     if i + 1 < n and toks[i + 1][1] == ")":
         return (), i + 2
+    if (
+        i + 3 < n
+        and toks[i + 3][1] == ")"
+        and toks[i + 1][0] == IDENT
+        and toks[i + 2][0] == IDENT
+        and toks[i + 1][1] != "final"
+    ):  # one parameter, a one-word type and a name
+        return (Param(toks[i + 1][1], toks[i + 2][1]),), i + 4
     j = _skip_balanced(toks, i, "(", ")")
     return tuple(param for param, _, _ in _parse_param_list(toks[i + 1 : j - 1])), j
 
@@ -1128,7 +1189,7 @@ def _parse_param_list(inner):
     """The parameters (or record components) between a '(' and its ')':
     (param, its annotations, its name's line) for each."""
     params = []
-    for part in _split_params(inner):
+    for part in _split_top_level(inner, ",", angles=True):
         annos = []
         k = 0
         while k < len(part):
@@ -1139,63 +1200,25 @@ def _parse_param_list(inner):
                 k += 1
             else:
                 break
-        rest = part[k:]
-        if not rest:
+        # the name is the last identifier; what precedes it is the type
+        name_idx = len(part) - 1
+        while name_idx > k and part[name_idx][0] != IDENT:
+            name_idx -= 1
+        if name_idx <= k:
             continue
-        # name is the last identifier; what precedes it is the type
-        name_idx = None
-        for idx in range(len(rest) - 1, -1, -1):
-            if rest[idx][0] == IDENT:
-                name_idx = idx
-                break
-        if name_idx is None or name_idx == 0:
-            continue
-        type_toks = rest[:name_idx]
-        name_tok = rest[name_idx]
+        name_tok = part[name_idx]
         suffix = ""
         idx = name_idx + 1
-        while idx + 1 < len(rest) and rest[idx][1] == "[" and rest[idx + 1][1] == "]":
+        while idx + 1 < len(part) and part[idx][1] == "[" and part[idx + 1][1] == "]":
             suffix += "[]"
             idx += 2
         params.append(
-            (Param(_render_type(type_toks) + suffix, name_tok[1]), tuple(annos), name_tok[2])
+            (Param(_render_type(part[k:name_idx]) + suffix, name_tok[1]), tuple(annos), name_tok[2])
         )
     return params
 
 
-def _split_params(tokens: list[Token]) -> list[list[Token]]:
-    """Split a parameter list at its commas, except those inside brackets
-    or a generic type's <...> (the tokenizer emits each '>' of '>>' and
-    '>>>' on its own).  Unlike in call and annotation arguments, '<' here
-    is never a less-than outside brackets."""
-    parts: list[list[Token]] = [[]]
-    depth = angles = 0
-    for tok in tokens:
-        text = tok[1]
-        if text in ("(", "{", "["):
-            depth += 1
-        elif text in (")", "}", "]"):
-            depth -= 1
-        elif depth == 0 and text == "<":
-            angles += 1
-        elif depth == 0 and text == ">":
-            angles -= 1
-        if text == "," and depth == 0 and angles == 0:
-            parts.append([])
-        else:
-            parts[-1].append(tok)
-    return parts
-
-
-def _skip_throws(toks, i, n):
-    if i < n and toks[i][0] == IDENT and toks[i][1] == "throws":
-        i += 1
-        while i < n and toks[i][1] not in ("{", ";"):
-            i += 1
-    return i
-
-
-def _parse_field_decl(toks, j, n, type_text, annos, owner, fields, calls):
+def _parse_field_decl(toks, j, n, type_text, annos, fields, calls):
     """Field declarators from the first name at j to the closing ';'."""
     while j < n:
         if toks[j][0] != IDENT:
@@ -1206,7 +1229,7 @@ def _parse_field_decl(toks, j, n, type_text, annos, owner, fields, calls):
         while j + 1 < n and toks[j][1] == "[" and toks[j + 1][1] == "]":
             suffix += "[]"
             j += 2
-        fields.append(FieldItem(name_tok[1], type_text + suffix, annos, owner, name_tok[2]))
+        fields.append((name_tok[1], type_text + suffix, annos, name_tok[2]))
         if j < n and toks[j][1] == "=":
             j += 1
             init_start = j
@@ -1220,7 +1243,7 @@ def _parse_field_decl(toks, j, n, type_text, annos, owner, fields, calls):
                 elif depth == 0 and text in (",", ";"):
                     break
                 j += 1
-            _scan_calls(toks, init_start, j, owner, calls)
+            _scan_calls(toks, init_start, j, calls)
         if j < n and toks[j][1] == ",":
             j += 1
             continue
@@ -1230,52 +1253,28 @@ def _parse_field_decl(toks, j, n, type_text, annos, owner, fields, calls):
     return j + 1 if j < n else n
 
 
-def _scan_calls(toks, lo, hi, owner, calls):
-    """Append the watched calls in toks[lo:hi] to calls as call sites of
-    owner, numbered on from len(calls); nested calls are found too."""
-    j = lo
-    while j < hi:
+def _scan_calls(toks, lo, hi, calls):
+    """Append the watched calls in toks[lo:hi] to calls as (callee,
+    arguments, line); nested calls are found too."""
+    for j in range(lo, hi - 1):
         kind, text, line = toks[j]
-        if (
-            kind == IDENT
-            and text in WATCHED_CALLEES
-            and j + 1 < hi
-            and toks[j + 1][1] == "("
-        ):
-            args = _parse_call_args(toks, j + 1, hi)
-            calls.append(
-                CallSite(text, args, owner, owner.file_path, line, ordinal=len(calls))
-            )
-        j += 1
+        if kind == IDENT and text in WATCHED_CALLEES and toks[j + 1][1] == "(":
+            calls.append((text, _parse_call_args(toks, j + 1, hi), line))
 
 
 def _parse_call_args(toks, i, hi):
     """i points at '('; classify each top-level argument."""
-    j = _skip_balanced(toks, i, "(", ")")
-    j = min(j, hi)
-    inner = toks[i + 1 : j - 1]
-    args: list[str | None] = []
-    for part in _split_top_level(inner, ","):
-        if not part:
-            continue
-        args.append(_classify_arg(part))
-    return tuple(args)
+    j = min(_skip_balanced(toks, i, "(", ")"), hi)
+    return tuple(_classify_arg(part) for part in _split_top_level(toks[i + 1 : j - 1], ",")
+                 if part)
 
 
 def _classify_arg(part: list[Token]) -> str | None:
     if len(part) == 1 and part[0][0] == STRING:
         return decode_java_string(part[0][1])
     # Foo.class or com.acme.Foo.class
-    if (
-        len(part) >= 3
-        and part[-1][0] == IDENT
-        and part[-1][1] == "class"
-        and part[-2][1] == "."
+    if len(part) >= 3 and part[-1][1] == "class" and all(
+        (t[0] == IDENT if idx % 2 == 0 else t[1] == ".") for idx, t in enumerate(part)
     ):
-        ok = all(
-            (t[0] == IDENT if idx % 2 == 0 else t[1] == ".")
-            for idx, t in enumerate(part)
-        )
-        if ok:
-            return "".join(t[1] for t in part)
+        return "".join(t[1] for t in part)
     return None

@@ -1,13 +1,12 @@
 """Project model assembly.
 
 build_model walks a project directory once and parses everything in one
-pass: every XML file, and every Java file, which is read and tokenized
-once, at declaration level (member bodies yield only their watched calls;
-see javasrc).  Its declarations come from the one scan the tokenizer ran
-over those tokens, which scan_declarations hands out; for each class it
-keeps, build_model makes the ClassItem and
-javasrc.extract_members builds that class's member items from the same
-tokens before they are dropped, so the model never goes back to a source
+pass: every XML file, and every Java file, which is read once by
+javasrc.tokenize_java's reader (member bodies yield only their watched
+calls; see javasrc).  scan_declarations hands out the declarations that
+reader read; for each class it keeps, build_model makes the ClassItem and
+javasrc.extract_members makes the members the reader read of it into
+items owned by that class, so the model never goes back to a source
 file.
 
 File discovery is deterministic: relative paths, sorted lexicographically
@@ -148,7 +147,6 @@ def build_model(
         model.java_file_count += 1
         toks = javasrc.tokenize_java(text)
         decls = javasrc.scan_declarations(toks)
-        toks = list(toks)  # extract_members indexes a plain list faster
         for raw in decls.types:
             chain = ".".join(raw.chain)
             fqn = f"{decls.package}.{chain}" if decls.package else chain

@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# `pytest --hypothesis-profile=stress` draws about 20,000 examples for the
+# front-end oracle's generated sources (tests/test_javasrc_oracle.py).
+settings.register_profile("stress", max_examples=20_000)
 
 
 @pytest.fixture

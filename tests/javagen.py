@@ -12,7 +12,10 @@ constructs a member-body skipper must get right:
   calls, in field initializers and behind comments, and names that only
   look like them;
 - unterminated strings and chars, and comments and text blocks left open
-  to the end of the text, in a body or anywhere else.
+  to the end of the text, in a body or anywhere else;
+- blocks where a member walk reads on to a ';' or a '>' of its own: after
+  a second declarator or a name it cannot read, after a '<' at member
+  level, and in a constructor whose name is not its class's.
 
 The sources hold no `record` declaration: tests/reference_javasrc.py,
 which they are compared against, reads `record` as a plain identifier.
@@ -44,6 +47,10 @@ OPEN_LITERALS = ['"open { \n', "'{ \n", 'wrap("open ) ;\n', 'x = y) + "( ;\n', "
 # the source after the first one: no later '*/' or '"""' may close it.
 STREAM_ENDERS = ["/* never closed {", '"""never closed {', "// no line end {"]
 _CUT = "\x00"
+# Members a compiler rejects, as code under edit holds them; after each, the
+# member walk reads on to a ';' (or a '>') inside or past a block.
+UNREADABLE_MEMBERS = ["int a = 1, { x; }", "int a b { x(); }", "< { a > b; }",
+                      'Misnamed(int x) { a(); getBean("y"); }']
 ANNOTATION_DEFAULTS = ["1", "{}", '{"a", "b"}', '{getBean("d")}']
 CALL_ARGS = ['"one"', "Leaf.class", "com.acme.Two.class", "name", '"a" + "b"', "1",
              'new String[] {"x"}', "() -> { return 1; }", "x -> x", '"}"', "'{'",
@@ -150,7 +157,7 @@ def members(draw, cls, kind, depth):
     """One member of a type named cls."""
     annos = draw(annotations())
     mods = draw(st.sampled_from(["", "public ", "private static final ", "protected ", "static "]))
-    choice = draw(st.integers(0, 10))
+    choice = draw(st.integers(0, 11))
     if kind == "@interface":
         default = draw(st.sampled_from(ANNOTATION_DEFAULTS))
         return f"{annos} {draw(st.sampled_from(TYPES))} value() default {default};"
@@ -175,6 +182,8 @@ def members(draw, cls, kind, depth):
         return f"Runnable r{depth} = () -> {{ {draw(statements())} }};"
     if choice == 9:
         return f"Object anon = new Object() {{ void x() {{ {draw(statements())} }} }};"
+    if choice == 11:
+        return draw(st.sampled_from(UNREADABLE_MEMBERS))
     return f"{annos} {mods}String s{depth} = \"{{\" + '}}' + {draw(watched_calls())};"
 
 

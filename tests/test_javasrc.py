@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 import reference_tokenizer
 from hypothesis import HealthCheck, given, settings
@@ -120,16 +122,22 @@ FRAGMENTS = [
 ]
 
 
-def first_member_body(tokens):
-    """The index of the first '{' of the (kind, text, line) tokens that
-    opens a member body, as tokenize_java's scan reads them, or None."""
-    toks = []
-    scan = javasrc._scan(toks, javasrc.FileDecls(package=None, imports=[]), final=False)
-    for k, tok in enumerate(tokens):
-        toks.append(tok)
-        if tok[:2] == (PUNCT, "{") and next(scan) is not None:
-            return k
-    return None
+def first_member_body(text):
+    """The index of the '{' of the first body tokenize_java skips in text,
+    or None."""
+    seen = []
+    read_block = javasrc._read_block
+
+    def spy(r, b, calls):
+        skipped = r.skipped
+        end = read_block(r, b, calls)
+        if r.skipped > skipped:
+            seen.append(b)
+        return end
+
+    with mock.patch.object(javasrc, "_read_block", spy):
+        tokenize_java(text)
+    return seen[0] if seen else None
 
 
 @settings(max_examples=1000, deadline=None)
@@ -140,11 +148,11 @@ def first_member_body(tokens):
     ).map("".join)
 )
 def test_tokenizer_matches_reference(text):
-    """Exact up to the first '{' that opens a member body (at file level
-    too), and everywhere when there is none; after it, that body holds
-    only its watched calls."""
+    """Exact up to the first '{' of a body the reader skips, and
+    everywhere when it skips none; after it, that body holds only its
+    watched calls."""
     expected = reference_tokenizer.tokenize(text)
-    body = first_member_body(expected)
+    body = first_member_body(text)
     if body is None:
         assert triples(text) == expected
     else:
@@ -152,10 +160,12 @@ def test_tokenizer_matches_reference(text):
 
 
 def test_first_member_body_passes_type_bodies_and_annotations():
-    tokens = reference_tokenizer.tokenize('class A { @B({"{"}) int[] f = {1}; }')
-    assert tokens[first_member_body(tokens) - 1][1] == "="
-    assert first_member_body(reference_tokenizer.tokenize("class A { class B { } }")) is None
-    assert first_member_body(reference_tokenizer.tokenize("enum E { X { }, Y }")) == 4
+    text = 'class A { @B({"{"}) int[] f = {1}; void m() { x(); } }'
+    tokens = tokenize_java(text)
+    assert tokens[first_member_body(text) - 1][1] == ")"  # m's body, not the initializer
+    assert first_member_body("class A { class B { } }") is None
+    # an enum's constants are read in full, bodies in them included
+    assert first_member_body("enum E { X { void f() { g(); } }, Y }") is None
 
 
 def test_a_construct_left_open_is_read_again_a_bounded_number_of_times(monkeypatch):
@@ -165,8 +175,25 @@ def test_a_construct_left_open_is_read_again_a_bounded_number_of_times(monkeypat
                         lambda toks, i: reads.append(i) or parse_annotation(toks, i))
     toks = tokenize_java("class A { @A( " + "(x){ } " * 1000)
     scan_declarations(toks)
-    assert len(reads) == javasrc._MAX_STALLS + 2
+    assert 0 < len(reads) <= javasrc._MAX_STALLS + 2
     assert [text for _, text, _ in toks].count("{") == 1001  # no body is skipped
+
+
+def test_a_long_field_initializer_is_read_a_bounded_number_of_times(monkeypatch):
+    reads = []
+    parse_field_decl = javasrc._parse_field_decl
+    monkeypatch.setattr(javasrc, "_parse_field_decl",
+                        lambda *args: reads.append(args[1]) or parse_field_decl(*args))
+    text = ("class A { int[][] a = {" + ", ".join(["{1}"] * 2000) + "}; int b;"
+            " void m() { getBean(\"x\"); } }")
+    toks = tokenize_java(text)
+    raw = scan_declarations(toks).types[0]
+    m = extract_members(toks, raw, owner_of(raw))
+    assert 0 < len(reads) <= javasrc._MAX_STALLS + 2
+    assert [f.name for f in m.fields] == ["a", "b"]
+    assert [c.string_args for c in m.call_sites] == [("x",)]
+    # the body after it is skipped
+    assert [text for _, text, _ in toks][-7:] == ["{", "getBean", "(", '"x"', ")", "}", "}"]
 
 
 def annos_view(annotations):
@@ -422,6 +449,27 @@ def test_qualified_and_parenthesised_param_annotations_dropped():
     ]
 
 
+def test_type_annotations_inside_member_types_are_dropped():
+    src = (
+        "class A {\n"
+        "  List<@NonNull String> xs;\n"
+        "  Map<@K({1, 2}) String, List<@a.b.V(x = \"}\") Integer>> m;\n"
+        "  @Nullable List<@NonNull String> g(String @NonNull [] a, int @A [] @B [] b,"
+        " String @C ... rest) { return null; }\n"
+        "}\n"
+    )
+    members = members_of(src)
+    assert [(f.name, f.type_name) for f in members.fields] == [
+        ("xs", "List<String>"), ("m", "Map<String, List<Integer>>"),
+    ]
+    g = members.methods[0]
+    assert (g.name, g.return_type) == ("g", "List<String>")
+    assert [a.name for a in g.annotations] == ["Nullable"]
+    assert [(p.type_name, p.name) for p in g.params] == [
+        ("String[]", "a"), ("int[][]", "b"), ("String...", "rest"),
+    ]
+
+
 def test_generic_param_types_keep_their_commas():
     src = (
         "class A { void f(java.util.Map<String, Map<K, V>> o, int n) { } "
@@ -644,6 +692,38 @@ def test_decode_java_string():
     assert decode_java_string('"tab\\there"') == "tab\there"
     assert decode_java_string('"back\\\\slash"') == "back\\slash"
     assert decode_java_string('"uni\\u0041"') == "uniA"
+
+
+@pytest.mark.parametrize("lexeme, value", [
+    # octal escapes, up to three digits when the first is 0-3 (JLS 3.10.7)
+    ('"\\101"', "A"),
+    ('"\\012x"', "\nx"),
+    ('"\\0"', "\0"),
+    ('"\\400"', " 0"),
+    ('"\\7777"', "\x3f77"),
+    # \s is a space
+    ('"a\\sb"', "a b"),
+    # a Unicode escape may repeat its 'u' (JLS 3.3) ...
+    ('"\\uuu0041"', "A"),
+    # ... is translated before escape sequences ...
+    ('"\\u005cn"', "\n"),
+    ('"\\u005c\\u005c"', "\\"),
+    # ... and only where an even number of backslashes precedes it
+    ('"\\\\u0041"', "\\u0041"),
+    ('"\\\\\\u0041"', "\\A"),
+    # a backslash before any other character stands for it
+    ('"\\q\\u12"', "qu12"),
+    ('"' + r"\b\t\n\f\r\"\'\\" + '"', "\b\t\n\f\r\"'\\"),
+])
+def test_decode_java_string_follows_the_language_spec(lexeme, value):
+    assert decode_java_string(lexeme) == value
+
+
+def test_decoded_strings_reach_call_sites_and_annotations():
+    src = 'class A { @Value("\\101\\sb") void m() { getBean("\\uuu0062\\145an"); } }'
+    m = members_of(src).methods[0]
+    assert m.annotations[0].attrs == {"value": ["A b"]}
+    assert [c.string_args for c in members_of(src).call_sites] == [("bean",)]
 
 
 def test_duplicate_member_names_all_recorded():

@@ -150,6 +150,15 @@ OVERCLOSED_INITIALIZER = "class B{w(}class A{e f=y);e g={1,2};e h;}"
 OVERCLOSED_BY_ANNOTATION = "class A{e f=@A(]) x,{a,b};}"
 TYPE_IN_ENUM_CONSTANTS = "enum E{class B{B(){w(}}e f;e g;}"
 
+# Each was once misread when a body was skipped that the member walk reads
+# as a flat token run: after a declarator it cannot read, it skips to the
+# next ';', which was inside the skipped body, or after a '<' at member
+# level to the next '>', which was past it.  Fields b, f, f and z were lost.
+FIELD_AFTER_A_SECOND_DECLARATOR_BLOCK = "class A { int a = 1, { x; } int b; }"
+FIELD_AFTER_A_BLOCK_AFTER_A_NAME = "class A { int a b { x(); } int f; }"
+FIELD_AFTER_A_BLOCK_IN_ANGLES = "class A { < { a > b; } int f; }"
+FIELD_AFTER_A_MISNAMED_CONSTRUCTOR = 'class A { B(int x) { a(); getBean("y"); } int z; }'
+
 
 @pytest.mark.parametrize("text", [
     # a '{' inside a member's parentheses
@@ -178,16 +187,33 @@ TYPE_IN_ENUM_CONSTANTS = "enum E{class B{B(){w(}}e f;e g;}"
     OVERCLOSED_BY_ANNOTATION,
     # a type declared in an enum's constant list, whose member body opens a '('
     TYPE_IN_ENUM_CONSTANTS,
+    # a block where the member walk reads on to a ';' or '>'
+    FIELD_AFTER_A_SECOND_DECLARATOR_BLOCK,
+    FIELD_AFTER_A_BLOCK_AFTER_A_NAME,
+    FIELD_AFTER_A_BLOCK_IN_ANGLES,
+    FIELD_AFTER_A_MISNAMED_CONSTRUCTOR,
+    # a nested type whose annotation arguments or header hold braces that
+    # do not balance: the member walk of the type around it, which counts
+    # them, ends it before or after the '}' the declaration scan ends it at
+    "class O { class X { void m() { a(); } @A(}) int f; } int g; }",
+    "class O { class X { @A(}) int f; } int g; }",
+    "class O { class X { void m() { a(); } @A({) int f; } int g; } int h; }",
+    "class O { class X<T extends @B({) Y> { void m() { } } int g; } int h; }",
 ])
 def test_malformed_declarations_match_reference(text):
     assert front_end_view(javasrc, text) == front_end_view(reference_javasrc, text)
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=max(400, settings().max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(java_sources())
 @example(UNCLOSED_BRACKET_INITIALIZER)
 @example(OVERCLOSED_INITIALIZER)
 @example(OVERCLOSED_BY_ANNOTATION)
 @example(TYPE_IN_ENUM_CONSTANTS)
+@example(FIELD_AFTER_A_SECOND_DECLARATOR_BLOCK)
+@example(FIELD_AFTER_A_BLOCK_AFTER_A_NAME)
+@example(FIELD_AFTER_A_BLOCK_IN_ANGLES)
+@example(FIELD_AFTER_A_MISNAMED_CONSTRUCTOR)
 def test_generated_sources_match_reference(text):
     assert front_end_view(javasrc, text) == front_end_view(reference_javasrc, text)

@@ -173,7 +173,7 @@ def test_one_declaration_scan_per_java_file(make_project, monkeypatch):
         "package com.acme;\npublic class Outer {\n    static class Inner { int x; }\n"
         "    void m() { getBean(\"a\"); }\n}\n"
     )
-    scans = spy_on(monkeypatch, "_scan")
+    scans = spy_on(monkeypatch, "_read_file")
     model = build_model(make_project(files))
     assert model.java_file_count == 3
     assert len(scans) == 3
