@@ -80,7 +80,7 @@ UNBOUNDED = sys.maxsize
 
 def arity_message(name: str, arity: range, got: int) -> str:
     """The complaint about calling `name` with `got` arguments; shared by
-    Registry.call and the rule validator."""
+    Registry.call and the rule compiler's diagnostics."""
     low = arity.start
     if arity.stop == UNBOUNDED:
         expected = f"at least {low}"
@@ -175,7 +175,8 @@ def resolve_resource_path(
     Tries, in order: the path relative to the project root, the path
     under each resource root, and finally a basename match against the
     model's XML files (an ambiguous basename still counts as found).
-    A leading "classpath:" marker and leading slashes are stripped.
+    A leading "classpath:" marker and leading slashes are stripped.  A
+    path the file system cannot even look up is not in the project.
     Returns the resolved relative path, or None.
     """
     cleaned = raw.strip()
@@ -188,8 +189,11 @@ def resolve_resource_path(
         return None
     candidates = [cleaned] + [f"{root}/{cleaned}" for root in resource_roots]
     for cand in candidates:
-        if (model.root / cand).is_file():
-            return cand
+        try:
+            if (model.root / cand).is_file():
+                return cand
+        except OSError:  # a name the file system refuses, such as one too long
+            continue
     base = cleaned.rsplit("/", 1)[-1]
     for xf in model.xml_files:
         if xf.path.rsplit("/", 1)[-1] == base:

@@ -215,7 +215,8 @@ class FileDecls:
 
 # A construct that runs past the tokens lexed so far is read again each
 # time the lexer has lexed on; after this many times at the same place the
-# lexer lexes all the rest, so that no input costs more than linear time.
+# lexer lexes through the body around it, and the time after all the rest,
+# so that no input costs more than linear time.
 _MAX_STALLS = 16
 
 
@@ -525,12 +526,21 @@ _WORD_OR_DOT = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz01
 def _more(r: _Reader, p: int) -> None:
     """Lex on for a construct from token p that runs past the tokens lexed so
     far, a '{' in it through to its '}' (with p at their end, on to the next
-    '{'); all the rest once the same place has asked _MAX_STALLS times."""
+    '{').  Once the same place has asked _MAX_STALLS times, lex through the
+    '}' that closes the body around the construct; the time after, all the
+    rest."""
     if 0 <= r.stalled < p:
         p = r.stalled
     r.stalls = r.stalls + 1 if p == r.stall_at else 1
     r.stall_at = p
-    _lex(r, -1 if r.stalls > _MAX_STALLS else 1 if p < len(r.toks) else 0)
+    if r.stalls <= _MAX_STALLS:
+        depth = 1 if p < len(r.toks) else 0
+    elif r.stalls == _MAX_STALLS + 1:  # the braces open from p on, and the body's
+        depth = 1 + sum(1 if t[1] == "{" else -1 for t in r.toks[p:]
+                        if t[0] == PUNCT and t[1] in "{}")
+    else:
+        depth = -1
+    _lex(r, depth)
     if r.mk < len(r.marks):
         _scan(r)
 

@@ -13,20 +13,24 @@ arguments it builds the list itself, so hasAttr(bean, "class") builds
 is checked at run time, except where its node always gives a bool: ==,
 exists, AND, OR, NOT and a call of a built-in declared to return BOOL.
 
-Scoping model: variables are resolved when the rule compiles, by the
-scope walk rsl/validator.py makes.  The rule body, each for and if body
-and each exists predicate is a scope; a declaration is visible to the
-statements after it in its scope, a for or exists variable to its body
-or predicate, and an inner binding shadows an outer one.  Each binding
-site (for variable, exists variable, declaration) owns one index in a
-flat list of slots, and a read compiles to a fetch of the slot it
-resolves to; a read that resolves to none compiles to a raise of
-"variable 'x' is not bound" at its position.  run_rule runs the body over
-a fresh list of slots, one per binding site, so nothing is pushed,
-popped or cleared at run time: a for loop or an exists writes its
-variable's slot per element, a declaration writes its own.  The type a
-rule declares for a variable is not kept or checked at run time.  AND
-and OR do not evaluate their right side when the left side decides.
+Scoping model: variables are resolved when the rule compiles, and this
+one walk also validates the rule: compile_rule records a Diagnostic for
+each read that resolves to no binding, each call of an unknown built-in
+and each call with a wrong argument count, and rsl/validator.py reports
+them.  The rule body, each for and if body and each exists predicate is
+a scope; a declaration is visible to the statements after it in its
+scope, a for or exists variable to its body or predicate, and an inner
+binding shadows an outer one.  Each binding site (for variable, exists
+variable, declaration) owns one index in a flat list of slots, and a
+read compiles to a fetch of the slot it resolves to; a read that
+resolves to none compiles to a raise of "variable 'x' is not bound" at
+its position, and a diagnosed call still compiles to a call that
+Registry.call fails.  run_rule runs the body over a fresh list of slots,
+one per binding site, so nothing is pushed, popped or cleared at run
+time: a for loop or an exists writes its variable's slot per element, a
+declaration writes its own.  The type a rule declares for a variable is
+not kept or checked at run time.  AND and OR do not evaluate their right
+side when the left side decides.
 
 A failed assert renders the message template and emits a BugReport; the
 report's position comes from the first message argument that carries a
@@ -76,6 +80,20 @@ Scopes = list[dict[str, int]]
 
 # Nodes whose value is always a Python bool, so a condition needs no check.
 _BOOL_NODES = (ast.Eq, ast.Exists, ast.And, ast.Or, ast.Not)
+
+
+# What compiling a rule finds wrong with it; rsl/validator.py reports these.
+UNDECLARED_VARIABLE = "undeclared-variable"
+UNKNOWN_BUILTIN = "unknown-builtin"
+BUILTIN_ARITY = "builtin-arity"
+
+
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "line", "column")
+    code: str
+    message: str
+    line: int
+    column: int
 
 
 class BugReport(Record):
@@ -220,25 +238,30 @@ class Interpreter:
         self.stats = EvalStats()
         self._rule_name = "<none>"
         self._nslots = 0  # binding sites of the rule being compiled
-        # id(rule) -> (rule, compiled body, slot count); holding the rule keeps its id unique
-        self._compiled: dict[int, tuple[ast.Rule, CompiledStmt, int]] = {}
+        self._diagnostics: list[Diagnostic] = []  # found in the rule being compiled
+        # id(rule) -> (rule, its compile_rule result); holding the rule keeps its id unique
+        self._compiled: dict[int, tuple[ast.Rule, tuple]] = {}
 
-    # -- entry point ----------------------------------------------------------
+    # -- entry points -----------------------------------------------------------
 
     def run_rule(self, rule: ast.Rule, sink: list[BugReport] | None = None) -> list[BugReport]:
         """Execute one rule; reports are appended to sink (shared sinks
         keep emission ordinals global across rules)."""
         if sink is None:
             sink = []
-        self._rule_name = rule.name
-        entry = self._compiled.get(id(rule))
-        if entry is None:
-            self._nslots = 0
-            body = self._compile_block(rule.body, [{}])
-            entry = self._compiled[id(rule)] = (rule, body, self._nslots)
-        _, body, nslots = entry
+        body, nslots, _ = self.compile_rule(rule)
         body([None] * nslots, sink)
         return sink
+
+    def compile_rule(self, rule: ast.Rule) -> tuple[CompiledStmt, int, list[Diagnostic]]:
+        """The rule's compiled body, its slot count and its diagnostics in
+        source order, compiled once per interpreter."""
+        entry = self._compiled.get(id(rule))
+        if entry is None:
+            self._rule_name, self._nslots, self._diagnostics = rule.name, 0, []
+            body = self._compile_block(rule.body, [{}])
+            entry = self._compiled[id(rule)] = (rule, (body, self._nslots, self._diagnostics))
+        return entry[1]
 
     def _bind(self, scopes: Scopes, name: str) -> int:
         """A new slot for a binding site, visible from now on in the
@@ -275,14 +298,7 @@ class Interpreter:
                 slots[slot] = init(slots)
 
             return declare
-        error = self._error(
-            f"unknown statement node {type(stmt).__name__}", stmt.span
-        )
-
-        def unknown(slots, sink):
-            raise error()
-
-        return unknown
+        raise TypeError(f"unknown statement node: {stmt!r}")
 
     def _compile_for(self, stmt: ast.ForStmt, scopes: Scopes) -> CompiledStmt:
         container = self._compile_exp(stmt.container, scopes)
@@ -365,12 +381,7 @@ class Interpreter:
         if isinstance(exp, ast.Not):
             operand = self._compile_cond(exp.operand, scopes)
             return lambda slots: not operand(slots)
-        error = self._error(f"unknown expression node {type(exp).__name__}", exp.span)
-
-        def unknown(slots):
-            raise error()
-
-        return unknown
+        raise TypeError(f"unknown expression node: {exp!r}")
 
     def _compile_cond(self, exp: ast.Exp, scopes: Scopes) -> CompiledExp:
         """exp as a condition: its value must be a bool or MISSING
@@ -404,10 +415,12 @@ class Interpreter:
         slot = _slot_of(exp.name, scopes)
         if slot is not None:
             return operator.itemgetter(slot)
-        error = self._error(f"variable '{exp.name}' is not bound", exp.span)
+        self._diagnose(UNDECLARED_VARIABLE,
+                       f"variable '{exp.name}' is not declared in any enclosing scope", exp.span)
+        rule_name, cause, span = self._rule_name, f"variable '{exp.name}' is not bound", exp.span
 
         def unbound(slots):
-            raise error()
+            raise RuntimeRuleError(rule_name, cause, span.line, span.column)
 
         return unbound
 
@@ -435,6 +448,11 @@ class Interpreter:
         rule_name, line, column = self._rule_name, exp.span.line, exp.span.column
         errors = builtins_mod.CALL_ERRORS
         spec = self.registry.builtins.get(name)
+        if spec is None:
+            self._diagnose(UNKNOWN_BUILTIN, f"'{name}' is not a known built-in function", exp.span)
+        elif len(exp.args) not in spec.arity:
+            self._diagnose(BUILTIN_ARITY,
+                           builtins_mod.arity_message(name, spec.arity, len(exp.args)), exp.span)
         key_of = get = None
         if self.cache is not None and spec is not None and spec.cached:
             key_of, get = canonical_key, self.cache.get_or_compute
@@ -515,8 +533,11 @@ class Interpreter:
         stats = self.stats
         plan = plan_exists(exp) if self.cache is not None else None
         if plan is not None:
+            # the predicate's parts again: what they hold is already diagnosed
+            found = len(self._diagnostics)
             keyed = self._compile_exp(plan.keyed, inner)
             probe = self._compile_exp(plan.probe, inner)
+            del self._diagnostics[found:]
             probe_first = plan.probe_first
             indexes, rule_name = self.cache.exists_indexes, self._rule_name
 
@@ -536,11 +557,8 @@ class Interpreter:
 
         return exists
 
-    def _error(self, cause: str, span: ast.Span) -> Callable[[], RuntimeRuleError]:
-        """A factory for the rule error raised at span, bound now so the
-        compiled code need not know the rule."""
-        rule_name = self._rule_name
-        return lambda: RuntimeRuleError(rule_name, cause, span.line, span.column)
+    def _diagnose(self, code: str, message: str, span: ast.Span) -> None:
+        self._diagnostics.append(Diagnostic(code, message, span.line, span.column))
 
 
 def _slot_of(name: str, scopes: Scopes) -> int | None:

@@ -451,3 +451,24 @@ def test_an_unbound_argument_fails_at_its_own_position(model, args):
         run(model, src)
     assert (exc.value.cause, exc.value.line, exc.value.column) == (
         "variable 'nobody' is not bound", 3, column)
+
+
+@pytest.mark.parametrize("call, cause", [
+    # (slot, value): a precondition error of a cached built-in
+    ('getAnnotated(s, "package")',
+     "'getAnnotated': kind must be class, method, or field, got 'package'"),
+    # (slot, slot): a kind error of a cached built-in
+    ("getElms(s, s)", "'getElms' argument 1 must be an XML file or element, got text"),
+    # (slot, value, value): a kind error of an uncached built-in
+    ("substring(xml, 0, 1)", "'substring' argument 1 must be text, got file"),
+    # an argument that is a call: the generic shape
+    ("locateClassSN(upperCase(s))", "'locateClassSN': simple name COM matches 0 classes"),
+])
+@pytest.mark.parametrize("cache", [None, QueryCache()], ids=["uncached", "cached"])
+def test_a_failing_call_of_each_folded_shape_fails_at_the_call(model, call, cause, cache):
+    src = ('Rule shape {\n  for (file xml in getXMLs()) {\n    String s = "com";\n'
+           f'    String v = {call};\n  }}\n}}\n')
+    column = src.splitlines()[3].index(call) + 1
+    with pytest.raises(RuntimeRuleError) as exc:
+        run(model, src, cache=cache)
+    assert (exc.value.cause, exc.value.line, exc.value.column) == (cause, 4, column)

@@ -196,6 +196,34 @@ def test_a_long_field_initializer_is_read_a_bounded_number_of_times(monkeypatch)
     assert [text for _, text, _ in toks][-7:] == ["{", "getBean", "(", '"x"', ")", "}", "}"]
 
 
+def many_constant_bodies(n):
+    consts = ", ".join(f"C{k} {{ int f() {{ return {k}; }} }}" for k in range(n))
+    return (f'enum E {{ {consts}; void m() {{ getBean("x"); }} }}'
+            " class B { void n() { a(); b(); c(); } }")
+
+
+def test_an_enum_of_many_constant_bodies_stops_no_later_skip():
+    toks = tokenize_java(many_constant_bodies(20))
+    e, b = scan_declarations(toks).types
+    assert [c.string_args for c in extract_members(toks, e, owner_of(e)).call_sites] == [("x",)]
+    assert extract_members(toks, b, owner_of(b)).methods[0].name == "n"
+    # n's body keeps only its braces
+    assert [text for _, text, _ in toks][-11:] == [
+        "}", "class", "B", "{", "void", "n", "(", ")", "{", "}", "}"]
+
+
+def test_an_enum_of_5000_constant_bodies_is_read_a_bounded_number_of_times(monkeypatch):
+    reads = []
+    skip_enum_constants = javasrc._skip_enum_constants
+    monkeypatch.setattr(javasrc, "_skip_enum_constants",
+                        lambda *args: reads.append(args[1]) or skip_enum_constants(*args))
+    toks = tokenize_java(many_constant_bodies(5000))
+    e, b = scan_declarations(toks).types
+    assert 0 < len(reads) <= javasrc._MAX_STALLS + 2
+    assert [c.string_args for c in extract_members(toks, e, owner_of(e)).call_sites] == [("x",)]
+    assert [text for _, text, _ in toks][-3:] == ["{", "}", "}"]
+
+
 def annos_view(annotations):
     return [(a.name, a.attrs, a.line) for a in annotations]
 

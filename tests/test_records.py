@@ -199,3 +199,40 @@ def test_starting_a_check_imports_no_dataclass_machinery_or_printer():
     imported = set(json.loads(proc.stdout))
     assert "mecheck.rulepack" in imported
     assert not imported & {"dataclasses", "inspect", "traceback", "mecheck.rsl.printer"}
+
+
+# What STARTUP imported before rsl.validator came to import the runtime.
+STARTUP_MODULES = {
+    "__future__", "argparse", "gc", "gettext", "mecheck", "mecheck.builtins", "mecheck.cli",
+    "mecheck.model", "mecheck.model.items", "mecheck.model.javasrc", "mecheck.model.project",
+    "mecheck.model.xmldoc", "mecheck.record", "mecheck.rsl", "mecheck.rsl.ast",
+    "mecheck.rsl.lexer", "mecheck.rsl.parser", "mecheck.rsl.validator", "mecheck.rulepack",
+    "mecheck.runner", "mecheck.runtime", "mecheck.runtime.cache",
+    "mecheck.runtime.interpreter", "mecheck.runtime.values", "pyexpat", "pyexpat.errors",
+    "pyexpat.model", "unicodedata", "xml", "xml.parsers", "xml.parsers.expat",
+    "xml.parsers.expat.errors", "xml.parsers.expat.model",
+}
+
+
+def run_fresh(code):
+    """code run by a new interpreter that has imported no mecheck module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["mecheck.rsl", "mecheck.rsl.validator",
+                                    "mecheck.runtime.interpreter", "mecheck.rulepack"])
+def test_each_module_of_the_rsl_runtime_cycle_imports_first(module):
+    # rsl.validator imports runtime.interpreter, which imports rsl.ast
+    proc = run_fresh(f"import {module}\nimport mecheck.rsl.validator, mecheck.runtime\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_starting_a_check_imports_no_new_module():
+    proc = run_fresh(STARTUP)
+    assert proc.returncode == 0, proc.stderr
+    imported = set(json.loads(proc.stdout))
+    assert imported <= STARTUP_MODULES, sorted(imported - STARTUP_MODULES)
+    assert {m for m in STARTUP_MODULES if m.startswith("mecheck")} <= imported

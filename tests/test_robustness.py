@@ -290,3 +290,20 @@ def test_3000_deep_nesting_is_queried_from_the_file_and_from_inside(tmp_path, ca
     assert call("elementExists", [beans[-1], "bean"], None) is False
     assert cli_result(root, capsys) == (1, [
         r2_line(depth + 1, "com.acme.Gone", "<bean>"), "1 findings across 15 rules"], "")
+
+
+def test_a_config_path_too_long_for_the_file_system_is_reported_missing(tmp_path, capsys):
+    # each candidate lookup of this name fails with ENAMETOOLONG
+    loc = "x" * 300 + ".xml"
+    write_tree(tmp_path, {
+        "src/main/java/p/A.java": (
+            f'package p;\n\n@ImportResource(location = {{"{loc}"}})\npublic class A {{\n'
+            f'    void m() {{ new ClassPathXmlApplicationContext("{loc}"); }}\n}}\n').encode(),
+        "src/main/resources/ctx.xml": f'<beans><import resource="{loc}"/></beans>\n'.encode(),
+    })
+    code, out, err = cli_result(tmp_path, capsys)
+    assert (code, err) == (1, "")
+    assert [line.split(" ", 2)[1] for line in out[:-1]] == [
+        "r1-xml-path-check", "r14-import-resource-path"]
+    assert all(f" {loc} " in line for line in out[:-1])
+    assert out[-1] == "2 findings across 15 rules"
