@@ -1,6 +1,6 @@
 """The built-in query functions available to rules.
 
-Forty-one functions over the project model, in four groups: code
+Forty-two functions over the project model, in four groups: code
 elements, annotations, XML, and plain string/path helpers.  A Registry
 owns per-run configuration (library class patterns, resource roots) and
 dispatches every call through Registry.call.
@@ -177,6 +177,14 @@ def resolve_resource_path(
     model's XML files (an ambiguous basename still counts as found).
     A leading "classpath:" marker and leading slashes are stripped.  A
     path the file system cannot even look up is not in the project.
+
+    A location holding '*' or '?' is an Ant-style pattern, as Spring's
+    PathMatchingResourcePatternResolver reads it: '?' is one character
+    and '*' any run of them within one path segment, and a '**' segment
+    spans any number of segments.  It is found when it matches the path of
+    one of the model's XML files, relative to the project root or to a
+    resource root, or when its last segment matches such a file's
+    basename.
     Returns the resolved relative path, or None.
     """
     cleaned = raw.strip()
@@ -187,6 +195,8 @@ def resolve_resource_path(
     cleaned = cleaned.lstrip("/")
     if not cleaned or ".." in Path(cleaned).parts:
         return None
+    if "*" in cleaned or "?" in cleaned:
+        return _match_resource_pattern(cleaned, model, resource_roots)
     candidates = [cleaned] + [f"{root}/{cleaned}" for root in resource_roots]
     for cand in candidates:
         try:
@@ -199,6 +209,39 @@ def resolve_resource_path(
         if xf.path.rsplit("/", 1)[-1] == base:
             return xf.path
     return None
+
+
+def _match_resource_pattern(pattern: str, model: ProjectModel,
+                            resource_roots: tuple[str, ...]) -> str | None:
+    """The first of the model's XML files that an Ant-style location
+    pattern names, by its path or by its basename; None if none."""
+    whole = _ant_matcher(pattern)
+    last = _ant_matcher(pattern.rsplit("/", 1)[-1])
+    prefixes = [f"{root.strip('/')}/" for root in resource_roots]
+    for xf in model.xml_files:
+        path = xf.path
+        if whole(path) or last(path.rsplit("/", 1)[-1]):
+            return path
+        for prefix in prefixes:
+            if path.startswith(prefix) and whole(path[len(prefix):]):
+                return path
+    return None
+
+
+def _ant_matcher(pattern: str) -> Callable[[str], object]:
+    """The full-match test of an Ant-style path pattern."""
+    segments = pattern.split("/")
+    parts = []
+    for i, segment in enumerate(segments):
+        last = i == len(segments) - 1
+        if segment == "**":
+            parts.append(".*" if last else "(?:[^/]*/)*")
+            continue
+        parts.append("".join("[^/]*" if ch == "*" else "[^/]" if ch == "?" else re.escape(ch)
+                             for ch in segment))
+        if not last:
+            parts.append("/")
+    return re.compile("".join(parts)).fullmatch
 
 
 # Distinct glob texts a run keeps compiled; rules that build patterns at
@@ -696,6 +739,15 @@ class Registry:
         if not values:
             return MISSING
         return values[0]
+
+    @builtin("getAnnoAttrValues", 3, ANNOTATED, TEXT, TEXT, result=LIST,
+             missing=(0,), on_missing=[], cached=True)
+    def _get_anno_attr_values(self, model, args):
+        """Every value of the attribute, in source order: an array
+        attribute gives each element."""
+        item, query, attr = args
+        anno = self._find_anno(item, query)
+        return list(anno.attrs.get(attr, ())) if anno is not None else []
 
     @builtin("getAnnoAttrNames", 2, ANNOTATED, TEXT, result=LIST,
              missing=(0,), on_missing=[], cached=True)

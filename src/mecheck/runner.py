@@ -3,6 +3,18 @@
 Reports keep their emission order (the ordinal is global across rules);
 renderers sort by (rule name, file, line, ordinal).  A rule that fails at
 runtime contributes a diagnostic instead of aborting the run.
+
+Rules that open with the same statements share them: compile_pack
+(runtime/interpreter.py) makes such rules run as one walk that evaluates
+a statement, equal in each rule but for its spans, once per binding.  A
+declaration is shared, and so is a for or if that ends its body.  Each
+rule is still run by one run_rule call of its own interpreter, in pack
+order: the walk runs inside the first sharing rule's call, and the
+others' reports, held until their own call, are appended then with the
+ordinal they would have had, so reports, ordinals and diagnostics are
+those of running the rules one by one.  A rule error in a rule's own
+statements stops that rule only; one in a shared statement stops every
+rule under it, each reported with its own name and position.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from mecheck import rulepack
 from mecheck.model.project import DEFAULT_IGNORE_GLOBS, ProjectModel, build_model
 from mecheck.record import Record
 from mecheck.runtime.cache import QueryCache
-from mecheck.runtime.interpreter import BugReport, Interpreter, RuntimeRuleError
+from mecheck.runtime.interpreter import BugReport, Interpreter, RuntimeRuleError, compile_pack
 
 TEXT = "text"
 JSON = "json"
@@ -79,8 +91,11 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
     summary = RunSummary()
     cache = QueryCache() if config.use_cache else None
     sink: list[BugReport] = []
-    for rule in rules:
-        interp = Interpreter(model, registry, cache)
+    interpreters: list[Interpreter | None] = [Interpreter(model, registry, cache) for _ in rules]
+    compile_pack(interpreters, rules)
+    for k, rule in enumerate(rules):
+        # a rule's compiled closures are freed once its turn is over
+        interp, interpreters[k] = interpreters[k], None
         try:
             interp.run_rule(rule, sink)
         except RuntimeRuleError as exc:

@@ -43,6 +43,29 @@ QueryCache.get_or_compute first.  All three are looked up when the rule
 is compiled, so wrappers installed on them before a rule runs see every
 call.
 
+Shared walk: run_checker hands the pack to compile_pack, which treats it
+as a prefix tree (plan_pack).  Two or more rules share a statement when
+it and every statement before it are equal but for their spans (same
+variable names, literals and built-ins).  A declaration can be shared,
+and so can a for or if that is the last statement of its body; the walk
+then goes on inside that statement's body.  Rules that share their first
+statement are run as one walk inside the first such rule's run_rule call:
+each shared statement is evaluated once per binding with the closures of
+the first rule that shares it (whose EvalStats count its calls), and at
+each binding the statements each rule does not share run with the rule's
+own closures, EvalStats and error handling, in pack order of each part's
+first rule.
+The slots of the shared statements are numbered alike in every rule,
+since compiling numbers binding sites in source order, so all the rules
+of a walk run over one list of slots.  The other rules' reports are held
+and appended, with fresh ordinals, by their own run_rule calls, so the
+sink and the rule errors come out as running the rules one by one gives
+them.  A rule error in a rule's own statements stops that rule only; one
+in a shared statement stops every rule the statement still runs, each
+with its own name and its own line and column of the statement.  Every
+rule still gets one run_rule call, in pack order, and a single run_rule
+call on an interpreter compile_pack has not seen runs the rule alone.
+
 Indexed exists: with a QueryCache, `exists (T x in C) (f(x) == e)` is
 answered from a hash index of f over C (a hash semi-join) when the
 predicate, parentheses removed, is an == of which exactly one side
@@ -241,6 +264,10 @@ class Interpreter:
         self._diagnostics: list[Diagnostic] = []  # found in the rule being compiled
         # id(rule) -> (rule, its compile_rule result); holding the rule keeps its id unique
         self._compiled: dict[int, tuple[ast.Rule, tuple]] = {}
+        # what compile_pack reads of the compiled rules: id(statement) -> its
+        # closure, and id(for or if) -> (its container or condition, the for's slot)
+        self._code: dict[int, CompiledStmt] = {}
+        self._heads: dict[int, tuple[CompiledExp, int | None]] = {}
 
     # -- entry points -----------------------------------------------------------
 
@@ -285,25 +312,27 @@ class Interpreter:
 
     def _compile_stmt(self, stmt: ast.Stmt, scopes: Scopes) -> CompiledStmt:
         if isinstance(stmt, ast.ForStmt):
-            return self._compile_for(stmt, scopes)
-        if isinstance(stmt, ast.IfStmt):
-            return self._compile_if(stmt, scopes)
-        if isinstance(stmt, ast.AssertStmt):
-            return self._compile_assert(stmt, scopes)
-        if isinstance(stmt, ast.DeclStmt):
+            code = self._compile_for(stmt, scopes)
+        elif isinstance(stmt, ast.IfStmt):
+            code = self._compile_if(stmt, scopes)
+        elif isinstance(stmt, ast.AssertStmt):
+            code = self._compile_assert(stmt, scopes)
+        elif isinstance(stmt, ast.DeclStmt):
             init = self._compile_exp(stmt.init, scopes)
             slot = self._bind(scopes, stmt.var)
 
-            def declare(slots, sink):
+            def code(slots, sink):
                 slots[slot] = init(slots)
-
-            return declare
-        raise TypeError(f"unknown statement node: {stmt!r}")
+        else:
+            raise TypeError(f"unknown statement node: {stmt!r}")
+        self._code[id(stmt)] = code
+        return code
 
     def _compile_for(self, stmt: ast.ForStmt, scopes: Scopes) -> CompiledStmt:
         container = self._compile_exp(stmt.container, scopes)
         inner = scopes + [{}]
         slot = self._bind(inner, stmt.var)
+        self._heads[id(stmt)] = (container, slot)
         body = self._compile_block(stmt.body, inner)
 
         def run_for(slots, sink):
@@ -315,6 +344,7 @@ class Interpreter:
 
     def _compile_if(self, stmt: ast.IfStmt, scopes: Scopes) -> CompiledStmt:
         cond = self._compile_cond(stmt.cond, scopes)
+        self._heads[id(stmt)] = (cond, None)
         body = self._compile_block(stmt.body, scopes + [{}])
 
         def run_if(slots, sink):
@@ -655,3 +685,259 @@ def _grow_index(index: ExistsIndex, keyed: CompiledExp, slots: list, slot: int) 
         return
     index.first.setdefault(key, pos)
     index.built = pos + 1
+
+
+# -- shared walk over the pack ---------------------------------------------------
+
+
+class Shared(Record):
+    """One statement that several rules open with, run once for all of them.
+
+    rules are the rules' positions in the pack, in pack order, and stmts[k]
+    is the statement of rule rules[k]; the statements are equal but for
+    their spans.  then holds what runs after the statement (in a for or if,
+    at each binding or when taken), in the order of each part's first rule:
+    a Shared for statements some of the rules still share, a Rest for a
+    rule's own statements."""
+
+    __slots__ = ("rules", "stmts", "then")
+    rules: tuple[int, ...]
+    stmts: tuple[ast.Stmt, ...]
+    then: tuple[Shared | Rest, ...]
+
+
+class Rest(Record):
+    """The statements of one rule that no other rule shares."""
+
+    __slots__ = ("rule", "stmts")
+    rule: int
+    stmts: tuple[ast.Stmt, ...]
+
+
+def plan_pack(rules: list[ast.Rule]) -> list[Shared]:
+    """The prefix tree of the pack: one Shared for each set of two or more
+    rules whose first statements are equal but for their spans."""
+    return [step for step in _plan([(i, rule.body, 0) for i, rule in enumerate(rules)])
+            if isinstance(step, Shared)]
+
+
+def _plan(cursors: list[tuple[int, tuple[ast.Stmt, ...], int]]) -> list[Shared | Rest]:
+    """The steps of rules that have shared every statement so far; a cursor
+    (rule, stmts, i) says that rule runs stmts[i:] next.  A declaration
+    can be shared, and so can a for or if that ends its body, since then
+    nothing of the rule runs after its bindings."""
+    groups: list[list] = []
+    by_head: dict[tuple, list] = {}
+    for cursor in cursors:
+        _, stmts, i = cursor
+        stmt = stmts[i] if i < len(stmts) else None
+        if isinstance(stmt, ast.DeclStmt) or (
+                isinstance(stmt, (ast.ForStmt, ast.IfStmt)) and i == len(stmts) - 1):
+            key = (type(stmt), _shape(_head(stmt)))
+            if key in by_head:
+                by_head[key].append(cursor)
+                continue
+            by_head[key] = [cursor]
+            groups.append(by_head[key])
+        else:
+            groups.append([cursor])
+    steps: list[Shared | Rest] = []
+    for group in groups:
+        if len(group) == 1:
+            rule, stmts, i = group[0]
+            if i < len(stmts):
+                steps.append(Rest(rule, stmts[i:]))
+            continue
+        heads = tuple(stmts[i] for _, stmts, i in group)
+        after = [(rule, stmts, i + 1) if isinstance(head, ast.DeclStmt) else (rule, head.body, 0)
+                 for (rule, stmts, i), head in zip(group, heads)]
+        steps.append(Shared(tuple(rule for rule, _, _ in group), heads, tuple(_plan(after))))
+    return steps
+
+
+def _head(stmt: ast.Stmt) -> tuple:
+    """What a shared step evaluates of a statement: a declaration, or a for
+    or if without its body."""
+    if isinstance(stmt, ast.ForStmt):
+        return (stmt.decl_type, stmt.var, stmt.container)
+    if isinstance(stmt, ast.IfStmt):
+        return (stmt.cond,)
+    return (stmt.decl_type, stmt.var, stmt.init)
+
+
+def _shape(node: object) -> object:
+    """node with every span left out: equal for nodes equal but for spans."""
+    if isinstance(node, ast.Span):
+        return None
+    if isinstance(node, Record):
+        return (type(node), *map(_shape, node._fields()))
+    if isinstance(node, tuple):
+        return tuple(map(_shape, node))
+    return node
+
+
+def _position_in(own: tuple, other: tuple, line: int, column: int) -> tuple[int, int]:
+    """The position in other of the node at (line, column) in own, a head
+    equal to other but for spans."""
+    pairs = [(own, other)]
+    while pairs:
+        a, b = pairs.pop()
+        if isinstance(a, ast.Span):
+            if a.line == line and a.column == column:
+                return b.line, b.column
+        elif isinstance(a, Record):
+            pairs.extend(zip(a._fields(), b._fields()))
+        elif isinstance(a, tuple):
+            pairs.extend(zip(a, b))
+    return line, column
+
+
+class _Member:
+    """A rule in a shared walk: where its reports go and, once a rule error
+    has stopped it, the error's (cause, line, column).  It holds no
+    exception and no interpreter, so nothing it holds leads back to it."""
+
+    __slots__ = ("rule_name", "sink", "error")
+
+    def __init__(self, rule_name: str):
+        self.rule_name = rule_name
+        self.sink: list[BugReport] = []
+        self.error: tuple[str, int, int] | None = None
+
+
+def compile_pack(interpreters: list[Interpreter], rules: list[ast.Rule]) -> None:
+    """Make each set of rules in plan_pack(rules) run its shared statements
+    once.  interpreters[k] runs rules[k], with one run_rule call per rule,
+    in pack order.
+
+    The first rule of a set runs the shared walk: each shared statement is
+    evaluated once, with the compiled closures of the first rule that
+    shares it (so that rule's EvalStats count its calls), and at each
+    binding every Rest below it runs with its own rule's closures and
+    EvalStats.  The first rule's reports
+    go straight to the sink; the others' are held and appended, numbered
+    afresh, by their own run_rule call, so the sink gets what running the
+    rules one by one gives.  A rule error in a rule's own statements stops
+    that rule only; one in a shared statement stops every rule the step
+    still runs, each at its own position of the statement.  Each stopped
+    rule's run_rule raises its error after its reports, in its turn."""
+    members = [_Member(rule.name) for rule in rules]
+    for step in plan_pack(rules):
+        compiled = {k: interpreters[k].compile_rule(rules[k]) for k in step.rules}
+        root = _compile_step(step, members, interpreters)
+        # the shared statements' slots come first in every rule, numbered alike
+        nslots = max(nslots for _, nslots, _ in compiled.values())
+        group = [members[k] for k in step.rules]
+        for k, member in zip(step.rules, group):
+            body = (_walk_body(root, member, group) if member is group[0]
+                    else _replay_body(member))
+            interpreters[k]._compiled[id(rules[k])] = (rules[k], (body, nslots, compiled[k][2]))
+
+
+def _walk_body(root: Callable[[list], None], first: _Member,
+               group: list[_Member]) -> CompiledStmt:
+    """The first rule's body: the whole shared walk."""
+
+    def walk(slots, sink):
+        for member in group:
+            member.sink, member.error = [], None
+        first.sink = sink
+        root(slots)
+        if first.error is not None:
+            raise RuntimeRuleError(first.rule_name, *first.error)
+
+    return walk
+
+
+def _replay_body(member: _Member) -> CompiledStmt:
+    """A later rule's body: what the shared walk held for it."""
+
+    def replay(slots, sink):
+        for r in member.sink:
+            sink.append(BugReport(r.rule_name, r.message, r.file_path, r.line, len(sink)))
+        member.sink = []
+        if member.error is not None:
+            raise RuntimeRuleError(member.rule_name, *member.error)
+
+    return replay
+
+
+def _compile_step(step: Shared | Rest, members: list[_Member],
+                  interpreters: list[Interpreter]) -> Callable[[list], None]:
+    """slots -> None: run the step for the rules it holds that have not
+    stopped, from the closures their interpreters compiled."""
+    if isinstance(step, Rest):
+        member = members[step.rule]
+        codes = tuple(interpreters[step.rule]._code[id(stmt)] for stmt in step.stmts)
+        if len(codes) == 1:
+            (run,) = codes
+        else:
+            def run(slots, sink):
+                for stmt in codes:
+                    stmt(slots, sink)
+
+        def rest(slots):
+            if member.error is None:
+                try:
+                    run(slots, member.sink)
+                except RuntimeRuleError as exc:
+                    member.error = (exc.cause, exc.line, exc.column)
+
+        return rest
+
+    group = tuple(members[k] for k in step.rules)
+    heads = tuple(_head(stmt) for stmt in step.stmts)
+    then = tuple(_compile_step(s, members, interpreters) for s in step.then)
+    first, stmt = interpreters[step.rules[0]], step.stmts[0]
+
+    def fail(exc: RuntimeRuleError) -> None:
+        for member, head in zip(group, heads):
+            if member.error is None:
+                member.error = (exc.cause, *_position_in(heads[0], head, exc.line, exc.column))
+
+    if isinstance(stmt, ast.ForStmt):
+        container, slot = first._heads[id(stmt)]
+
+        def shared_for(slots):
+            for member in group:
+                if member.error is None:
+                    break
+            else:
+                return
+            try:
+                items = _iteration_items(container(slots))
+            except RuntimeRuleError as exc:
+                fail(exc)
+                return
+            for element in items:
+                slots[slot] = element
+                for part in then:
+                    part(slots)
+
+        return shared_for
+
+    if isinstance(stmt, ast.IfStmt):
+        cond = first._heads[id(stmt)][0]
+    else:  # a declaration: a condition that binds its slot and holds
+        declare = first._code[id(stmt)]
+
+        def cond(slots):
+            declare(slots, None)
+            return True
+
+    def shared_if(slots):
+        for member in group:
+            if member.error is None:
+                break
+        else:
+            return
+        try:
+            taken = cond(slots)
+        except RuntimeRuleError as exc:
+            fail(exc)
+            return
+        if taken:
+            for part in then:
+                part(slots)
+
+    return shared_if

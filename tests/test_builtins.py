@@ -153,8 +153,8 @@ def app(model):
 # -- registry shape ------------------------------------------------------------
 
 
-def test_registry_has_41_builtins(reg):
-    assert len(BUILTINS) == 41
+def test_registry_has_42_builtins(reg):
+    assert len(BUILTINS) == 42
     assert reg.builtins is BUILTINS
     assert all(name == spec.name for name, spec in BUILTINS.items())
 
@@ -163,7 +163,8 @@ def test_cacheable_set():
     # every list-returning built-in (the exists index keys on container
     # identity) and every one whose cost grows with the model or the disk
     lists = {"getXMLs", "getElms", "getAttrs", "getClasses", "getMethods", "getFields",
-             "getConstructors", "getFamily", "getArg", "getAnnotated", "getAnnoAttrNames"}
+             "getConstructors", "getFamily", "getArg", "getAnnotated", "getAnnoAttrNames",
+             "getAnnoAttrValues"}
     model_wide = {"elementExists", "isLibraryClass", "pathExists", "callExists",
                   "locateClassSN", "isUniqueSN"}
     assert {name for name, spec in BUILTINS.items() if spec.cached} == lists | model_wide
@@ -503,6 +504,13 @@ def test_get_anno_attr(call):
     assert call("getAnnoAttr", MISSING, "X", "value") is MISSING
 
 
+def test_get_anno_attr_values(call):
+    holder = call("locateClassFQN", "com.acme.SuiteHolder")
+    assert call("getAnnoAttrValues", holder, "SuiteClasses", "value") == ["Leaf.class"]
+    assert call("getAnnoAttrValues", holder, "SuiteClasses", "nope") == []
+    assert call("getAnnoAttrValues", holder, "Ghost", "value") == []
+
+
 def test_get_anno_attr_names(call):
     holder = call("locateClassFQN", "com.acme.SuiteHolder")
     assert call("getAnnoAttrNames", holder, "SuiteClasses") == ["value"]
@@ -675,6 +683,7 @@ CONTRACT = {
     "hasAnnotation": (("x",), False, ANNOTATED),
     "getAnnoAttr": (("x", "y"), MISSING, ANNOTATED),
     "getAnnoAttrNames": (("x",), [], ANNOTATED),
+    "getAnnoAttrValues": (("x", "y"), [], ANNOTATED),
     "hasAnnoAttr": (("x", "y"), False, ANNOTATED),
     "startsWith": (("x",), False, "text"),
     "endsWith": (("x",), False, "text"),
@@ -688,7 +697,7 @@ CONTRACT = {
 
 
 def test_contract_table_names_every_builtin_with_arguments():
-    assert len(CONTRACT) == 39  # the 41 built-ins less getXMLs and getClasses
+    assert len(CONTRACT) == 40  # the 42 built-ins less getXMLs and getClasses
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
