@@ -1,0 +1,10 @@
+package com.shape.r12;
+
+import org.junit.runner.RunWith;
+import org.junit.runners.Suite;
+import org.junit.runners.Suite.SuiteClasses;
+
+@RunWith(Suite.class)
+@SuiteClasses({GoodTest.class, EmptyOne.class})
+public class AllTests {
+}

@@ -1,6 +1,6 @@
 """The built-in query functions available to rules.
 
-Forty-two functions over the project model, in four groups: code
+Forty-three functions over the project model, in four groups: code
 elements, annotations, XML, and plain string/path helpers.  A Registry
 owns per-run configuration (library class patterns, resource roots) and
 dispatches every call through Registry.call.
@@ -59,7 +59,7 @@ from mecheck.model.items import (
 )
 from mecheck.model.project import ProjectModel
 from mecheck.record import Record
-from mecheck.runtime.values import MISSING, kind_name
+from mecheck.runtime.values import MISSING, LocatedText, kind_name
 
 DEFAULT_RESOURCE_ROOTS = ("src/main/resources", "src/test/resources", "WEB-INF")
 
@@ -522,6 +522,15 @@ class Registry:
     def _get_elms(self, model, args):
         return _scope_matches(args[0], _element_matcher(args[1]), False)
 
+    @builtin("getChildElms", 2, XML_NODE, TEXT, result=LIST, missing=(0,), on_missing=[],
+             cached=True)
+    def _get_child_elms(self, model, args):
+        """The node's children whose names match, in document order; a
+        file's only child is its root."""
+        match = _element_matcher(args[1])
+        children = [args[0].root] if isinstance(args[0], XmlFile) else args[0].children
+        return [elem for elem in children if match(elem.name)]
+
     @builtin("elementExists", 2, XML_NODE, TEXT, result=BOOL,
              missing=(0,), on_missing=False, cached=True)
     def _element_exists(self, model, args):
@@ -674,17 +683,16 @@ class Registry:
     def _get_arg(self, model, args):
         """Two forms: (callee name, index) lists that argument across all
         captured call sites of the callee, skipping non-literal values;
-        (call site, index) returns one argument or MISSING."""
+        (call site, index) returns one argument or MISSING.  Each argument
+        is a LocatedText at its call site's file and line."""
         idx = _int_like(args, 1)
-        if isinstance(args[0], CallSite):
-            site = args[0]
-            if 0 <= idx < len(site.string_args) and site.string_args[idx] is not None:
-                return site.string_args[idx]
-            return MISSING
+        sites = [args[0]] if isinstance(args[0], CallSite) else model.call_sites(args[0])
         out = []
-        for site in model.call_sites(args[0]):
+        for site in sites:
             if 0 <= idx < len(site.string_args) and site.string_args[idx] is not None:
-                out.append(site.string_args[idx])
+                out.append(LocatedText(site.string_args[idx], site.file_path, site.line))
+        if isinstance(args[0], CallSite):
+            return out[0] if out else MISSING
         return out
 
     @builtin("isLibraryClass", 1, TEXT, result=BOOL, missing=(0,), on_missing=False, cached=True)

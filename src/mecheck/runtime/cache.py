@@ -26,12 +26,14 @@ Rules run one at a time, so the cache takes no lock.
 
 The cache also holds the interpreter's exists indexes (exists_indexes),
 so they live exactly as long as the cached query results they are built
-over.  An index belongs to one `exists (T x in C) (f(x) == e)` node and
-one container object C: it maps f(x) of each element to the element's
-first position, so each evaluation of the node is a dict probe instead
-of a scan.  The interpreter decides which predicates qualify and keeps
-results, errors and counters equal to a scan's (see interpreter.py);
-with no cache there are no indexes and every exists scans.
+over.  An entry belongs to one `exists (T x in C) (f(x) == e)` node and
+one container object C, and is built once, whole: a map from f(x) of each
+element to the element's first position, so each evaluation of the node
+is a dict probe instead of a scan, or None when f fails or gives a value
+without an exact key at some element, so each evaluation scans.  The
+interpreter decides which predicates qualify and keeps results, errors
+and counters equal to a scan's (see interpreter.py); with no cache there
+are no indexes and every exists scans.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ def canonical_key(name: str, args: list) -> tuple:
 class QueryCache:
     def __init__(self):
         self._store: dict[tuple, object] = {}
-        # (id(exists node), id(container)) -> the interpreter's index;
-        # each entry keeps its container alive, so no id is reused
+        # (id(exists node), id(container)) -> (node, container, index or
+        # None); each entry keeps its node and container alive, so no id is reused
         self.exists_indexes: dict[tuple[int, int], object] = {}
         self.hits = 0
         self.misses = 0

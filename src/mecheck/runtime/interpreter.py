@@ -71,16 +71,17 @@ answered from a hash index of f over C (a hash semi-join) when the
 predicate, parentheses removed, is an == of which exactly one side
 mentions x, that side is built only from built-in calls, literals and x,
 and the other side e neither mentions x nor contains an exists.  The
-index is kept in the cache per (exists node, container object), is
-grown only as far as lookups need, and maps each f-value to its first
-position; e is evaluated once per lookup and probed.  Results, rule
-errors and exists_predicate_evals are exactly those of the left-to-right
-scan: e is evaluated where the scan's first iteration would evaluate it
-(never for an empty container), a failure of f at position p is
-re-raised unless a match lies before p, and the count is the match
-position + 1, p + 1, or len(C) on a miss.  Values without an exact hash
-key (numbers, lists; see values.index_key) fall back to the scan, and
-without a cache every exists scans.
+index of one (exists node, container object) pair is complete or absent.
+The first lookup on a non-empty C evaluates f once at every element, in
+order, and keeps a map from each f-value to its first position; if f
+fails anywhere or gives a value without an exact hash key (a number or
+a list; see values.index_key), the pair keeps no index and every lookup
+of it scans.  The scan is the reference.  A lookup evaluates e once: an
+e without a key scans, and otherwise exists_predicate_evals gets the
+match position + 1, or len(C) on a miss, as the scan counts them.  Since
+f has succeeded at every element before e runs, an error from e is the
+one the scan raises and counts one predicate evaluation.  Without a
+cache every exists scans.
 """
 
 from __future__ import annotations
@@ -161,12 +162,13 @@ def _walk(exp: ast.Exp):
 
 
 class EqPlan(Record):
-    """How an index answers `exists (T x in C) (keyed == probe)`."""
+    """How an index answers `exists (T x in C) (f(x) == e)`: eq is the
+    predicate's equality, and keyed_left says whether f(x), the side that
+    mentions x, is its left side."""
 
-    __slots__ = ("keyed", "probe", "probe_first")
-    keyed: ast.Exp  # f(x): the side that mentions x
-    probe: ast.Exp  # e: the side that does not
-    probe_first: bool  # e is the left side, so a scan evaluates it before f(x)
+    __slots__ = ("eq", "keyed_left")
+    eq: ast.Eq
+    keyed_left: bool
 
 
 def plan_exists(exp: ast.Exists) -> EqPlan | None:
@@ -195,31 +197,7 @@ def plan_exists(exp: ast.Exists) -> EqPlan | None:
     # a nested exists in e would count predicate evals once per scanned element
     if any(isinstance(n, ast.Exists) for n in _walk(probe)):
         return None
-    return EqPlan(keyed, probe, probe_first=rhs_x)
-
-
-class ExistsIndex:
-    """f(x) over one container for one exists node, built in container
-    order only as far as lookups have needed.  It holds the node and the
-    container, so the ids that key it in the cache stay unique."""
-
-    __slots__ = ("node", "container", "first", "built", "error", "unkeyed")
-
-    def __init__(self, node: ast.Exists, container: list):
-        self.node = node
-        self.container = container
-        self.first: dict = {}  # index key of f(C[i]) -> smallest such i
-        self.built = 0  # f evaluated without failure at positions [0, built)
-        # (cause, line, column) of f's failure at position `built`
-        self.error: tuple[str, int, int] | None = None
-        self.unkeyed = False  # f(C[built]) has no index key
-
-    def complete(self) -> bool:
-        return (
-            self.error is not None
-            or self.unkeyed
-            or self.built == len(self.container)
-        )
+    return EqPlan(pred, keyed_left=lhs_x)
 
 
 def _iteration_items(container: object):
@@ -559,23 +537,24 @@ class Interpreter:
         container = self._compile_exp(exp.container, scopes)
         inner = scopes + [{}]
         slot = self._bind(inner, exp.var)
-        predicate = self._compile_cond(exp.predicate, inner)
         stats = self.stats
         plan = plan_exists(exp) if self.cache is not None else None
-        if plan is not None:
-            # the predicate's parts again: what they hold is already diagnosed
-            found = len(self._diagnostics)
-            keyed = self._compile_exp(plan.keyed, inner)
-            probe = self._compile_exp(plan.probe, inner)
-            del self._diagnostics[found:]
-            probe_first = plan.probe_first
-            indexes, rule_name = self.cache.exists_indexes, self._rule_name
+        if plan is None:
+            predicate = self._compile_cond(exp.predicate, inner)
+        else:
+            # an == is always a bool, so its two sides are the whole predicate
+            lhs = self._compile_exp(plan.eq.lhs, inner)
+            rhs = self._compile_exp(plan.eq.rhs, inner)
+            keyed, probe = (lhs, rhs) if plan.keyed_left else (rhs, lhs)
+            value_eq, indexes = V.value_eq, self.cache.exists_indexes
+
+            def predicate(slots):
+                return value_eq(lhs(slots), rhs(slots))
 
         def exists(slots):
             items = container(slots)
             if plan is not None and isinstance(items, list) and items:
-                found = _index_lookup(indexes, stats, rule_name, exp, items, keyed, probe,
-                                      probe_first, slots, slot)
+                found = _index_lookup(indexes, stats, exp, items, keyed, probe, slots, slot)
                 if found is not None:
                     return found
             for element in _iteration_items(items):
@@ -617,74 +596,52 @@ def _fold(exp: ast.Exp, scopes: Scopes) -> tuple[str, object] | None:
 # -- indexed exists ------------------------------------------------------------
 
 
-def _index_lookup(
-    indexes: dict[tuple[int, int], ExistsIndex],
-    stats: EvalStats,
-    rule_name: str,
-    exp: ast.Exists,
-    container: list,
-    keyed: CompiledExp,
-    probe: CompiledExp,
-    probe_first: bool,
-    slots: list,
-    slot: int,
-) -> bool | None:
-    """Answer a non-empty exists from its index, counting and failing
-    as the scan would; None means the scan must answer.  slot is the
-    exists variable's.  It is given the cache's indexes, the stats and the
-    rule name rather than the interpreter, so that a compiled rule holds no
-    reference back to its interpreter and both are freed by reference
-    counting."""
-    index_id = (id(exp), id(container))
-    index = indexes.get(index_id)
-    if index is None:
-        index = indexes[index_id] = ExistsIndex(exp, container)
-    # the scan's first iteration evaluates f(x0) before a right-hand e
-    if not probe_first and index.built == 0 and not index.complete():
-        _grow_index(index, keyed, slots, slot)
-    pos = None
-    # unless f(x0) failed, which ends the scan before e is evaluated
-    if probe_first or index.built > 0 or index.error is None:
+def _index_lookup(indexes: dict[tuple[int, int], tuple], stats: EvalStats, exp: ast.Exists,
+                  container: list, keyed: CompiledExp, probe: CompiledExp,
+                  slots: list, slot: int) -> bool | None:
+    """Answer a non-empty exists from its index, counting as the scan
+    would; None means the scan must answer.  slot is the exists
+    variable's.  It is given the cache's indexes and the stats rather than
+    the interpreter, so that a compiled rule holds no reference back to
+    its interpreter and both are freed by reference counting."""
+    entry = indexes.get((id(exp), id(container)))
+    if entry is None:
+        # the entry holds the node and the container, so their ids stay unique
+        entry = indexes[(id(exp), id(container))] = (
+            exp, container, _build_index(container, keyed, slots, slot))
+    first = entry[2]
+    if first is None:
+        return None
+    try:
+        key = V.index_key(probe(slots))
+    except RuntimeRuleError:
+        stats.exists_predicate_evals += 1
+        raise
+    if key is None:
+        return None
+    stats.exists_index_lookups += 1
+    pos = first.get(key)
+    if pos is None:
+        stats.exists_predicate_evals += len(container)
+        return False
+    stats.exists_predicate_evals += pos + 1
+    return True
+
+
+def _build_index(container: list, keyed: CompiledExp, slots: list, slot: int) -> dict | None:
+    """f's index key at each element -> the element's first position, or
+    None if f fails or gives a value without a key at some element."""
+    first: dict = {}
+    for pos, element in enumerate(container):
+        slots[slot] = element
         try:
-            value = probe(slots)
+            key = V.index_key(keyed(slots))
         except RuntimeRuleError:
-            stats.exists_predicate_evals += 1
-            raise
-        key = V.index_key(value)
+            return None
         if key is None:
             return None
-        pos = index.first.get(key)
-        while pos is None and not index.complete():
-            _grow_index(index, keyed, slots, slot)
-            pos = index.first.get(key)
-        if pos is None and index.unkeyed:
-            return None
-    stats.exists_index_lookups += 1
-    if pos is not None:
-        stats.exists_predicate_evals += pos + 1
-        return True
-    if index.error is not None:
-        stats.exists_predicate_evals += index.built + 1
-        raise RuntimeRuleError(rule_name, *index.error)
-    stats.exists_predicate_evals += len(container)
-    return False
-
-
-def _grow_index(index: ExistsIndex, keyed: CompiledExp, slots: list, slot: int) -> None:
-    """Evaluate f at the next unindexed position."""
-    pos = index.built
-    slots[slot] = index.container[pos]
-    try:
-        value = keyed(slots)
-    except RuntimeRuleError as exc:
-        index.error = (exc.cause, exc.line, exc.column)
-        return
-    key = V.index_key(value)
-    if key is None:
-        index.unkeyed = True
-        return
-    index.first.setdefault(key, pos)
-    index.built = pos + 1
+        first.setdefault(key, pos)
+    return first
 
 
 # -- shared walk over the pack ---------------------------------------------------

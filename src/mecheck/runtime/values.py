@@ -38,6 +38,20 @@ class _Missing:
 MISSING = _Missing()
 
 
+class LocatedText(str):
+    """Text read at a place in the project, such as a literal argument of
+    a call, with that place's file and line.  In every other way it is the
+    plain text: it compares, hashes and keys the query cache and the
+    exists index as a str with the same characters.  A str subclass takes
+    no __slots__, so the two fields live in an instance dict."""
+
+    def __new__(cls, text: str, file_path: str, line: int):
+        self = super().__new__(cls, text)
+        self.file_path = file_path
+        self.line = line
+        return self
+
+
 class ValueTypeError(Exception):
     """A value of the wrong kind reached an operation."""
 
@@ -103,10 +117,11 @@ def value_eq(a: object, b: object) -> bool:
 
 
 # Values whose Python hash and == agree exactly with value_eq: MISSING,
-# bool and str compare by value, model items (eq=False) by identity.
-# Numbers are left out (1 == 1.0 == True in Python), and so are lists.
+# bool and text (str and LocatedText) compare by value, model items
+# (eq=False) by identity.  Numbers are left out (1 == 1.0 == True in
+# Python), and so are lists.
 _INDEX_KEY_TYPES = frozenset(
-    [_Missing, bool, str, XmlFile, XmlElement, ClassItem, MethodItem,
+    [_Missing, bool, str, LocatedText, XmlFile, XmlElement, ClassItem, MethodItem,
      ConstructorItem, FieldItem, CallSite]
 )
 
@@ -151,6 +166,8 @@ def display(value: object) -> str:
 
 def location_of(value: object) -> tuple[str, int] | None:
     """(file path, line) for values that carry a source position."""
+    if isinstance(value, LocatedText):
+        return (value.file_path, value.line)
     if isinstance(value, XmlElement):
         path = value.file.path if value.file is not None else ""
         return (path, value.line)

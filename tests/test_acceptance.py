@@ -25,6 +25,12 @@ def fixture_cases():
                     yield case
 
 
+# Valid configurations of documented Spring and JUnit usage, each with a
+# copy holding one injected defect; fixture_cases() does not descend here,
+# so C1 and C2 keep the paper's corpus.
+SHAPES = FIXTURES / "shapes"
+
+
 def manifest_of(case):
     return json.loads((case / "expected.json").read_text())
 
@@ -226,3 +232,43 @@ def test_c8_motivating_example_end_to_end(tmp_path):
     summary = run_checker(CheckerConfig(project_root=str(fixed)))
     assert summary.reports == []
     print("[acceptance] C8 motivating example end to end: PASS (1 report, then 0 after the fix)")
+
+
+def test_c9_every_finding_is_located():
+    """Every finding of the shipped pack names a file and a line > 0."""
+    findings = 0
+    for manifest in sorted(FIXTURES.glob("**/expected.json")):
+        summary = run_checker(CheckerConfig(project_root=str(manifest.parent)))
+        for report in summary.reports:
+            assert report.file_path and report.line > 0, (manifest.parent, report)
+        findings += len(summary.reports)
+    assert findings >= 43
+    print(f"[acceptance] C9 located findings: PASS ({findings} findings, all with file:line)")
+
+
+def test_c10_shape_corpus_precision_and_recall():
+    """On the shape corpus each clean project gives no finding and each
+    buggy one exactly its injected finding, with the cache on and off."""
+    tallies: dict[str, list[int]] = {}  # rule -> [true positives, false positives, injected]
+    cases = sorted(m.parent for m in SHAPES.glob("*/*/expected.json"))
+    assert cases
+    for case in cases:
+        manifest = manifest_of(case)
+        model = build_model(case)
+        summary = run_checker(CheckerConfig(project_root=str(case)), model=model)
+        off = run_checker(CheckerConfig(project_root=str(case), use_cache=False), model=model)
+        assert summary.reports == off.reports and summary.diagnostics == [], case
+        rule = manifest["ruleId"]
+        tallies.setdefault(rule, [0, 0, 0])[2] += manifest["count"]
+        for report in summary.reports:
+            injected = rule_prefix(report) == rule and manifest["count"] > 0
+            tallies.setdefault(rule_prefix(report), [0, 0, 0])[0 if injected else 1] += 1
+        matching = [r for r in summary.reports if rule_prefix(r) == rule]
+        assert len(matching) == manifest["count"], case
+        for needle in manifest["messageContains"]:
+            assert any(needle in r.message for r in matching), (case, needle)
+    for rule, (true_positives, false_positives, injected) in sorted(tallies.items()):
+        precision = true_positives / max(true_positives + false_positives, 1)
+        recall = true_positives / max(injected, 1)
+        assert (precision, recall) == (1.0, 1.0), rule
+        print(f"[acceptance] C10 {rule}: precision {precision:.3f}, recall {recall:.3f}")

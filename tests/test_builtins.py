@@ -14,7 +14,15 @@ from mecheck.builtins import (
     resolve_resource_path,
 )
 from mecheck.model.project import build_model
-from mecheck.runtime.values import MISSING
+from mecheck.runtime.values import (
+    MISSING,
+    LocatedText,
+    display,
+    index_key,
+    kind_name,
+    location_of,
+    value_eq,
+)
 
 APP_XML = """\
 <beans>
@@ -153,8 +161,8 @@ def app(model):
 # -- registry shape ------------------------------------------------------------
 
 
-def test_registry_has_42_builtins(reg):
-    assert len(BUILTINS) == 42
+def test_registry_has_43_builtins(reg):
+    assert len(BUILTINS) == 43
     assert reg.builtins is BUILTINS
     assert all(name == spec.name for name, spec in BUILTINS.items())
 
@@ -162,7 +170,7 @@ def test_registry_has_42_builtins(reg):
 def test_cacheable_set():
     # every list-returning built-in (the exists index keys on container
     # identity) and every one whose cost grows with the model or the disk
-    lists = {"getXMLs", "getElms", "getAttrs", "getClasses", "getMethods", "getFields",
+    lists = {"getXMLs", "getElms", "getChildElms", "getAttrs", "getClasses", "getMethods", "getFields",
              "getConstructors", "getFamily", "getArg", "getAnnotated", "getAnnoAttrNames",
              "getAnnoAttrValues"}
     model_wide = {"elementExists", "isLibraryClass", "pathExists", "callExists",
@@ -211,6 +219,16 @@ def test_get_elms_on_element_excludes_self(call, app):
     bean = call("getElms", app, "bean")[0]
     assert call("getElms", bean, "bean") == []
     assert [e.name for e in call("getElms", bean, "property")] == ["property"]
+
+
+def test_get_child_elms_holds_only_children(call, app):
+    root = app.root
+    assert call("getChildElms", app, "<beans>") == [root]
+    assert call("getChildElms", app, "bean") == []
+    assert [e.attrs.get("id") for e in call("getChildElms", root, "<bean>")] == ["greeter", "plain"]
+    assert call("getChildElms", root, "property") == []  # a grandchild
+    greeter = call("getChildElms", root, "bean")[0]
+    assert [e.name for e in call("getChildElms", greeter, "*")] == ["constructor-arg", "property"]
 
 
 def test_element_exists(call, app):
@@ -446,6 +464,18 @@ def test_get_arg_by_callee_name(call):
     assert call("getArg", "getWidget", 0) == []
 
 
+def test_get_arg_values_carry_their_call_sites(call, model):
+    main = "src/main/java/com/acme/Main.java"
+    found = call("getArg", "getBean", 0)
+    assert [location_of(v) for v in found] == [(main, 6), (main, 7), (main, 10)]
+    assert all(isinstance(v, LocatedText) for v in found)
+    # text in every other way: equal, hashed and index-keyed as a plain str
+    assert found[0] == "one" and hash(found[0]) == hash("one") and {"one": 1}[found[0]] == 1
+    assert index_key(found[0]) == "one" and value_eq(found[0], "one")
+    assert kind_name(found[0]) == "text" and display(found[0]) == "one"
+    assert location_of(call("getArg", model.call_sites("getBean")[0], 0)) == (main, 6)
+
+
 def test_get_arg_on_call_site(call, model):
     sites = model.call_sites("getBean")
     assert call("getArg", sites[0], 0) == "one"
@@ -654,6 +684,7 @@ CALLABLE = "a method or constructor"
 # must be).  A result that is a string is the error text it raises.
 CONTRACT = {
     "getElms": (("bean",), [], "an XML file or element"),
+    "getChildElms": (("bean",), [], "an XML file or element"),
     "elementExists": (("bean",), False, "an XML file or element"),
     "getAttr": (("id",), MISSING, "an XML element"),
     "getAttrs": (("id",), [], "an XML element"),
@@ -697,7 +728,7 @@ CONTRACT = {
 
 
 def test_contract_table_names_every_builtin_with_arguments():
-    assert len(CONTRACT) == 40  # the 42 built-ins less getXMLs and getClasses
+    assert len(CONTRACT) == 41  # the 43 built-ins less getXMLs and getClasses
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))

@@ -64,7 +64,7 @@ def probe_rule(predicate: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "predicate, probe_first",
+    "predicate, keyed_right",
     [
         ("key(x) == probe()", False),
         ("probe() == key(x)", True),
@@ -73,10 +73,12 @@ def probe_rule(predicate: str) -> str:
         ("key(x) == (probe())", False),
     ],
 )
-def test_planner_accepts_equality_on_x(predicate, probe_first):
+def test_planner_accepts_equality_on_x(predicate, keyed_right):
     plan = plan_exists(first_exists(probe_rule(predicate)))
     assert plan is not None
-    assert plan.probe_first is probe_first
+    assert plan.keyed_left is not keyed_right
+    keyed = plan.eq.rhs if keyed_right else plan.eq.lhs
+    assert isinstance(keyed, ast.FunctionCall) and keyed.name == "key"
 
 
 @pytest.mark.parametrize(
@@ -218,7 +220,44 @@ def test_error_before_match_is_reraised_after_match_is_not(model):
     outcomes, stats = run_lookups(model, rule, values, ["b", "a", "b"], cache=QueryCache())
     error = "rule probe failed at line 2, column 37: 'key': no key at position 1"
     assert outcomes == [(None, 2, error), (True, 1, None), (None, 2, error)]
-    assert stats.exists_index_lookups == 3
+    # f fails at position 1, so the pair keeps no index and every lookup scans
+    assert stats.exists_index_lookups == 0
+
+
+@pytest.mark.parametrize("side", sorted(RULES))
+def test_failing_pair_is_built_once_then_scanned(model, side):
+    """f fails at position p: the build evaluates f once at each of
+    positions 0..p, stores that there is no index, and every later lookup
+    scans without building again."""
+    rule = RULES[side]
+    registry = ProbeRegistry()
+    registry.values = ["a", "b", RAISE, "c", "d"]
+    registry.positions = list(range(len(registry.values)))
+    evaluated = []
+    key = registry.builtins["key"]
+
+    def counting_key(reg, model, args):
+        evaluated.append(args[0])
+        return key.fn(reg, model, args)
+
+    registry.builtins = {**registry.builtins,
+                         "key": builtins_mod.Builtin("key", counting_key, range(1, 2))}
+    cache = QueryCache()
+    interp = Interpreter(model, registry, cache)
+    registry.current = "zzz"  # a probe with a key that nothing matches
+    with pytest.raises(RuntimeRuleError):
+        interp.run_rule(rule)
+    # the build (positions 0, 1, 2), then the scan up to the failure
+    assert evaluated == [0, 1, 2, 0, 1, 2]
+    ((_, container, index),) = cache.exists_indexes.values()
+    assert index is None and container is registry.positions
+    for probe in ("a", "b"):
+        evaluated.clear()
+        registry.current = probe
+        assert interp.run_rule(rule)
+        assert evaluated == list(range(registry.values.index(probe) + 1))
+    assert len(cache.exists_indexes) == 1
+    assert interp.stats.exists_index_lookups == 0
 
 
 def test_empty_container_never_evaluates_probe(model):
@@ -322,6 +361,6 @@ def test_second_pack_run_adds_no_indexes(tmp_path):
     first = run_pack()
     indexes = dict(cache.exists_indexes)
     # r15's bean-id lookup and r7's setter lookup are both indexed
-    assert len({id(index.node) for index in indexes.values()}) >= 2
+    assert len({node_id for node_id, _ in indexes}) >= 2
     assert run_pack() == first
     assert cache.exists_indexes == indexes

@@ -20,11 +20,14 @@ from mecheck.runtime.interpreter import Interpreter, Shared, plan_pack
 
 # Built-in calls a whole check of each seed-7 workload evaluates: the sum of
 # every rule's EvalStats.builtin_calls, as the benchmark's
-# interpreter.builtin_calls reads it.
+# interpreter.builtin_calls reads it.  Building an exists index evaluates
+# f at every element once, and r12 runs its body once per listed suite
+# member, 32 more calls on each workload; r3-r5 and r7 reading only a
+# bean's children move none.
 WORKLOAD_BUILTIN_CALLS = {
-    "getbean-lookups": 62_348,
-    "bean-props": 168_079,
-    "java-wide": 47_292,
+    "getbean-lookups": 63_675,
+    "bean-props": 168_996,
+    "java-wide": 52_102,
 }
 
 

@@ -144,7 +144,7 @@ def test_other_records_compare_by_value_and_reject_assignment():
         lambda: Diagnostic("code", "message", 1, 2),
         lambda: ModelWarning("a.xml", "skipped"),
         lambda: CheckerConfig("proj"),
-        lambda: EqPlan(None, None, True),
+        lambda: EqPlan(None, True),
         lambda: ast.TypeTag(ast.ELEMENT, "bean"),
         lambda: Builtin(get_attr.name, get_attr.fn, get_attr.arity),
     ]
