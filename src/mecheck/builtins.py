@@ -25,11 +25,15 @@ with no loop over the declaration, and only then runs the body; it puts
 the built-in's name into the BuiltinTypeError and PreconditionError the
 body raises.  Registry.call looks the name up and calls that entry; it
 is the one dispatch point, so a wrapper on it sees every call.  The rule
-validator reads arity from the same records.  Cached are every built-in
-that returns a list (so the exists index, keyed by container identity,
-sees one object per query) and every one whose cost grows with the model
-or touches the disk.  O(1) accessors and string helpers are cheaper than
-a cache lookup and are called directly.
+validator reads arity from the same records.  Cached are the built-ins
+whose cost grows with the model or touches the disk: the model-wide
+lists (getElms, getFamily, getArg, getAnnotated) and the model-wide
+queries (elementExists, locateClassSN, isUniqueSN, callExists,
+isLibraryClass, pathExists).  Accessors, lists copied off one item or
+the model (getAttrs, getMethods, getChildElms, getXMLs, ...) and the
+string helpers cost about a cache lookup and are called directly; the
+interpreter still caches any call that is an exists container, whose
+index is keyed by the container object.
 
 Missing-value policy: predicates return false when a required input is
 MISSING, string transformers return MISSING, element/list getters return
@@ -514,7 +518,7 @@ class Registry:
 
     # -- XML group -------------------------------------------------------------
 
-    @builtin("getXMLs", 0, result=LIST, cached=True)
+    @builtin("getXMLs", 0, result=LIST)
     def _get_xmls(self, model, args):
         return list(model.xml_files)
 
@@ -522,8 +526,7 @@ class Registry:
     def _get_elms(self, model, args):
         return _scope_matches(args[0], _element_matcher(args[1]), False)
 
-    @builtin("getChildElms", 2, XML_NODE, TEXT, result=LIST, missing=(0,), on_missing=[],
-             cached=True)
+    @builtin("getChildElms", 2, XML_NODE, TEXT, result=LIST, missing=(0,), on_missing=[])
     def _get_child_elms(self, model, args):
         """The node's children whose names match, in document order; a
         file's only child is its root."""
@@ -540,7 +543,7 @@ class Registry:
     def _get_attr(self, model, args):
         return args[0].attrs.get(args[1], MISSING)
 
-    @builtin("getAttrs", 2, ELEMENT, TEXT, result=LIST, missing=(0,), on_missing=[], cached=True)
+    @builtin("getAttrs", 2, ELEMENT, TEXT, result=LIST, missing=(0,), on_missing=[])
     def _get_attrs(self, model, args):
         match = _glob_matcher(args[1])
         return [v for k, v in args[0].attrs.items() if match(k)]
@@ -551,7 +554,7 @@ class Registry:
 
     # -- code elements ----------------------------------------------------------
 
-    @builtin("getClasses", 0, result=LIST, cached=True)
+    @builtin("getClasses", 0, result=LIST)
     def _get_classes(self, model, args):
         return list(model.classes)
 
@@ -605,15 +608,15 @@ class Registry:
     def _get_return_type(self, model, args):
         return args[0].return_type
 
-    @builtin("getMethods", 1, CLASS, result=LIST, missing=(0,), on_missing=[], cached=True)
+    @builtin("getMethods", 1, CLASS, result=LIST, missing=(0,), on_missing=[])
     def _get_methods(self, model, args):
         return list(args[0].members().methods)
 
-    @builtin("getFields", 1, CLASS, result=LIST, missing=(0,), on_missing=[], cached=True)
+    @builtin("getFields", 1, CLASS, result=LIST, missing=(0,), on_missing=[])
     def _get_fields(self, model, args):
         return list(args[0].members().fields)
 
-    @builtin("getConstructors", 1, CLASS, result=LIST, missing=(0,), on_missing=[], cached=True)
+    @builtin("getConstructors", 1, CLASS, result=LIST, missing=(0,), on_missing=[])
     def _get_constructors(self, model, args):
         return list(args[0].members().constructors)
 
@@ -749,7 +752,7 @@ class Registry:
         return values[0]
 
     @builtin("getAnnoAttrValues", 3, ANNOTATED, TEXT, TEXT, result=LIST,
-             missing=(0,), on_missing=[], cached=True)
+             missing=(0,), on_missing=[])
     def _get_anno_attr_values(self, model, args):
         """Every value of the attribute, in source order: an array
         attribute gives each element."""
@@ -758,7 +761,7 @@ class Registry:
         return list(anno.attrs.get(attr, ())) if anno is not None else []
 
     @builtin("getAnnoAttrNames", 2, ANNOTATED, TEXT, result=LIST,
-             missing=(0,), on_missing=[], cached=True)
+             missing=(0,), on_missing=[])
     def _get_anno_attr_names(self, model, args):
         anno = self._find_anno(args[0], args[1])
         return list(anno.attrs.keys()) if anno is not None else []

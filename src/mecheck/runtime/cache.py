@@ -1,20 +1,21 @@
 """Memoization of built-in query calls.
 
 One QueryCache is shared by every rule in a run over one model; results
-for the same (function, arguments) pair are computed once.  The registry
-says which built-ins are cached, and only two kinds pay for a key build
-and a lookup:
+for the same (function, arguments) pair are computed once.  Two kinds of
+call pay for a key build and a lookup:
 
-- every built-in that returns a list (getXMLs, getElms, getAttrs,
-  getClasses, getMethods, ...).  The exists index is keyed by the
-  container's identity, so a list a rule iterates must be the same
-  object each time it is asked for;
-- every built-in whose cost grows with the model or touches the disk
-  (elementExists, locateClassSN, isUniqueSN, callExists, isLibraryClass,
-  pathExists).
+- a call of a built-in the registry declares cached: one whose cost
+  grows with the model or touches the disk, whether it gives a list
+  (getElms, getFamily, getArg, getAnnotated) or not (elementExists,
+  locateClassSN, isUniqueSN, callExists, isLibraryClass, pathExists);
+- any call that is the container of an exists, whatever its built-in.
+  The exists index is keyed by the container's identity, so such a list
+  must be the same object each time it is asked for.
 
-O(1) accessors such as getAttr, hasAttr or getName cost less than a
-lookup and are not cached; nor are the plain string helpers.
+Accessors such as getAttr, hasAttr or getName, lists copied off one item
+or the model (getAttrs, getMethods, getChildElms, getXMLs, ...) and the
+plain string helpers cost about a lookup and are called directly where a
+rule only reads them or iterates them with for.
 
 Keys are (name, *args) with each argument by identity: model items are
 unique objects per model (eq=False), so they go in as themselves, as do
@@ -26,14 +27,17 @@ Rules run one at a time, so the cache takes no lock.
 
 The cache also holds the interpreter's exists indexes (exists_indexes),
 so they live exactly as long as the cached query results they are built
-over.  An entry belongs to one `exists (T x in C) (f(x) == e)` node and
-one container object C, and is built once, whole: a map from f(x) of each
-element to the element's first position, so each evaluation of the node
-is a dict probe instead of a scan, or None when f fails or gives a value
-without an exact key at some element, so each evaluation scans.  The
-interpreter decides which predicates qualify and keeps results, errors
-and counters equal to a scan's (see interpreter.py); with no cache there
-are no indexes and every exists scans.
+over.  An entry belongs to one `exists (T x in C) (f(x) == e)` node, or
+one `exists (T a in A) (exists (U b in B(a)) (f(b) == e))` node, and one
+container object (C or A), and is built once, whole: a map from f of each
+element (of C, or of every B(a)) to the predicate evaluations a scan makes
+up to its first such element, with the counts of a miss and of a failing
+e, so each evaluation of the node is a dict probe instead of a scan; or
+None when f fails or gives a value without an exact key at some element,
+so each evaluation scans.  The interpreter decides which predicates
+qualify and keeps results, errors and counters equal to a scan's (see
+interpreter.py); with no cache there are no indexes and every exists
+scans.
 """
 
 from __future__ import annotations
@@ -61,8 +65,9 @@ def canonical_key(name: str, args: list) -> tuple:
 class QueryCache:
     def __init__(self):
         self._store: dict[tuple, object] = {}
-        # (id(exists node), id(container)) -> (node, container, index or
-        # None); each entry keeps its node and container alive, so no id is reused
+        # (id(exists node), id(container)) -> (node, container, (evaluations
+        # at each key, of a miss, of a failing e) or None); each entry keeps
+        # its node and container alive, so no id is reused
         self.exists_indexes: dict[tuple[int, int], object] = {}
         self.hits = 0
         self.misses = 0

@@ -38,7 +38,8 @@ source location.  Any runtime failure (unbound name, a built-in type or
 precondition error) aborts only the current rule via RuntimeRuleError.
 
 Every built-in call goes through Registry.call, which runs the
-built-in's checked entry; a cached one goes through canonical_key and
+built-in's checked entry; a call of a cached built-in, and any call that
+is the container of an exists, goes through canonical_key and
 QueryCache.get_or_compute first.  All three are looked up when the rule
 is compiled, so wrappers installed on them before a rule runs see every
 call.
@@ -70,18 +71,27 @@ Indexed exists: with a QueryCache, `exists (T x in C) (f(x) == e)` is
 answered from a hash index of f over C (a hash semi-join) when the
 predicate, parentheses removed, is an == of which exactly one side
 mentions x, that side is built only from built-in calls, literals and x,
-and the other side e neither mentions x nor contains an exists.  The
-index of one (exists node, container object) pair is complete or absent.
-The first lookup on a non-empty C evaluates f once at every element, in
-order, and keeps a map from each f-value to its first position; if f
-fails anywhere or gives a value without an exact hash key (a number or
-a list; see values.index_key), the pair keeps no index and every lookup
+and the other side e neither mentions x nor contains an exists.  So is
+`exists (T a in A) (exists (U b in B(a)) (f(b) == e))`, with one index
+of f over every b of every B(a), when the inner exists qualifies, B(a)
+is built only from built-in calls, literals and a, and e does not
+mention a: L lookups among B elements of all the B(a) then cost about
+L + B evaluations, with no B(a) evaluated per lookup.  A call that is an
+exists container goes through the query cache, so it gives the same
+object each time.  The index of one (exists node, container object) pair
+is complete or absent.  The first lookup on a non-empty container
+evaluates f once at every element, in scan order, and keeps a map from
+each f-value to the predicate evaluations a scan makes up to its first
+element; if f fails anywhere or gives a value without an exact hash key
+(a number or a list; see values.index_key), or a B(a) fails or is not a
+list, or every B(a) is empty, the pair keeps no index and every lookup
 of it scans.  The scan is the reference.  A lookup evaluates e once: an
-e without a key scans, and otherwise exists_predicate_evals gets the
-match position + 1, or len(C) on a miss, as the scan counts them.  Since
-f has succeeded at every element before e runs, an error from e is the
-one the scan raises and counts one predicate evaluation.  Without a
-cache every exists scans.
+e without a key scans, and otherwise exists_predicate_evals gets what
+the scan counts: the map's count on a match, the count of every element
+(and every a) on a miss.  Since f has succeeded at every element before
+e runs, an error from e is the one the scan raises, and counts what the
+scan counts up to the first element.  Without a cache every exists
+scans.
 """
 
 from __future__ import annotations
@@ -171,33 +181,56 @@ class EqPlan(Record):
     keyed_left: bool
 
 
+def _unparen(exp: ast.Exp) -> ast.Exp:
+    while isinstance(exp, ast.Paren):
+        exp = exp.inner
+    return exp
+
+
+def _mentions(exp: ast.Exp, var: str) -> bool:
+    return any(isinstance(n, ast.Identifier) and n.name == var for n in _walk(exp))
+
+
+def _built_from(exp: ast.Exp, var: str) -> bool:
+    """Whether exp is built only from built-in calls, literals and reads of var."""
+    return all(
+        isinstance(n, (ast.FunctionCall, ast.Literal))
+        or (isinstance(n, ast.Identifier) and n.name == var)
+        for n in _walk(exp)
+    )
+
+
 def plan_exists(exp: ast.Exists) -> EqPlan | None:
     """The index plan for an exists node, or None when it must scan."""
-    pred = exp.predicate
-    while isinstance(pred, ast.Paren):
-        pred = pred.inner
+    pred = _unparen(exp.predicate)
     if not isinstance(pred, ast.Eq):
         return None
-
-    def mentions_var(side: ast.Exp) -> bool:
-        return any(
-            isinstance(n, ast.Identifier) and n.name == exp.var for n in _walk(side)
-        )
-
-    lhs_x, rhs_x = mentions_var(pred.lhs), mentions_var(pred.rhs)
+    lhs_x, rhs_x = _mentions(pred.lhs, exp.var), _mentions(pred.rhs, exp.var)
     if lhs_x == rhs_x:
         return None
     keyed, probe = (pred.lhs, pred.rhs) if lhs_x else (pred.rhs, pred.lhs)
-    if not all(
-        isinstance(n, (ast.FunctionCall, ast.Literal))
-        or (isinstance(n, ast.Identifier) and n.name == exp.var)
-        for n in _walk(keyed)
-    ):
+    if not _built_from(keyed, exp.var):
         return None
     # a nested exists in e would count predicate evals once per scanned element
     if any(isinstance(n, ast.Exists) for n in _walk(probe)):
         return None
     return EqPlan(pred, keyed_left=lhs_x)
+
+
+def plan_nested(exp: ast.Exists) -> ast.Exists | None:
+    """The inner exists of `exists (T a in A) (exists (U b in B(a)) (f(b) ==
+    e))` when one index over every B(a) can answer the whole node: the
+    predicate, parentheses removed, is an exists that plan_exists accepts,
+    B(a) is built only from built-in calls, literals and a, and e does not
+    mention a.  None otherwise."""
+    inner = _unparen(exp.predicate)
+    if not isinstance(inner, ast.Exists):
+        return None
+    plan = plan_exists(inner)
+    if plan is None or not _built_from(inner.container, exp.var):
+        return None
+    probe = plan.eq.rhs if plan.keyed_left else plan.eq.lhs
+    return None if _mentions(probe, exp.var) else inner
 
 
 def _iteration_items(container: object):
@@ -377,7 +410,7 @@ class Interpreter:
             value_eq = V.value_eq
             return lambda slots: value_eq(lhs(slots), rhs(slots))
         if isinstance(exp, ast.Exists):
-            return self._compile_exists(exp, scopes)
+            return self._compile_exists(exp, scopes)[0]
         if isinstance(exp, ast.And):
             left = self._compile_cond(exp.left, scopes)
             right = self._compile_cond(exp.right, scopes)
@@ -395,9 +428,7 @@ class Interpreter:
         """exp as a condition: its value must be a bool or MISSING
         (false); anything else fails the rule at exp's position."""
         value_of = self._compile_exp(exp, scopes)
-        inner = exp
-        while isinstance(inner, ast.Paren):
-            inner = inner.inner
+        inner = _unparen(exp)
         if isinstance(inner, _BOOL_NODES):
             return value_of
         if isinstance(inner, ast.FunctionCall):
@@ -444,14 +475,15 @@ class Interpreter:
             return lambda slots: [first(slots), second(slots)]
         return lambda slots: [arg(slots) for arg in compiled]
 
-    def _compile_call(self, exp: ast.FunctionCall, scopes: Scopes) -> CompiledExp:
+    def _compile_call(self, exp: ast.FunctionCall, scopes: Scopes,
+                      cached: bool = False) -> CompiledExp:
         """The call site: one closure that builds the argument list, counts
         the call and dispatches it, through the query cache (get) for a
-        cached built-in.  When the arguments are only literals, or in the
-        common shapes of literal and bound-variable arguments, the closure
-        builds the list itself: hasAttr(bean, "class") runs as
-        [slots[a], "class"], with no call per argument.  Other shapes build
-        it with _compile_args."""
+        cached built-in, or for any built-in when cached is set.  When the
+        arguments are only literals, or in the common shapes of literal and
+        bound-variable arguments, the closure builds the list itself:
+        hasAttr(bean, "class") runs as [slots[a], "class"], with no call
+        per argument.  Other shapes build it with _compile_args."""
         name, stats, model, call = exp.name, self.stats, self.model, self.registry.call
         rule_name, line, column = self._rule_name, exp.span.line, exp.span.column
         errors = builtins_mod.CALL_ERRORS
@@ -462,7 +494,7 @@ class Interpreter:
             self._diagnose(BUILTIN_ARITY,
                            builtins_mod.arity_message(name, spec.arity, len(exp.args)), exp.span)
         key_of = get = None
-        if self.cache is not None and spec is not None and spec.cached:
+        if self.cache is not None and spec is not None and (cached or spec.cached):
             key_of, get = canonical_key, self.cache.get_or_compute
 
         folded = [_fold(arg, scopes) for arg in exp.args]
@@ -533,28 +565,48 @@ class Interpreter:
                         raise RuntimeRuleError(rule_name, str(exc), line, column) from None
         return call_site
 
-    def _compile_exists(self, exp: ast.Exists, scopes: Scopes) -> CompiledExp:
-        container = self._compile_exp(exp.container, scopes)
+    def _compile_exists(self, exp: ast.Exists,
+                        scopes: Scopes) -> tuple[CompiledExp, tuple | None]:
+        """The exists closure and, when a flat index answers it, what a
+        nested index over it reads: (container, keyed, probe, slot)."""
+        call = _unparen(exp.container)
+        if isinstance(call, ast.FunctionCall):
+            # an index is keyed on the container object, so it must come back the same
+            container = self._compile_call(call, scopes, cached=True)
+        else:
+            container = self._compile_exp(exp.container, scopes)
         inner = scopes + [{}]
         slot = self._bind(inner, exp.var)
-        stats = self.stats
+        stats, parts, build = self.stats, None, None
         plan = plan_exists(exp) if self.cache is not None else None
-        if plan is None:
-            predicate = self._compile_cond(exp.predicate, inner)
-        else:
+        nested = plan_nested(exp) if self.cache is not None else None
+        if plan is not None:
             # an == is always a bool, so its two sides are the whole predicate
             lhs = self._compile_exp(plan.eq.lhs, inner)
             rhs = self._compile_exp(plan.eq.rhs, inner)
             keyed, probe = (lhs, rhs) if plan.keyed_left else (rhs, lhs)
-            value_eq, indexes = V.value_eq, self.cache.exists_indexes
+            value_eq = V.value_eq
+            parts = (container, keyed, probe, slot)
 
             def predicate(slots):
                 return value_eq(lhs(slots), rhs(slots))
 
+            def build(items, slots):
+                return _build_index(items, keyed, slots, slot)
+        elif nested is not None:
+            # an exists is always a bool, so it is the whole predicate
+            predicate, (each, keyed, probe, each_slot) = self._compile_exists(nested, inner)
+
+            def build(items, slots):
+                return _build_nested_index(items, each, keyed, slots, slot, each_slot)
+        else:
+            predicate = self._compile_cond(exp.predicate, inner)
+        indexes = self.cache.exists_indexes if build is not None else None
+
         def exists(slots):
             items = container(slots)
-            if plan is not None and isinstance(items, list) and items:
-                found = _index_lookup(indexes, stats, exp, items, keyed, probe, slots, slot)
+            if build is not None and isinstance(items, list) and items:
+                found = _index_lookup(indexes, stats, exp, items, build, probe, slots)
                 if found is not None:
                     return found
             for element in _iteration_items(items):
@@ -564,7 +616,7 @@ class Interpreter:
                     return True
             return False
 
-        return exists
+        return exists, parts
 
     def _diagnose(self, code: str, message: str, span: ast.Span) -> None:
         self._diagnostics.append(Diagnostic(code, message, span.line, span.column))
@@ -582,8 +634,7 @@ def _slot_of(name: str, scopes: Scopes) -> int | None:
 def _fold(exp: ast.Exp, scopes: Scopes) -> tuple[str, object] | None:
     """("value", v) for a literal, ("slot", i) for a bound variable read,
     None for anything else (an unbound read keeps its raising closure)."""
-    while isinstance(exp, ast.Paren):
-        exp = exp.inner
+    exp = _unparen(exp)
     if isinstance(exp, ast.Literal):
         return ("value", exp.value)
     if isinstance(exp, ast.Identifier):
@@ -597,51 +648,91 @@ def _fold(exp: ast.Exp, scopes: Scopes) -> tuple[str, object] | None:
 
 
 def _index_lookup(indexes: dict[tuple[int, int], tuple], stats: EvalStats, exp: ast.Exists,
-                  container: list, keyed: CompiledExp, probe: CompiledExp,
-                  slots: list, slot: int) -> bool | None:
+                  container: list, build: Callable[[list, list], tuple | None],
+                  probe: CompiledExp, slots: list) -> bool | None:
     """Answer a non-empty exists from its index, counting as the scan
-    would; None means the scan must answer.  slot is the exists
-    variable's.  It is given the cache's indexes and the stats rather than
-    the interpreter, so that a compiled rule holds no reference back to
-    its interpreter and both are freed by reference counting."""
+    would; None means the scan must answer.  build(container, slots) makes
+    the index on the pair's first lookup.  It is given the cache's indexes
+    and the stats rather than the interpreter, so that a compiled rule
+    holds no reference back to its interpreter and both are freed by
+    reference counting."""
     entry = indexes.get((id(exp), id(container)))
     if entry is None:
         # the entry holds the node and the container, so their ids stay unique
-        entry = indexes[(id(exp), id(container))] = (
-            exp, container, _build_index(container, keyed, slots, slot))
-    first = entry[2]
-    if first is None:
+        entry = indexes[(id(exp), id(container))] = (exp, container, build(container, slots))
+    index = entry[2]
+    if index is None:
         return None
+    evals_at, miss_evals, probe_evals = index
     try:
         key = V.index_key(probe(slots))
     except RuntimeRuleError:
-        stats.exists_predicate_evals += 1
+        stats.exists_predicate_evals += probe_evals
         raise
     if key is None:
         return None
     stats.exists_index_lookups += 1
-    pos = first.get(key)
-    if pos is None:
-        stats.exists_predicate_evals += len(container)
+    evals = evals_at.get(key)
+    if evals is None:
+        stats.exists_predicate_evals += miss_evals
         return False
-    stats.exists_predicate_evals += pos + 1
+    stats.exists_predicate_evals += evals
     return True
 
 
-def _build_index(container: list, keyed: CompiledExp, slots: list, slot: int) -> dict | None:
-    """f's index key at each element -> the element's first position, or
-    None if f fails or gives a value without a key at some element."""
-    first: dict = {}
-    for pos, element in enumerate(container):
+def _index_keys(evals_at: dict, evals: int, items: list, keyed: CompiledExp,
+                slots: list, slot: int) -> int | None:
+    """Map f's index key at each of items, unless mapped already, to the
+    predicate evaluations a scan has made on reaching it, evals before the
+    first; the count after the last, or None if f fails or gives a value
+    without a key at some element."""
+    for element in items:
         slots[slot] = element
+        evals += 1
         try:
             key = V.index_key(keyed(slots))
         except RuntimeRuleError:
             return None
         if key is None:
             return None
-        first.setdefault(key, pos)
-    return first
+        evals_at.setdefault(key, evals)
+    return evals
+
+
+def _build_index(container: list, keyed: CompiledExp, slots: list, slot: int) -> tuple | None:
+    """The index of `exists (T x in C) (f(x) == e)`: (f's key -> evaluations
+    up to its first element, evaluations of a miss, evaluations when e
+    fails), or None if f fails or gives no key somewhere."""
+    evals_at: dict = {}
+    evals = _index_keys(evals_at, 0, container, keyed, slots, slot)
+    return None if evals is None else (evals_at, evals, 1)
+
+
+def _build_nested_index(outer: list, each: CompiledExp, keyed: CompiledExp, slots: list,
+                        outer_slot: int, slot: int) -> tuple | None:
+    """The index of `exists (T a in A) (exists (U b in B(a)) (f(b) == e))`,
+    shaped as _build_index's, over every b of every B(a) in scan order: the
+    key of b at (p, q) maps to p + 1 + |B_0| + ... + |B_p-1| + q + 1.  The
+    scan evaluates e first at the first non-empty B(a).  None if some B(a)
+    fails or is not a list, if f fails or gives no key somewhere, or if
+    every B(a) is empty, where e is never evaluated."""
+    evals_at: dict = {}
+    evals = probe_evals = 0
+    for a in outer:
+        slots[outer_slot] = a
+        evals += 1
+        try:
+            items = each(slots)
+        except RuntimeRuleError:
+            return None
+        if not isinstance(items, list):
+            return None
+        if items and not probe_evals:
+            probe_evals = evals + 1
+        evals = _index_keys(evals_at, evals, items, keyed, slots, slot)
+        if evals is None:
+            return None
+    return (evals_at, evals, probe_evals) if probe_evals else None
 
 
 # -- shared walk over the pack ---------------------------------------------------

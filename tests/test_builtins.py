@@ -4,6 +4,7 @@ import pytest
 
 from mecheck.builtins import (
     BUILTINS,
+    Builtin,
     BuiltinArityError,
     BuiltinTypeError,
     LibraryPatternSet,
@@ -14,6 +15,9 @@ from mecheck.builtins import (
     resolve_resource_path,
 )
 from mecheck.model.project import build_model
+from mecheck.rsl.parser import parse_rule
+from mecheck.runtime.cache import QueryCache
+from mecheck.runtime.interpreter import Interpreter
 from mecheck.runtime.values import (
     MISSING,
     LocatedText,
@@ -168,14 +172,52 @@ def test_registry_has_43_builtins(reg):
 
 
 def test_cacheable_set():
-    # every list-returning built-in (the exists index keys on container
-    # identity) and every one whose cost grows with the model or the disk
-    lists = {"getXMLs", "getElms", "getChildElms", "getAttrs", "getClasses", "getMethods", "getFields",
-             "getConstructors", "getFamily", "getArg", "getAnnotated", "getAnnoAttrNames",
-             "getAnnoAttrValues"}
+    # every built-in whose cost grows with the model or touches the disk;
+    # lists copied off one item or the model are called directly, except
+    # where a call is an exists container (see the next test)
+    lists = {"getElms", "getFamily", "getArg", "getAnnotated"}
     model_wide = {"elementExists", "isLibraryClass", "pathExists", "callExists",
                   "locateClassSN", "isUniqueSN"}
     assert {name for name, spec in BUILTINS.items() if spec.cached} == lists | model_wide
+
+
+def test_exists_container_call_is_answered_from_the_cache(model):
+    """getMethods is not a cached built-in, but an exists keeps its index
+    on the container object, so a call that is an exists container goes
+    through the query cache: its second evaluation is a hit.  The same
+    call as a for container reaches the registry each time."""
+    assert not BUILTINS["getMethods"].cached
+    rule = parse_rule(
+        "Rule t {\n"
+        '  class c = locateClassFQN("com.acme.Greeter");\n'
+        "  for (method m in getMethods(c)) {\n"
+        "    assert (exists (method n in getMethods(c)) (getName(n) == getName(m))) {\n"
+        '      msg("%s", m);\n'
+        "    }\n"
+        "  }\n"
+        "}\n"
+    )
+    registry = Registry()
+    calls = []
+    get_methods = registry.builtins["getMethods"]
+    fields = {name: getattr(get_methods, name) for name in type(get_methods).__slots__}
+
+    def counting(reg, model, args):
+        calls.append(args[0].simple_name)
+        return get_methods.fn(reg, model, args)
+
+    registry.builtins = {**registry.builtins,
+                         "getMethods": Builtin(**{**fields, "fn": counting})}
+    cache = QueryCache()
+    interp = Interpreter(model, registry, cache)
+    assert interp.run_rule(rule) == []
+    methods = len(model.class_by_fqn["com.acme.Greeter"].members().methods)
+    assert methods >= 2
+    # the for container once, the exists container once, then hits
+    assert calls == ["Greeter", "Greeter"]
+    assert cache.hits == methods - 1
+    assert interp.stats.exists_index_lookups == methods
+    assert len(cache.exists_indexes) == 1
 
 
 def test_unknown_builtin(call):

@@ -1,11 +1,15 @@
 """The hash index behind `exists (T x in C) (f(x) == e)`.
 
 With a QueryCache the interpreter answers such predicates from an index
-of f over C; without one it scans.  These tests check that the two paths
-agree on truth values, predicate-eval counts and rule errors, that the
-planner picks only the shapes it can answer exactly, and that r15's cost
-grows with lookups + beans rather than lookups x beans.
+of f over C, and `exists (T a in A) (exists (U b in B(a)) (f(b) == e))`
+from one index of f over every B(a); without one it scans.  These tests
+check that the two paths agree on truth values, predicate-eval counts
+and rule errors, that the planner picks only the shapes it can answer
+exactly, and that r15's cost grows with lookups + beans rather than
+lookups x beans.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,8 @@ from mecheck.rsl import ast
 from mecheck.rsl.parser import parse_rule
 from mecheck.runner import CheckerConfig, run_checker
 from mecheck.runtime.cache import QueryCache
-from mecheck.runtime.interpreter import Interpreter, RuntimeRuleError, plan_exists
+from mecheck.runtime import interpreter
+from mecheck.runtime.interpreter import Interpreter, RuntimeRuleError, plan_exists, plan_nested
 from mecheck.runtime.values import MISSING
 
 PROJECT = {
@@ -264,6 +269,205 @@ def test_empty_container_never_evaluates_probe(model):
     for rule in RULES.values():
         outcomes, _ = run_lookups(model, rule, [], [RAISE], cache=QueryCache())
         assert outcomes == [(False, 0, None)]
+
+
+# -- nested exists: one index over every B(a) -----------------------------------
+
+
+class NestedRegistry(ProbeRegistry):
+    """ProbeRegistry plus groups() and each(g[, h]) over a nested case.
+
+    groups() returns the group numbers 0..n-1 as one list object; each(g)
+    returns group g's element positions (one list object per group), or
+    MISSING, or fails, as the case says; each(g, h) is each(g), but empty
+    where g == h.  probe(g) gives the lookup's value for group g when the
+    lookup's value is a tuple, and the value itself otherwise.
+    """
+
+    def __init__(self, groups):
+        super().__init__()
+        self.values, self.groups = [], []
+        for group in groups:
+            if isinstance(group, list):
+                self.groups.append(list(range(len(self.values), len(self.values) + len(group))))
+                self.values.extend(group)
+            else:
+                self.groups.append(group)  # MISSING or RAISE
+        self.group_numbers = list(range(len(groups)))
+        self.builtins = {
+            **self.builtins,
+            "groups": builtins_mod.Builtin("groups", lambda reg, model, args: reg.group_numbers,
+                                           range(0, 1)),
+            "each": builtins_mod.Builtin("each", NestedRegistry._each, range(1, 3)),
+            "probe": builtins_mod.Builtin("probe", NestedRegistry._probe_group, range(0, 2)),
+        }
+
+    def _each(self, model, args):
+        group = self.groups[args[0]]
+        if group is RAISE:
+            raise builtins_mod.PreconditionError(f"no group {args[0]}")
+        return [] if len(args) == 2 and args[0] == args[1] else group
+
+    def _probe_group(self, model, args):
+        if args and isinstance(self.current, tuple):
+            return self.current[args[0]]
+        return self._probe(model, args)
+
+
+def nested_rule(each="each(g)", predicate="key(x) == probe()"):
+    """Reports once per h in groups() for which the nested exists holds."""
+    return (
+        "Rule nested {\n"
+        "  for (String h in groups()) {\n"
+        f"    if (exists (String g in groups()) (exists (String x in {each}) ({predicate}))) {{\n"
+        '      assert (isEmpty("x")) { msg("hit"); }\n'
+        "    }\n"
+        "  }\n"
+        "}\n"
+    )
+
+
+FLAT_NESTED = nested_rule()
+
+
+@pytest.mark.parametrize("each, predicate", [
+    ("each(g)", "key(x) == probe()"),
+    ("each(g)", "probe() == key(x)"),
+    ('each(g, "lit")', "((key(x) == probe()))"),
+])
+def test_planner_flattens_nested_exists(each, predicate):
+    outer = first_exists(nested_rule(each, predicate))
+    inner = plan_nested(outer)
+    assert inner is not None and inner.var == "x"
+    assert plan_exists(outer) is None
+
+
+@pytest.mark.parametrize("each, predicate", [
+    ("each(g)", "key(x) == probe(g)"),  # e mentions a
+    ("each(g, h)", "key(x) == probe()"),  # B(a) reads a variable bound outside
+    ("each(g)", "key(x) == key(x)"),  # the inner exists is not indexable
+    ("each(g)", "key(x, h) == probe()"),  # f reads a variable bound outside
+])
+def test_planner_keeps_other_nested_shapes_scanning(each, predicate):
+    assert plan_nested(first_exists(nested_rule(each, predicate))) is None
+
+
+def run_nested(model, source, groups, probes, cache, monkeypatch=None):
+    """(reports, predicate evals, rule error) per probe, the stats, and
+    how often each (exists node, container) pair's index was built."""
+    registry = NestedRegistry(groups)
+    builds = Counter()
+    if monkeypatch is not None:
+        for name in ("_build_index", "_build_nested_index"):
+            build = getattr(interpreter, name)
+
+            def counting(container, *args, build=build):
+                builds[id(container)] += 1
+                return build(container, *args)
+
+            monkeypatch.setattr(interpreter, name, counting)
+    interp = Interpreter(model, registry, cache)
+    rule = parse_rule(source)
+    outcomes = []
+    for probe in probes:
+        registry.current = probe
+        before = interp.stats.exists_predicate_evals
+        try:
+            found, error = len(interp.run_rule(rule)), None
+        except RuntimeRuleError as exc:
+            found, error = None, str(exc)
+        outcomes.append((found, interp.stats.exists_predicate_evals - before, error))
+    return outcomes, interp.stats, builds
+
+
+NESTED_SHAPES = {
+    # name: (groups, probes, rule, whether one index answers the outer exists)
+    "match in a later file": ([["a", "b"], ["c", "d"], ["d"]], ["d", "a"], FLAT_NESTED, True),
+    "miss": ([["a", "b"], ["c"]], ["z"], FLAT_NESTED, True),
+    "empty A": ([], ["a"], FLAT_NESTED, False),
+    "empty B(a)": ([[], ["a"], [], ["b"]], ["b", "z"], FLAT_NESTED, True),
+    "every B(a) empty": ([[], []], [RAISE], FLAT_NESTED, False),
+    "MISSING B(a)": ([["a"], MISSING, ["b"]], ["b", "a"], FLAT_NESTED, False),
+    "B(a) errors before the match": ([["a"], RAISE, ["b"]], ["b", "a"], FLAT_NESTED, False),
+    "B(a) errors after the match": ([["a"], ["b"], RAISE], ["b", "a"], FLAT_NESTED, False),
+    "f gives a number": ([["a"], ["b", 1]], ["b", 1], FLAT_NESTED, False),
+    "f fails": ([["a"], ["b", RAISE]], ["a", "b"], FLAT_NESTED, False),
+    "e errors": ([[], ["a"]], [RAISE, "a"], FLAT_NESTED, True),
+    "e without a key": ([["a"], ["b"]], [1, ["b"], "b"], FLAT_NESTED, True),
+    "e mentions a": ([["a"], ["b"]], [("z", "b"), ("a", "z"), ("b", "a")],
+                     nested_rule(predicate="key(x) == probe(g)"), False),
+    "B(a) reads an outer variable": ([["a"], ["b"]], ["a", "b"],
+                                     nested_rule(each="each(g, h)"), False),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED_SHAPES)
+def test_nested_index_agrees_with_scan(model, monkeypatch, shape):
+    groups, probes, source, indexed = NESTED_SHAPES[shape]
+    scanned, scan_stats, _ = run_nested(model, source, groups, probes, None)
+    cache = QueryCache()
+    found, stats, builds = run_nested(model, source, groups, probes, cache, monkeypatch)
+    assert found == scanned
+    assert stats.exists_predicate_evals == scan_stats.exists_predicate_evals
+    assert set(builds.values()) <= {1}
+    nested = [entry for entry in cache.exists_indexes.values() if entry[0].var == "g"]
+    if indexed:
+        ((_, container, index),) = nested
+        assert index is not None and builds[id(container)] == 1
+        assert stats.exists_index_lookups > 0
+    else:
+        assert all(index is None for _, _, index in nested)
+
+
+def test_nested_index_counts_as_the_scan(model):
+    """A match at (p, q) counts p + 1 + |B_0| + ... + |B_p-1| + q + 1, a
+    miss |A| + every |B(a)|, and an error from e the groups up to the first
+    non-empty one, plus one."""
+    groups = [["a", "b"], [], ["c", "d", "c"]]
+    probes = ["a", "b", "d", "c", "z", RAISE]
+    outcomes, stats, _ = run_nested(model, FLAT_NESTED, groups, probes, QueryCache())
+    error = "rule nested failed at line 3, column 80: 'probe': no probe value"
+    evals = [1 + 1, 1 + 2, 3 + 2 + 2, 3 + 2 + 1, 3 + 5, 1 + 1]
+    # the rule runs the exists once per h in groups()
+    found = [3, 3, 3, 3, 0]
+    assert outcomes == [(k, 3 * n, None) for k, n in zip(found, evals)] + [(None, evals[5], error)]
+    assert stats.exists_index_lookups == 3 * 5
+    # a run calls groups() for the for, then groups() and probe() per h, and
+    # isEmpty per report, but no each(g): the error stops the last run at
+    # its first h, and the one build calls each(g) 3 times and key(x) 5 times
+    assert stats.builtin_calls == 5 * (1 + 3 * 2) + sum(found) + (1 + 2) + 3 + 5
+
+
+NESTED_VALUES = ["a", "b", "c", "", MISSING, True, 1, ["a"]]
+
+
+@st.composite
+def nested_cases(draw):
+    plain = st.sampled_from(NESTED_VALUES)
+    group = st.one_of(st.lists(st.one_of(plain, st.just(RAISE)), max_size=4),
+                      st.sampled_from([MISSING, RAISE]))
+    groups = draw(st.lists(group, max_size=5))
+    probes = draw(st.lists(st.one_of(plain, st.just(RAISE)), min_size=1, max_size=4))
+    return groups, probes
+
+
+@pytest.mark.parametrize("predicate", ["key(x) == probe()", "probe() == key(x)"])
+def test_nested_index_agrees_with_scan_on_generated_cases(model, predicate):
+    source = nested_rule(predicate=predicate)
+    used_index = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(nested_cases())
+    def check(case):
+        groups, probes = case
+        scanned, scan_stats, _ = run_nested(model, source, groups, probes, None)
+        found, stats, _ = run_nested(model, source, groups, probes, QueryCache())
+        assert found == scanned
+        assert stats.exists_predicate_evals == scan_stats.exists_predicate_evals
+        used_index.append(stats.exists_index_lookups)
+
+    check()
+    assert sum(used_index) > 0
 
 
 # -- complexity guard: r15 costs lookups + beans ---------------------------------
