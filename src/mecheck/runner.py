@@ -4,17 +4,19 @@ Reports keep their emission order (the ordinal is global across rules);
 renderers sort by (rule name, file, line, ordinal).  A rule that fails at
 runtime contributes a diagnostic instead of aborting the run.
 
-Rules that open with the same statements share them: compile_pack
-(runtime/interpreter.py) makes such rules run as one walk that evaluates
-a statement, equal in each rule but for its spans, once per binding.  A
-declaration is shared, and so is a for or if that ends its body.  Each
-rule is still run by one run_rule call of its own interpreter, in pack
-order: the walk runs inside the first sharing rule's call, and the
-others' reports, held until their own call, are appended then with the
-ordinal they would have had, so reports, ordinals and diagnostics are
-those of running the rules one by one.  A rule error in a rule's own
-statements stops that rule only; one in a shared statement stops every
-rule under it, each reported with its own name and position.
+Each rule runs as generated Python (runtime/interpreter.py), written
+from the rule and compiled once per check.  Rules that open with the
+same statements share them: compile_pack makes such rules run as one
+generated walk that evaluates a statement, equal in each rule but for
+its spans, once per binding.  A declaration is shared, and so is a for
+or if that ends its body.  Each rule is still run by one run_rule call
+of its own interpreter, in pack order: the walk runs inside the first
+sharing rule's call, and the others' reports, held until their own call,
+are appended then with the ordinal they would have had, so reports,
+ordinals and diagnostics are those of running the rules one by one.  A
+rule error in a rule's own statements stops that rule only; one in a
+shared statement stops every rule under it, each reported with its own
+name and position.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
     interpreters: list[Interpreter | None] = [Interpreter(model, registry, cache) for _ in rules]
     compile_pack(interpreters, rules)
     for k, rule in enumerate(rules):
-        # a rule's compiled closures are freed once its turn is over
+        # a rule's compiled code is freed once its turn is over
         interp, interpreters[k] = interpreters[k], None
         try:
             interp.run_rule(rule, sink)

@@ -27,17 +27,9 @@ Rules run one at a time, so the cache takes no lock.
 
 The cache also holds the interpreter's exists indexes (exists_indexes),
 so they live exactly as long as the cached query results they are built
-over.  An entry belongs to one `exists (T x in C) (f(x) == e)` node, or
-one `exists (T a in A) (exists (U b in B(a)) (f(b) == e))` node, and one
-container object (C or A), and is built once, whole: a map from f of each
-element (of C, or of every B(a)) to the predicate evaluations a scan makes
-up to its first such element, with the counts of a miss and of a failing
-e, so each evaluation of the node is a dict probe instead of a scan; or
-None when f fails or gives a value without an exact key at some element,
-so each evaluation scans.  The interpreter decides which predicates
-qualify and keeps results, errors and counters equal to a scan's (see
-interpreter.py); with no cache there are no indexes and every exists
-scans.
+over: one entry per exists node and container object, built once, whole,
+or None when the node must scan (see interpreter.py); with no cache there
+are no indexes and every exists scans.
 """
 
 from __future__ import annotations

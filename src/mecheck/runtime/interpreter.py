@@ -1,102 +1,56 @@
-"""Rule interpreter: each rule is compiled to Python closures, then run.
+"""Rule interpreter: each rule is compiled to generated Python, then run.
 
-run_rule compiles a rule's body once per Interpreter into nested
-closures, one per statement and one per expression node.  Literal
-values, built-in names, argument counts, source spans and whether a
-call goes through the query cache are settled at compile time, so
-running a rule does no dispatch on node types.  Statements are called
-as stmt(slots, sink), expressions as exp(slots).  A call site compiles to
-one closure that builds the argument list, counts the call and
-dispatches it; for the common shapes of literal and bound-variable
-arguments it builds the list itself, so hasAttr(bean, "class") builds
-[slots[i], "class"] with no call per argument.  A condition must be a bool or MISSING, so it
-is checked at run time, except where its node always gives a bool: ==,
-exists, AND, OR, NOT and a call of a built-in declared to return BOOL.
+run_rule writes the rule's body as Python source (emit_rule), compiles
+it once per Interpreter with compile and exec, and calls it on the sink.
+What each node means (built-in, arity, position, caching, truth check)
+is settled while the source is written, so the code does no dispatch on
+node types and no frame lies between a rule and Registry.call.
 
-Scoping model: variables are resolved when the rule compiles, and this
-one walk also validates the rule: compile_rule records a Diagnostic for
-each read that resolves to no binding, each call of an unknown built-in
-and each call with a wrong argument count, and rsl/validator.py reports
-them.  The rule body, each for and if body and each exists predicate is
-a scope; a declaration is visible to the statements after it in its
-scope, a for or exists variable to its body or predicate, and an inner
-binding shadows an outer one.  Each binding site (for variable, exists
-variable, declaration) owns one index in a flat list of slots, and a
-read compiles to a fetch of the slot it resolves to; a read that
-resolves to none compiles to a raise of "variable 'x' is not bound" at
-its position, and a diagnosed call still compiles to a call that
-Registry.call fails.  run_rule runs the body over a fresh list of slots,
-one per binding site, so nothing is pushed, popped or cleared at run
-time: a for loop or an exists writes its variable's slot per element, a
-declaration writes its own.  The type a rule declares for a variable is
-not kept or checked at run time.  AND and OR do not evaluate their right
-side when the left side decides.
-
-A failed assert renders the message template and emits a BugReport; the
-report's position comes from the first message argument that carries a
-source location.  Any runtime failure (unbound name, a built-in type or
-precondition error) aborts only the current rule via RuntimeRuleError.
-
-Every built-in call goes through Registry.call, which runs the
-built-in's checked entry; a call of a cached built-in, and any call that
-is the container of an exists, goes through canonical_key and
-QueryCache.get_or_compute first.  All three are looked up when the rule
+Each binding site (for variable, exists variable, declaration) and each
+intermediate value is a Python local.  Every built-in call is a statement
+that counts the call in the rule's EvalStats and calls Registry.call,
+through canonical_key and QueryCache.get_or_compute for a cached built-in
+or an exists container, in a try of its own that raises RuntimeRuleError
+at the call's line and column.  These three are looked up when the code
 is compiled, so wrappers installed on them before a rule runs see every
-call.
+call.  A condition must be a bool or MISSING, so it is checked at run
+time, except where its node always gives a bool: ==, exists, AND, OR, NOT
+and a call of a built-in declared to return BOOL.  AND and OR do not
+evaluate their right side when the left side decides; an exists is a
+loop that counts each predicate evaluation and stops at the first true
+one, after a lookup in its index when one can answer it (see
+_index_lookup).  Rule text never enters the source: literals, message
+templates, built-in and rule names are constants the code reads as the
+globals c0, c1, ..., as it reads the registry's bound call, the model,
+the cache, the EvalStats and the helpers below.  The source is split into
+units, each compiled on its own as "<rule NAME>" after the rules whose
+code it holds: CPython's compiler holds about 5 KB per line of a compile,
+and a function nests at most 20 blocks and 100 indentation levels deep,
+while a rule nests up to 64 levels.  A unit takes the locals it reads as
+arguments and the units it calls as defaults; no namespace keeps them.
 
-Shared walk: run_checker hands the pack to compile_pack, which treats it
-as a prefix tree (plan_pack).  Two or more rules share a statement when
-it and every statement before it are equal but for their spans (same
-variable names, literals and built-ins).  A declaration can be shared,
-and so can a for or if that is the last statement of its body; the walk
-then goes on inside that statement's body.  Rules that share their first
-statement are run as one walk inside the first such rule's run_rule call:
-each shared statement is evaluated once per binding with the closures of
-the first rule that shares it (whose EvalStats count its calls), and at
-each binding the statements each rule does not share run with the rule's
-own closures, EvalStats and error handling, in pack order of each part's
-first rule.
-The slots of the shared statements are numbered alike in every rule,
-since compiling numbers binding sites in source order, so all the rules
-of a walk run over one list of slots.  The other rules' reports are held
-and appended, with fresh ordinals, by their own run_rule calls, so the
-sink and the rule errors come out as running the rules one by one gives
-them.  A rule error in a rule's own statements stops that rule only; one
-in a shared statement stops every rule the statement still runs, each
-with its own name and its own line and column of the statement.  Every
-rule still gets one run_rule call, in pack order, and a single run_rule
-call on an interpreter compile_pack has not seen runs the rule alone.
+Scoping model: variables are resolved as the source is written, and this
+one walk validates the rule: emit_rule records a Diagnostic for each read
+that resolves to no binding, each call of an unknown built-in and each
+call with a wrong argument count, and rsl/validator.py reports them
+without compiling anything.  The rule body, each for and if body and
+each exists predicate is a scope; a declaration is visible to the
+statements after it in its scope, a for or exists variable to its body
+or predicate, and an inner binding shadows an outer one.  A read that
+resolves to no binding becomes a raise of "variable 'x' is not bound" at
+its position, and a diagnosed call still calls Registry.call, which fails
+it.  The type a rule declares for a variable is not kept or checked.
+A failed assert renders the message template and emits a BugReport at
+the first message argument that carries a source location.  Any runtime
+failure aborts only the current rule via RuntimeRuleError.
 
-Indexed exists: with a QueryCache, `exists (T x in C) (f(x) == e)` is
-answered from a hash index of f over C (a hash semi-join) when the
-predicate, parentheses removed, is an == of which exactly one side
-mentions x, that side is built only from built-in calls, literals and x,
-and the other side e neither mentions x nor contains an exists.  So is
-`exists (T a in A) (exists (U b in B(a)) (f(b) == e))`, with one index
-of f over every b of every B(a), when the inner exists qualifies, B(a)
-is built only from built-in calls, literals and a, and e does not
-mention a: L lookups among B elements of all the B(a) then cost about
-L + B evaluations, with no B(a) evaluated per lookup.  A call that is an
-exists container goes through the query cache, so it gives the same
-object each time.  The index of one (exists node, container object) pair
-is complete or absent.  The first lookup on a non-empty container
-evaluates f once at every element, in scan order, and keeps a map from
-each f-value to the predicate evaluations a scan makes up to its first
-element; if f fails anywhere or gives a value without an exact hash key
-(a number or a list; see values.index_key), or a B(a) fails or is not a
-list, or every B(a) is empty, the pair keeps no index and every lookup
-of it scans.  The scan is the reference.  A lookup evaluates e once: an
-e without a key scans, and otherwise exists_predicate_evals gets what
-the scan counts: the map's count on a match, the count of every element
-(and every a) on a miss.  Since f has succeeded at every element before
-e runs, an error from e is the one the scan raises, and counts what the
-scan counts up to the first element.  Without a cache every exists
-scans.
+Rules that open with the same statements run them once, in one generated
+walk (plan_pack, emit_walk, compile_pack), with what running the rules
+one by one gives: reports, ordinals, rule errors and diagnostics.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Callable
 
 from mecheck import builtins as builtins_mod
@@ -106,17 +60,16 @@ from mecheck.rsl import ast
 from mecheck.runtime import values as V
 from mecheck.runtime.cache import QueryCache, canonical_key
 
-# A compiled expression: slots -> value.  A compiled statement: (slots, sink) -> None.
-CompiledExp = Callable[[list], object]
-CompiledStmt = Callable[[list, list], None]
-# Compile-time scopes, innermost last: variable name -> slot.
-Scopes = list[dict[str, int]]
-
 # Nodes whose value is always a Python bool, so a condition needs no check.
 _BOOL_NODES = (ast.Eq, ast.Exists, ast.And, ast.Or, ast.Not)
 
+# A body or condition is written as a unit of its own once the function
+# being written has this many Python blocks or indentation levels open, or
+# lines; a statement opens at most about five more blocks before a check.
+_MAX_BLOCKS, _MAX_INDENT, _MAX_LINES = 10, 30, 40
 
-# What compiling a rule finds wrong with it; rsl/validator.py reports these.
+
+# What emitting a rule finds wrong with it; rsl/validator.py reports these.
 UNDECLARED_VARIABLE = "undeclared-variable"
 UNKNOWN_BUILTIN = "unknown-builtin"
 BUILTIN_ARITY = "builtin-arity"
@@ -141,13 +94,8 @@ class BugReport(Record):
 
 class RuntimeRuleError(Exception):
     def __init__(self, rule_name: str, cause: str, line: int, column: int):
-        super().__init__(
-            f"rule {rule_name} failed at line {line}, column {column}: {cause}"
-        )
-        self.rule_name = rule_name
-        self.cause = cause
-        self.line = line
-        self.column = column
+        super().__init__(f"rule {rule_name} failed at line {line}, column {column}: {cause}")
+        self.rule_name, self.cause, self.line, self.column = rule_name, cause, line, column
 
 
 class EvalStats:
@@ -156,9 +104,7 @@ class EvalStats:
     __slots__ = ("builtin_calls", "exists_predicate_evals", "exists_index_lookups")
 
     def __init__(self):
-        self.builtin_calls = 0
-        self.exists_predicate_evals = 0
-        self.exists_index_lookups = 0
+        self.builtin_calls = self.exists_predicate_evals = self.exists_index_lookups = 0
 
 
 def _walk(exp: ast.Exp):
@@ -193,11 +139,8 @@ def _mentions(exp: ast.Exp, var: str) -> bool:
 
 def _built_from(exp: ast.Exp, var: str) -> bool:
     """Whether exp is built only from built-in calls, literals and reads of var."""
-    return all(
-        isinstance(n, (ast.FunctionCall, ast.Literal))
-        or (isinstance(n, ast.Identifier) and n.name == var)
-        for n in _walk(exp)
-    )
+    return all(isinstance(n, (ast.FunctionCall, ast.Literal))
+               or (isinstance(n, ast.Identifier) and n.name == var) for n in _walk(exp))
 
 
 def plan_exists(exp: ast.Exists) -> EqPlan | None:
@@ -243,429 +186,579 @@ def _iteration_items(container: object):
     return (container,)
 
 
-def _render_message(template: str, arg_values: list) -> str:
+# -- what generated code calls ----------------------------------------------------
+
+
+def _truth(value: object, rule_name: str, line: int, column: int) -> bool:
+    """A condition's value that is not a bool: MISSING is false, anything
+    else fails the rule at the condition's position."""
+    try:
+        return V.is_truthy(value)
+    except V.ValueTypeError as exc:
+        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+
+
+def _report(sink: list, rule_name: str, template: str, arg_values: list) -> None:
+    """Append the report of a failed assert to sink: the template with
+    each %s rendered from its argument, at the first argument's location."""
     parts = template.split("%s")
-    out = [parts[0]]
-    for value, tail in zip(arg_values, parts[1:]):
-        out.append(V.display(value))
-        out.append(tail)
-    return "".join(out)
+    message = parts[0] + "".join(V.display(v) + tail for v, tail in zip(arg_values, parts[1:]))
+    file_path, line = "", 0
+    for value in arg_values:
+        loc = V.location_of(value)
+        if loc is not None:
+            file_path, line = loc
+            break
+    sink.append(BugReport(rule_name, message, file_path, line, len(sink)))
+
+
+def _fail(exc: RuntimeRuleError, members: tuple, heads: tuple) -> None:
+    """A shared statement failed: stop each rule of members that still
+    runs, at its own position of the statement (heads[k] is member k's)."""
+    for member, head in zip(members, heads):
+        if member.error is None:
+            member.error = (exc.cause, *_position_in(heads[0], head, exc.line, exc.column))
+
+
+# -- generating a rule's function ---------------------------------------------------
+
+
+class Generated(Record):
+    """The Python source of a rule's function, run, as units: (name,
+    filename, source) of functions compiled one by one, run last; the
+    constants their code reads as c0, c1, ...; and the diagnostics found
+    in the rule."""
+
+    __slots__ = ("units", "constants", "diagnostics")
+    units: tuple[tuple[str, str, str], ...]
+    constants: tuple
+    diagnostics: list[Diagnostic]
+
+
+class _Func:
+    """A function being written: its lines as (indentation, text), the
+    nested functions it defines first, the indentation levels and blocks
+    open, its size in lines, the names it binds and reads, its units."""
+
+    __slots__ = ("lines", "defs", "indent", "blocks", "size", "binds", "reads", "units")
+
+    def __init__(self, params: tuple[str, ...] = ()):
+        self.lines: list[tuple[int, str]] = []
+        self.defs: list[tuple[str, str, _Func]] = []
+        self.indent = self.blocks = self.size = 0
+        self.binds, self.reads, self.units = set(params), set(), set()
+
+    def render(self, header: str, depth: int, out: list[str]) -> None:
+        out.append("    " * depth + header)
+        for name, params, func in self.defs:
+            func.render(f"def {name}({params}):", depth + 1, out)
+        out.extend("    " * (depth + 1 + indent) + text for indent, text in self.lines)
+        if not self.lines:
+            out.append("    " * (depth + 1) + "pass")
+
+
+class _Rule:
+    """One rule's part in a generated function: the rule's name, the names
+    its code gives its EvalStats and sink, its scopes, and the diagnostics
+    found in it."""
+
+    __slots__ = ("rule", "stats", "sink", "scopes", "diagnostics")
+
+    def __init__(self, rule: str, stats: str, sink: str):
+        self.rule, self.stats, self.sink = rule, stats, sink
+        self.scopes: list[dict[str, str]] = [{}]  # variable -> its local, innermost last
+        self.diagnostics: list[Diagnostic] = []
+
+
+class _Emitter:
+    """Writes rules as Python source.  builtins is the registry's table,
+    cached says whether the code runs with a query cache, and names are
+    the rules a unit written now holds code of."""
+
+    def __init__(self, builtins: dict[str, builtins_mod.Builtin], cached: bool, names: str):
+        self.builtins, self.cached, self.names = builtins, cached, names
+        self.constants: list = []
+        self._constant_names: dict = {}
+        self._count = 0
+        self.units: list[tuple[str, str, str]] = []
+        self.func = _Func()
+
+    def generated(self, params: tuple[str, ...], body: Callable[[], None],
+                  diagnostics: list[Diagnostic]) -> Generated:
+        self.func = _Func(params)
+        body()
+        self.add_unit("run", list(params), self.func)
+        return Generated(tuple(self.units), tuple(self.constants), diagnostics)
+
+    def add_unit(self, name: str, params: list[str], func: _Func) -> None:
+        """func as the source of a function compiled on its own, which takes
+        the units it calls as defaults."""
+        defaults = [f"{u}={u}" for u in sorted(func.units)]
+        out: list[str] = []
+        func.render(f"def {name}({', '.join(params + defaults)}):", 0, out)
+        self.units.append((name, f"<rule {self.names}>", "\n".join(out) + "\n"))
+
+    # -- writing lines --------------------------------------------------------
+
+    def fresh(self, prefix: str) -> str:
+        self._count += 1
+        return f"{prefix}{self._count}"
+
+    def bind(self, prefix: str = "v") -> str:
+        """A new name, bound in the function being written."""
+        name = self.fresh(prefix)
+        self.func.binds.add(name)
+        return name
+
+    def read(self, *names: str) -> None:
+        self.func.reads.update(names)
+
+    def const(self, value: object) -> str:
+        """The name of value among the constants."""
+        kind = type(value)
+        key = (kind, value) if kind in (str, int, float, bool) else id(value)
+        name = self._constant_names.get(key)
+        if name is None:
+            name = self._constant_names[key] = f"c{len(self.constants)}"
+            self.constants.append(value)
+        return name
+
+    def line(self, text: str) -> None:
+        self.func.lines.append((self.func.indent, text))
+        self.func.size += 1
+
+    def open(self, header: str, block: bool = False) -> None:
+        self.line(header)
+        self.func.indent += 1
+        self.func.blocks += block
+
+    def close(self, block: bool = False) -> None:
+        if self.func.lines[-1][0] < self.func.indent:
+            self.line("pass")  # nothing to run here: a read of a variable, or no statement
+        self.func.indent -= 1
+        self.func.blocks -= block
+
+    def full(self) -> bool:
+        """Whether code written next goes into a unit of its own."""
+        func = self.func
+        return (func.blocks >= _MAX_BLOCKS or func.indent >= _MAX_INDENT
+                or func.size >= _MAX_LINES)
+
+    def function(self, params: str, body: Callable[[], str]) -> str:
+        """A nested function of the one being written, whose lines body()
+        writes and which returns what body() returns; its name."""
+        name, outer = self.bind("f"), self.func
+        self.func = _Func((params,) if params else ())
+        self.line(f"return {body()}")
+        func, self.func = self.func, outer
+        outer.defs.append((name, params, func))
+        outer.reads.update(func.reads - func.binds)
+        outer.units |= func.units
+        outer.size += func.size
+        return name
+
+    def unit(self, body: Callable[[], str | None]) -> str:
+        """A call of a function compiled on its own, whose lines body()
+        writes, with the names it reads, and which returns what body()
+        returns.  Small units keep the peak memory of compiling small."""
+        name, outer = self.fresh("u"), self.func
+        self.func = _Func()
+        result = body()
+        if result is not None:
+            self.line(f"return {result}")
+        func, self.func = self.func, outer
+        params = sorted(func.reads - func.binds)
+        self.add_unit(name, params, func)
+        outer.reads.update(params)
+        outer.units.add(name)
+        return f"{name}({', '.join(params)})"
+
+    def nest(self, body: Callable[[], None]) -> None:
+        """Write a body here, or as a unit called here if full."""
+        if self.full():
+            self.line(self.unit(body))
+        else:
+            body()
+
+    def diagnose(self, r: _Rule, code: str, message: str, span: ast.Span) -> None:
+        r.diagnostics.append(Diagnostic(code, message, span.line, span.column))
+
+    def raise_at(self, r: _Rule, cause: str, span: ast.Span) -> str:
+        return f"raise RuntimeRuleError({self.const(r.rule)}, {cause}, {span.line}, {span.column})"
+
+    # -- statements -------------------------------------------------------------
+
+    def stmts(self, stmts: tuple[ast.Stmt, ...], r: _Rule) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, (ast.ForStmt, ast.IfStmt)):
+                loop = isinstance(stmt, ast.ForStmt)
+                if loop:
+                    items, local = self.value(stmt.container, r), self.bind()
+                    self.open(f"for {local} in {_items(items)}:", block=True)
+                else:
+                    self.open(f"if {self.cond(stmt.cond, r)}:")
+                r.scopes.append({stmt.var: local} if loop else {})
+                self.nest(lambda body=stmt.body: self.stmts(body, r))
+                r.scopes.pop()
+                self.close(block=loop)
+            elif isinstance(stmt, ast.AssertStmt):
+                self.open(f"if not {self.cond(stmt.cond, r)}:")
+                args = ", ".join([self.value(arg, r) for arg in stmt.message.args])
+                template = self.const(stmt.message.template)
+                self.read(r.sink)
+                self.line(f"report({r.sink}, {self.const(r.rule)}, {template}, [{args}])")
+                self.close()
+            elif isinstance(stmt, ast.DeclStmt):
+                local = self.bind()
+                self.value(stmt.init, r, local)
+                r.scopes[-1][stmt.var] = local
+            else:
+                raise TypeError(f"unknown statement node: {stmt!r}")
+
+    # -- expressions -----------------------------------------------------------------
+
+    def value(self, exp: ast.Exp, r: _Rule, into: str | None = None) -> str:
+        """Write the statements that evaluate exp; a name that holds its
+        value (into, if given) or "None" after a raise."""
+        if isinstance(exp, ast.Paren):
+            return self.value(exp.inner, r, into)
+        if isinstance(exp, ast.FunctionCall):
+            return self.call(exp, r, into=into)
+        if isinstance(exp, ast.Identifier):
+            local = next((s[exp.name] for s in reversed(r.scopes) if exp.name in s), None)
+            if local is None:
+                self.diagnose(r, UNDECLARED_VARIABLE,
+                              f"variable '{exp.name}' is not declared in any enclosing scope",
+                              exp.span)
+                self.line(self.raise_at(r, self.const(f"variable '{exp.name}' is not bound"),
+                                        exp.span))
+                local = "None"
+            else:
+                self.read(local)
+            return self.assign(into, local)
+        if isinstance(exp, ast.Literal):
+            return self.assign(into, self.const(exp.value))
+        if isinstance(exp, (ast.And, ast.Or)):
+            target = self.assign(into, self.cond(exp.left, r))
+            self.open(f"if {target}:" if isinstance(exp, ast.And) else f"if not {target}:")
+            self.line(f"{target} = {self.nested_cond(exp.right, r)}")
+            self.close()
+            return target
+        target = into or self.fresh("t")
+        if isinstance(exp, ast.Eq):
+            lhs, rhs = self.value(exp.lhs, r), self.value(exp.rhs, r)
+            self.line(f"{target} = value_eq({lhs}, {rhs})")
+        elif isinstance(exp, ast.Exists):
+            self.exists(exp, r, target)
+        elif isinstance(exp, ast.Not):
+            self.line(f"{target} = not {self.cond(exp.operand, r)}")
+        else:
+            raise TypeError(f"unknown expression node: {exp!r}")
+        return target
+
+    def assign(self, into: str | None, value: str) -> str:
+        if into is None or into == value:
+            return value
+        self.line(f"{into} = {value}")
+        return into
+
+    def cond(self, exp: ast.Exp, r: _Rule) -> str:
+        """exp as a condition: a name holding a value whose Python truth
+        is the condition's.  Its value must be a bool or MISSING (false);
+        anything else fails the rule at exp's position."""
+        value = self.value(exp, r)
+        inner = _unparen(exp)
+        if isinstance(inner, _BOOL_NODES):
+            return value
+        if isinstance(inner, ast.FunctionCall):
+            spec = self.builtins.get(inner.name)
+            if spec is not None and spec.result == builtins_mod.BOOL:
+                return value
+        # a temporary is read once, here; a variable's value is copied
+        checked = value if value.startswith("t") else self.assign(self.fresh("t"), value)
+        span = exp.span
+        self.line(f"if {checked} is not True and {checked} is not False: "
+                  f"{checked} = truth({checked}, {self.const(r.rule)}, {span.line}, {span.column})")
+        return checked
+
+    def nested_cond(self, exp: ast.Exp, r: _Rule) -> str:
+        """cond, written as a unit called here if full."""
+        if not self.full():
+            return self.cond(exp, r)
+        return self.unit(lambda: self.cond(exp, r))
+
+    def call(self, exp: ast.FunctionCall, r: _Rule, cached: bool = False,
+             into: str | None = None) -> str:
+        """The call as a statement: count it, then call the built-in, through
+        the query cache (get) for a cached built-in, or for any built-in
+        when cached is set."""
+        spec = self.builtins.get(exp.name)
+        if spec is None:
+            self.diagnose(r, UNKNOWN_BUILTIN, f"'{exp.name}' is not a known built-in function",
+                          exp.span)
+        elif len(exp.args) not in spec.arity:
+            self.diagnose(r, BUILTIN_ARITY,
+                          builtins_mod.arity_message(exp.name, spec.arity, len(exp.args)),
+                          exp.span)
+        args = ", ".join([self.value(arg, r) for arg in exp.args])
+        name, target = self.const(exp.name), into or self.fresh("t")
+        self.line(f"{r.stats}.builtin_calls += 1")
+        if self.cached and spec is not None and (cached or spec.cached):
+            self.line(f"a = [{args}]")
+            run = f"get(key_of({name}, a), call, {name}, a, model)"
+        else:
+            run = f"call({name}, [{args}], model)"
+        self.open("try:")
+        self.line(f"{target} = {run}")
+        self.close()
+        self.open("except errors as exc:")
+        self.line(self.raise_at(r, "str(exc)", exp.span) + " from None")
+        self.close()
+        return target
+
+    def exists(self, exp: ast.Exists, r: _Rule, target: str) -> None:
+        """The exists as a lookup in its index, then a call of _scan, where
+        an index can answer it (plan_exists, plan_nested), else a scan loop."""
+        items = self.container(exp.container, r)
+        plan, inner = (plan_exists(exp), None) if self.cached else (None, None)
+        if self.cached and plan is None:
+            inner = plan_nested(exp)
+            plan = inner and plan_exists(inner)
+        if plan is not None:
+            each = self.side(inner.container, r, exp.var, container=True) if inner else None
+            # e and f in the order of ==, the order the scan evaluates them in
+            var = (inner or exp).var
+            lhs = self.side(plan.eq.lhs, r, var if plan.keyed_left else None)
+            rhs = self.side(plan.eq.rhs, r, None if plan.keyed_left else var)
+            sides = f"{items}, {rhs}, {lhs}" if plan.keyed_left else f"{items}, {lhs}, {rhs}"
+            self.line(f"{target} = None")
+            self.open(f"if isinstance({items}, list) and {items}:")
+            self.line(f"{target} = lookup(indexes, {r.stats}, {self.const(exp)}, {sides}"
+                      + (f", {each})" if inner else ")"))
+            self.close()
+            self.open(f"if {target} is None:")
+            self.line(f"{target} = scan(indexes, {r.stats}, {sides}, {plan.keyed_left}"
+                      + (f", {self.const(inner)}, {each})" if inner else ")"))
+            self.close()
+            return
+        local = self.bind()
+        self.line(f"{target} = False")
+        r.scopes.append({exp.var: local})
+        self.open(f"for {local} in {_items(items)}:", block=True)
+        self.line(f"{r.stats}.exists_predicate_evals += 1")
+        self.open(f"if {self.nested_cond(exp.predicate, r)}:")
+        self.line(f"{target} = True")
+        self.line("break")
+        self.close()
+        self.close(block=True)
+        r.scopes.pop()
+
+    def container(self, exp: ast.Exp, r: _Rule) -> str:
+        """An exists container's value: an index is keyed on the container
+        object, so a call goes through the query cache to come back the same."""
+        call = _unparen(exp)
+        if isinstance(call, ast.FunctionCall):
+            return self.call(call, r, cached=True)
+        return self.value(exp, r)
+
+    def side(self, exp: ast.Exp, r: _Rule, var: str | None = None,
+             container: bool = False) -> str:
+        """A nested function that gives exp's value (as a container's, if
+        container is set): of no argument, or of var's value."""
+        param = self.fresh("v") if var is not None else ""  # bound by the function
+
+        def body():
+            r.scopes.append({var: param} if var is not None else {})
+            value = (self.container if container else self.value)(exp, r)
+            r.scopes.pop()
+            return value
+
+        return self.function(param, body)
+
+    # -- a shared walk ---------------------------------------------------------------
+
+    def steps(self, steps: tuple[Shared | Rest, ...], rules: dict[int, _Rule],
+              members: dict[int, str]) -> None:
+        for step in steps:
+            # a unit written for the step names the rules whose code it holds
+            names, self.names = self.names, ", ".join(
+                rules[k].rule for k in ((step.rule,) if isinstance(step, Rest) else step.rules))
+            self.nest(lambda step=step: self.step(step, rules, members))
+            self.names = names
+
+    def step(self, step: Shared | Rest, rules: dict[int, _Rule], members: dict[int, str]) -> None:
+        """Run the step for the rules it holds that have not stopped;
+        members[k] names rule k's _Member."""
+        if isinstance(step, Rest):
+            r, member = rules[step.rule], members[step.rule]
+            self.open(f"if {member}.error is None:")
+            self.open("try:", block=True)
+            self.stmts(step.stmts, r)
+            self.close(block=True)
+            self.open("except RuntimeRuleError as exc:")
+            self.line(f"{member}.error = (exc.cause, exc.line, exc.column)")
+            self.close()
+            self.close()
+            return
+        group, stmt = [rules[k] for k in step.rules], step.stmts[0]
+        stopped = [members[k] for k in step.rules]
+        self.open("if " + " or ".join(f"{m}.error is None" for m in stopped) + ":")
+        self.open("try:", block=True)
+        local = None if isinstance(stmt, ast.IfStmt) else self.bind()
+        if isinstance(stmt, ast.ForStmt):
+            value = self.value(stmt.container, group[0])
+        elif isinstance(stmt, ast.IfStmt):
+            value = self.cond(stmt.cond, group[0])
+        else:
+            value = self.value(stmt.init, group[0], local)
+        self.close(block=True)
+        self.open("except RuntimeRuleError as exc:")
+        heads = self.const(tuple(_head(s) for s in step.stmts))
+        self.line(f"fail(exc, ({', '.join(stopped)},), {heads})")
+        self.close()
+        self.open("else:")
+        for r in group:
+            if isinstance(stmt, ast.DeclStmt):
+                r.scopes[-1][stmt.var] = local
+            else:
+                r.scopes.append({stmt.var: local} if isinstance(stmt, ast.ForStmt) else {})
+        if isinstance(stmt, ast.ForStmt):
+            self.open(f"for {local} in {_items(value)}:", block=True)
+        elif isinstance(stmt, ast.IfStmt):
+            self.open(f"if {value}:")
+        self.steps(step.then, rules, members)
+        if not isinstance(stmt, ast.DeclStmt):
+            self.close(block=isinstance(stmt, ast.ForStmt))
+            for r in group:
+                r.scopes.pop()
+        self.close()
+        self.close()
+
+
+def _items(name: str) -> str:
+    """A for or exists container's elements (see _iteration_items)."""
+    return f"({name} if isinstance({name}, list) else items({name}))"
+
+
+def emit_rule(rule: ast.Rule, builtins: dict[str, builtins_mod.Builtin],
+              cached: bool) -> Generated:
+    """The rule's body as run(sink), with its diagnostics in source order."""
+    emitter = _Emitter(builtins, cached, rule.name)
+    r = _Rule(rule.name, "s0", "sink")
+    return emitter.generated(("sink",), lambda: emitter.stmts(rule.body, r), r.diagnostics)
+
+
+def emit_walk(step: Shared, rules: list[ast.Rule], builtins: dict[str, builtins_mod.Builtin],
+              cached: bool) -> Generated:
+    """The shared walk of step as run(k0, k1, ...): the k-th rule of
+    step.rules keeps its reports in sink kk, its stopping error in
+    member mk and its counts in EvalStats sk."""
+    emitter = _Emitter(builtins, cached, ", ".join(rules[k].name for k in step.rules))
+    states = {k: _Rule(rules[k].name, f"s{i}", f"k{i}") for i, k in enumerate(step.rules)}
+    members = {k: f"m{i}" for i, k in enumerate(step.rules)}
+    return emitter.generated(tuple(r.sink for r in states.values()),
+                             lambda: emitter.step(step, states, members), [])
+
+
+def _load(generated: Generated, env: dict[str, object]) -> Callable:
+    """Compile the generated units, one by one, and give the function run.
+    They run in a namespace of env and the constants c0, c1, ..., only."""
+    namespace = dict(env)
+    namespace.update((f"c{i}", value) for i, value in enumerate(generated.constants))
+    for _, filename, source in generated.units:
+        exec(compile(source, filename, "exec"), namespace)
+    run = namespace["run"]
+    for name, _, _ in generated.units:
+        del namespace[name]
+    return run
 
 
 class Interpreter:
-    """Evaluates rules against one project model.
+    """Evaluates rules against one project model, one rule at a time.  A
+    shared QueryCache makes repeated model queries free across rules; None
+    turns caching off without changing any result."""
 
-    One instance runs one rule at a time.  Passing a shared QueryCache
-    makes repeated model queries free across rules; passing None turns
-    caching off without changing any result.
-    """
-
-    def __init__(
-        self,
-        model: ProjectModel,
-        registry: builtins_mod.Registry | None = None,
-        cache: QueryCache | None = None,
-    ):
-        self.model = model
-        self.registry = registry or builtins_mod.Registry()
-        self.cache = cache
+    def __init__(self, model: ProjectModel, registry: builtins_mod.Registry | None = None,
+                 cache: QueryCache | None = None):
+        self.model, self.registry, self.cache = model, registry or builtins_mod.Registry(), cache
         self.stats = EvalStats()
-        self._rule_name = "<none>"
-        self._nslots = 0  # binding sites of the rule being compiled
-        self._diagnostics: list[Diagnostic] = []  # found in the rule being compiled
-        # id(rule) -> (rule, its compile_rule result); holding the rule keeps its id unique
-        self._compiled: dict[int, tuple[ast.Rule, tuple]] = {}
-        # what compile_pack reads of the compiled rules: id(statement) -> its
-        # closure, and id(for or if) -> (its container or condition, the for's slot)
-        self._code: dict[int, CompiledStmt] = {}
-        self._heads: dict[int, tuple[CompiledExp, int | None]] = {}
-
-    # -- entry points -----------------------------------------------------------
+        # id(rule) -> (rule, its function); holding the rule keeps its id unique
+        self._compiled: dict[int, tuple[ast.Rule, Callable[[list], None]]] = {}
 
     def run_rule(self, rule: ast.Rule, sink: list[BugReport] | None = None) -> list[BugReport]:
         """Execute one rule; reports are appended to sink (shared sinks
         keep emission ordinals global across rules)."""
         if sink is None:
             sink = []
-        body, nslots, _ = self.compile_rule(rule)
-        body([None] * nslots, sink)
+        self.compile_rule(rule)(sink)
         return sink
 
-    def compile_rule(self, rule: ast.Rule) -> tuple[CompiledStmt, int, list[Diagnostic]]:
-        """The rule's compiled body, its slot count and its diagnostics in
-        source order, compiled once per interpreter."""
+    def compile_rule(self, rule: ast.Rule) -> Callable[[list], None]:
+        """The rule's function of the sink, compiled once per interpreter."""
         entry = self._compiled.get(id(rule))
         if entry is None:
-            self._rule_name, self._nslots, self._diagnostics = rule.name, 0, []
-            body = self._compile_block(rule.body, [{}])
-            entry = self._compiled[id(rule)] = (rule, (body, self._nslots, self._diagnostics))
+            generated = emit_rule(rule, self.registry.builtins, self.cache is not None)
+            entry = self._compiled[id(rule)] = (rule, _load(generated, self._env()))
         return entry[1]
 
-    def _bind(self, scopes: Scopes, name: str) -> int:
-        """A new slot for a binding site, visible from now on in the
-        innermost scope."""
-        slot = scopes[-1][name] = self._nslots
-        self._nslots += 1
-        return slot
-
-    # -- statements -------------------------------------------------------------
-
-    def _compile_block(self, stmts: tuple[ast.Stmt, ...], scopes: Scopes) -> CompiledStmt:
-        compiled = tuple(self._compile_stmt(s, scopes) for s in stmts)
-        if len(compiled) == 1:
-            return compiled[0]
-
-        def block(slots, sink):
-            for stmt in compiled:
-                stmt(slots, sink)
-
-        return block
-
-    def _compile_stmt(self, stmt: ast.Stmt, scopes: Scopes) -> CompiledStmt:
-        if isinstance(stmt, ast.ForStmt):
-            code = self._compile_for(stmt, scopes)
-        elif isinstance(stmt, ast.IfStmt):
-            code = self._compile_if(stmt, scopes)
-        elif isinstance(stmt, ast.AssertStmt):
-            code = self._compile_assert(stmt, scopes)
-        elif isinstance(stmt, ast.DeclStmt):
-            init = self._compile_exp(stmt.init, scopes)
-            slot = self._bind(scopes, stmt.var)
-
-            def code(slots, sink):
-                slots[slot] = init(slots)
-        else:
-            raise TypeError(f"unknown statement node: {stmt!r}")
-        self._code[id(stmt)] = code
-        return code
-
-    def _compile_for(self, stmt: ast.ForStmt, scopes: Scopes) -> CompiledStmt:
-        container = self._compile_exp(stmt.container, scopes)
-        inner = scopes + [{}]
-        slot = self._bind(inner, stmt.var)
-        self._heads[id(stmt)] = (container, slot)
-        body = self._compile_block(stmt.body, inner)
-
-        def run_for(slots, sink):
-            for element in _iteration_items(container(slots)):
-                slots[slot] = element
-                body(slots, sink)
-
-        return run_for
-
-    def _compile_if(self, stmt: ast.IfStmt, scopes: Scopes) -> CompiledStmt:
-        cond = self._compile_cond(stmt.cond, scopes)
-        self._heads[id(stmt)] = (cond, None)
-        body = self._compile_block(stmt.body, scopes + [{}])
-
-        def run_if(slots, sink):
-            if cond(slots):
-                body(slots, sink)
-
-        return run_if
-
-    def _compile_assert(self, stmt: ast.AssertStmt, scopes: Scopes) -> CompiledStmt:
-        cond = self._compile_cond(stmt.cond, scopes)
-        args = tuple(self._compile_exp(arg, scopes) for arg in stmt.message.args)
-        template = stmt.message.template
-        rule_name = self._rule_name
-
-        def run_assert(slots, sink):
-            if cond(slots):
-                return
-            arg_values = [arg(slots) for arg in args]
-            file_path, line = "", 0
-            for value in arg_values:
-                loc = V.location_of(value)
-                if loc is not None:
-                    file_path, line = loc
-                    break
-            sink.append(
-                BugReport(
-                    rule_name=rule_name,
-                    message=_render_message(template, arg_values),
-                    file_path=file_path,
-                    line=line,
-                    ordinal=len(sink),
-                )
-            )
-
-        return run_assert
-
-    # -- expressions -----------------------------------------------------------------
-
-    def _compile_exp(self, exp: ast.Exp, scopes: Scopes) -> CompiledExp:
-        if isinstance(exp, ast.Identifier):
-            return self._compile_identifier(exp, scopes)
-        if isinstance(exp, ast.Literal):
-            value = exp.value
-            return lambda slots: value
-        if isinstance(exp, ast.FunctionCall):
-            return self._compile_call(exp, scopes)
-        if isinstance(exp, ast.Paren):
-            return self._compile_exp(exp.inner, scopes)
-        if isinstance(exp, ast.Eq):
-            lhs = self._compile_exp(exp.lhs, scopes)
-            rhs = self._compile_exp(exp.rhs, scopes)
-            value_eq = V.value_eq
-            return lambda slots: value_eq(lhs(slots), rhs(slots))
-        if isinstance(exp, ast.Exists):
-            return self._compile_exists(exp, scopes)[0]
-        if isinstance(exp, ast.And):
-            left = self._compile_cond(exp.left, scopes)
-            right = self._compile_cond(exp.right, scopes)
-            return lambda slots: left(slots) and right(slots)
-        if isinstance(exp, ast.Or):
-            left = self._compile_cond(exp.left, scopes)
-            right = self._compile_cond(exp.right, scopes)
-            return lambda slots: left(slots) or right(slots)
-        if isinstance(exp, ast.Not):
-            operand = self._compile_cond(exp.operand, scopes)
-            return lambda slots: not operand(slots)
-        raise TypeError(f"unknown expression node: {exp!r}")
-
-    def _compile_cond(self, exp: ast.Exp, scopes: Scopes) -> CompiledExp:
-        """exp as a condition: its value must be a bool or MISSING
-        (false); anything else fails the rule at exp's position."""
-        value_of = self._compile_exp(exp, scopes)
-        inner = _unparen(exp)
-        if isinstance(inner, _BOOL_NODES):
-            return value_of
-        if isinstance(inner, ast.FunctionCall):
-            spec = self.registry.builtins.get(inner.name)
-            if spec is not None and spec.result == builtins_mod.BOOL:
-                return value_of
-        rule_name, span, is_truthy = self._rule_name, exp.span, V.is_truthy
-
-        def cond(slots):
-            value = value_of(slots)
-            if value is True or value is False:
-                return value
-            try:
-                return is_truthy(value)
-            except V.ValueTypeError as exc:
-                raise RuntimeRuleError(
-                    rule_name, str(exc), span.line, span.column
-                ) from None
-
-        return cond
-
-    def _compile_identifier(self, exp: ast.Identifier, scopes: Scopes) -> CompiledExp:
-        slot = _slot_of(exp.name, scopes)
-        if slot is not None:
-            return operator.itemgetter(slot)
-        self._diagnose(UNDECLARED_VARIABLE,
-                       f"variable '{exp.name}' is not declared in any enclosing scope", exp.span)
-        rule_name, cause, span = self._rule_name, f"variable '{exp.name}' is not bound", exp.span
-
-        def unbound(slots):
-            raise RuntimeRuleError(rule_name, cause, span.line, span.column)
-
-        return unbound
-
-    def _compile_args(self, args: tuple[ast.Exp, ...], scopes: Scopes) -> CompiledExp:
-        """slots -> a new list of a call's argument values, one closure call
-        per argument."""
-        compiled = tuple(self._compile_exp(arg, scopes) for arg in args)
-        if len(compiled) == 1:
-            (first,) = compiled
-            return lambda slots: [first(slots)]
-        if len(compiled) == 2:
-            first, second = compiled
-            return lambda slots: [first(slots), second(slots)]
-        return lambda slots: [arg(slots) for arg in compiled]
-
-    def _compile_call(self, exp: ast.FunctionCall, scopes: Scopes,
-                      cached: bool = False) -> CompiledExp:
-        """The call site: one closure that builds the argument list, counts
-        the call and dispatches it, through the query cache (get) for a
-        cached built-in, or for any built-in when cached is set.  When the
-        arguments are only literals, or in the common shapes of literal and
-        bound-variable arguments, the closure builds the list itself:
-        hasAttr(bean, "class") runs as [slots[a], "class"], with no call
-        per argument.  Other shapes build it with _compile_args."""
-        name, stats, model, call = exp.name, self.stats, self.model, self.registry.call
-        rule_name, line, column = self._rule_name, exp.span.line, exp.span.column
-        errors = builtins_mod.CALL_ERRORS
-        spec = self.registry.builtins.get(name)
-        if spec is None:
-            self._diagnose(UNKNOWN_BUILTIN, f"'{name}' is not a known built-in function", exp.span)
-        elif len(exp.args) not in spec.arity:
-            self._diagnose(BUILTIN_ARITY,
-                           builtins_mod.arity_message(name, spec.arity, len(exp.args)), exp.span)
-        key_of = get = None
-        if self.cache is not None and spec is not None and (cached or spec.cached):
-            key_of, get = canonical_key, self.cache.get_or_compute
-
-        folded = [_fold(arg, scopes) for arg in exp.args]
-        match folded:
-            case [("slot", a)]:
-                def call_site(slots):
-                    values = [slots[a]]
-                    stats.builtin_calls += 1
-                    try:
-                        if get is None:
-                            return call(name, values, model)
-                        return get(key_of(name, values), call, name, values, model)
-                    except errors as exc:
-                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
-            case [("slot", a), ("value", v)]:
-                def call_site(slots):
-                    values = [slots[a], v]
-                    stats.builtin_calls += 1
-                    try:
-                        if get is None:
-                            return call(name, values, model)
-                        return get(key_of(name, values), call, name, values, model)
-                    except errors as exc:
-                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
-            case [("slot", a), ("slot", b)]:
-                def call_site(slots):
-                    values = [slots[a], slots[b]]
-                    stats.builtin_calls += 1
-                    try:
-                        if get is None:
-                            return call(name, values, model)
-                        return get(key_of(name, values), call, name, values, model)
-                    except errors as exc:
-                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
-            case [("slot", a), ("value", v), ("value", w)]:
-                def call_site(slots):
-                    values = [slots[a], v, w]
-                    stats.builtin_calls += 1
-                    try:
-                        if get is None:
-                            return call(name, values, model)
-                        return get(key_of(name, values), call, name, values, model)
-                    except errors as exc:
-                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
-            case _ if all(f is not None and f[0] == "value" for f in folded):
-                literals = [f[1] for f in folded]
-
-                def call_site(slots):
-                    values = literals.copy()
-                    stats.builtin_calls += 1
-                    try:
-                        if get is None:
-                            return call(name, values, model)
-                        return get(key_of(name, values), call, name, values, model)
-                    except errors as exc:
-                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
-            case _:
-                values_of = self._compile_args(exp.args, scopes)
-
-                def call_site(slots):
-                    values = values_of(slots)
-                    stats.builtin_calls += 1
-                    try:
-                        if get is None:
-                            return call(name, values, model)
-                        return get(key_of(name, values), call, name, values, model)
-                    except errors as exc:
-                        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
-        return call_site
-
-    def _compile_exists(self, exp: ast.Exists,
-                        scopes: Scopes) -> tuple[CompiledExp, tuple | None]:
-        """The exists closure and, when a flat index answers it, what a
-        nested index over it reads: (container, keyed, probe, slot)."""
-        call = _unparen(exp.container)
-        if isinstance(call, ast.FunctionCall):
-            # an index is keyed on the container object, so it must come back the same
-            container = self._compile_call(call, scopes, cached=True)
-        else:
-            container = self._compile_exp(exp.container, scopes)
-        inner = scopes + [{}]
-        slot = self._bind(inner, exp.var)
-        stats, parts, build = self.stats, None, None
-        plan = plan_exists(exp) if self.cache is not None else None
-        nested = plan_nested(exp) if self.cache is not None else None
-        if plan is not None:
-            # an == is always a bool, so its two sides are the whole predicate
-            lhs = self._compile_exp(plan.eq.lhs, inner)
-            rhs = self._compile_exp(plan.eq.rhs, inner)
-            keyed, probe = (lhs, rhs) if plan.keyed_left else (rhs, lhs)
-            value_eq = V.value_eq
-            parts = (container, keyed, probe, slot)
-
-            def predicate(slots):
-                return value_eq(lhs(slots), rhs(slots))
-
-            def build(items, slots):
-                return _build_index(items, keyed, slots, slot)
-        elif nested is not None:
-            # an exists is always a bool, so it is the whole predicate
-            predicate, (each, keyed, probe, each_slot) = self._compile_exists(nested, inner)
-
-            def build(items, slots):
-                return _build_nested_index(items, each, keyed, slots, slot, each_slot)
-        else:
-            predicate = self._compile_cond(exp.predicate, inner)
-        indexes = self.cache.exists_indexes if build is not None else None
-
-        def exists(slots):
-            items = container(slots)
-            if build is not None and isinstance(items, list) and items:
-                found = _index_lookup(indexes, stats, exp, items, build, probe, slots)
-                if found is not None:
-                    return found
-            for element in _iteration_items(items):
-                slots[slot] = element
-                stats.exists_predicate_evals += 1
-                if predicate(slots):
-                    return True
-            return False
-
-        return exists, parts
-
-    def _diagnose(self, code: str, message: str, span: ast.Span) -> None:
-        self._diagnostics.append(Diagnostic(code, message, span.line, span.column))
-
-
-def _slot_of(name: str, scopes: Scopes) -> int | None:
-    """The slot a read of name resolves to, innermost scope first."""
-    for scope in reversed(scopes):
-        slot = scope.get(name)
-        if slot is not None:
-            return slot
-    return None
-
-
-def _fold(exp: ast.Exp, scopes: Scopes) -> tuple[str, object] | None:
-    """("value", v) for a literal, ("slot", i) for a bound variable read,
-    None for anything else (an unbound read keeps its raising closure)."""
-    exp = _unparen(exp)
-    if isinstance(exp, ast.Literal):
-        return ("value", exp.value)
-    if isinstance(exp, ast.Identifier):
-        slot = _slot_of(exp.name, scopes)
-        if slot is not None:
-            return ("slot", slot)
-    return None
+    def _env(self) -> dict[str, object]:
+        """The globals of this interpreter's generated functions."""
+        cache = self.cache
+        return {
+            "call": self.registry.call, "model": self.model, "key_of": canonical_key,
+            "get": cache.get_or_compute if cache is not None else None,
+            "indexes": cache.exists_indexes if cache is not None else None,
+            "errors": builtins_mod.CALL_ERRORS, "RuntimeRuleError": RuntimeRuleError,
+            "value_eq": V.value_eq, "truth": _truth, "items": _iteration_items,
+            "lookup": _index_lookup, "scan": _scan, "report": _report, "fail": _fail,
+            "s0": self.stats,
+        }
 
 
 # -- indexed exists ------------------------------------------------------------
 
 
+def _scan(indexes: dict[tuple[int, int], tuple], stats: EvalStats, items: object,
+          probe: Callable[[], object], keyed: Callable, keyed_left: bool,
+          inner: ast.Exists | None = None, each: Callable | None = None) -> bool:
+    """The scan of an exists whose predicate is e == f(x), or, with inner,
+    whose predicate is the exists inner over each(a) that its own index
+    answers first; each predicate evaluation is counted."""
+    for element in _iteration_items(items):
+        stats.exists_predicate_evals += 1
+        if inner is not None:
+            b = each(element)
+            found = (_index_lookup(indexes, stats, inner, b, probe, keyed)
+                     if isinstance(b, list) and b else None)
+            if found or found is None and _scan(indexes, stats, b, probe, keyed, keyed_left):
+                return True
+        elif (V.value_eq(keyed(element), probe()) if keyed_left
+              else V.value_eq(probe(), keyed(element))):
+            return True
+    return False
+
+
 def _index_lookup(indexes: dict[tuple[int, int], tuple], stats: EvalStats, exp: ast.Exists,
-                  container: list, build: Callable[[list, list], tuple | None],
-                  probe: CompiledExp, slots: list) -> bool | None:
+                  container: list, probe: Callable[[], object], keyed: Callable,
+                  each: Callable | None = None) -> bool | None:
     """Answer a non-empty exists from its index, counting as the scan
-    would; None means the scan must answer.  build(container, slots) makes
-    the index on the pair's first lookup.  It is given the cache's indexes
-    and the stats rather than the interpreter, so that a compiled rule
-    holds no reference back to its interpreter and both are freed by
-    reference counting."""
+    would; None means the scan must answer.  The pair's first lookup
+    builds the index: of keyed over container, or with each, of keyed
+    over each(a) for every a of container.  Given the cache's indexes and
+    the stats, not the interpreter, a compiled rule holds no reference
+    back to its interpreter."""
     entry = indexes.get((id(exp), id(container)))
     if entry is None:
+        index = (_build_index(container, keyed) if each is None
+                 else _build_nested_index(container, each, keyed))
         # the entry holds the node and the container, so their ids stay unique
-        entry = indexes[(id(exp), id(container))] = (exp, container, build(container, slots))
+        entry = indexes[(id(exp), id(container))] = (exp, container, index)
     index = entry[2]
     if index is None:
         return None
     evals_at, miss_evals, probe_evals = index
     try:
-        key = V.index_key(probe(slots))
+        key = V.index_key(probe())
     except RuntimeRuleError:
         stats.exists_predicate_evals += probe_evals
         raise
@@ -680,17 +773,15 @@ def _index_lookup(indexes: dict[tuple[int, int], tuple], stats: EvalStats, exp: 
     return True
 
 
-def _index_keys(evals_at: dict, evals: int, items: list, keyed: CompiledExp,
-                slots: list, slot: int) -> int | None:
+def _index_keys(evals_at: dict, evals: int, items: list, keyed: Callable) -> int | None:
     """Map f's index key at each of items, unless mapped already, to the
     predicate evaluations a scan has made on reaching it, evals before the
     first; the count after the last, or None if f fails or gives a value
     without a key at some element."""
     for element in items:
-        slots[slot] = element
         evals += 1
         try:
-            key = V.index_key(keyed(slots))
+            key = V.index_key(keyed(element))
         except RuntimeRuleError:
             return None
         if key is None:
@@ -699,17 +790,16 @@ def _index_keys(evals_at: dict, evals: int, items: list, keyed: CompiledExp,
     return evals
 
 
-def _build_index(container: list, keyed: CompiledExp, slots: list, slot: int) -> tuple | None:
+def _build_index(container: list, keyed: Callable) -> tuple | None:
     """The index of `exists (T x in C) (f(x) == e)`: (f's key -> evaluations
     up to its first element, evaluations of a miss, evaluations when e
     fails), or None if f fails or gives no key somewhere."""
     evals_at: dict = {}
-    evals = _index_keys(evals_at, 0, container, keyed, slots, slot)
+    evals = _index_keys(evals_at, 0, container, keyed)
     return None if evals is None else (evals_at, evals, 1)
 
 
-def _build_nested_index(outer: list, each: CompiledExp, keyed: CompiledExp, slots: list,
-                        outer_slot: int, slot: int) -> tuple | None:
+def _build_nested_index(outer: list, each: Callable, keyed: Callable) -> tuple | None:
     """The index of `exists (T a in A) (exists (U b in B(a)) (f(b) == e))`,
     shaped as _build_index's, over every b of every B(a) in scan order: the
     key of b at (p, q) maps to p + 1 + |B_0| + ... + |B_p-1| + q + 1.  The
@@ -719,17 +809,16 @@ def _build_nested_index(outer: list, each: CompiledExp, keyed: CompiledExp, slot
     evals_at: dict = {}
     evals = probe_evals = 0
     for a in outer:
-        slots[outer_slot] = a
         evals += 1
         try:
-            items = each(slots)
+            items = each(a)
         except RuntimeRuleError:
             return None
         if not isinstance(items, list):
             return None
         if items and not probe_evals:
             probe_evals = evals + 1
-        evals = _index_keys(evals_at, evals, items, keyed, slots, slot)
+        evals = _index_keys(evals_at, evals, items, keyed)
         if evals is None:
             return None
     return (evals_at, evals, probe_evals) if probe_evals else None
@@ -848,59 +937,51 @@ class _Member:
     __slots__ = ("rule_name", "sink", "error")
 
     def __init__(self, rule_name: str):
-        self.rule_name = rule_name
-        self.sink: list[BugReport] = []
-        self.error: tuple[str, int, int] | None = None
+        self.rule_name, self.sink, self.error = rule_name, [], None
 
 
 def compile_pack(interpreters: list[Interpreter], rules: list[ast.Rule]) -> None:
     """Make each set of rules in plan_pack(rules) run its shared statements
     once.  interpreters[k] runs rules[k], with one run_rule call per rule,
-    in pack order.
-
-    The first rule of a set runs the shared walk: each shared statement is
-    evaluated once, with the compiled closures of the first rule that
-    shares it (so that rule's EvalStats count its calls), and at each
-    binding every Rest below it runs with its own rule's closures and
-    EvalStats.  The first rule's reports
-    go straight to the sink; the others' are held and appended, numbered
-    afresh, by their own run_rule call, so the sink gets what running the
-    rules one by one gives.  A rule error in a rule's own statements stops
-    that rule only; one in a shared statement stops every rule the step
-    still runs, each at its own position of the statement.  Each stopped
-    rule's run_rule raises its error after its reports, in its turn."""
+    in pack order.  The first rule of a set runs the shared walk, compiled
+    from emit_walk, in which a rule error in a rule's own statements stops
+    that rule only, and one in a shared statement every rule it still runs,
+    each at its own position.  The others replay what the walk held for
+    them, their reports numbered afresh, and each stopped rule's run_rule
+    raises its error after its reports, in its turn."""
     members = [_Member(rule.name) for rule in rules]
     for step in plan_pack(rules):
-        compiled = {k: interpreters[k].compile_rule(rules[k]) for k in step.rules}
-        root = _compile_step(step, members, interpreters)
-        # the shared statements' slots come first in every rule, numbered alike
-        nslots = max(nslots for _, nslots, _ in compiled.values())
+        first = interpreters[step.rules[0]]
+        generated = emit_walk(step, rules, first.registry.builtins, first.cache is not None)
+        env = first._env()
+        for i, k in enumerate(step.rules):
+            env[f"s{i}"], env[f"m{i}"] = interpreters[k].stats, members[k]
+        walk = _load(generated, env)
         group = [members[k] for k in step.rules]
         for k, member in zip(step.rules, group):
-            body = (_walk_body(root, member, group) if member is group[0]
-                    else _replay_body(member))
-            interpreters[k]._compiled[id(rules[k])] = (rules[k], (body, nslots, compiled[k][2]))
+            body = _walk_body(walk, group) if member is group[0] else _replay_body(member)
+            interpreters[k]._compiled[id(rules[k])] = (rules[k], body)
 
 
-def _walk_body(root: Callable[[list], None], first: _Member,
-               group: list[_Member]) -> CompiledStmt:
+def _walk_body(walk: Callable, group: list[_Member]) -> Callable[[list], None]:
     """The first rule's body: the whole shared walk."""
+    first = group[0]
 
-    def walk(slots, sink):
+    def run(sink):
         for member in group:
             member.sink, member.error = [], None
         first.sink = sink
-        root(slots)
+        walk(*[member.sink for member in group])
         if first.error is not None:
             raise RuntimeRuleError(first.rule_name, *first.error)
 
-    return walk
+    return run
 
 
-def _replay_body(member: _Member) -> CompiledStmt:
+def _replay_body(member: _Member) -> Callable[[list], None]:
     """A later rule's body: what the shared walk held for it."""
 
-    def replay(slots, sink):
+    def replay(sink):
         for r in member.sink:
             sink.append(BugReport(r.rule_name, r.message, r.file_path, r.line, len(sink)))
         member.sink = []
@@ -908,84 +989,3 @@ def _replay_body(member: _Member) -> CompiledStmt:
             raise RuntimeRuleError(member.rule_name, *member.error)
 
     return replay
-
-
-def _compile_step(step: Shared | Rest, members: list[_Member],
-                  interpreters: list[Interpreter]) -> Callable[[list], None]:
-    """slots -> None: run the step for the rules it holds that have not
-    stopped, from the closures their interpreters compiled."""
-    if isinstance(step, Rest):
-        member = members[step.rule]
-        codes = tuple(interpreters[step.rule]._code[id(stmt)] for stmt in step.stmts)
-        if len(codes) == 1:
-            (run,) = codes
-        else:
-            def run(slots, sink):
-                for stmt in codes:
-                    stmt(slots, sink)
-
-        def rest(slots):
-            if member.error is None:
-                try:
-                    run(slots, member.sink)
-                except RuntimeRuleError as exc:
-                    member.error = (exc.cause, exc.line, exc.column)
-
-        return rest
-
-    group = tuple(members[k] for k in step.rules)
-    heads = tuple(_head(stmt) for stmt in step.stmts)
-    then = tuple(_compile_step(s, members, interpreters) for s in step.then)
-    first, stmt = interpreters[step.rules[0]], step.stmts[0]
-
-    def fail(exc: RuntimeRuleError) -> None:
-        for member, head in zip(group, heads):
-            if member.error is None:
-                member.error = (exc.cause, *_position_in(heads[0], head, exc.line, exc.column))
-
-    if isinstance(stmt, ast.ForStmt):
-        container, slot = first._heads[id(stmt)]
-
-        def shared_for(slots):
-            for member in group:
-                if member.error is None:
-                    break
-            else:
-                return
-            try:
-                items = _iteration_items(container(slots))
-            except RuntimeRuleError as exc:
-                fail(exc)
-                return
-            for element in items:
-                slots[slot] = element
-                for part in then:
-                    part(slots)
-
-        return shared_for
-
-    if isinstance(stmt, ast.IfStmt):
-        cond = first._heads[id(stmt)][0]
-    else:  # a declaration: a condition that binds its slot and holds
-        declare = first._code[id(stmt)]
-
-        def cond(slots):
-            declare(slots, None)
-            return True
-
-    def shared_if(slots):
-        for member in group:
-            if member.error is None:
-                break
-        else:
-            return
-        try:
-            taken = cond(slots)
-        except RuntimeRuleError as exc:
-            fail(exc)
-            return
-        if taken:
-            for part in then:
-                part(slots)
-
-    return shared_if

@@ -18,7 +18,7 @@ from mecheck.builtins import BUILTINS, Builtin, PreconditionError, Registry
 from mecheck.model.items import CallSite
 from mecheck.model.project import build_model
 from mecheck.rsl.parser import parse_rule
-from mecheck.runtime.interpreter import Interpreter
+from mecheck.runtime.interpreter import emit_rule
 from mecheck.runtime.values import MISSING
 
 PROJECT = {
@@ -214,14 +214,11 @@ def test_a_record_declares_at_most_two_missing_positions_and_three_kinds():
     ('hasAttr(e, "id")', False), ('(classExists("a.B"))', False),
     ('getAttr(e, "id")', True), ('isEmpty("")', False), ('noSuchThing(e)', True),
 ])
-def test_only_conditions_of_unknown_or_non_bool_results_are_truth_checked(model, cond, checked):
+def test_only_conditions_of_unknown_or_non_bool_results_are_truth_checked(cond, checked):
     rule = parse_rule(f'Rule c {{\n  for (<bean> e in getXMLs()) {{\n'
                       f'    assert ({cond}) {{ msg("m"); }}\n  }}\n}}\n')
-    interp = Interpreter(model)
-    (loop,) = rule.body
-    (stmt,) = loop.body
-    compiled = interp._compile_cond(stmt.cond, [{"e": 0}])
-    assert (compiled.__name__ == "cond") == checked
+    (_, _, source), = emit_rule(rule, BUILTINS, cached=False).units
+    assert ("truth(" in source) == checked
 
 
 @settings(max_examples=500, deadline=None)

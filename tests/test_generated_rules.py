@@ -1,0 +1,371 @@
+"""Rules compiled to generated Python run as the closure compiler ran them.
+
+The interpreter writes each rule, and each shared walk of the pack, as
+Python source (emit_rule, emit_walk), in units it compiles one by one
+when a check runs.  tests/reference_interpreter.py is the closure
+compiler it replaced.  Here both run the genrules corpus (valid rules and
+rules with every kind of mistake), the shipped pack on the fixture
+projects and a bench workload, packs with rule errors in shared
+statements and rules nested to the parser's bound, with the query cache
+on and off; reports with their ordinals, rule errors with their
+positions, diagnostics and EvalStats must be equal.  Rule text must stay
+out of the generated source, and loading the pack must compile nothing.
+"""
+
+import ast as pyast
+import builtins
+import types
+from pathlib import Path
+
+import pytest
+
+import reference_interpreter as ref
+from benchgen import write_workload
+from mecheck import cli, rulepack
+from mecheck.builtins import BUILTINS, Builtin, Registry
+from mecheck.model.project import build_model
+from mecheck.rsl import ast
+from mecheck.rsl.parser import MAX_NESTING, RslSyntaxError, parse_rule
+from mecheck.rsl.validator import validate_rule
+from mecheck.runtime import interpreter as gen
+from mecheck.runtime.cache import QueryCache
+from test_exists_index import NESTED_SHAPES, NestedRegistry
+from test_properties import differential_corpus
+from test_shared_walk import CTX_XML, MORE_XML, SHAPES, generated_pack, nested_chain, render
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ENGINES = {"generated": gen, "closures": ref}
+
+
+def stats_row(stats):
+    return tuple(getattr(stats, name) for name in type(stats).__slots__)
+
+
+def check(engine, rules, model, use_cache):
+    """What run_checker does with the rules, run by engine: reports (with
+    ordinals, in sink order), rule errors, each rule's EvalStats and the
+    cache's entries."""
+    registry, cache = Registry(), QueryCache() if use_cache else None
+    interpreters = [engine.Interpreter(model, registry, cache) for _ in rules]
+    engine.compile_pack(interpreters, rules)
+    sink, errors = [], []
+    for interp, rule in zip(interpreters, rules):
+        try:
+            interp.run_rule(rule, sink)
+        except engine.RuntimeRuleError as exc:
+            errors.append((str(exc), exc.rule_name, exc.cause, exc.line, exc.column))
+    reports = [(r.rule_name, r.message, r.file_path, r.line, r.ordinal) for r in sink]
+    entries = (cache.stats(), len(cache.exists_indexes)) if cache is not None else None
+    return reports, errors, [stats_row(i.stats) for i in interpreters], entries
+
+
+def alone(engine, rule, model, cache):
+    """One rule run twice on one interpreter: reports, error, EvalStats."""
+    interp = engine.Interpreter(model, Registry(), cache)
+    runs = []
+    for _ in range(2):
+        sink = []
+        try:
+            interp.run_rule(rule, sink)
+            error = None
+        except engine.RuntimeRuleError as exc:
+            error = (str(exc), exc.line, exc.column)
+        runs.append(([(r.message, r.file_path, r.line, r.ordinal) for r in sink], error))
+    return runs, stats_row(interp.stats)
+
+
+def assert_same_checks(rules, model):
+    for use_cache in (True, False):
+        got = check(gen, rules, model, use_cache)
+        assert got == check(ref, rules, model, use_cache)
+    return got
+
+
+@pytest.fixture(scope="module")
+def project(tmp_path_factory):
+    root = tmp_path_factory.mktemp("generated-proj")
+    (root / "ctx.xml").write_text(CTX_XML)
+    (root / "more.xml").write_text(MORE_XML)
+    return root
+
+
+@pytest.fixture(scope="module")
+def pack():
+    return rulepack.load_rulepack(rulepack.default_rules_dir())
+
+
+def test_genrules_corpus_runs_as_the_closure_compiler_ran_it(project):
+    model = build_model(project)
+    rules = differential_corpus(seed=2718, valid=240, per_variant=25)
+    errors = 0
+    for cache_on in (True, False):
+        caches = {name: QueryCache() if cache_on else None for name in ENGINES}
+        for rule in rules:
+            got = alone(gen, rule, model, caches["generated"])
+            assert got == alone(ref, rule, model, caches["closures"]), rule.name
+            errors += got[0][0][1] is not None
+        if cache_on:
+            assert caches["generated"].stats() == caches["closures"].stats()
+    assert errors >= 150  # most invalid rules fail when they run
+
+
+def rows(diagnostics):
+    return [(d.code, d.message, d.line, d.column) for d in diagnostics]
+
+
+def test_diagnostics_are_the_closure_compilers(project):
+    rules = differential_corpus(seed=99, valid=120, per_variant=25)
+    model = build_model(project)
+    found = 0
+    for rule in rules:
+        closure = rows(ref.Interpreter(model, cache=QueryCache()).compile_rule(rule)[2])
+        for cached in (True, False):
+            assert rows(gen.emit_rule(rule, BUILTINS, cached).diagnostics) == closure
+        assert rows(validate_rule(rule)) == closure
+        found += bool(closure)
+    assert found >= 5 * 25
+
+
+@pytest.mark.parametrize("root", sorted(p.parent for p in FIXTURES.glob("**/expected.json")),
+                         ids=lambda p: str(p.relative_to(FIXTURES)))
+def test_shipped_pack_on_fixtures(pack, root):
+    assert_same_checks(pack, build_model(root))
+
+
+def test_shipped_pack_on_a_workload(pack, tmp_path):
+    model = build_model(write_workload("getbean-lookups", tmp_path / "project"))
+    reports, errors, stats, _ = assert_same_checks(pack, model)
+    assert reports and not errors and sum(s[0] for s in stats) > 10_000
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_packs_with_shared_statements(project, shape):
+    model = build_model(project)
+    stopped = 0
+    for seed in range(8):
+        rules = [parse_rule(source) for source in generated_pack(seed, shape).values()]
+        _, errors, _, _ = assert_same_checks(rules, model)
+        stopped += bool(errors)
+    assert stopped or shape not in ("shared-error", "own-error")
+
+
+@pytest.mark.parametrize("shape", NESTED_SHAPES)
+def test_nested_exists_shapes(project, shape):
+    """Each nested shape of tests/test_exists_index.py, whose outer index
+    may be absent while an inner one answers, counts as the closures did."""
+    groups, probes, source, _ = NESTED_SHAPES[shape]
+    rule, model = parse_rule(source), build_model(project)
+
+    def run(engine):
+        registry = NestedRegistry(groups)
+        interp, outcomes = engine.Interpreter(model, registry, QueryCache()), []
+        for probe in probes:
+            registry.current = probe
+            try:
+                outcomes.append(len(interp.run_rule(rule)))
+            except engine.RuntimeRuleError as exc:
+                outcomes.append(str(exc))
+            outcomes.append(stats_row(interp.stats))
+        return outcomes
+
+    assert run(gen) == run(ref)
+
+
+# A condition of each node kind, with values that are not a bool: text,
+# a number, MISSING (false) and a list; only ==, exists, AND, OR, NOT and a
+# bool built-in skip the truth check.
+CONDITIONS = ['t', '(t)', '"x"', "1", "m", "l", 'getAttr(b, "id")', '(hasAttr(b, "id"))', "NOT m",
+              'getAttr(b, "id") == t', "m OR isEmpty(t)", 'isEmpty("") AND t', "NOT (l)"]
+
+
+@pytest.mark.parametrize("cond", CONDITIONS)
+def test_conditions_of_every_node_kind(project, cond):
+    source = ('Rule c {\n  for (file f in getXMLs()) {\n'
+              '  for (<bean> b in getElms(f, "bean")) {\n'
+              '    String t = "text";\n    String m = getAttr(b, "nothing");\n'
+              '    String l = getAttrs(b, "*");\n'
+              f'    if ({cond}) {{ assert (isEmpty("x")) {{ msg("taken %s", b); }} }}\n'
+              '  }\n  }\n}\n')
+    rule, model = parse_rule(source), build_model(project)
+    got = alone(gen, rule, model, None)
+    assert got == alone(ref, rule, model, None)
+    (_, error), _ = got[0]
+    if cond in ("t", "(t)", '"x"', "l", "NOT (l)"):
+        assert error is not None and "expected a boolean condition" in error[0]
+
+
+def deepest(make):
+    """The source make(n) for the largest n the parser accepts."""
+    n = 1
+    while True:
+        try:
+            parse_rule(make(n + 1))
+        except RslSyntaxError:
+            return make(n)
+        n += 1
+
+
+def asserting(cond):
+    return (f'Rule deep {{\n  for (file f in getXMLs()) {{\n'
+            f'    assert ({cond}) {{ msg("deep %s", f); }}\n  }}\n}}\n')
+
+
+def exists_chain(n):
+    """exists nested n deep, the innermost two an indexed nested pair."""
+    pred = 'upperCase(x0) == "B"'
+    for i in range(n):
+        pred = f'exists (String x{i} in join("a", "{i}")) ({pred})'
+    return asserting(pred)
+
+
+def and_chain(n):
+    cond = 'isEmpty("")'
+    for i in range(n):
+        cond = f'startsWith("a{i}", "a") AND {cond}' if i % 2 else f'isEmpty("{i}") OR {cond}'
+    return asserting(cond)
+
+
+DEEP = {
+    "exists": exists_chain,
+    "and-or": and_chain,
+    "not": lambda n: asserting("NOT " * n + 'isEmpty("")'),
+    "statements": lambda n: render("chain", nested_chain(n, "chain"), [], 0, " "),
+}
+
+
+def test_rules_nested_to_the_parser_bound(project):
+    model = build_model(project)
+    rules = [parse_rule(deepest(make).replace("Rule deep ", f"Rule deep-{name} "))
+             for name, make in DEEP.items()]
+    assert all(MAX_NESTING - 4 <= max_depth(rule) for rule in rules)
+    reports, errors, _, _ = assert_same_checks(rules + rules, model)
+    assert not errors and len(reports) >= 2
+    for name, rule in zip(DEEP, rules):
+        # code nested too deep for one CPython function went into units of its own
+        assert (len(gen.emit_rule(rule, BUILTINS, True).units) > 1) == (name != "not")
+        assert alone(gen, rule, model, QueryCache()) == alone(ref, rule, model, QueryCache())
+
+
+def max_depth(node, depth=0):
+    """How deep the rule's statements and expressions nest."""
+    children = [c for name in node.__slots__ for c in (
+        getattr(node, name) if isinstance(getattr(node, name), tuple) else (getattr(node, name),))
+        if isinstance(c, (ast.Stmt, ast.Exp, ast.MsgStmt))]
+    return max([max_depth(c, depth + 1) for c in children], default=depth)
+
+
+# Text that means something in Python, as rule text holds it: each is
+# written into RSL string literals, escaped as RSL escapes '"' and '\\'.
+PYTHON_TEXT = ['"""', "'''", "\\", "\\n", "{}", "{0!r}", "%d %% %(x)s", "# not a comment",
+               '__import__("os").system("true")', "lambda: None", '" + K + "']
+HOSTILE_RULE = """\
+Rule {name} {{
+  for (file slots in getXMLs()) {{
+    String def = "{text}";
+    String lambda = join(def, "{text}");
+    for (<bean> None in getElms(slots, "bean")) {{
+      if (NOT (getAttr(None, "id") == "{text}")) {{
+        assert (startsWith(lambda, "{text}#")) {{
+          msg("{text} %s {{}} %s '{text}'", lambda, None);
+        }}
+      }}
+    }}
+  }}
+}}
+"""
+NAMES = ["def", "lambda", "None", "slots", "__import__", "K", "run", "print", "exec", "self",
+         "builtins"]
+
+
+def hostile_rules():
+    sources = [HOSTILE_RULE.format(name=name, text=text.replace("\\", "\\\\").replace('"', '\\"'))
+               for name, text in zip(NAMES, PYTHON_TEXT)]
+    return [parse_rule(source) for source in sources]
+
+
+def test_rule_text_stays_data(project):
+    rules = hostile_rules()
+    assert {rule.name for rule in rules} == set(NAMES)
+    texts = {stmt.init.value for rule in rules for stmt in rule.body[0].body[:1]}
+    assert texts == set(PYTHON_TEXT)
+    model = build_model(project)
+    reports, errors, _, _ = assert_same_checks(rules, model)
+    assert len(reports) >= len(rules) and not errors
+    assert {r[1].split(" ")[0] for r in reports} >= {"\"\"\"", "{}", "\\n"}
+    generated = [gen.emit_rule(rule, BUILTINS, c) for rule in rules for c in (True, False)]
+    generated += [gen.emit_walk(step, rules, BUILTINS, True) for step in gen.plan_pack(rules)]
+    assert len(gen.plan_pack(rules)) == 1
+    sources = [source for g in generated for _, _, source in g.units]
+    for source in sources:
+        tree = pyast.parse(source)
+        # no string in the source: every text is read from the constants K
+        assert not [n for n in pyast.walk(tree) if isinstance(n, pyast.Constant)
+                    and isinstance(n.value, (str, bytes))], source
+        assert not set(source) & set("\"'\\#{}%")
+        names = {n.id for n in pyast.walk(tree) if isinstance(n, pyast.Name)}
+        assert not names & (set(NAMES) - {"K"}), source
+        for text in PYTHON_TEXT + ["lambda", "slots", "__import__", "print"]:
+            assert text not in source, (text, source)
+
+
+def test_loading_the_pack_compiles_nothing(monkeypatch, pack):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile or exec while loading rules")
+
+    monkeypatch.setattr(builtins, "compile", refuse)
+    monkeypatch.setattr(builtins, "exec", refuse)
+    rules = rulepack.load_rulepack(rulepack.default_rules_dir())
+    assert [rule.name for rule in rules] == [rule.name for rule in pack]
+    for rule in differential_corpus(seed=31, valid=40, per_variant=5):
+        validate_rule(rule)
+
+
+def test_a_namespace_does_not_keep_its_function(project, pack):
+    model = build_model(project)
+    interpreters = [gen.Interpreter(model, Registry(), QueryCache()) for _ in pack]
+    gen.compile_pack(interpreters, pack)
+    functions = [interp.compile_rule(rule) for interp, rule in zip(interpreters, pack)]
+    generated = {code for fn in functions
+                 for code in [fn] + [cell.cell_contents for cell in fn.__closure__ or ()]
+                 if is_generated(code)}
+    assert len(generated) == len(pack) - sum(len(s.rules) - 1 for s in gen.plan_pack(pack))
+    for fn in generated:
+        assert fn.__code__.co_filename.startswith("<rule r")
+        assert not any(is_generated(value) for value in fn.__globals__.values())
+
+
+def is_generated(value):
+    return isinstance(value, types.FunctionType) and value.__code__.co_filename.startswith("<rule")
+
+
+TRACED_JAVA = """\
+package p;
+public class Main {
+  public void setName(String n) { }
+  void start() { new ClassPathXmlApplicationContext("ctx.xml"); }
+}
+"""
+TRACED_XML = '<beans><bean id="m" class="p.Main"><property name="name"/></bean></beans>\n'
+
+
+@pytest.mark.parametrize("name, rule", [("pathExists", "r1-xml-path-check"),
+                                        ("upperCase", "r7-property-setter-map")])
+def test_a_traceback_through_generated_code_names_the_rule(tmp_path, monkeypatch, capsys, name,
+                                                           rule):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "Main.java").write_text(TRACED_JAVA)
+    (tmp_path / "ctx.xml").write_text(TRACED_XML)
+    record = BUILTINS[name]
+
+    def broken(registry, model, args):
+        raise ValueError("broken built-in")
+
+    monkeypatch.setitem(BUILTINS, name, Builtin(name, broken, record.arity, record.checks,
+                                                record.missing, record.on_missing,
+                                                record.cached, record.result))
+    assert cli.main(["--project", str(tmp_path), "--no-fail"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "ValueError: broken built-in" in err
+    # the innermost frame of generated code is the call's, in the rule's own code
+    frames = [line for line in err.splitlines() if 'File "<rule' in line]
+    assert frames[-1].startswith(f'  File "<rule {rule}>"')

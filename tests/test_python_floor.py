@@ -1,17 +1,24 @@
 """The package runs on the oldest Python pyproject.toml admits, 3.10: its
-sources parse as 3.10 code, and its regexes use no syntax that Python's
-re accepts only from 3.11 on (possessive quantifiers, atomic groups)."""
+sources, and the Python source it writes for rules, parse as 3.10 code,
+and its regexes use no syntax that Python's re accepts only from 3.11 on
+(possessive quantifiers, atomic groups)."""
 
 import ast
 import importlib
 import pkgutil
+import random
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import genrules
 import mecheck
+from mecheck.builtins import BUILTINS
+from mecheck.rsl.parser import parse_rule
+from mecheck.rulepack import default_rules_dir, load_rulepack
+from mecheck.runtime.interpreter import emit_rule, emit_walk, plan_pack
 
 try:
     from re import _parser as sre_parse  # Python 3.11 and later
@@ -43,6 +50,34 @@ def module_patterns():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_sources_parse_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def generated_sources():
+    """(filename, source) of what the interpreter writes for the shipped pack
+    and for a sample of genrules rules, valid and invalid, with and
+    without a query cache."""
+    pack = load_rulepack(default_rules_dir())
+    rng = random.Random(1729)
+    sample = [parse_rule(genrules.render_rule(genrules.Gen(rng, with_beanid=i % 2 == 0).rule(),
+                                              f"sample-{i}", with_beanid=i % 2 == 0))
+              for i in range(40)]
+    sample += [parse_rule(genrules.make_invalid_case(rng, variant)[0])
+               for variant in genrules.INVALID_VARIANTS]
+    for cached in (True, False):
+        generated = [emit_rule(rule, BUILTINS, cached) for rule in pack + sample]
+        generated += [emit_walk(step, pack, BUILTINS, cached) for step in plan_pack(pack)]
+        for units in generated:
+            for _, filename, source in units.units:
+                yield filename, source
+
+
+def test_generated_rule_sources_parse_as_python_3_10():
+    names = set()
+    for name, source in generated_sources():
+        ast.parse(source, filename=name, feature_version=(3, 10))
+        names.add(name)
+    assert {"<rule r15-bean-exists>", "<rule sample-0>", "<rule bad-exists-var>"} <= names
+    assert any(name.startswith("<rule r2-bean-class-exists, ") for name in names)
 
 
 def test_regexes_use_no_python_3_11_syntax():
