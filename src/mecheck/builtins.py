@@ -477,7 +477,7 @@ def _scope_matches(node: XmlFile | XmlElement, match: Callable[[str], object],
     order (only the first when first_only).  A file's scope includes its
     root; an element's holds only its descendants.  One walk with an
     explicit stack, so nesting depth is not limited by recursion."""
-    stack = [node.root] if isinstance(node, XmlFile) else node.children[::-1]
+    stack = [node.root] if isinstance(node, XmlFile) else [*reversed(node.children)]
     found = []
     pop, push = stack.pop, stack.extend
     while stack:

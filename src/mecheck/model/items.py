@@ -8,6 +8,9 @@ carry no instance dict.
 
 A ClassItem's members are extracted by the model builder in the same
 pass that finds the class; members() returns that one Members object.
+Their names, types and parameter names are interned strings.  A parsed
+XmlElement without children holds the shared empty tuple, which nothing
+may mutate; one built directly gets a new list by default.
 """
 
 from __future__ import annotations
@@ -145,7 +148,8 @@ class XmlElement:
     __slots__ = ("name", "attrs", "line", "children", "file")
 
     def __init__(self, name: str, attrs: dict[str, str], line: int,
-                 children: list[XmlElement] | None = None, file: XmlFile | None = None):
+                 children: list[XmlElement] | tuple[()] | None = None,
+                 file: XmlFile | None = None):
         self.name = name
         self.attrs = attrs
         self.line = line

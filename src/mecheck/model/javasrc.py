@@ -39,6 +39,7 @@ types are not declarations of the model.
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 
 from mecheck.model.items import (
@@ -135,7 +136,7 @@ def _lex_char(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int
     ch = text[i]
     if ch.isalpha():
         j = _IDENT_REST.match(text, i + 1).end()
-        toks.append((IDENT, text[i:j], line))
+        toks.append((IDENT, sys.intern(text[i:j]), line))
         return j, line
     if ch == "/":  # a block comment that is never closed
         return -1, line
@@ -166,9 +167,9 @@ def _lex_char(text: str, i: int, line: int, toks: list[Token]) -> tuple[int, int
             # continues the identifier just before it, e.g. the £ of a£b;
             # nothing skipped (blanks, comments, bodies) ends with an
             # identifier char
-            toks[-1] = (IDENT, prev[1] + text[i:j], prev[2])
+            toks[-1] = (IDENT, sys.intern(prev[1] + text[i:j]), prev[2])
         else:
-            toks.append((IDENT, text[i:j], line))
+            toks.append((IDENT, sys.intern(text[i:j]), line))
         return j, line
     toks.append((PUNCT, ch, line))
     return i + 1, line
@@ -302,13 +303,14 @@ def _lex(r: _Reader, depth: int, body: _Body | None = None) -> None:
     lexed and the skip goes on, or the body is rewound to be lexed in full."""
     text, toks, marks, i, line = r.text, r.toks, r.marks, r.pos, r.line
     append = toks.append
+    intern = sys.intern
     lex = _LEX.finditer
     rewound = body.ntoks if body is not None else -1
     while True:
         for m in lex(text, i):
             code = m.lastindex
             if code == 1:
-                word = m[1]
+                word = intern(m[1])
                 if word in _KEYWORDS:
                     marks.append(len(toks))
                 append((IDENT, word, line))
@@ -983,7 +985,7 @@ def _render_type(tokens: list[Token]) -> str:
             if out and (out[-1][-1].isalnum() or out[-1][-1] in "_$?>]"):
                 out.append(" ")
             out.append(text)
-    return "".join(out).strip()
+    return sys.intern("".join(out).strip())
 
 
 def _parse_annotation(toks, i):
@@ -1122,7 +1124,8 @@ def _add_record_members(raw, owner, fields, ctors):
     parameter list.  (A compact canonical constructor, `Name {`, reads as
     an initializer block.)"""
     fields[:0] = [
-        FieldItem(param.name, param.type_name[:-3] + "[]" if param.type_name.endswith("...")
+        FieldItem(param.name,
+                  sys.intern(param.type_name[:-3] + "[]") if param.type_name.endswith("...")
                   else param.type_name, annos, owner, line)
         for param, annos, line in raw.components
     ]
@@ -1223,7 +1226,8 @@ def _parse_param_list(inner):
             suffix += "[]"
             idx += 2
         params.append(
-            (Param(_render_type(part[k:name_idx]) + suffix, name_tok[1]), tuple(annos), name_tok[2])
+            (Param(sys.intern(_render_type(part[k:name_idx]) + suffix), name_tok[1]), tuple(annos),
+             name_tok[2])
         )
     return params
 
@@ -1239,7 +1243,7 @@ def _parse_field_decl(toks, j, n, type_text, annos, fields, calls):
         while j + 1 < n and toks[j][1] == "[" and toks[j + 1][1] == "]":
             suffix += "[]"
             j += 2
-        fields.append((name_tok[1], type_text + suffix, annos, name_tok[2]))
+        fields.append((name_tok[1], sys.intern(type_text + suffix), annos, name_tok[2]))
         if j < n and toks[j][1] == "=":
             j += 1
             init_start = j

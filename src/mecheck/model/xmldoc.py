@@ -8,8 +8,10 @@ local name, the first one wins.
 Each element's attrs is the dict expat builds for its start tag (in
 document order, DTD-defaulted attributes last), kept as it is unless a
 name in it has a prefix; only then is a new dict of local names built.
-The XmlFile is made before parsing, so every element gets its file, its
-parent's children list and its line when it is created, in one pass.
+The XmlFile is made before parsing, so every element gets its file and
+its line when it is created, in one pass.  A leaf's children is the one
+shared empty tuple, which nothing may mutate; an element gets a list
+when its first child starts.
 """
 
 from __future__ import annotations
@@ -53,20 +55,24 @@ def parse_xml(abs_path: Path, rel_path: str) -> XmlFile:
 
     parser = expat.ParserCreate()
     xml_file = XmlFile(rel_path, None)
-    # The children list of each open element, innermost last; the first
-    # list takes the root.
-    top: list[XmlElement] = []
-    open_lists = [top]
-    push, pop = open_lists.append, open_lists.pop
+    # Each open element, innermost last, under a holder whose children
+    # take the root.
+    holder = XmlElement("", {}, 0, (), xml_file)
+    open_elems = [holder]
+    push, pop = open_elems.append, open_elems.pop
 
     def on_start(name, attrs):
         if ":" in name:
             name = _local_name(name)
         if attrs and ":" in "".join(attrs):
             attrs = _local_attrs(attrs)
-        elem = XmlElement(name, attrs, parser.CurrentLineNumber, [], xml_file)
-        open_lists[-1].append(elem)
-        push(elem.children)
+        elem = XmlElement(name, attrs, parser.CurrentLineNumber, (), xml_file)
+        parent = open_elems[-1]
+        if parent.children:
+            parent.children.append(elem)
+        else:  # its first child
+            parent.children = [elem]
+        push(elem)
 
     def on_end(name):
         pop()
@@ -89,7 +95,7 @@ def parse_xml(abs_path: Path, rel_path: str) -> XmlFile:
         # cyclic garbage collection.
         parser.StartElementHandler = parser.EndElementHandler = None
 
-    if not top:
+    if not holder.children:
         raise MalformedXmlError(rel_path, "no root element", 1, 1)
-    xml_file.root = top[0]
+    xml_file.root = holder.children[0]
     return xml_file

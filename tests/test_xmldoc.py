@@ -102,5 +102,5 @@ def test_missing_file(tmp_path):
 def test_empty_self_closing_root(tmp_path):
     doc = parse_text(tmp_path, "<beans/>")
     assert doc.root.name == "beans"
-    assert doc.root.children == []
+    assert doc.root.children == ()
     assert doc.root.attrs == {}
