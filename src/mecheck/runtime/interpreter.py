@@ -10,24 +10,27 @@ Each binding site (for variable, exists variable, declaration) and each
 intermediate value is a Python local.  Every built-in call is a statement
 that counts the call in the rule's EvalStats and calls Registry.call,
 through canonical_key and QueryCache.get_or_compute for a cached built-in
-or an exists container, in a try of its own that raises RuntimeRuleError
-at the call's line and column.  These three are looked up when the code
-is compiled, so wrappers installed on them before a rule runs see every
+or an exists container.  These three are looked up when the code is
+compiled, so wrappers installed on them before a rule runs see every
 call.  A condition must be a bool or MISSING, so it is checked at run
 time, except where its node always gives a bool: ==, exists, AND, OR, NOT
 and a call of a built-in declared to return BOOL.  AND and OR do not
-evaluate their right side when the left side decides; an exists is a
+evaluate their right side when the left side decides; an exists is one
 loop that counts each predicate evaluation and stops at the first true
-one, after a lookup in its index when one can answer it (see
-_index_lookup).  Rule text never enters the source: literals, message
-templates, built-in and rule names are constants the code reads as the
-globals c0, c1, ..., as it reads the registry's bound call, the model,
-the cache, the EvalStats and the helpers below.  The source is split into
-units, each compiled on its own as "<rule NAME>" after the rules whose
-code it holds: CPython's compiler holds about 5 KB per line of a compile,
-and a function nests at most 20 blocks and 100 indentation levels deep,
-while a rule nests up to 64 levels.  A unit takes the locals it reads as
-arguments and the units it calls as defaults; no namespace keeps them.
+one, run where a lookup in its index cannot answer (see _index_lookup).
+A call, a truth check and a read of an unbound variable are each a line
+that raises a plain error, and each generated function has one try,
+whose handler raises RuntimeRuleError at the (rule, line, column) that
+its unit's line table records for that line.  Rule text never enters the
+source: literals, message templates, line tables, built-in and rule
+names are constants the code reads as the globals c0, c1, ..., as it
+reads the registry's bound call, the model, the cache, the EvalStats and
+the helpers below.  The source is split into units, each compiled on its
+own as "<rule NAME>" after the rules whose code it holds: CPython's
+compiler holds about 5 KB per line of a compile, and a function nests at
+most 20 blocks and 100 indentation levels deep, while a rule nests up to
+64 levels.  A unit takes the locals it reads as arguments and the units
+it calls as defaults; no namespace keeps them.
 
 Scoping model: variables are resolved as the source is written, and this
 one walk validates the rule: emit_rule records a Diagnostic for each read
@@ -189,13 +192,18 @@ def _iteration_items(container: object):
 # -- what generated code calls ----------------------------------------------------
 
 
-def _truth(value: object, rule_name: str, line: int, column: int) -> bool:
-    """A condition's value that is not a bool: MISSING is false, anything
-    else fails the rule at the condition's position."""
-    try:
-        return V.is_truthy(value)
-    except V.ValueTypeError as exc:
-        raise RuntimeRuleError(rule_name, str(exc), line, column) from None
+def _unbound(cause: str) -> None:
+    raise V.ValueTypeError(cause)
+
+
+def _placed(exc: Exception, table: dict[int, tuple[str, int, int]]) -> RuntimeRuleError:
+    """exc as a rule error: a plain error (a call's, is_truthy's or
+    _unbound's) at the (rule, line, column) that its unit's line table
+    records for the generated line it came through."""
+    if isinstance(exc, RuntimeRuleError):
+        return exc
+    rule_name, line, column = table[exc.__traceback__.tb_lineno]
+    return RuntimeRuleError(rule_name, str(exc), line, column)
 
 
 def _report(sink: list, rule_name: str, template: str, arg_values: list) -> None:
@@ -212,12 +220,15 @@ def _report(sink: list, rule_name: str, template: str, arg_values: list) -> None
     sink.append(BugReport(rule_name, message, file_path, line, len(sink)))
 
 
-def _fail(exc: RuntimeRuleError, members: tuple, heads: tuple) -> None:
-    """A shared statement failed: stop each rule of members that still
-    runs, at its own position of the statement (heads[k] is member k's)."""
-    for member, head in zip(members, heads):
+def _fail(exc: Exception, table: dict, members: tuple, heads: tuple | None = None) -> None:
+    """A step failed: stop each rule of members that still runs, at exc's
+    position (see _placed), or in a shared statement at the rule's own
+    position of it (heads[k] is member k's)."""
+    exc = _placed(exc, table)
+    for k, member in enumerate(members):
         if member.error is None:
-            member.error = (exc.cause, *_position_in(heads[0], head, exc.line, exc.column))
+            member.error = (exc.cause, *(_position_in(heads[0], heads[k], exc.line, exc.column)
+                                         if heads else (exc.line, exc.column)))
 
 
 # -- generating a rule's function ---------------------------------------------------
@@ -236,25 +247,36 @@ class Generated(Record):
 
 
 class _Func:
-    """A function being written: its lines as (indentation, text), the
-    nested functions it defines first, the indentation levels and blocks
-    open, its size in lines, the names it binds and reads, its units."""
+    """A function being written: its lines as (indentation, text, the
+    (rule, line, column) of a line that can raise a plain error or None),
+    the nested functions it defines first, the indentation levels and
+    blocks open, its size in lines, the names it binds and reads, its
+    units, and its unit's line table."""
 
-    __slots__ = ("lines", "defs", "indent", "blocks", "size", "binds", "reads", "units")
+    __slots__ = ("lines", "defs", "indent", "blocks", "size", "binds", "reads", "units", "table")
 
-    def __init__(self, params: tuple[str, ...] = ()):
-        self.lines: list[tuple[int, str]] = []
+    def __init__(self, table: dict[int, tuple[str, int, int]], params: tuple[str, ...] = ()):
+        self.lines: list[tuple[int, str, tuple | None]] = []
         self.defs: list[tuple[str, str, _Func]] = []
         self.indent = self.blocks = self.size = 0
         self.binds, self.reads, self.units = set(params), set(), set()
+        self.table = table
 
-    def render(self, header: str, depth: int, out: list[str]) -> None:
+    def render(self, header: str, depth: int, out: list[str], table_name: str) -> None:
+        """Append the function to out, its body in one try whose handler
+        places a plain error by the line table, the constant table_name,
+        and record there the position of each line of out that can raise one."""
+        pad = "    " * (depth + 1)
         out.append("    " * depth + header)
         for name, params, func in self.defs:
-            func.render(f"def {name}({params}):", depth + 1, out)
-        out.extend("    " * (depth + 1 + indent) + text for indent, text in self.lines)
-        if not self.lines:
-            out.append("    " * (depth + 1) + "pass")
+            func.render(f"def {name}({params}):", depth + 1, out, table_name)
+        out.append(pad + "try:")
+        for indent, text, where in self.lines or [(0, "pass", None)]:
+            out.append(pad + "    " * (indent + 1) + text)
+            if where is not None:
+                self.table[len(out)] = where
+        out.append(pad + "except errors as exc:")
+        out.append(pad + f"    raise placed(exc, {table_name}) from None")
 
 
 class _Rule:
@@ -281,11 +303,11 @@ class _Emitter:
         self._constant_names: dict = {}
         self._count = 0
         self.units: list[tuple[str, str, str]] = []
-        self.func = _Func()
+        self.func = _Func({})
 
     def generated(self, params: tuple[str, ...], body: Callable[[], None],
                   diagnostics: list[Diagnostic]) -> Generated:
-        self.func = _Func(params)
+        self.func = _Func({}, params)
         body()
         self.add_unit("run", list(params), self.func)
         return Generated(tuple(self.units), tuple(self.constants), diagnostics)
@@ -295,7 +317,7 @@ class _Emitter:
         the units it calls as defaults."""
         defaults = [f"{u}={u}" for u in sorted(func.units)]
         out: list[str] = []
-        func.render(f"def {name}({', '.join(params + defaults)}):", 0, out)
+        func.render(f"def {name}({', '.join(params + defaults)}):", 0, out, self.const(func.table))
         self.units.append((name, f"<rule {self.names}>", "\n".join(out) + "\n"))
 
     # -- writing lines --------------------------------------------------------
@@ -323,8 +345,10 @@ class _Emitter:
             self.constants.append(value)
         return name
 
-    def line(self, text: str) -> None:
-        self.func.lines.append((self.func.indent, text))
+    def line(self, text: str, r: _Rule | None = None, span: ast.Span | None = None) -> None:
+        """Write a line; one that can fail the rule gives the rule and span."""
+        where = (r.rule, span.line, span.column) if r is not None else None
+        self.func.lines.append((self.func.indent, text, where))
         self.func.size += 1
 
     def open(self, header: str, block: bool = False) -> None:
@@ -348,7 +372,7 @@ class _Emitter:
         """A nested function of the one being written, whose lines body()
         writes and which returns what body() returns; its name."""
         name, outer = self.bind("f"), self.func
-        self.func = _Func((params,) if params else ())
+        self.func = _Func(outer.table, (params,) if params else ())
         self.line(f"return {body()}")
         func, self.func = self.func, outer
         outer.defs.append((name, params, func))
@@ -362,7 +386,7 @@ class _Emitter:
         writes, with the names it reads, and which returns what body()
         returns.  Small units keep the peak memory of compiling small."""
         name, outer = self.fresh("u"), self.func
-        self.func = _Func()
+        self.func = _Func({})
         result = body()
         if result is not None:
             self.line(f"return {result}")
@@ -382,9 +406,6 @@ class _Emitter:
 
     def diagnose(self, r: _Rule, code: str, message: str, span: ast.Span) -> None:
         r.diagnostics.append(Diagnostic(code, message, span.line, span.column))
-
-    def raise_at(self, r: _Rule, cause: str, span: ast.Span) -> str:
-        return f"raise RuntimeRuleError({self.const(r.rule)}, {cause}, {span.line}, {span.column})"
 
     # -- statements -------------------------------------------------------------
 
@@ -430,8 +451,8 @@ class _Emitter:
                 self.diagnose(r, UNDECLARED_VARIABLE,
                               f"variable '{exp.name}' is not declared in any enclosing scope",
                               exp.span)
-                self.line(self.raise_at(r, self.const(f"variable '{exp.name}' is not bound"),
-                                        exp.span))
+                cause = self.const(f"variable '{exp.name}' is not bound")
+                self.line(f"unbound({cause})", r, exp.span)
                 local = "None"
             else:
                 self.read(local)
@@ -476,9 +497,8 @@ class _Emitter:
                 return value
         # a temporary is read once, here; a variable's value is copied
         checked = value if value.startswith("t") else self.assign(self.fresh("t"), value)
-        span = exp.span
         self.line(f"if {checked} is not True and {checked} is not False: "
-                  f"{checked} = truth({checked}, {self.const(r.rule)}, {span.line}, {span.column})")
+                  f"{checked} = truth({checked})", r, exp.span)
         return checked
 
     def nested_cond(self, exp: ast.Exp, r: _Rule) -> str:
@@ -505,20 +525,14 @@ class _Emitter:
         self.line(f"{r.stats}.builtin_calls += 1")
         if self.cached and spec is not None and (cached or spec.cached):
             self.line(f"a = [{args}]")
-            run = f"get(key_of({name}, a), call, {name}, a, model)"
+            self.line(f"{target} = get(key_of({name}, a), call, {name}, a, model)", r, exp.span)
         else:
-            run = f"call({name}, [{args}], model)"
-        self.open("try:")
-        self.line(f"{target} = {run}")
-        self.close()
-        self.open("except errors as exc:")
-        self.line(self.raise_at(r, "str(exc)", exp.span) + " from None")
-        self.close()
+            self.line(f"{target} = call({name}, [{args}], model)", r, exp.span)
         return target
 
     def exists(self, exp: ast.Exists, r: _Rule, target: str) -> None:
-        """The exists as a lookup in its index, then a call of _scan, where
-        an index can answer it (plan_exists, plan_nested), else a scan loop."""
+        """The exists as a scan loop, run where a lookup in its index, if one
+        can answer it (plan_exists, plan_nested), declines."""
         items = self.container(exp.container, r)
         plan, inner = (plan_exists(exp), None) if self.cached else (None, None)
         if self.cached and plan is None:
@@ -531,16 +545,12 @@ class _Emitter:
             lhs = self.side(plan.eq.lhs, r, var if plan.keyed_left else None)
             rhs = self.side(plan.eq.rhs, r, None if plan.keyed_left else var)
             sides = f"{items}, {rhs}, {lhs}" if plan.keyed_left else f"{items}, {lhs}, {rhs}"
-            self.line(f"{target} = None")
-            self.open(f"if isinstance({items}, list) and {items}:")
             self.line(f"{target} = lookup(indexes, {r.stats}, {self.const(exp)}, {sides}"
-                      + (f", {each})" if inner else ")"))
-            self.close()
+                      + (f", {each})" if inner else ")")
+                      + f" if isinstance({items}, list) and {items} else None")
             self.open(f"if {target} is None:")
-            self.line(f"{target} = scan(indexes, {r.stats}, {sides}, {plan.keyed_left}"
-                      + (f", {self.const(inner)}, {each})" if inner else ")"))
-            self.close()
-            return
+            # the sides hold the diagnostics of what the loop evaluates again
+            recorded = len(r.diagnostics)
         local = self.bind()
         self.line(f"{target} = False")
         r.scopes.append({exp.var: local})
@@ -552,6 +562,9 @@ class _Emitter:
         self.close()
         self.close(block=True)
         r.scopes.pop()
+        if plan is not None:
+            del r.diagnostics[recorded:]
+            self.close()
 
     def container(self, exp: ast.Exp, r: _Rule) -> str:
         """An exists container's value: an index is keyed on the container
@@ -595,8 +608,8 @@ class _Emitter:
             self.open("try:", block=True)
             self.stmts(step.stmts, r)
             self.close(block=True)
-            self.open("except RuntimeRuleError as exc:")
-            self.line(f"{member}.error = (exc.cause, exc.line, exc.column)")
+            self.open("except stopping as exc:")
+            self.line(f"fail(exc, {self.const(self.func.table)}, ({member},))")
             self.close()
             self.close()
             return
@@ -612,9 +625,9 @@ class _Emitter:
         else:
             value = self.value(stmt.init, group[0], local)
         self.close(block=True)
-        self.open("except RuntimeRuleError as exc:")
+        self.open("except stopping as exc:")
         heads = self.const(tuple(_head(s) for s in step.stmts))
-        self.line(f"fail(exc, ({', '.join(stopped)},), {heads})")
+        self.line(f"fail(exc, {self.const(self.func.table)}, ({', '.join(stopped)},), {heads})")
         self.close()
         self.open("else:")
         for r in group:
@@ -703,39 +716,19 @@ class Interpreter:
 
     def _env(self) -> dict[str, object]:
         """The globals of this interpreter's generated functions."""
-        cache = self.cache
+        cache, errors = self.cache, (*builtins_mod.CALL_ERRORS, V.ValueTypeError)
         return {
             "call": self.registry.call, "model": self.model, "key_of": canonical_key,
             "get": cache.get_or_compute if cache is not None else None,
             "indexes": cache.exists_indexes if cache is not None else None,
-            "errors": builtins_mod.CALL_ERRORS, "RuntimeRuleError": RuntimeRuleError,
-            "value_eq": V.value_eq, "truth": _truth, "items": _iteration_items,
-            "lookup": _index_lookup, "scan": _scan, "report": _report, "fail": _fail,
-            "s0": self.stats,
+            "errors": errors, "stopping": (RuntimeRuleError, *errors),
+            "placed": _placed, "value_eq": V.value_eq, "truth": V.is_truthy,
+            "unbound": _unbound, "items": _iteration_items, "lookup": _index_lookup,
+            "report": _report, "fail": _fail, "s0": self.stats,
         }
 
 
 # -- indexed exists ------------------------------------------------------------
-
-
-def _scan(indexes: dict[tuple[int, int], tuple], stats: EvalStats, items: object,
-          probe: Callable[[], object], keyed: Callable, keyed_left: bool,
-          inner: ast.Exists | None = None, each: Callable | None = None) -> bool:
-    """The scan of an exists whose predicate is e == f(x), or, with inner,
-    whose predicate is the exists inner over each(a) that its own index
-    answers first; each predicate evaluation is counted."""
-    for element in _iteration_items(items):
-        stats.exists_predicate_evals += 1
-        if inner is not None:
-            b = each(element)
-            found = (_index_lookup(indexes, stats, inner, b, probe, keyed)
-                     if isinstance(b, list) and b else None)
-            if found or found is None and _scan(indexes, stats, b, probe, keyed, keyed_left):
-                return True
-        elif (V.value_eq(keyed(element), probe()) if keyed_left
-              else V.value_eq(probe(), keyed(element))):
-            return True
-    return False
 
 
 def _index_lookup(indexes: dict[tuple[int, int], tuple], stats: EvalStats, exp: ast.Exists,
@@ -941,14 +934,15 @@ class _Member:
 
 
 def compile_pack(interpreters: list[Interpreter], rules: list[ast.Rule]) -> None:
-    """Make each set of rules in plan_pack(rules) run its shared statements
-    once.  interpreters[k] runs rules[k], with one run_rule call per rule,
-    in pack order.  The first rule of a set runs the shared walk, compiled
-    from emit_walk, in which a rule error in a rule's own statements stops
-    that rule only, and one in a shared statement every rule it still runs,
-    each at its own position.  The others replay what the walk held for
-    them, their reports numbered afresh, and each stopped rule's run_rule
-    raises its error after its reports, in its turn."""
+    """Compile every rule of rules, each set of rules in plan_pack(rules)
+    as one walk that runs their shared statements once.  interpreters[k]
+    runs rules[k], with one run_rule call per rule, in pack order.  The
+    first rule of a set runs the shared walk, compiled from emit_walk, in
+    which a rule error in a rule's own statements stops that rule only, and
+    one in a shared statement every rule it still runs, each at its own
+    position.  The others replay what the walk held for them, their reports
+    numbered afresh, and each stopped rule's run_rule raises its error
+    after its reports, in its turn."""
     members = [_Member(rule.name) for rule in rules]
     for step in plan_pack(rules):
         first = interpreters[step.rules[0]]
@@ -961,6 +955,8 @@ def compile_pack(interpreters: list[Interpreter], rules: list[ast.Rule]) -> None
         for k, member in zip(step.rules, group):
             body = _walk_body(walk, group) if member is group[0] else _replay_body(member)
             interpreters[k]._compiled[id(rules[k])] = (rules[k], body)
+    for interp, rule in zip(interpreters, rules):
+        interp.compile_rule(rule)
 
 
 def _walk_body(walk: Callable, group: list[_Member]) -> Callable[[list], None]:

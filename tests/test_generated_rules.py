@@ -9,7 +9,10 @@ projects and a bench workload, packs with rule errors in shared
 statements and rules nested to the parser's bound, with the query cache
 on and off; reports with their ordinals, rule errors with their
 positions, diagnostics and EvalStats must be equal.  Rule text must stay
-out of the generated source, and loading the pack must compile nothing.
+out of the generated source, loading the pack must compile nothing and
+compile_pack must leave nothing to compile.  Each generated function has
+one error handler, and a rule error keeps its position in every context
+its line can sit in.
 """
 
 import ast as pyast
@@ -369,3 +372,146 @@ def test_a_traceback_through_generated_code_names_the_rule(tmp_path, monkeypatch
     # the innermost frame of generated code is the call's, in the rule's own code
     frames = [line for line in err.splitlines() if 'File "<rule' in line]
     assert frames[-1].startswith(f'  File "<rule {rule}>"')
+
+
+def test_compiling_the_pack_leaves_nothing_to_compile(monkeypatch, project, pack):
+    """compile_pack compiles every rule, shared or not, before any runs."""
+    model = build_model(project)
+    for cache in (QueryCache(), None):
+        interpreters = [gen.Interpreter(model, Registry(), cache) for _ in pack]
+        gen.compile_pack(interpreters, pack)
+        with monkeypatch.context() as patch:
+            def refuse(*args, **kwargs):
+                raise AssertionError("compile or exec after compile_pack")
+
+            patch.setattr(builtins, "compile", refuse)
+            patch.setattr(builtins, "exec", refuse)
+            sink = []
+            for interp, rule in zip(interpreters, pack):
+                interp.run_rule(rule, sink)
+        assert sink
+
+
+def own_nodes(function):
+    """The nodes of a function's body, those of the functions it defines
+    left out."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, pyast.FunctionDef):
+            stack.extend(pyast.iter_child_nodes(node))
+
+
+RAISING = ("call(", "get(", "truth(", "unbound(")
+
+
+def test_each_generated_function_has_one_handler(pack):
+    """In the shipped pack's code, a call, a truth check or an unbound read
+    is a plain line in its line table; the only try blocks are one per
+    function and one per step of a shared walk."""
+    steps = gen.plan_pack(pack)
+    generated = [gen.emit_walk(step, pack, BUILTINS, True) for step in steps]
+    generated += [gen.emit_rule(rule, BUILTINS, True) for rule in pack]
+
+    def count(step):
+        return 1 + sum(map(count, step.then)) if isinstance(step, gen.Shared) else 1
+
+    functions = tries = 0
+    for g in generated:
+        for _, _, source in g.units:
+            tree = pyast.parse(source)
+            for function in [n for n in pyast.walk(tree) if isinstance(n, pyast.FunctionDef)]:
+                handlers = [h.type.id for n in own_nodes(function) if isinstance(n, pyast.Try)
+                            for h in n.handlers]
+                assert handlers.count("errors") == 1, source
+                functions += 1
+            tries += sum(isinstance(n, pyast.Try) for n in pyast.walk(tree))
+            (table,) = {n.args[1].id for n in pyast.walk(tree) if isinstance(n, pyast.Call)
+                        and getattr(n.func, "id", None) == "placed"}
+            table = g.constants[int(table[1:])]
+            lines = source.splitlines()
+            raising = {i for i, text in enumerate(lines, 1) if any(s in text for s in RAISING)}
+            assert set(table) == raising, source
+            assert all(isinstance(rule_name, str) for rule_name, _, _ in table.values())
+    assert tries == functions + sum(map(count, steps))
+
+
+POSITIONS_XML = """\
+<beans>
+  <bean id="a" n="0" want="a"/>
+  <bean id="b" n="1"/>
+  <bean id="c" n="q"/>
+</beans>
+"""
+BEANS = ('for (file f in getXMLs()) {\n'
+         '  for (<bean> b in getElms(f, "bean")) {\n')
+DEEP_LOOPS = "".join(f"for (file g{i} in getXMLs()) {{\n" for i in range(9))
+# name: (the statements in the loop over beans, the text at which the rule
+# fails, the cause); "substring(" fails for the bean with n="q", and the
+# deep rules' last statement is in a unit split off by nesting
+POSITIONED = {
+    "keyed-fails": ('if (exists (<bean> x in getElms(f, "bean"))'
+                    ' (substring(getAttr(x, "id"), getAttr(x, "n")) == getAttr(b, "want"))) {\n'
+                    '  assert (isEmpty("x")) { msg("found for %s", b); }\n}\n',
+                    'substring(getAttr(x', "'substring' argument 2 must be an integer"),
+    "probe-fails": ('if (exists (<bean> x in getElms(f, "bean"))'
+                    ' (getAttr(x, "id") == substring("abc", getAttr(b, "n")))) {\n'
+                    '  assert (isEmpty("x")) { msg("found for %s", b); }\n}\n',
+                    'substring("abc"', "'substring' argument 2 must be an integer"),
+    "head-own-fails": ('String s = substring("abc", getAttr(b, "n"));\n'
+                       'assert (isEmpty(substring(s, getAttr(b, "want")))) { msg("%s", b); }\n',
+                       'substring(s', "'substring' argument 2 must be an integer"),
+    "head-fails": ('String s = substring("abc", getAttr(b, "n"));\n'
+                   'assert (isEmpty(s)) { msg("long %s", b); }\n',
+                   'substring("abc"', "'substring' argument 2 must be an integer"),
+    "head-fails-too": ('String s = substring("abc", getAttr(b, "n"));\n'
+                       'assert (startsWith(s, "b")) { msg("%s", b); }\n',
+                       'substring("abc"', "'substring' argument 2 must be an integer"),
+    "deep-truth": (DEEP_LOOPS + 'if (getAttr(b, "id")) { assert (isEmpty("")) { msg("t"); } }\n'
+                   + "}\n" * 9, 'getAttr(b, "id")) {', "expected a boolean condition, got text"),
+    "deep-unbound": (DEEP_LOOPS + 'assert (isEmpty(zz)) { msg("u"); }\n' + "}\n" * 9,
+                     "zz", "variable 'zz' is not bound"),
+}
+
+
+def positioned_rule(k, name):
+    """The rule name of POSITIONED, k blank lines and k spaces down and
+    right of the others', so each has its own positions."""
+    body = BEANS + POSITIONED[name][0] + "  }\n}\n"
+    lines = [" " * k + line for line in body.splitlines()]
+    return "\n" * k + f"Rule {name} {{\n" + "\n".join(lines) + "\n}\n"
+
+
+def test_rule_error_positions_in_each_generated_context(tmp_path):
+    """A rule error keeps its rule's position wherever its line sits: in
+    the loop an exists falls back to when its index declines (the keyed
+    side fails at one element), in the probe's function, in a unit split
+    off by nesting, in a shared head (each rule at its own position) and
+    in a rule's own step.  tests/test_exists_index.py's NESTED_SHAPES
+    covers the nested index's sides."""
+    (tmp_path / "ctx.xml").write_text(POSITIONS_XML)
+    model = build_model(tmp_path)
+    sources = [positioned_rule(k, name) for k, name in enumerate(POSITIONED)]
+    rules = [parse_rule(source) for source in sources]
+    assert any(isinstance(step.stmts[0], ast.DeclStmt) and len(step.rules) == 3
+               for step in shared_steps(gen.plan_pack(rules)))
+    for name in ("deep-truth", "deep-unbound"):
+        units = gen.emit_rule(rules[list(POSITIONED).index(name)], BUILTINS, True).units
+        assert not any(s in units[-1][2] for s in ("truth(", "unbound("))
+    expected = []
+    for source, (name, (_, text, _)) in zip(sources, POSITIONED.items()):
+        before = source[:source.index(text)]
+        expected.append((name, before.count("\n") + 1, len(before.split("\n")[-1]) + 1))
+    for group in [[rule] for rule in rules] + [rules]:
+        _, errors, _, _ = assert_same_checks(group, model)
+        names = {rule.name for rule in group}
+        assert [row[1:2] + row[3:] for row in errors] == [e for e in expected if e[0] in names]
+        assert all(cause.startswith(POSITIONED[name][2]) for _, name, cause, _, _ in errors)
+
+
+def shared_steps(steps):
+    for step in steps:
+        if isinstance(step, gen.Shared):
+            yield step
+            yield from shared_steps(step.then)
