@@ -15,10 +15,10 @@ hand out what it read.
     constructors (signature level), annotations and the call sites of the
     WATCHED_CALLEES, and recurses into nested types.  Where it reads a
     method, constructor or initializer body only for its watched calls,
-    it asks the lexer to jump over that body: the tokens then hold its
-    braces and each watched call in it (callee name through the matching
-    ')'), and one compiled regex skips the rest.  Every other '{' is
-    lexed as it stands.
+    it asks the lexer to jump over that body: one compiled regex skips it,
+    and the tokens hold only its braces.  A body that holds an '@' or a
+    watched callee's name is lexed in full instead, and its calls are read
+    from its tokens.  Every other '{' is lexed as it stands.
   * Along with the reader, the declaration scan reads the marked tokens:
     the package, the imports and every type declaration of the file (name,
     kind, supertypes as written, annotations, and the token range of its
@@ -259,10 +259,9 @@ def tokenize_java(text: str) -> list[Token]:
     way.  Comments and whitespace are dropped; literals keep their quotes.
     An unterminated comment or text block ends the stream, an unterminated
     string or char literal its line; only '\\n' breaks lines.  A body the
-    reader skips keeps its braces and watched calls; one is tokenized in full
-    if it holds an annotation, the text ends in it, a watched call in it
-    does not balance its braces or brackets, the scan holds an annotation
-    before it, or an orphan type is open."""
+    reader skips keeps only its braces; one is tokenized in full if it holds
+    an annotation or a watched callee's name, the text ends in it, the scan
+    holds an annotation before it, or an orphan type is open."""
     global _handed
     for skips in (True, False):
         r = _Reader(text, skips=skips)
@@ -296,16 +295,14 @@ def scan_declarations(toks: list[Token]) -> FileDecls:
     return _read_file(r)
 
 
-def _lex(r: _Reader, depth: int, body: _Body | None = None) -> None:
+def _lex(r: _Reader, depth: int) -> None:
     """Lex on from r.pos: with depth 0 to just past the next '{', with depth
     1 first through the '}' that closes the last '{' lexed, with -1 to the
-    end.  With body, a watched call in a skipped body starts at r.pos: it is
-    lexed and the skip goes on, or the body is rewound to be lexed in full."""
+    end."""
     text, toks, marks, i, line = r.text, r.toks, r.marks, r.pos, r.line
     append = toks.append
     intern = sys.intern
     lex = _LEX.finditer
-    rewound = body.ntoks if body is not None else -1
     while True:
         for m in lex(text, i):
             code = m.lastindex
@@ -315,20 +312,14 @@ def _lex(r: _Reader, depth: int, body: _Body | None = None) -> None:
                     marks.append(len(toks))
                 append((IDENT, word, line))
             elif code == 3:
-                ch = m[3]
-                append((PUNCT, ch, line))
-                if body is not None and ch in "()[]":
-                    end = m.end()
-                    i, line, body = body.track(ch, r, end, line)
-                    if i != end:  # skipped on, or rewound
-                        break
+                append((PUNCT, m[3], line))
             elif code == 2:
                 line += 1
             elif code is None:  # blanks or a line comment
                 continue
             elif code == 4 or code == 5:
                 ch = m[code]
-                if body is None and ch != "@" and r.mk == len(marks):
+                if ch != "@" and r.mk == len(marks):
                     # no mark waits for the scan: it reads the brace on the spot
                     if ch == "{":
                         r.depth += 1
@@ -337,12 +328,7 @@ def _lex(r: _Reader, depth: int, body: _Body | None = None) -> None:
                 else:
                     marks.append(len(toks))
                 append((PUNCT, ch, line))
-                if body is not None:
-                    end = m.end()
-                    i, line, body = body.track(ch, r, end, line)
-                    if i != end:
-                        break
-                elif ch == "{":
+                if ch == "{":
                     if not depth:
                         r.pos = m.end()
                         r.line = line
@@ -369,16 +355,10 @@ def _lex(r: _Reader, depth: int, body: _Body | None = None) -> None:
                 break
         else:
             i = -1
-        if body is None and len(toks) == rewound:
-            r.pos, r.line = i, line
-            return
         if i < 0:  # the text or the token stream ended
-            if body is not None:  # ... inside a watched call
-                r.pos, r.line, _ = body.rewind(r)
-            else:
-                r.done = True
-                r.pos = len(text)
-                r.line = line
+            r.done = True
+            r.pos = len(text)
+            r.line = line
             return
 
 
@@ -400,23 +380,21 @@ _BODY = re.compile(
     r'|(""".*?"""|//[^\n]*|/\*.*?\*/)'
     # 4: a string or char literal, ending at its line end when unterminated
     r'|((?!""")"[^"\\\n]*(?:\\.[^"\\\n]*)*"?|\'[^\'\\\n]*(?:\\.[^\'\\\n]*)*\'?)'
-    # 5: an annotation, or a text block or comment that is never closed
-    r'|(@|"""|/\*)'
-    # 6: a watched callee's name, not inside a longer word
-    r"|(?<![A-Za-z0-9_$])(" + "|".join(sorted(WATCHED_CALLEES)) + r")(?![\w$])"
+    # 5: an annotation, a watched callee's name that no ASCII word character
+    # precedes and no word character follows, or a text block or comment
+    # that is never closed
+    r'|(@|"""|/\*|(?<![A-Za-z0-9_$])(?:' + "|".join(sorted(WATCHED_CALLEES)) + r")(?![\w$]))"
     rf"|[/{_CALLEE_STARTS}]|\Z)",
     re.S,
 )
-# From the end of a callee's name: blanks and comments, then '('.  A
-# comment ends at its first '*/' however the match backtracks.
-_CALL_OPEN = re.compile(r"(?:[ \t\r\f\n]|//[^\n]*\n|/\*(?:[^*]|\*(?!/))*\*/)*\(")
 
 
-def _skip(r: _Reader, pos: int, line: int, depth: int):
-    """Scan a skipped body from pos, at line and depth braces deep, to its next
-    watched call (its index, line, depth) or to the '}' that closes it, which
-    it emits (the index past it, line, 0); index -1 means lex it in full."""
+def _skip(r: _Reader, pos: int, line: int) -> int:
+    """Scan a skipped body from pos, at line, just past its '{', to the '}'
+    that closes it, which it emits; returns the index past that '}', or -1
+    where the body is to be lexed in full."""
     text = r.text
+    depth = 1
     esc = 0  # escaped line breaks inside literals, which do not count as lines
     for m in _BODY.finditer(text, pos):
         code = m.lastindex
@@ -436,93 +414,13 @@ def _skip(r: _Reader, pos: int, line: int, depth: int):
                 else:
                     r.marks.append(len(r.toks))
                 r.toks.append((PUNCT, "}", line))
-                return end + 1, line, 0
+                return end + 1
         elif code == 1:
             depth += 1
-        elif code == 6:
-            start, end = m.span(6)
-            if _is_call(text, start, end):
-                return start, line + text.count("\n", pos, start) - esc, depth
         elif code == 5:
-            return -1, line, depth
+            return -1
     # a comment runs to the end of the text, or the body is never closed
-    return -1, line, depth
-
-
-class _Body:
-    """A skipped body while a watched call in it is lexed: where the body
-    starts, so that the lexer can rewind and lex it in full, the skip's
-    brace depth, and the parens, braces and brackets open in the call."""
-
-    __slots__ = ("ntoks", "nmarks", "pos", "line", "depth", "parens", "braces", "brackets")
-
-    def __init__(self, ntoks: int, nmarks: int, pos: int, line: int, depth: int):
-        self.ntoks = ntoks  # the tokens up to the body's '{'
-        self.nmarks = nmarks
-        self.pos = pos  # the text index just past the '{'
-        self.line = line
-        self.depth = depth
-        self.parens = self.braces = self.brackets = 0
-
-    def track(self, ch: str, r: _Reader, pos: int, line: int):
-        """Follow one bracket (or '@') of the call; returns where lexing goes
-        on: (index, line, self) at the next call, (index past the body's '}',
-        line, None) once it is skipped, or the rewind to its start if the
-        call's braces or brackets do not balance or it holds an annotation."""
-        if ch == "(":
-            self.parens += 1
-        elif ch == ")":
-            self.parens -= 1
-            if self.parens == 0:
-                if self.braces or self.brackets:
-                    return self.rewind(r)
-                i, line, self.depth = _skip(r, pos, line, self.depth)
-                if i < 0:
-                    return self.rewind(r)
-                return i, line, self if self.depth else None
-        elif ch in "{}":
-            self.braces += 1 if ch == "{" else -1
-            if self.braces < 0:
-                return self.rewind(r)
-        elif ch in "[]":
-            self.brackets += 1 if ch == "[" else -1
-            if self.brackets < 0:
-                return self.rewind(r)
-        else:
-            return self.rewind(r)
-        return pos, line, self
-
-    def rewind(self, r: _Reader):
-        """Drop what was emitted for the body; go on just past its '{'."""
-        del r.toks[self.ntoks :]
-        del r.marks[self.nmarks :]
-        return self.pos, self.line, None
-
-
-def _is_call(text: str, start: int, end: int) -> bool:
-    """Whether the callee name at text[start:end] is a whole identifier
-    token followed by '('."""
-    if (
-        end < len(text)
-        and text[end] > "\x7f"
-        and unicodedata.category(text[end]) in _IDENT_PART_CATEGORIES
-    ):
-        return False  # a currency symbol or connector continues the name
-    if start and text[start - 1] > "\x7f":
-        # Some non-ASCII characters before it are tokens of their own, others
-        # are part of an identifier or number: lex the run they are in.
-        run = start
-        while run and (text[run - 1] > "\x7f" or text[run - 1] in _WORD_OR_DOT):
-            run -= 1
-        lexed = _Reader(text[run:end], skips=False)
-        _lex(lexed, -1)
-        last = lexed.toks[-1]
-        if last[0] != IDENT or last[1] != text[start:end]:
-            return False
-    return _CALL_OPEN.match(text, end) is not None
-
-
-_WORD_OR_DOT = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$.")
+    return -1
 
 
 def _more(r: _Reader, p: int) -> None:
@@ -850,20 +748,20 @@ def _after_nested(r: _Reader, nested: RawType, h: int) -> int:
 
 def _read_block(r: _Reader, b: int, calls: list) -> int:
     """The body from its '{' at b, for its watched calls; returns the index
-    past its '}'.  If b is the last token lexed, the lexer skips the body but
-    where the scan waits for a construct or holds an annotation, or an orphan
-    is open."""
+    past its '}'.  If b is the last token lexed, the lexer skips the body to
+    its braces but where it holds an '@' or a watched callee's name, the scan
+    waits for a construct or holds an annotation, or an orphan is open; such
+    a body is lexed in full once the reader lexes on."""
     toks = r.toks
     if b == len(toks) - 1 and r.skips and not r.done and r.stalled < 0 and not r.orphans and (
         not r.pending or _settle(r, b)
     ):
-        i, line, depth = _skip(r, r.pos, r.line, 1)
+        i = _skip(r, r.pos, r.line)
         if i >= 0:
-            body = _Body(b + 1, len(r.marks), r.pos, r.line, depth) if depth else None
             r.pos = i
-            r.line = line
-            _lex(r, 0, body)
-            r.skipped += len(toks) > b + 1
+            r.line = toks[-1][2]  # the line of the '}' it emitted
+            r.skipped += 1
+            _lex(r, 0)
             if r.mk < len(r.marks):
                 _scan(r)
     if b + 1 < len(toks) and toks[b + 1][1] == "}":  # what most skipped bodies leave

@@ -2,12 +2,12 @@
 
 build_model walks a project directory once and parses everything in one
 pass: every XML file, and every Java file, which is read once by
-javasrc.tokenize_java's reader (member bodies yield only their watched
-calls; see javasrc).  scan_declarations hands out the declarations that
-reader read; for each class it keeps, build_model makes the ClassItem and
-javasrc.extract_members makes the members the reader read of it into
-items owned by that class, so the model never goes back to a source
-file.
+javasrc.tokenize_java's reader (a member body keeps only its braces unless
+it holds an annotation or a watched callee's name; see javasrc).
+scan_declarations hands out the declarations that reader read; for each
+class it keeps, build_model makes the ClassItem and javasrc.extract_members
+makes the members the reader read of it into items owned by that class, so
+the model never goes back to a source file.
 
 File discovery is deterministic: relative paths, sorted lexicographically
 with '/' separators.  Directories whose name matches an ignore glob

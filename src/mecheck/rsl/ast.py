@@ -1,9 +1,9 @@
 """AST node classes for the RSL rule language.
 
-Every node carries a Span (1-based line/column, end exclusive on the
-column).  Nodes are immutable value records (mecheck.record): two nodes
-are equal when they are of the same class and their fields, spans
-included, are equal.  A node's fields are its __slots__, in order.
+Every node carries a Span: the 1-based line and column where it starts.
+Nodes are immutable value records (mecheck.record): two nodes are equal
+when they are of the same class and their fields, spans included, are
+equal.  A node's fields are its __slots__, in order.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from mecheck.record import Record
 
 
 class Span(Record):
-    __slots__ = ("line", "column", "end_line", "end_column")
+    __slots__ = ("line", "column")
     line: int
     column: int
-    end_line: int
-    end_column: int
 
 
 # Type tags name what a declaration binds: an XML element shape like

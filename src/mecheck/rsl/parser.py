@@ -134,33 +134,20 @@ class _Parser:
         return result
 
     @staticmethod
-    def start_of(tok: Token) -> tuple[int, int]:
-        return tok.line, tok.column
-
-    @staticmethod
-    def end_of(tok: Token) -> tuple[int, int]:
-        return tok.line, tok.column + len(tok.lexeme)
-
-    def span(self, first: Token, last: Token) -> ast.Span:
-        line, col = self.start_of(first)
-        end_line, end_col = self.end_of(last)
-        return ast.Span(line, col, end_line, end_col)
-
-    def span_to_node(self, first: Token, node_span: ast.Span) -> ast.Span:
-        line, col = self.start_of(first)
-        return ast.Span(line, col, node_span.end_line, node_span.end_column)
+    def span(first: Token) -> ast.Span:
+        return ast.Span(first.line, first.column)
 
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> ast.Rule:
         first = self.expect(lexer.KEYWORD, "Rule", what="'Rule'")
         name = self.expect(lexer.IDENT, what="rule name")
-        body, last = self.parse_body()
+        body = self.parse_body()
         if self.peek() is not None:
             raise self.error("end of input")
-        return ast.Rule(name.lexeme, body, self.span(first, last))
+        return ast.Rule(name.lexeme, body, self.span(first))
 
-    def parse_body(self) -> tuple[tuple[ast.Stmt, ...], Token]:
+    def parse_body(self) -> tuple[ast.Stmt, ...]:
         self.expect(lexer.PUNCT, "{", what="'{'")
         stmts: list[ast.Stmt] = []
         while not self.at(lexer.PUNCT, "}"):
@@ -170,7 +157,7 @@ class _Parser:
         close = self.advance()
         if not stmts:
             raise RslSyntaxError("at least one statement", close, close.line, close.column)
-        return tuple(stmts), close
+        return tuple(stmts)
 
     def parse_stmt(self) -> ast.Stmt:
         if self.at(lexer.KEYWORD, "for"):
@@ -209,16 +196,16 @@ class _Parser:
         self.expect(lexer.KEYWORD, "in", what="'in'")
         container = self.parse_exp()
         self.expect(lexer.PUNCT, ")", what="')'")
-        body, last = self.parse_body()
-        return ast.ForStmt(decl_type, var.lexeme, container, body, self.span(first, last))
+        body = self.parse_body()
+        return ast.ForStmt(decl_type, var.lexeme, container, body, self.span(first))
 
     def parse_if(self) -> ast.IfStmt:
         first = self.advance()
         self.expect(lexer.PUNCT, "(", what="'('")
         cond = self.parse_exp()
         self.expect(lexer.PUNCT, ")", what="')'")
-        body, last = self.parse_body()
-        return ast.IfStmt(cond, body, self.span(first, last))
+        body = self.parse_body()
+        return ast.IfStmt(cond, body, self.span(first))
 
     def parse_assert(self) -> ast.AssertStmt:
         first = self.advance()
@@ -228,8 +215,8 @@ class _Parser:
         self.expect(lexer.PUNCT, "{", what="'{'")
         message = self.parse_msg()
         self.expect(lexer.PUNCT, ";", what="';'")
-        last = self.expect(lexer.PUNCT, "}", what="'}'")
-        return ast.AssertStmt(cond, message, self.span(first, last))
+        self.expect(lexer.PUNCT, "}", what="'}'")
+        return ast.AssertStmt(cond, message, self.span(first))
 
     def parse_msg(self) -> ast.MsgStmt:
         first = self.expect(lexer.KEYWORD, "msg", what="'msg'")
@@ -240,11 +227,11 @@ class _Parser:
         while self.at(lexer.PUNCT, ","):
             self.advance()
             args.append(self.parse_simexp())
-        last = self.expect(lexer.PUNCT, ")", what="')'")
+        self.expect(lexer.PUNCT, ")", what="')'")
         placeholders = template.count("%s")
         if placeholders != len(args):
             raise ArityMismatch(placeholders, len(args), tmpl_tok.line, tmpl_tok.column)
-        return ast.MsgStmt(template, tuple(args), self.span(first, last))
+        return ast.MsgStmt(template, tuple(args), self.span(first))
 
     def parse_decl(self) -> ast.DeclStmt:
         first = self.peek()
@@ -252,8 +239,8 @@ class _Parser:
         var = self.expect(lexer.IDENT, what="variable name")
         self.expect(lexer.PUNCT, "=", what="'='")
         init = self.parse_exp()
-        last = self.expect(lexer.PUNCT, ";", what="';'")
-        return ast.DeclStmt(decl_type, var.lexeme, init, self.span(first, last))
+        self.expect(lexer.PUNCT, ";", what="';'")
+        return ast.DeclStmt(decl_type, var.lexeme, init, self.span(first))
 
     # Precedence: NOT > AND > OR, each level right-associative.
 
@@ -262,7 +249,7 @@ class _Parser:
         if self.at(lexer.KEYWORD, "OR"):
             self.advance()
             right = self.nested(self.parse_exp)
-            return ast.Or(left, right, self.span_to_node_from(left, right))
+            return ast.Or(left, right, left.span)
         return left
 
     def parse_and(self) -> ast.Exp:
@@ -270,21 +257,15 @@ class _Parser:
         if self.at(lexer.KEYWORD, "AND"):
             self.advance()
             right = self.nested(self.parse_and)
-            return ast.And(left, right, self.span_to_node_from(left, right))
+            return ast.And(left, right, left.span)
         return left
 
     def parse_not(self) -> ast.Exp:
         if self.at(lexer.KEYWORD, "NOT"):
             first = self.advance()
             operand = self.nested(self.parse_not)
-            return ast.Not(operand, self.span_to_node(first, operand.span))
+            return ast.Not(operand, self.span(first))
         return self.parse_simexp()
-
-    @staticmethod
-    def span_to_node_from(left: ast.Exp, right: ast.Exp) -> ast.Span:
-        return ast.Span(
-            left.span.line, left.span.column, right.span.end_line, right.span.end_column
-        )
 
     def parse_simexp(self) -> ast.Exp:
         tok = self.peek()
@@ -293,19 +274,19 @@ class _Parser:
         if tok.kind == lexer.PUNCT and tok.lexeme == "(":
             first = self.advance()
             inner = self.nested(self.parse_exp)
-            last = self.expect(lexer.PUNCT, ")", what="')'")
-            return ast.Paren(inner, self.span(first, last))
+            self.expect(lexer.PUNCT, ")", what="')'")
+            return ast.Paren(inner, self.span(first))
         if tok.kind == lexer.KEYWORD and tok.lexeme == "exists":
             return self.parse_exists()
         if tok.kind == lexer.STRING:
             self.advance()
             value = lexer.unescape_string(tok.lexeme)
-            return ast.Literal(value, "string", self.span(tok, tok))
+            return ast.Literal(value, "string", self.span(tok))
         if tok.kind == lexer.CHAR:
             self.advance()
             body = tok.lexeme[1:-1]
             value = body.replace("\\'", "'").replace("\\\\", "\\")
-            return ast.Literal(value, "char", self.span(tok, tok))
+            return ast.Literal(value, "char", self.span(tok))
         if tok.kind == lexer.INT:
             self.advance()
             try:
@@ -315,10 +296,10 @@ class _Parser:
                 raise RslSyntaxError(
                     f"an integer of at most {limit} digits", tok, tok.line, tok.column
                 ) from None
-            return ast.Literal(value, "int", self.span(tok, tok))
+            return ast.Literal(value, "int", self.span(tok))
         if tok.kind == lexer.FLOAT:
             self.advance()
-            return ast.Literal(float(tok.lexeme), "float", self.span(tok, tok))
+            return ast.Literal(float(tok.lexeme), "float", self.span(tok))
         if tok.kind == lexer.IDENT:
             nxt = self.peek(1)
             if nxt is not None and nxt.kind == lexer.PUNCT and nxt.lexeme == "(":
@@ -326,10 +307,10 @@ class _Parser:
                 if self.at(lexer.PUNCT, "=="):
                     self.advance()
                     rhs = self.nested(self.parse_simexp)
-                    return ast.Eq(call, rhs, self.span_to_node_from(call, rhs))
+                    return ast.Eq(call, rhs, call.span)
                 return call
             self.advance()
-            return ast.Identifier(tok.lexeme, self.span(tok, tok))
+            return ast.Identifier(tok.lexeme, self.span(tok))
         raise self.error("an expression")
 
     def parse_call(self) -> ast.FunctionCall:
@@ -341,8 +322,8 @@ class _Parser:
             while self.at(lexer.PUNCT, ","):
                 self.advance()
                 args.append(self.nested(self.parse_simexp))
-        last = self.expect(lexer.PUNCT, ")", what="')'")
-        return ast.FunctionCall(name.lexeme, tuple(args), self.span(name, last))
+        self.expect(lexer.PUNCT, ")", what="')'")
+        return ast.FunctionCall(name.lexeme, tuple(args), self.span(name))
 
     def parse_exists(self) -> ast.Exists:
         first = self.advance()
@@ -354,7 +335,5 @@ class _Parser:
         self.expect(lexer.PUNCT, ")", what="')'")
         self.expect(lexer.PUNCT, "(", what="'('")
         predicate = self.nested(self.parse_exp)
-        last = self.expect(lexer.PUNCT, ")", what="')'")
-        return ast.Exists(
-            decl_type, var.lexeme, container, predicate, self.span(first, last)
-        )
+        self.expect(lexer.PUNCT, ")", what="')'")
+        return ast.Exists(decl_type, var.lexeme, container, predicate, self.span(first))

@@ -1,3 +1,4 @@
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -19,6 +20,9 @@ from mecheck.model.javasrc import (
     scan_declarations,
     tokenize_java,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def decls_of(source):
@@ -122,13 +126,18 @@ FRAGMENTS = [
 ]
 
 
-def first_member_body(text):
-    """The index of the '{' of the first body tokenize_java skips in text,
-    or None."""
+def skipped_bodies(text):
+    """The indices of the '{' of every body tokenize_java skips in text, in
+    order."""
     seen = []
+    reader = None
     read_block = javasrc._read_block
 
     def spy(r, b, calls):
+        nonlocal reader
+        if r is not reader:  # a read of the file afresh, bodies unskipped
+            reader = r
+            seen.clear()
         skipped = r.skipped
         end = read_block(r, b, calls)
         if r.skipped > skipped:
@@ -137,7 +146,41 @@ def first_member_body(text):
 
     with mock.patch.object(javasrc, "_read_block", spy):
         tokenize_java(text)
-    return seen[0] if seen else None
+    return seen
+
+
+def first_member_body(text):
+    """The index of the '{' of the first body tokenize_java skips in text,
+    or None."""
+    bodies = skipped_bodies(text)
+    return bodies[0] if bodies else None
+
+
+def without_bodies(expected, bodies):
+    """The reference tokens with the inside of each skipped body removed;
+    bodies holds the index of each one's '{' in the tokens that skip it."""
+    out = []
+    j = 0  # the reference token that the next token of out stands for
+    for b in bodies:
+        k = j + b - len(out)  # the body's '{'
+        out += expected[j : k + 1]
+        depth = 0
+        j = k
+        while True:  # on to the '}' that closes it
+            kind, tok, _ = expected[j]
+            if kind == PUNCT and tok in ("{", "}"):
+                depth += 1 if tok == "{" else -1
+                if depth == 0:
+                    break
+            j += 1
+    return out + expected[j:]
+
+
+def assert_tokens_match_reference(text):
+    """Exact, lines included, but that each body the reader skips keeps
+    only its braces."""
+    bodies = skipped_bodies(text)
+    assert tokenize_java(text) == without_bodies(reference_tokenizer.tokenize(text), bodies)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -148,15 +191,20 @@ def first_member_body(text):
     ).map("".join)
 )
 def test_tokenizer_matches_reference(text):
-    """Exact up to the first '{' of a body the reader skips, and
-    everywhere when it skips none; after it, that body holds only its
-    watched calls."""
-    expected = reference_tokenizer.tokenize(text)
-    body = first_member_body(text)
-    if body is None:
-        assert triples(text) == expected
-    else:
-        assert triples(text)[: body + 1] == expected[: body + 1]
+    assert_tokens_match_reference(text)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(java_sources())
+def test_tokenizer_matches_reference_on_generated_sources(text):
+    assert_tokens_match_reference(text)
+
+
+def test_tokenizer_matches_reference_on_fixture_files():
+    files = sorted(FIXTURES.glob("**/*.java"))
+    assert files
+    for path in files:
+        assert_tokens_match_reference(path.read_text(encoding="utf-8"))
 
 
 def test_first_member_body_passes_type_bodies_and_annotations():
@@ -185,15 +233,16 @@ def test_a_long_field_initializer_is_read_a_bounded_number_of_times(monkeypatch)
     monkeypatch.setattr(javasrc, "_parse_field_decl",
                         lambda *args: reads.append(args[1]) or parse_field_decl(*args))
     text = ("class A { int[][] a = {" + ", ".join(["{1}"] * 2000) + "}; int b;"
-            " void m() { getBean(\"x\"); } }")
+            " void m() { getBean(\"x\"); } void n() { f(); } }")
     toks = tokenize_java(text)
     raw = scan_declarations(toks).types[0]
     m = extract_members(toks, raw, owner_of(raw))
     assert 0 < len(reads) <= javasrc._MAX_STALLS + 2
     assert [f.name for f in m.fields] == ["a", "b"]
     assert [c.string_args for c in m.call_sites] == [("x",)]
-    # the body after it is skipped
-    assert [text for _, text, _ in toks][-7:] == ["{", "getBean", "(", '"x"', ")", "}", "}"]
+    # m's body, which holds a watched call, is lexed in full; n's after it is skipped
+    assert [text for _, text, _ in toks][-14:] == [
+        "{", "getBean", "(", '"x"', ")", ";", "}", "void", "n", "(", ")", "{", "}", "}"]
 
 
 def many_constant_bodies(n):

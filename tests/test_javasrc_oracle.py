@@ -1,11 +1,11 @@
 """The declaration-level front end reads what the full-token one read.
 
-mecheck.model.javasrc tokenizes member bodies only for their watched
-calls.  tests/reference_javasrc.py is the front end as it was before,
-tokenizing everything.  Given the same source, both must find the same
-package, imports and types, and the same fields, methods, constructors
-and call sites, with the same annotations, lines and ordinals; a built
-model must hold the same classes and warnings.
+mecheck.model.javasrc skips a member body that holds no annotation and
+no watched callee's name.  tests/reference_javasrc.py is the front end
+as it was before, tokenizing everything.  Given the same source, both
+must find the same package, imports and types, and the same fields,
+methods, constructors and call sites, with the same annotations, lines
+and ordinals; a built model must hold the same classes and warnings.
 """
 
 import os
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 import reference_javasrc
-from benchgen import write_workload
+from benchgen import BENCH_SEED, load_bench_gen, write_workload
 from hypothesis import HealthCheck, example, given, settings
 from javagen import java_sources
 
@@ -100,33 +100,43 @@ def test_bench_workload_models_match_reference(workload, tmp_path, monkeypatch):
     assert_same_model(write_workload(workload, tmp_path / "project"), monkeypatch)
 
 
-def test_member_bodies_keep_only_watched_calls():
-    text = (
-        "class A {\n"
-        "  int f = 1;\n"
-        "  void m(int x) {\n"
-        "    String s = \"{\" + x;\n"
-        "    wrap(ctx.getBean(\"a\", getBean(B.class)), 2);\n"
-        "  }\n"
-        "}\n"
-    )
-    toks = [(tok[1], tok[2]) for tok in javasrc.tokenize_java(text)]
-    assert toks == [
-        ("class", 1), ("A", 1), ("{", 1),
-        ("int", 2), ("f", 2), ("=", 2), ("1", 2), (";", 2),
-        ("void", 3), ("m", 3), ("(", 3), ("int", 3), ("x", 3), (")", 3), ("{", 3),
-        ("getBean", 5), ("(", 5), ('"a"', 5), (",", 5), ("getBean", 5), ("(", 5), ("B", 5),
-        (".", 5), ("class", 5), (")", 5), (")", 5),
-        ("}", 6), ("}", 7),
-    ]
+# The tokens tokenize_java keeps for each seed-7 workload, summed over its
+# .java files, as the benchmark's javasrc.tokens reads them: what a body
+# skip leaves.  From 190,058 / 51,386 / 37,328 (java-wide / getbean-lookups
+# / bean-props) when a skipped body kept its watched calls: a body holding
+# a watched callee's name is now lexed in full, +284 / +3,684 / +68.  With
+# no body skipped they would be 401,570 / 106,052 / 75,592 (the reference
+# tokenizer's counts), so a change that stops skipping bodies fails here.
+WORKLOAD_TOKENS = {
+    "java-wide": 190_342,
+    "getbean-lookups": 55_070,
+    "bean-props": 37_396,
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_TOKENS))
+def test_bench_workload_kept_tokens(workload):
+    files, _ = load_bench_gen().generate(workload, BENCH_SEED)
+    kept = sum(len(javasrc.tokenize_java(text)) for path, text in files.items()
+               if path.endswith(".java"))
+    assert kept == WORKLOAD_TOKENS[workload]
 
 
 @pytest.mark.parametrize("body", [
     "@SuppressWarnings(\"x\") int y = 0;",  # an annotation
     "getBean(new Object() { );",  # a call whose braces do not balance
     "getBean(a[);",  # nor its brackets
+    # watched calls, nested, after a '{' in a string
+    pytest.param("String s = \"{\" + x;\n    wrap(ctx.getBean(\"a\", getBean(B.class)), 2);\n  ",
+                 id="nested"),
+    "Supplier<Object> f = this::getBean;",  # a callee name that is no call
+    # callee names next to a non-ASCII identifier character
+    "égetBean(\"x\");",
+    "getBean£(\"x\");",
 ])
 def test_bodies_that_could_change_the_parse_are_tokenized_in_full(body):
+    """A member body that holds an annotation or a watched callee's name is
+    tokenized exactly as the reference tokenizer does it."""
     text = f"class A {{\n  void m() {{ {body} }}\n}}\n"
     import reference_tokenizer
 

@@ -212,7 +212,6 @@ def test_spans_cover_statements():
     assert outer.span.line == 2
     assert outer.span.column == 3
     assert rule.span.line == 1
-    assert rule.span.end_line == 15
 
 
 def test_structurally_equal_ignores_spans():
