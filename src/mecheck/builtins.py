@@ -3,7 +3,7 @@
 Forty-three functions over the project model, in four groups: code
 elements, annotations, XML, and plain string/path helpers.  A Registry
 owns per-run configuration (library class patterns, resource roots) and
-dispatches every call through Registry.call.
+the table of built-ins that Registry.call dispatches through.
 
 Each built-in is declared once, by the @builtin decorator on its
 implementation.  The declaration gives:
@@ -18,13 +18,13 @@ implementation.  The declaration gives:
   check;
 - whether results go through the query cache.
 
-Each declaration is turned, once, into a checked entry: one closure,
-chosen by the number of kinds the declaration checks, that checks
-arity, then MISSING, then the kinds, in that order, each written out
-with no loop over the declaration, and only then runs the body; it puts
-the built-in's name into the BuiltinTypeError and PreconditionError the
-body raises.  Registry.call looks the name up and calls that entry; it
-is the one dispatch point, so a wrapper on it sees every call.  The rule
+Registry.call looks the name up and runs the record's checked entry:
+one loop over the declaration that checks arity, then MISSING, then the
+kinds, and only then runs the body; it puts the built-in's name into the
+BuiltinTypeError and PreconditionError the body raises.  Generated rule
+code calls a body itself where the record's guard, the same checks
+written out, holds, and Registry.call where it does not, so a wrapper on
+Registry.call sees cache misses and failed guards only.  The rule
 validator reads arity from the same records.  Cached are the built-ins
 whose cost grows with the model or touches the disk: the model-wide
 lists (getElms, getFamily, getArg, getAnnotated) and the model-wide
@@ -103,7 +103,8 @@ class BuiltinArityError(Exception):
 
 class BuiltinTypeError(Exception):
     """Argument arg_index has the wrong kind.  Bodies raise it without the
-    built-in's name; Registry.call fills the name in."""
+    built-in's name; the checked entry, or for a body that rule code calls
+    itself the rule's line table, fills the name in."""
 
     name = "?"
 
@@ -117,7 +118,7 @@ class BuiltinTypeError(Exception):
 
 class PreconditionError(Exception):
     """Arguments of the right kinds that the built-in cannot answer for;
-    Registry.call fills in the name."""
+    the name is filled in as for BuiltinTypeError."""
 
     name = "?"
 
@@ -306,18 +307,24 @@ class _Derived(Record):
     """The slot of what a Builtin derives from its fields: it is not a
     field, so records compare, hash and rebuild without it."""
 
-    __slots__ = ("entry",)
-    entry: Callable
+    __slots__ = ("guard",)
+    guard: str
 
 
 class Builtin(_Derived):
     """One built-in: its contract and its implementation.
 
-    Its entry, built with the record, runs fn(registry, model, args) only
-    when len(args) is in arity, no position in missing holds MISSING (else
-    the call returns on_missing, a fresh list for a list), and each
-    (position, types, expected) of checks holds an instance of types.
-    result is the kind of what fn and on_missing give.
+    entry(registry, model, args) runs fn(registry, model, args) only when
+    len(args) is in arity, no position in missing holds MISSING (else the
+    call returns on_missing, a fresh list for a list), and each (position,
+    types, expected) of checks holds an instance of types.  result is the
+    kind of what fn and on_missing give.  guard, built with the record, is
+    the test generated code writes for a call of a valid count that passes
+    these checks: each kind, then no MISSING at a position in missing that
+    no kind checks.  It is a template of the call's argument names {0},
+    {1}, ... and the names {k[0]}, {k[1]}, ... of the checks' types, empty
+    when nothing is checked, and at most two MISSING positions and three
+    kinds keep it short.
     """
 
     __slots__ = ("name", "fn", "arity", "checks", "missing", "on_missing", "cached", "result")
@@ -334,91 +341,31 @@ class Builtin(_Derived):
                  checks: tuple[tuple[int, type | tuple[type, ...], str], ...] = (),
                  missing: tuple[int, ...] = (), on_missing: object = None, cached: bool = False,
                  result: tuple = ANY):
+        if len(missing) > 2 or len(checks) > 3:
+            raise ValueError(f"built-in '{name}' declares more than 2 MISSING positions or 3 kinds")
         super().__init__(name, fn, arity, checks, missing, on_missing, cached, result)
-        object.__setattr__(self, "entry", _checked_entry(name, fn, arity, checks, missing,
-                                                         on_missing))
+        checked = [i for i, _, _ in checks]
+        object.__setattr__(self, "guard", " and ".join(
+            [f"isinstance({{{i}}}, {{k[{n}]}})" for n, i in enumerate(checked)]
+            + [f"{{{i}}} is not MISSING" for i in missing if i not in checked]))
 
-
-def _checked_entry(name: str, fn: Callable, arity: range,
-                   checks: tuple[tuple[int, type | tuple[type, ...], str], ...],
-                   missing: tuple[int, ...], on_missing: object) -> Callable:
-    """The entry(registry, model, args) a Builtin record dispatches to: fn
-    behind the record's checks, made in this order: len(args) in arity; a
-    MISSING at a position in missing returns on_missing (a fresh list for
-    a list); the argument at each position of checks has its kind.  It
-    puts name into the BuiltinTypeError and PreconditionError fn raises.
-
-    Every check is written out, with no loop over the record: the entry is
-    one of four closures, by the number of kinds checked, and it reads
-    missing as a pair of positions (one position is read twice)."""
-    if len(missing) > 2 or len(checks) > 3:
-        raise ValueError(f"built-in '{name}' declares more than 2 MISSING positions or 3 kinds")
-    low, stop = arity.start, arity.stop
-    m0, m1 = (missing * 2)[:2] if missing else (0, 0)
-    fresh_list = type(on_missing) is list
-    # checks padded to three; an entry reads only as many as there are
-    (p0, t0, _), (p1, t1, _), (p2, t2, _) = (checks + ((0, object, ""),) * 3)[:3]
-
-    if not checks:
-        def entry(registry, model, args):
-            if not low <= len(args) < stop:
-                raise BuiltinArityError(name, arity, len(args))
-            if missing and (args[m0] is MISSING or args[m1] is MISSING):
-                return [] if fresh_list else on_missing
-            try:
-                return fn(registry, model, args)
-            except (BuiltinTypeError, PreconditionError) as exc:
-                exc.name = name
-                raise
-    elif len(checks) == 1:
-        def entry(registry, model, args):
-            if not low <= len(args) < stop:
-                raise BuiltinArityError(name, arity, len(args))
-            if missing and (args[m0] is MISSING or args[m1] is MISSING):
-                return [] if fresh_list else on_missing
-            if not isinstance(args[p0], t0):
-                raise _kind_error(name, checks, args)
-            try:
-                return fn(registry, model, args)
-            except (BuiltinTypeError, PreconditionError) as exc:
-                exc.name = name
-                raise
-    elif len(checks) == 2:
-        def entry(registry, model, args):
-            if not low <= len(args) < stop:
-                raise BuiltinArityError(name, arity, len(args))
-            if missing and (args[m0] is MISSING or args[m1] is MISSING):
-                return [] if fresh_list else on_missing
-            if not (isinstance(args[p0], t0) and isinstance(args[p1], t1)):
-                raise _kind_error(name, checks, args)
-            try:
-                return fn(registry, model, args)
-            except (BuiltinTypeError, PreconditionError) as exc:
-                exc.name = name
-                raise
-    else:
-        def entry(registry, model, args):
-            if not low <= len(args) < stop:
-                raise BuiltinArityError(name, arity, len(args))
-            if missing and (args[m0] is MISSING or args[m1] is MISSING):
-                return [] if fresh_list else on_missing
-            if not (isinstance(args[p0], t0) and isinstance(args[p1], t1)
-                    and isinstance(args[p2], t2)):
-                raise _kind_error(name, checks, args)
-            try:
-                return fn(registry, model, args)
-            except (BuiltinTypeError, PreconditionError) as exc:
-                exc.name = name
-                raise
-    return entry
-
-
-def _kind_error(name: str, checks: tuple, args: list) -> BuiltinTypeError:
-    """The error for the first argument in checks that lacks its kind."""
-    i, _, expected = next(c for c in checks if not isinstance(args[c[0]], c[1]))
-    exc = BuiltinTypeError(i, expected, kind_name(args[i]))
-    exc.name = name
-    return exc
+    def entry(self, registry: Registry, model: ProjectModel, args: list):
+        """fn behind the record's checks, made in this order: arity, then
+        MISSING, then the kinds; it puts the built-in's name into the
+        BuiltinTypeError and PreconditionError that a check or fn raises."""
+        if len(args) not in self.arity:
+            raise BuiltinArityError(self.name, self.arity, len(args))
+        for i in self.missing:
+            if args[i] is MISSING:
+                return [] if type(self.on_missing) is list else self.on_missing
+        try:
+            for i, types, expected in self.checks:
+                if not isinstance(args[i], types):
+                    raise BuiltinTypeError(i, expected, kind_name(args[i]))
+            return self.fn(registry, model, args)
+        except (BuiltinTypeError, PreconditionError) as exc:
+            exc.name = self.name
+            raise
 
 
 # Every built-in, by name, filled by @builtin.
@@ -511,10 +458,10 @@ class Registry:
 
     def call(self, name: str, args: list, model: ProjectModel):
         try:
-            entry = self.builtins[name].entry
+            spec = self.builtins[name]
         except KeyError:
             raise UnknownBuiltinError(name) from None
-        return entry(self, model, args)
+        return spec.entry(self, model, args)
 
     # -- XML group -------------------------------------------------------------
 

@@ -4,33 +4,41 @@ run_rule writes the rule's body as Python source (emit_rule), compiles
 it once per Interpreter with compile and exec, and calls it on the sink.
 What each node means (built-in, arity, position, caching, truth check)
 is settled while the source is written, so the code does no dispatch on
-node types and no frame lies between a rule and Registry.call.
+node types and no frame lies between a rule and a built-in's body.
 
 Each binding site (for variable, exists variable, declaration) and each
-intermediate value is a Python local.  Every built-in call is a statement
-that counts the call in the rule's EvalStats and calls Registry.call,
-through canonical_key and QueryCache.get_or_compute for a cached built-in
-or an exists container.  These three are looked up when the code is
-compiled, so wrappers installed on them before a rule runs see every
-call.  A condition must be a bool or MISSING, so it is checked at run
-time, except where its node always gives a bool: ==, exists, AND, OR, NOT
-and a call of a built-in declared to return BOOL.  AND and OR do not
-evaluate their right side when the left side decides; an exists is one
-loop that counts each predicate evaluation and stops at the first true
-one, run where a lookup in its index cannot answer (see _index_lookup).
-A call, a truth check and a read of an unbound variable are each a line
-that raises a plain error, and each generated function has one try,
-whose handler raises RuntimeRuleError at the (rule, line, column) that
-its unit's line table records for that line.  Rule text never enters the
-source: literals, message templates, line tables, built-in and rule
-names are constants the code reads as the globals c0, c1, ..., as it
-reads the registry's bound call, the model, the cache, the EvalStats and
-the helpers below.  The source is split into units, each compiled on its
-own as "<rule NAME>" after the rules whose code it holds: CPython's
-compiler holds about 5 KB per line of a compile, and a function nests at
-most 20 blocks and 100 indentation levels deep, while a rule nests up to
-64 levels.  A unit takes the locals it reads as arguments and the units
-it calls as defaults; no namespace keeps them.
+intermediate value is a Python local.  Every built-in call is a
+statement that counts the call in the rule's EvalStats.  A cached
+built-in or an exists container goes through canonical_key and
+QueryCache.get_or_compute, which call Registry.call on a miss.  Any
+other call of a known built-in with a count in its arity calls the body
+itself where the built-in's guard holds (Builtin.guard: each declared
+kind, no MISSING where the call would return early), and Registry.call,
+which checks the arguments, where it does not: the body runs on exactly
+the calls the checked entry would run it on.  These three and each body
+are looked up when the code is compiled, so wrappers installed on them
+before a rule runs see every call that reaches them.  A condition must
+be a bool or MISSING, so it is checked at run time, except where its
+node always gives a bool: ==, exists, AND, OR, NOT and a call of a
+built-in declared to return BOOL.  AND and OR do not evaluate their right
+side when the left side decides; an exists is one loop that counts each
+predicate evaluation and stops at the first true one, run where a lookup
+in its index cannot answer (see _index_lookup).  A call, a truth check
+and a read of an unbound variable are each a line that raises a plain
+error, and each generated function has one try, whose handler raises
+RuntimeRuleError at the (rule, line, column) that its unit's line table
+records for that line; for a line that calls a body, the table also
+names the built-in, which the handler puts into the body's
+BuiltinTypeError or PreconditionError as the checked entry would.  Rule
+text never enters the source: literals, message templates, line tables,
+built-in and rule names are constants the code reads as the globals c0,
+c1, ..., as it reads the registry, its bound call, the model, the cache,
+the EvalStats and the helpers below.  The source is split into units,
+each compiled on its own as "<rule NAME>" after the rules whose code it
+holds: CPython's compiler holds about 5 KB per line of a compile, and a
+function nests at most 20 blocks and 100 indentation levels deep, while
+a rule nests up to 64 levels.  A unit takes the locals it reads as
+arguments and the units it calls as defaults; no namespace keeps them.
 
 Scoping model: variables are resolved as the source is written, and this
 one walk validates the rule: emit_rule records a Diagnostic for each read
@@ -69,6 +77,9 @@ _BOOL_NODES = (ast.Eq, ast.Exists, ast.And, ast.Or, ast.Not)
 # A body or condition is written as a unit of its own once the function
 # being written has this many Python blocks or indentation levels open, or
 # lines; a statement opens at most about five more blocks before a check.
+# A line that calls a body directly counts as two: with its guard and its
+# checked call it holds about twice a plain line's code, and compiling it
+# takes about twice the memory.
 _MAX_BLOCKS, _MAX_INDENT, _MAX_LINES = 10, 30, 40
 
 
@@ -196,13 +207,19 @@ def _unbound(cause: str) -> None:
     raise V.ValueTypeError(cause)
 
 
-def _placed(exc: Exception, table: dict[int, tuple[str, int, int]]) -> RuntimeRuleError:
+def _placed(exc: Exception, table: dict[int, tuple[str, int, int, str | None]]
+            ) -> RuntimeRuleError:
     """exc as a rule error: a plain error (a call's, is_truthy's or
     _unbound's) at the (rule, line, column) that its unit's line table
-    records for the generated line it came through."""
+    records for the generated line it came through.  A body called there
+    directly raises a BuiltinTypeError or PreconditionError without its
+    built-in's name, which the table records too."""
     if isinstance(exc, RuntimeRuleError):
         return exc
-    rule_name, line, column = table[exc.__traceback__.tb_lineno]
+    rule_name, line, column, builtin = table[exc.__traceback__.tb_lineno]
+    if builtin is not None and isinstance(
+            exc, (builtins_mod.BuiltinTypeError, builtins_mod.PreconditionError)):
+        exc.name = builtin
     return RuntimeRuleError(rule_name, str(exc), line, column)
 
 
@@ -255,7 +272,8 @@ class _Func:
 
     __slots__ = ("lines", "defs", "indent", "blocks", "size", "binds", "reads", "units", "table")
 
-    def __init__(self, table: dict[int, tuple[str, int, int]], params: tuple[str, ...] = ()):
+    def __init__(self, table: dict[int, tuple[str, int, int, str | None]],
+                 params: tuple[str, ...] = ()):
         self.lines: list[tuple[int, str, tuple | None]] = []
         self.defs: list[tuple[str, str, _Func]] = []
         self.indent = self.blocks = self.size = 0
@@ -345,11 +363,13 @@ class _Emitter:
             self.constants.append(value)
         return name
 
-    def line(self, text: str, r: _Rule | None = None, span: ast.Span | None = None) -> None:
-        """Write a line; one that can fail the rule gives the rule and span."""
-        where = (r.rule, span.line, span.column) if r is not None else None
+    def line(self, text: str, r: _Rule | None = None, span: ast.Span | None = None,
+             builtin: str | None = None) -> None:
+        """Write a line; one that can fail the rule gives the rule and span,
+        and the built-in whose body it calls directly, if any."""
+        where = (r.rule, span.line, span.column, builtin) if r is not None else None
         self.func.lines.append((self.func.indent, text, where))
-        self.func.size += 1
+        self.func.size += 1 + (builtin is not None)
 
     def open(self, header: str, block: bool = False) -> None:
         self.line(header)
@@ -511,7 +531,9 @@ class _Emitter:
              into: str | None = None) -> str:
         """The call as a statement: count it, then call the built-in, through
         the query cache (get) for a cached built-in, or for any built-in
-        when cached is set."""
+        when cached is set.  Any other call of a known built-in with a count
+        in its arity runs the body itself when the arguments pass the
+        built-in's guard, and Registry.call, which checks them, otherwise."""
         spec = self.builtins.get(exp.name)
         if spec is None:
             self.diagnose(r, UNKNOWN_BUILTIN, f"'{exp.name}' is not a known built-in function",
@@ -520,14 +542,19 @@ class _Emitter:
             self.diagnose(r, BUILTIN_ARITY,
                           builtins_mod.arity_message(exp.name, spec.arity, len(exp.args)),
                           exp.span)
-        args = ", ".join([self.value(arg, r) for arg in exp.args])
-        name, target = self.const(exp.name), into or self.fresh("t")
+        args = [self.value(arg, r) for arg in exp.args]
+        listed, name, target = f"[{', '.join(args)}]", self.const(exp.name), into or self.fresh("t")
         self.line(f"{r.stats}.builtin_calls += 1")
         if self.cached and spec is not None and (cached or spec.cached):
-            self.line(f"a = [{args}]")
+            self.line(f"a = {listed}")
             self.line(f"{target} = get(key_of({name}, a), call, {name}, a, model)", r, exp.span)
+        elif spec is not None and len(args) in spec.arity:
+            guard = spec.guard.format(*args, k=[self.const(t) for _, t, _ in spec.checks])
+            checked = f" if {guard} else call({name}, {listed}, model)" if guard else ""
+            self.line(f"{target} = {self.const(spec.fn)}(registry, model, {listed}){checked}",
+                      r, exp.span, spec.name)
         else:
-            self.line(f"{target} = call({name}, [{args}], model)", r, exp.span)
+            self.line(f"{target} = call({name}, {listed}, model)", r, exp.span)
         return target
 
     def exists(self, exp: ast.Exists, r: _Rule, target: str) -> None:
@@ -718,7 +745,8 @@ class Interpreter:
         """The globals of this interpreter's generated functions."""
         cache, errors = self.cache, (*builtins_mod.CALL_ERRORS, V.ValueTypeError)
         return {
-            "call": self.registry.call, "model": self.model, "key_of": canonical_key,
+            "call": self.registry.call, "registry": self.registry, "model": self.model,
+            "key_of": canonical_key, "MISSING": V.MISSING,
             "get": cache.get_or_compute if cache is not None else None,
             "indexes": cache.exists_indexes if cache is not None else None,
             "errors": errors, "stopping": (RuntimeRuleError, *errors),

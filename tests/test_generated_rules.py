@@ -404,11 +404,13 @@ def own_nodes(function):
 
 
 RAISING = ("call(", "get(", "truth(", "unbound(")
+DIRECT = "(registry, model, ["  # a built-in's body called straight from the rule code
 
 
 def test_each_generated_function_has_one_handler(pack):
     """In the shipped pack's code, a call, a truth check or an unbound read
-    is a plain line in its line table; the only try blocks are one per
+    is a plain line in its line table, which names the built-in exactly on
+    the lines that call its body directly; the only try blocks are one per
     function and one per step of a shared walk."""
     steps = gen.plan_pack(pack)
     generated = [gen.emit_walk(step, pack, BUILTINS, True) for step in steps]
@@ -417,7 +419,7 @@ def test_each_generated_function_has_one_handler(pack):
     def count(step):
         return 1 + sum(map(count, step.then)) if isinstance(step, gen.Shared) else 1
 
-    functions = tries = 0
+    functions = tries = directs = 0
     for g in generated:
         for _, _, source in g.units:
             tree = pyast.parse(source)
@@ -431,10 +433,18 @@ def test_each_generated_function_has_one_handler(pack):
                         and getattr(n.func, "id", None) == "placed"}
             table = g.constants[int(table[1:])]
             lines = source.splitlines()
-            raising = {i for i, text in enumerate(lines, 1) if any(s in text for s in RAISING)}
+            raising = {i for i, text in enumerate(lines, 1)
+                       if any(s in text for s in (*RAISING, DIRECT))}
+            direct = {i for i, text in enumerate(lines, 1) if DIRECT in text}
             assert set(table) == raising, source
-            assert all(isinstance(rule_name, str) for rule_name, _, _ in table.values())
+            assert all(isinstance(rule_name, str) for rule_name, _, _, _ in table.values())
+            assert {i for i, (_, _, _, name) in table.items() if name is not None} == direct
+            for i in direct:  # "t = cN(registry, model, [...]) ...": cN is the named body
+                body = lines[i - 1].split(" = ", 1)[1].split("(", 1)[0]
+                assert g.constants[int(body[1:])] is BUILTINS[table[i][3]].fn
+            directs += len(direct)
     assert tries == functions + sum(map(count, steps))
+    assert directs > 0
 
 
 POSITIONS_XML = """\

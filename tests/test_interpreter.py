@@ -1,5 +1,9 @@
-import pytest
+import types
 
+import pytest
+from body_counts import BodyCounter
+
+from mecheck.builtins import Registry
 from mecheck.model.project import build_model
 from mecheck.rsl.parser import parse_rule
 from mecheck.runtime.cache import QueryCache
@@ -419,15 +423,14 @@ Rule shapes {
   }
 }
 """
-    interp = Interpreter(model)
-    seen, call = [], interp.registry.call
-
-    def record(name, args, model):
-        seen.append((name, args))
-        return call(name, args, model)
-
-    interp.registry.call = record
+    # each call reaches its built-in's body: straight from the rule code when
+    # its arguments pass the guard, as all do here, or through Registry.call
+    registry, counter = Registry(), BodyCounter()
+    registry.builtins, registry.call = counter.table, types.MethodType(counter.call, registry)
+    interp = Interpreter(model, registry)
+    seen = counter.seen
     assert interp.run_rule(parse_rule(src)) == []
+    assert sum(counter.direct.values()) == len(seen) and not counter.registry
     xml = model.xml_files[0]
     one, two = xml.root.children
     assert seen == [

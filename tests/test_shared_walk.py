@@ -6,8 +6,8 @@ generated prefix of declarations, for and if statements, then diverge
 with tests/genrules.py statements, and run_checker must give the reports
 (message, file, line, ordinal, in sink order) and diagnostics that running
 each rule alone with a fresh Interpreter gives, with the query cache on
-and off.  Every evaluated built-in call is either a Registry.call or a
-cache hit.
+and off.  Every evaluated built-in call is a run of its body straight
+from the rule code, a Registry.call or a cache hit.
 """
 
 import random
@@ -15,6 +15,8 @@ import random
 import pytest
 
 import genrules
+from body_counts import BodyCounter
+from mecheck import builtins as builtins_mod
 from mecheck import rulepack, runner
 from mecheck.builtins import Registry
 from mecheck.model.project import build_model
@@ -191,10 +193,10 @@ def one_by_one(rules, model, use_cache):
 
 
 def counted_check(monkeypatch, config, model):
-    """run_checker, with its evaluated built-in calls and Registry.calls
-    counted."""
-    counts = {"evaluated": 0, "registry": 0}
-    run_rule, call = Interpreter.run_rule, Registry.call
+    """run_checker, with its evaluated built-in calls counted, and its
+    direct body runs and Registry.calls (see body_counts)."""
+    counts = {"evaluated": 0}
+    run_rule, counter = Interpreter.run_rule, BodyCounter()
 
     def counting_run_rule(self, rule, sink=None):
         try:
@@ -202,14 +204,12 @@ def counted_check(monkeypatch, config, model):
         finally:
             counts["evaluated"] += self.stats.builtin_calls
 
-    def counting_call(self, name, args, model):
-        counts["registry"] += 1
-        return call(self, name, args, model)
-
     monkeypatch.setattr(Interpreter, "run_rule", counting_run_rule)
-    monkeypatch.setattr(Registry, "call", counting_call)
+    monkeypatch.setattr(Registry, "call", counter.call)
+    monkeypatch.setattr(builtins_mod, "BUILTINS", counter.table)
     summary = runner.run_checker(config, model)
     monkeypatch.undo()
+    counts["bodies"] = counter.total()
     return summary, counts
 
 
@@ -223,7 +223,7 @@ def assert_same_as_one_by_one(monkeypatch, rules_dir, project, use_cache):
     assert (rows(summary.reports), summary.diagnostics) == expected
     assert summary.rules_executed == len(rules)
     hits = summary.cache_stats.get("hits", 0)
-    assert counts["evaluated"] == counts["registry"] + hits
+    assert counts["evaluated"] == counts["bodies"] + hits
     return rules, summary
 
 
