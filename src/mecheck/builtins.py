@@ -13,27 +13,27 @@ implementation.  The declaration gives:
   getArg, indexInBound and substring and the arguments of join;
 - the positions where a MISSING argument short-circuits, and the result
   returned then;
-- the kind of its result (BOOL, TEXT_OR_MISSING, LIST, ...); the rule
-  compiler uses a call of a BOOL built-in as a condition without a truth
-  check;
+- the kind of its result (BOOL, TEXT_OR_MISSING, LIST, ...);
 - whether results go through the query cache.
+A declaration is data only.  The rule compiler (runtime/interpreter.py)
+writes each call's run-time checks from it and knows a call's result by
+it; the rule validator reads arity from it.
 
 Registry.call looks the name up and runs the record's checked entry:
 one loop over the declaration that checks arity, then MISSING, then the
 kinds, and only then runs the body; it puts the built-in's name into the
 BuiltinTypeError and PreconditionError the body raises.  Generated rule
-code calls a body itself where the record's guard, the same checks
-written out, holds, and Registry.call where it does not, so a wrapper on
-Registry.call sees cache misses and failed guards only.  The rule
-validator reads arity from the same records.  Cached are the built-ins
-whose cost grows with the model or touches the disk: the model-wide
-lists (getElms, getFamily, getArg, getAnnotated) and the model-wide
-queries (elementExists, locateClassSN, isUniqueSN, callExists,
-isLibraryClass, pathExists).  Accessors, lists copied off one item or
-the model (getAttrs, getMethods, getChildElms, getXMLs, ...) and the
-string helpers cost about a cache lookup and are called directly; the
-interpreter still caches any call that is an exists container, whose
-index is keyed by the container object.
+code calls a body itself where the same checks hold, and Registry.call
+where they do not, so a wrapper on Registry.call sees cache misses and
+failed checks only.  Cached are the built-ins whose cost grows with the
+model or touches the disk: the model-wide lists (getElms, getFamily,
+getArg, getAnnotated) and the model-wide queries (elementExists,
+locateClassSN, isUniqueSN, callExists, isLibraryClass, pathExists).
+Accessors, lists copied off one item or the model (getAttrs, getMethods,
+getChildElms, getXMLs, ...) and the string helpers cost about a cache
+lookup and are called directly; the interpreter still caches any call
+that is an exists container, whose index is keyed by the container
+object.
 
 Missing-value policy: predicates return false when a required input is
 MISSING, string transformers return MISSING, element/list getters return
@@ -303,28 +303,14 @@ LIST = (list, "a list")
 ANY = (object, "any value")
 
 
-class _Derived(Record):
-    """The slot of what a Builtin derives from its fields: it is not a
-    field, so records compare, hash and rebuild without it."""
-
-    __slots__ = ("guard",)
-    guard: str
-
-
-class Builtin(_Derived):
-    """One built-in: its contract and its implementation.
+class Builtin(Record):
+    """One built-in: its contract and its implementation, as data.
 
     entry(registry, model, args) runs fn(registry, model, args) only when
     len(args) is in arity, no position in missing holds MISSING (else the
     call returns on_missing, a fresh list for a list), and each (position,
     types, expected) of checks holds an instance of types.  result is the
-    kind of what fn and on_missing give.  guard, built with the record, is
-    the test generated code writes for a call of a valid count that passes
-    these checks: each kind, then no MISSING at a position in missing that
-    no kind checks.  It is a template of the call's argument names {0},
-    {1}, ... and the names {k[0]}, {k[1]}, ... of the checks' types, empty
-    when nothing is checked, and at most two MISSING positions and three
-    kinds keep it short.
+    kind of what fn and on_missing give.
     """
 
     __slots__ = ("name", "fn", "arity", "checks", "missing", "on_missing", "cached", "result")
@@ -341,13 +327,7 @@ class Builtin(_Derived):
                  checks: tuple[tuple[int, type | tuple[type, ...], str], ...] = (),
                  missing: tuple[int, ...] = (), on_missing: object = None, cached: bool = False,
                  result: tuple = ANY):
-        if len(missing) > 2 or len(checks) > 3:
-            raise ValueError(f"built-in '{name}' declares more than 2 MISSING positions or 3 kinds")
         super().__init__(name, fn, arity, checks, missing, on_missing, cached, result)
-        checked = [i for i, _, _ in checks]
-        object.__setattr__(self, "guard", " and ".join(
-            [f"isinstance({{{i}}}, {{k[{n}]}})" for n, i in enumerate(checked)]
-            + [f"{{{i}}} is not MISSING" for i in missing if i not in checked]))
 
     def entry(self, registry: Registry, model: ProjectModel, args: list):
         """fn behind the record's checks, made in this order: arity, then
@@ -652,12 +632,9 @@ class Registry:
     # -- annotations ---------------------------------------------------------------
 
     @staticmethod
-    def _anno_matches(anno: AnnotationUse, query: str) -> bool:
-        return anno.last_segment() == query.rsplit(".", 1)[-1]
-
-    def _find_anno(self, item, query: str) -> AnnotationUse | None:
+    def _find_anno(item, query: str) -> AnnotationUse | None:
         for anno in item.annotations:
-            if self._anno_matches(anno, query):
+            if anno.last_segment() == query.rsplit(".", 1)[-1]:
                 return anno
         return None
 
@@ -666,20 +643,9 @@ class Registry:
         query, kind = args
         if kind == "class":
             return [c for c in model.classes if self._find_anno(c, query)]
-        if kind == "method":
-            out = []
-            for c in model.classes:
-                out.extend(
-                    m for m in c.members().methods if self._find_anno(m, query)
-                )
-            return out
-        if kind == "field":
-            out = []
-            for c in model.classes:
-                out.extend(
-                    f for f in c.members().fields if self._find_anno(f, query)
-                )
-            return out
+        if kind in ("method", "field"):
+            return [item for c in model.classes for item in getattr(c.members(), f"{kind}s")
+                    if self._find_anno(item, query)]
         raise PreconditionError(f"kind must be class, method, or field, got {kind!r}")
 
     @builtin("hasAnnotation", 2, ANNOTATED, TEXT, result=BOOL, missing=(0, 1), on_missing=False)

@@ -5,8 +5,10 @@
             [--ignore GLOB]... [--no-fail]
 
 Exit codes: 0 clean, 1 findings reported, 2 usage or configuration
-problem, 3 internal error.  When --rules is absent the MECHECK_RULES
-environment variable is consulted, then the built-in rule pack.
+problem, 3 internal error, 4 a rule stopped with a rule error (before 1,
+and also under --no-fail, since a stopped rule checked nothing after the
+error).  When --rules is absent the MECHECK_RULES environment variable
+is consulted, then the built-in rule pack.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_RULE_ERROR = 4
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -66,7 +69,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-fail",
         action="store_true",
-        help="exit 0 even when findings are reported",
+        help="exit 0 even when findings are reported (a rule error still exits 4)",
     )
     return p
 
@@ -112,6 +115,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sys.stdout.write(runner.render_reports(summary, args.format))
 
+    if summary.diagnostics:
+        return EXIT_RULE_ERROR
     if summary.reports and not args.no_fail:
         return EXIT_FINDINGS
     return EXIT_CLEAN

@@ -12,20 +12,22 @@ statement that counts the call in the rule's EvalStats.  A cached
 built-in or an exists container goes through canonical_key and
 QueryCache.get_or_compute, which call Registry.call on a miss.  Any
 other call of a known built-in with a count in its arity calls the body
-itself where the built-in's guard holds (Builtin.guard: each declared
-kind, no MISSING where the call would return early), and Registry.call,
-which checks the arguments, where it does not: the body runs on exactly
-the calls the checked entry would run it on.  These three and each body
-are looked up when the code is compiled, so wrappers installed on them
-before a rule runs see every call that reaches them.  A condition must
-be a bool or MISSING, so it is checked at run time, except where its
-node always gives a bool: ==, exists, AND, OR, NOT and a call of a
-built-in declared to return BOOL.  AND and OR do not evaluate their right
-side when the left side decides; an exists is one loop that counts each
-predicate evaluation and stops at the first true one, run where a lookup
-in its index cannot answer (see _index_lookup).  A call, a truth check
-and a read of an unbound variable are each a line that raises a plain
-error, and each generated function has one try, whose handler raises
+itself where its guard holds, and Registry.call, which checks the
+arguments, where it does not: the body runs on exactly the calls the
+checked entry would run it on.  The guard is the declaration's checks
+(each kind, then no MISSING where the call would return early) less
+those that an argument's kind, known when the rule compiles
+(_Emitter.known), settles; one settled as failing leaves the checked
+call alone.  These three and each body are looked up when the code is
+compiled, so wrappers installed on them before a rule runs see every
+call that reaches them.  A condition must be a bool or MISSING, and a
+for or exists container a list or one value, each checked at run time
+unless known.  AND and OR do not evaluate their right side when the left
+side decides; an exists is one loop that counts each predicate
+evaluation and stops at the first true one, run where a lookup in its
+index cannot answer (see _index_lookup).  A call, a truth check and a
+read of an unbound variable are each a line that raises a plain error,
+and each generated function has one try, whose handler raises
 RuntimeRuleError at the (rule, line, column) that its unit's line table
 records for that line; for a line that calls a body, the table also
 names the built-in, which the handler puts into the body's
@@ -62,6 +64,7 @@ one by one gives: reports, ordinals, rule errors and diagnostics.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from mecheck import builtins as builtins_mod
@@ -71,15 +74,12 @@ from mecheck.rsl import ast
 from mecheck.runtime import values as V
 from mecheck.runtime.cache import QueryCache, canonical_key
 
-# Nodes whose value is always a Python bool, so a condition needs no check.
-_BOOL_NODES = (ast.Eq, ast.Exists, ast.And, ast.Or, ast.Not)
-
 # A body or condition is written as a unit of its own once the function
 # being written has this many Python blocks or indentation levels open, or
 # lines; a statement opens at most about five more blocks before a check.
-# A line that calls a body directly counts as two: with its guard and its
-# checked call it holds about twice a plain line's code, and compiling it
-# takes about twice the memory.
+# A line that calls a body directly counts as two: counted as one, the
+# seed-7 pack compiles in fewer, larger units, and compile_pack's peak
+# rises by a third.
 _MAX_BLOCKS, _MAX_INDENT, _MAX_LINES = 10, 30, 40
 
 
@@ -190,14 +190,15 @@ def plan_nested(exp: ast.Exists) -> ast.Exists | None:
     return None if _mentions(probe, exp.var) else inner
 
 
-def _iteration_items(container: object):
-    """for/exists containers: a list iterates as is, MISSING is empty,
-    any single value is a one-element list."""
-    if container is V.MISSING:
-        return ()
-    if isinstance(container, list):
-        return container
-    return (container,)
+@functools.cache
+def _holds(known: type | tuple[type, ...], types: type | tuple[type, ...]) -> bool | None:
+    """Whether isinstance(v, types) holds for an instance v of known: True
+    if for every such v, False if for none, None if it depends on v."""
+    known, types = (t if isinstance(t, tuple) else (t,) for t in (known, types))
+    if all(issubclass(k, types) for k in known):
+        return True
+    related = any(issubclass(k, t) or issubclass(t, k) for k in known for t in types)
+    return None if related else False
 
 
 # -- what generated code calls ----------------------------------------------------
@@ -435,7 +436,7 @@ class _Emitter:
                 loop = isinstance(stmt, ast.ForStmt)
                 if loop:
                     items, local = self.value(stmt.container, r), self.bind()
-                    self.open(f"for {local} in {_items(items)}:", block=True)
+                    self.loop(stmt.container, items, local)
                 else:
                     self.open(f"if {self.cond(stmt.cond, r)}:")
                 r.scopes.append({stmt.var: local} if loop else {})
@@ -508,13 +509,8 @@ class _Emitter:
         is the condition's.  Its value must be a bool or MISSING (false);
         anything else fails the rule at exp's position."""
         value = self.value(exp, r)
-        inner = _unparen(exp)
-        if isinstance(inner, _BOOL_NODES):
+        if _holds(self.known(exp), bool):
             return value
-        if isinstance(inner, ast.FunctionCall):
-            spec = self.builtins.get(inner.name)
-            if spec is not None and spec.result == builtins_mod.BOOL:
-                return value
         # a temporary is read once, here; a variable's value is copied
         checked = value if value.startswith("t") else self.assign(self.fresh("t"), value)
         self.line(f"if {checked} is not True and {checked} is not False: "
@@ -532,8 +528,8 @@ class _Emitter:
         """The call as a statement: count it, then call the built-in, through
         the query cache (get) for a cached built-in, or for any built-in
         when cached is set.  Any other call of a known built-in with a count
-        in its arity runs the body itself when the arguments pass the
-        built-in's guard, and Registry.call, which checks them, otherwise."""
+        in its arity runs the body itself when the arguments pass its guard
+        (see guard), and Registry.call, which checks them, otherwise."""
         spec = self.builtins.get(exp.name)
         if spec is None:
             self.diagnose(r, UNKNOWN_BUILTIN, f"'{exp.name}' is not a known built-in function",
@@ -548,14 +544,55 @@ class _Emitter:
         if self.cached and spec is not None and (cached or spec.cached):
             self.line(f"a = {listed}")
             self.line(f"{target} = get(key_of({name}, a), call, {name}, a, model)", r, exp.span)
-        elif spec is not None and len(args) in spec.arity:
-            guard = spec.guard.format(*args, k=[self.const(t) for _, t, _ in spec.checks])
+        elif spec is not None and len(args) in spec.arity and (
+                guard := self.guard(spec, exp.args, args)) is not None:
             checked = f" if {guard} else call({name}, {listed}, model)" if guard else ""
             self.line(f"{target} = {self.const(spec.fn)}(registry, model, {listed}){checked}",
                       r, exp.span, spec.name)
         else:
             self.line(f"{target} = call({name}, {listed}, model)", r, exp.span)
         return target
+
+    def guard(self, spec: builtins_mod.Builtin, exps: tuple[ast.Exp, ...],
+              args: list[str]) -> str | None:
+        """The test that a call's arguments exps, whose values args hold,
+        pass the built-in's checks: each declared kind, then no MISSING at
+        a position in missing that no kind checks.  A clause that an
+        argument's known kind settles as true is left out ("" if all are);
+        None if one is settled as false."""
+        clauses = []
+        for i, types, _ in spec.checks:
+            holds = _holds(self.known(exps[i]), types)
+            if holds is None:
+                clauses.append(f"isinstance({args[i]}, {self.const(types)})")
+            elif not holds:
+                return None
+        checked = {i for i, _, _ in spec.checks}
+        clauses += [f"{args[i]} is not MISSING" for i in spec.missing if i not in checked
+                    and _holds(self.known(exps[i]), type(V.MISSING)) is not False]
+        return " and ".join(clauses)
+
+    def known(self, exp: ast.Exp) -> type | tuple[type, ...]:
+        """The kind that exp's value is known to have when the rule compiles:
+        a literal's type; bool for ==, exists, AND, OR and NOT; a known
+        built-in's declared result for a call of a count in its arity; else
+        any object, as for a variable, whose declared type is not kept."""
+        exp = _unparen(exp)
+        if isinstance(exp, ast.FunctionCall):
+            spec = self.builtins.get(exp.name)
+            return spec.result[0] if spec is not None and len(exp.args) in spec.arity else object
+        if isinstance(exp, ast.Literal):
+            return type(exp.value)
+        return bool if isinstance(exp, (ast.Eq, ast.Exists, ast.And, ast.Or, ast.Not)) else object
+
+    def loop(self, container: ast.Exp, items: str, local: str) -> None:
+        """Open a for of local over the elements of container, whose value
+        items holds: a list as is, MISSING none, any other value itself;
+        the list test is left out where items is known to be a list."""
+        if not _holds(self.known(container), list):
+            other = f"() if {items} is MISSING else ({items},)"
+            items = f"({items} if isinstance({items}, list) else {other})"
+        self.open(f"for {local} in {items}:", block=True)
 
     def exists(self, exp: ast.Exists, r: _Rule, target: str) -> None:
         """The exists as a scan loop, run where a lookup in its index, if one
@@ -572,16 +609,17 @@ class _Emitter:
             lhs = self.side(plan.eq.lhs, r, var if plan.keyed_left else None)
             rhs = self.side(plan.eq.rhs, r, None if plan.keyed_left else var)
             sides = f"{items}, {rhs}, {lhs}" if plan.keyed_left else f"{items}, {lhs}, {rhs}"
+            listed = _holds(self.known(exp.container), list)
+            test = items if listed else f"isinstance({items}, list) and {items}"
             self.line(f"{target} = lookup(indexes, {r.stats}, {self.const(exp)}, {sides}"
-                      + (f", {each})" if inner else ")")
-                      + f" if isinstance({items}, list) and {items} else None")
+                      + (f", {each})" if inner else ")") + f" if {test} else None")
             self.open(f"if {target} is None:")
             # the sides hold the diagnostics of what the loop evaluates again
             recorded = len(r.diagnostics)
         local = self.bind()
         self.line(f"{target} = False")
         r.scopes.append({exp.var: local})
-        self.open(f"for {local} in {_items(items)}:", block=True)
+        self.loop(exp.container, items, local)
         self.line(f"{r.stats}.exists_predicate_evals += 1")
         self.open(f"if {self.nested_cond(exp.predicate, r)}:")
         self.line(f"{target} = True")
@@ -663,7 +701,7 @@ class _Emitter:
             else:
                 r.scopes.append({stmt.var: local} if isinstance(stmt, ast.ForStmt) else {})
         if isinstance(stmt, ast.ForStmt):
-            self.open(f"for {local} in {_items(value)}:", block=True)
+            self.loop(stmt.container, value, local)
         elif isinstance(stmt, ast.IfStmt):
             self.open(f"if {value}:")
         self.steps(step.then, rules, members)
@@ -673,11 +711,6 @@ class _Emitter:
                 r.scopes.pop()
         self.close()
         self.close()
-
-
-def _items(name: str) -> str:
-    """A for or exists container's elements (see _iteration_items)."""
-    return f"({name} if isinstance({name}, list) else items({name}))"
 
 
 def emit_rule(rule: ast.Rule, builtins: dict[str, builtins_mod.Builtin],
@@ -751,7 +784,7 @@ class Interpreter:
             "indexes": cache.exists_indexes if cache is not None else None,
             "errors": errors, "stopping": (RuntimeRuleError, *errors),
             "placed": _placed, "value_eq": V.value_eq, "truth": V.is_truthy,
-            "unbound": _unbound, "items": _iteration_items, "lookup": _index_lookup,
+            "unbound": _unbound, "lookup": _index_lookup,
             "report": _report, "fail": _fail, "s0": self.stats,
         }
 

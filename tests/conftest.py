@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import settings
 
-# `pytest --hypothesis-profile=stress` draws about 20,000 examples for the
-# front-end oracle's generated sources (tests/test_javasrc_oracle.py).
+# `pytest --hypothesis-profile=stress` draws 20,000 examples in the Java
+# front end's property tests that read the profile's max_examples
+# (tests/test_javasrc_oracle.py, tests/test_javasrc.py); the rest keep
+# their own counts.
 settings.register_profile("stress", max_examples=20_000)
 
 

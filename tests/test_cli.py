@@ -96,9 +96,9 @@ def test_json_carries_the_warnings_and_rule_errors_stderr_shows(tmp_path, capsys
     rules.mkdir()
     (rules / "fail.rsl").write_text(FAILING_RULE)
     (rules / "one.rsl").write_text(ONE_RULE)
-    assert cli.main(["--project", str(root), "--rules", str(rules)]) == 0
+    assert cli.main(["--project", str(root), "--rules", str(rules)]) == 4
     text_out, err = capsys.readouterr()
-    assert cli.main(["--project", str(root), "--rules", str(rules), "--format", "json"]) == 0
+    assert cli.main(["--project", str(root), "--rules", str(rules), "--format", "json"]) == 4
     out, json_err = capsys.readouterr()
     assert json_err == err
     payload = json.loads(out)
@@ -214,11 +214,35 @@ def test_rule_runtime_error_is_diagnostic_not_crash(tmp_path, capsys):
         'Rule always-boom {\n  class c = locateClassFQN("no.such.Thing");\n}\n'
     )
     (rules / "fine.rsl").write_text(ONE_RULE)
-    assert cli.main(["--project", str(root), "--rules", str(rules)]) == 0
+    assert cli.main(["--project", str(root), "--rules", str(rules)]) == 4
     captured = capsys.readouterr()
     assert "rule error" in captured.err
     assert "always-boom" in captured.err
     assert "0 findings across 2 rules" in captured.out
+
+
+FINDING_RULE = 'Rule probe-finds {\n  assert (isEmpty("x")) { msg("found"); }\n}\n'
+
+
+@pytest.mark.parametrize("finding", [False, True])
+@pytest.mark.parametrize("no_fail", [False, True])
+def test_a_rule_error_fails_the_check(tmp_path, capsys, finding, no_fail):
+    """A rule that stopped checked nothing after its error, so the check
+    exits 4, before findings and also under --no-fail; the reports and
+    stderr are those of the same check."""
+    root = write_project(tmp_path, CLEAN)
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    (rules / "fail.rsl").write_text(FAILING_RULE)
+    (rules / "other.rsl").write_text(FINDING_RULE if finding else ONE_RULE)
+    args = ["--project", str(root), "--rules", str(rules)] + ["--no-fail"] * no_fail
+    assert cli.main(args) == cli.EXIT_RULE_ERROR == 4
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"{int(finding)} findings across 2 rules"
+    assert err.splitlines() == ["mecheck: rule error: rule probe-fail failed at line 2, "
+                                "column 13: 'locateClassFQN': no class named com.x.Nowhere"]
+    (rules / "fail.rsl").unlink()
+    assert cli.main(args) == (1 if finding and not no_fail else 0)
 
 
 def assert_condition(cond):

@@ -203,13 +203,6 @@ def test_a_rebuilt_record_dispatches_to_its_own_fn(model):
     assert rebuilt != get_attr and rebuilt.entry is not get_attr.entry
 
 
-def test_a_record_declares_at_most_two_missing_positions_and_three_kinds():
-    with pytest.raises(ValueError):
-        Builtin("wide", probe_fn, range(3, 4), missing=(0, 1, 2))
-    with pytest.raises(ValueError):
-        Builtin("wide", probe_fn, range(4, 5), checks=tuple((i, str, "text") for i in range(4)))
-
-
 @pytest.mark.parametrize("cond, checked", [
     ('hasAttr(e, "id")', False), ('(classExists("a.B"))', False),
     ('getAttr(e, "id")', True), ('isEmpty("")', False), ('noSuchThing(e)', True),

@@ -12,11 +12,14 @@ positions, diagnostics and EvalStats must be equal.  Rule text must stay
 out of the generated source, loading the pack must compile nothing and
 compile_pack must leave nothing to compile.  Each generated function has
 one error handler, and a rule error keeps its position in every context
-its line can sit in.
+its line can sit in.  What a literal or a built-in's declared result
+settles is not tested at run time: not a guard clause, not a list test
+of a for or exists container.
 """
 
 import ast as pyast
 import builtins
+import re
 import types
 from pathlib import Path
 
@@ -24,6 +27,7 @@ import pytest
 
 import reference_interpreter as ref
 from benchgen import write_workload
+from mecheck import builtins as builtins_mod
 from mecheck import cli, rulepack
 from mecheck.builtins import BUILTINS, Builtin, Registry
 from mecheck.model.project import build_model
@@ -525,3 +529,95 @@ def shared_steps(steps):
         if isinstance(step, gen.Shared):
             yield step
             yield from shared_steps(step.then)
+
+
+def producer(g, tree, name):
+    """The built-in whose call gives the temporary name in a unit's tree:
+    through the cache (get(key_of(cN, a), ...)), the checked call
+    (call(cN, ...)) or a body called directly (cF(registry, ...))."""
+    (value,) = [n.value for n in pyast.walk(tree) if isinstance(n, pyast.Assign)
+                and [getattr(t, "id", None) for t in n.targets] == [name]]
+    call = value.body if isinstance(value, pyast.IfExp) else value
+    head = call.func.id
+    if head in ("get", "call"):
+        return g.constants[int((call.args[0].args[0] if head == "get" else call.args[0]).id[1:])]
+    (builtin,) = [spec.name for spec in BUILTINS.values() if spec.fn is g.constants[int(head[1:])]]
+    return builtin
+
+
+def test_the_pack_tests_no_literal_kind_and_no_list_result(pack):
+    """In the shipped pack's code (cache on), no guard clause tests a
+    constant: a literal's kind is known when the rule compiles.  A for or
+    exists over a call of a built-in declared to return a list iterates
+    its result as it is, with no list test before an index lookup; only
+    the results of built-ins that may give any value are tested."""
+    steps = gen.plan_pack(pack)
+    shared = {k for step in steps for k in step.rules}
+    generated = [gen.emit_walk(step, pack, BUILTINS, True) for step in steps]
+    generated += [gen.emit_rule(rule, BUILTINS, True)
+                  for k, rule in enumerate(pack) if k not in shared]
+    tested = as_is = isinstances = 0
+    for g in generated:
+        for _, _, source in g.units:
+            assert not re.search(r"isinstance\(c\d+,|\bc\d+ is not MISSING", source), source
+            isinstances += source.count("isinstance(")
+            tree = pyast.parse(source)
+            loops = [n.iter for n in pyast.walk(tree) if isinstance(n, pyast.For)]
+            lookups = [n.test for n in pyast.walk(tree) if isinstance(n, pyast.IfExp)
+                       and isinstance(n.body, pyast.Call) and n.body.func.id == "lookup"]
+            for container in loops + lookups:
+                wrapped = not isinstance(container, pyast.Name)
+                items = (container.values[1] if isinstance(container, pyast.BoolOp)
+                         else container.body if wrapped else container)
+                assert items.id.startswith("t")  # a call's value, not a variable's
+                result = BUILTINS[producer(g, tree, items.id)].result
+                assert (result != builtins_mod.LIST) == wrapped, source
+                tested += wrapped
+                as_is += not wrapped
+    assert as_is > 20 and tested == 3  # getArg twice and join
+    assert isinstances <= 90
+
+
+# name: a rule's statement in the loop over beans, and how the generated
+# line of each call in it runs the call: "checked" through Registry.call
+# alone, "guarded" the body where its guard holds, "bare" the body
+KNOWN_KINDS = {
+    # a literal of the wrong kind
+    "literal-kind": ("String v = getAttr(b, 5);", ["checked"]),
+    # MISSING returns before the literal's kind is checked
+    "missing-first": ('assert (NOT isEmpty(getAttr(getAttr(b, "absent"), 5))) { msg("m %s", b); }',
+                      ["guarded", "checked", "guarded"]),
+    # every check of locateClassFQN and getName settled
+    "settled": ('assert (isEmpty(getName(locateClassFQN("p.A")))) { msg("n %s", b); }',
+                ["bare", "bare", "guarded"]),
+}
+
+
+def call_shapes(g, source, line):
+    """How each generated line of the calls at a rule line runs its call."""
+    (table,) = {n.args[1].id for n in pyast.walk(pyast.parse(source))
+                if isinstance(n, pyast.Call) and getattr(n.func, "id", None) == "placed"}
+    lines = source.splitlines()
+    texts = [lines[i - 1].split(" = ", 1)[1]
+             for i, where in sorted(g.constants[int(table[1:])].items()) if where[1] == line]
+    return ["checked" if text.startswith("call(") else "guarded" if " if " in text else "bare"
+            for text in texts]
+
+
+@pytest.mark.parametrize("name", KNOWN_KINDS)
+def test_calls_of_known_kinds_run_as_the_closures_ran_them(tmp_path, name):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text("package p;\npublic class A { }\n")
+    (tmp_path / "ctx.xml").write_text(CTX_XML)
+    stmt, shapes = KNOWN_KINDS[name]
+    rule = parse_rule(f"Rule {name} {{\n{BEANS}    {stmt}\n  }}\n}}\n}}\n")
+    for cached in (True, False):
+        g = gen.emit_rule(rule, BUILTINS, cached)
+        (_, _, source), = g.units
+        assert call_shapes(g, source, 4) == shapes, source
+    reports, errors, _, _ = assert_same_checks([rule], build_model(tmp_path))
+    if name == "literal-kind":
+        assert [error[2:] for error in errors] == [
+            ("'getAttr' argument 2 must be text, got int", 4, 16)]
+    else:
+        assert not errors and len(reports) == 4

@@ -183,7 +183,7 @@ def assert_tokens_match_reference(text):
     assert tokenize_java(text) == without_bodies(reference_tokenizer.tokenize(text), bodies)
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=max(1000, settings().max_examples), deadline=None)
 @given(
     st.lists(
         st.one_of(st.sampled_from(FRAGMENTS), st.characters(max_codepoint=0x2FFF)),
@@ -194,7 +194,8 @@ def test_tokenizer_matches_reference(text):
     assert_tokens_match_reference(text)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=max(300, settings().max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(java_sources())
 def test_tokenizer_matches_reference_on_generated_sources(text):
     assert_tokens_match_reference(text)
@@ -291,7 +292,7 @@ def assert_carried_decls_are_a_fresh_scan(text):
     assert decls_view(scan_declarations(toks)) == decls_view(scan_declarations(list(toks)))
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=max(1000, settings().max_examples), deadline=None)
 @given(
     st.lists(
         st.one_of(st.sampled_from(FRAGMENTS), st.characters(max_codepoint=0x2FFF)),
@@ -303,7 +304,8 @@ def test_carried_decls_equal_a_fresh_scan_of_fragments(text):
     assert_carried_decls_are_a_fresh_scan(text)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=max(300, settings().max_examples), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(java_sources())
 def test_carried_decls_equal_a_fresh_scan_of_generated_sources(text):
     assert_carried_decls_are_a_fresh_scan(text)
