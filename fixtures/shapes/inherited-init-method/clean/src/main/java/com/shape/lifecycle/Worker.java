@@ -1,0 +1,6 @@
+package com.shape.lifecycle;
+
+public class Worker extends AbstractLifecycle {
+    public void run() {
+    }
+}

@@ -4,9 +4,8 @@ Submodules:
     lexer      source text -> tokens
     ast        node classes shared by the parser and interpreter
     parser     tokens -> Rule AST
-    validator  static checks (declared variables, known built-ins, arity),
-               made by compiling the rule; it imports mecheck.runtime, so
-               this package does not import it
+
+A rule is validated as its code is written (runtime/interpreter.py).
 """
 
 from mecheck.rsl.lexer import tokenize, decode_source

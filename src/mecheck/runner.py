@@ -5,10 +5,10 @@ renderers sort by (rule name, file, line, ordinal).  A rule that fails at
 runtime contributes a diagnostic instead of aborting the run.
 
 Each rule runs as generated Python (runtime/interpreter.py), written
-from the rule and compiled once per check.  Rules that open with the
-same statements share them: compile_pack makes such rules run as one
-generated walk that evaluates a statement, equal in each rule but for
-its spans, once per binding.  A declaration is shared, and so is a for
+from the rule once, as the pack loads, and compiled once per check.
+Rules that open with the same statements share them: such rules run as
+one generated walk that evaluates a statement, equal in each rule but
+for its spans, once per binding.  A declaration is shared, and so is a for
 or if that ends its body.  Each rule is still run by one run_rule call
 of its own interpreter, in pack order: the walk runs inside the first
 sharing rule's call, and the others' reports, held until their own call,
@@ -77,7 +77,7 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
     """Run the whole pack against the project and collect everything."""
     started = time.perf_counter()
     rules_dir = config.rules_dir or rulepack.default_rules_dir()
-    rules = rulepack.load_rulepack(rules_dir)
+    pack = rulepack.load_rulepack(rules_dir)
 
     if model is None:
         model = build_model(Path(config.project_root), tuple(config.ignore_globs))
@@ -93,9 +93,10 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
     summary = RunSummary()
     cache = QueryCache() if config.use_cache else None
     sink: list[BugReport] = []
-    interpreters: list[Interpreter | None] = [Interpreter(model, registry, cache) for _ in rules]
-    compile_pack(interpreters, rules)
-    for k, rule in enumerate(rules):
+    interpreters: list[Interpreter | None] = [
+        Interpreter(model, registry, cache) for _ in pack.rules]
+    compile_pack(interpreters, pack)
+    for k, rule in enumerate(pack.rules):
         # a rule's compiled code is freed once its turn is over
         interp, interpreters[k] = interpreters[k], None
         try:

@@ -28,8 +28,9 @@ Rules run one at a time, so the cache takes no lock.
 The cache also holds the interpreter's exists indexes (exists_indexes),
 so they live exactly as long as the cached query results they are built
 over: one entry per exists node and container object, built once, whole,
-or None when the node must scan (see interpreter.py); with no cache there
-are no indexes and every exists scans.
+or None when the node must scan (see interpreter.py).  A rule's code is
+the same with no cache: then each call it would look up is computed,
+through Registry.call, and every exists scans.
 """
 
 from __future__ import annotations

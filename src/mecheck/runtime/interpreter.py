@@ -10,56 +10,59 @@ Each binding site (for variable, exists variable, declaration) and each
 intermediate value is a Python local.  Every built-in call is a
 statement that counts the call in the rule's EvalStats.  A cached
 built-in or an exists container goes through canonical_key and
-QueryCache.get_or_compute, which call Registry.call on a miss.  Any
-other call of a known built-in with a count in its arity calls the body
-itself where its guard holds, and Registry.call, which checks the
-arguments, where it does not: the body runs on exactly the calls the
-checked entry would run it on.  The guard is the declaration's checks
-(each kind, then no MISSING where the call would return early) less
-those that an argument's kind, known when the rule compiles
-(_Emitter.known), settles; one settled as failing leaves the checked
-call alone.  These three and each body are looked up when the code is
-compiled, so wrappers installed on them before a rule runs see every
-call that reaches them.  A condition must be a bool or MISSING, and a
-for or exists container a list or one value, each checked at run time
-unless known.  AND and OR do not evaluate their right side when the left
-side decides; an exists is one loop that counts each predicate
-evaluation and stops at the first true one, run where a lookup in its
-index cannot answer (see _index_lookup).  A call, a truth check and a
-read of an unbound variable are each a line that raises a plain error,
-and each generated function has one try, whose handler raises
-RuntimeRuleError at the (rule, line, column) that its unit's line table
-records for that line; for a line that calls a body, the table also
-names the built-in, which the handler puts into the body's
-BuiltinTypeError or PreconditionError as the checked entry would.  Rule
-text never enters the source: literals, message templates, line tables,
-built-in and rule names are constants the code reads as the globals c0,
-c1, ..., as it reads the registry, its bound call, the model, the cache,
-the EvalStats and the helpers below.  The source is split into units,
-each compiled on its own as "<rule NAME>" after the rules whose code it
-holds: CPython's compiler holds about 5 KB per line of a compile, and a
-function nests at most 20 blocks and 100 indentation levels deep, while
-a rule nests up to 64 levels.  A unit takes the locals it reads as
-arguments and the units it calls as defaults; no namespace keeps them.
+QueryCache.get_or_compute, which call Registry.call on a miss, or with
+no cache, Registry.call on every call.  Any other call of a known
+built-in with a count in its arity calls the body itself where its guard
+holds, and Registry.call, which checks the arguments, where it does not:
+the body runs on exactly the calls the checked entry would run it on.
+The guard is the declaration's checks (each kind, then no MISSING where
+the call would return early) less those that an argument's kind, known
+when the rule compiles (_Emitter.known), settles; one settled as failing
+leaves the checked call alone.  These three and each body are looked up
+when the code is compiled, so wrappers installed on them before a rule
+runs see every call that reaches them.  A condition must be a bool or
+MISSING, and a for or exists container a list or one value, each checked
+at run time unless known.  AND and OR do not evaluate their right side
+when the left side decides; an exists is one loop that counts each
+predicate evaluation and stops at the first true one, run where a lookup
+in its index cannot answer (see _index_lookup; with no cache, none can).
+The code is the same whether the rule runs with a query cache or not.  A
+call, a truth check and a read of an unbound variable are each a line
+that raises a plain error, and each generated function has one try,
+whose handler raises RuntimeRuleError at the (rule, line, column) that
+its unit's line table records for that line; for a line that calls a
+body, the table also names the built-in, which the handler puts into the
+body's BuiltinTypeError or PreconditionError as the checked entry would.
+Rule text never enters the source: literals, message templates, line
+tables, built-in and rule names are constants the code reads as the
+globals c0, c1, ..., as it reads the registry, its bound call, the
+model, the cache, the EvalStats and the helpers below.  The source is
+split into units, each compiled on its own as "<rule NAME>" after the
+rules whose code it holds: CPython's compiler holds about 5 KB per line
+of a compile, and a function nests at most 20 blocks and 100 indentation
+levels deep, while a rule nests up to 64 levels.  A unit takes the
+locals it reads as arguments and the units it calls as defaults; no
+namespace keeps them.
 
 Scoping model: variables are resolved as the source is written, and this
-one walk validates the rule: emit_rule records a Diagnostic for each read
-that resolves to no binding, each call of an unknown built-in and each
-call with a wrong argument count, and rsl/validator.py reports them
-without compiling anything.  The rule body, each for and if body and
-each exists predicate is a scope; a declaration is visible to the
-statements after it in its scope, a for or exists variable to its body
-or predicate, and an inner binding shadows an outer one.  A read that
-resolves to no binding becomes a raise of "variable 'x' is not bound" at
-its position, and a diagnosed call still calls Registry.call, which fails
-it.  The type a rule declares for a variable is not kept or checked.
-A failed assert renders the message template and emits a BugReport at
-the first message argument that carries a source location.  Any runtime
-failure aborts only the current rule via RuntimeRuleError.
+one walk validates the rule: emit_rule records a Diagnostic for each
+read that resolves to no binding, each call of an unknown built-in and
+each call with a wrong argument count, and load_rulepack reports the
+first.  The rule body, each for and if body and each exists predicate is
+a scope; a declaration is visible to the statements after it in its
+scope, a for or exists variable to its body or predicate, and an inner
+binding shadows an outer one.  A read that resolves to no binding
+becomes a raise of "variable 'x' is not bound" at its position, and a
+diagnosed call still calls Registry.call, which fails it.  The type a
+rule declares for a variable is not kept or checked.  A failed assert
+renders the message template and emits a BugReport at the first message
+argument that carries a source location.  Any runtime failure aborts
+only the current rule via RuntimeRuleError.
 
 Rules that open with the same statements run them once, in one generated
-walk (plan_pack, emit_walk, compile_pack), with what running the rules
-one by one gives: reports, ordinals, rule errors and diagnostics.
+walk (plan_pack, emit_walk), with what running the rules one by one
+gives: reports, ordinals, rule errors and diagnostics.  emit_pack writes
+each rule's code once, and compile_pack compiles it.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from mecheck.runtime.cache import QueryCache, canonical_key
 _MAX_BLOCKS, _MAX_INDENT, _MAX_LINES = 10, 30, 40
 
 
-# What emitting a rule finds wrong with it; rsl/validator.py reports these.
+# What emitting a rule finds wrong with it; rulepack.py reports these.
 UNDECLARED_VARIABLE = "undeclared-variable"
 UNKNOWN_BUILTIN = "unknown-builtin"
 BUILTIN_ARITY = "builtin-arity"
@@ -313,11 +316,10 @@ class _Rule:
 
 class _Emitter:
     """Writes rules as Python source.  builtins is the registry's table,
-    cached says whether the code runs with a query cache, and names are
-    the rules a unit written now holds code of."""
+    and names are the rules a unit written now holds code of."""
 
-    def __init__(self, builtins: dict[str, builtins_mod.Builtin], cached: bool, names: str):
-        self.builtins, self.cached, self.names = builtins, cached, names
+    def __init__(self, builtins: dict[str, builtins_mod.Builtin], names: str):
+        self.builtins, self.names = builtins, names
         self.constants: list = []
         self._constant_names: dict = {}
         self._count = 0
@@ -541,7 +543,7 @@ class _Emitter:
         args = [self.value(arg, r) for arg in exp.args]
         listed, name, target = f"[{', '.join(args)}]", self.const(exp.name), into or self.fresh("t")
         self.line(f"{r.stats}.builtin_calls += 1")
-        if self.cached and spec is not None and (cached or spec.cached):
+        if spec is not None and (cached or spec.cached):
             self.line(f"a = {listed}")
             self.line(f"{target} = get(key_of({name}, a), call, {name}, a, model)", r, exp.span)
         elif spec is not None and len(args) in spec.arity and (
@@ -598,10 +600,9 @@ class _Emitter:
         """The exists as a scan loop, run where a lookup in its index, if one
         can answer it (plan_exists, plan_nested), declines."""
         items = self.container(exp.container, r)
-        plan, inner = (plan_exists(exp), None) if self.cached else (None, None)
-        if self.cached and plan is None:
-            inner = plan_nested(exp)
-            plan = inner and plan_exists(inner)
+        plan = plan_exists(exp)
+        inner = None if plan else plan_nested(exp)
+        plan = plan or (inner and plan_exists(inner))
         if plan is not None:
             each = self.side(inner.container, r, exp.var, container=True) if inner else None
             # e and f in the order of ==, the order the scan evaluates them in
@@ -683,15 +684,22 @@ class _Emitter:
         self.open("if " + " or ".join(f"{m}.error is None" for m in stopped) + ":")
         self.open("try:", block=True)
         local = None if isinstance(stmt, ast.IfStmt) else self.bind()
+        recorded = len(group[0].diagnostics)
         if isinstance(stmt, ast.ForStmt):
             value = self.value(stmt.container, group[0])
         elif isinstance(stmt, ast.IfStmt):
             value = self.cond(stmt.cond, group[0])
         else:
             value = self.value(stmt.init, group[0], local)
+        # each other rule's head holds what the first's does, at its own positions
+        heads = tuple(_head(s) for s in step.stmts)
+        for head, r in zip(heads[1:], group[1:]):
+            r.diagnostics += [Diagnostic(d.code, d.message,
+                                         *_position_in(heads[0], head, d.line, d.column))
+                              for d in group[0].diagnostics[recorded:]]
         self.close(block=True)
         self.open("except stopping as exc:")
-        heads = self.const(tuple(_head(s) for s in step.stmts))
+        heads = self.const(heads)
         self.line(f"fail(exc, {self.const(self.func.table)}, ({', '.join(stopped)},), {heads})")
         self.close()
         self.open("else:")
@@ -713,24 +721,25 @@ class _Emitter:
         self.close()
 
 
-def emit_rule(rule: ast.Rule, builtins: dict[str, builtins_mod.Builtin],
-              cached: bool) -> Generated:
+def emit_rule(rule: ast.Rule, builtins: dict[str, builtins_mod.Builtin]) -> Generated:
     """The rule's body as run(sink), with its diagnostics in source order."""
-    emitter = _Emitter(builtins, cached, rule.name)
+    emitter = _Emitter(builtins, rule.name)
     r = _Rule(rule.name, "s0", "sink")
     return emitter.generated(("sink",), lambda: emitter.stmts(rule.body, r), r.diagnostics)
 
 
-def emit_walk(step: Shared, rules: list[ast.Rule], builtins: dict[str, builtins_mod.Builtin],
-              cached: bool) -> Generated:
+def emit_walk(step: Shared, rules: list[ast.Rule],
+              builtins: dict[str, builtins_mod.Builtin]) -> Generated:
     """The shared walk of step as run(k0, k1, ...): the k-th rule of
     step.rules keeps its reports in sink kk, its stopping error in
-    member mk and its counts in EvalStats sk."""
-    emitter = _Emitter(builtins, cached, ", ".join(rules[k].name for k in step.rules))
+    member mk and its counts in EvalStats sk; its diagnostics are a list
+    for each rule of step.rules, as emit_rule gives them."""
+    emitter = _Emitter(builtins, ", ".join(rules[k].name for k in step.rules))
     states = {k: _Rule(rules[k].name, f"s{i}", f"k{i}") for i, k in enumerate(step.rules)}
     members = {k: f"m{i}" for i, k in enumerate(step.rules)}
     return emitter.generated(tuple(r.sink for r in states.values()),
-                             lambda: emitter.step(step, states, members), [])
+                             lambda: emitter.step(step, states, members),
+                             [r.diagnostics for r in states.values()])
 
 
 def _load(generated: Generated, env: dict[str, object]) -> Callable:
@@ -770,7 +779,7 @@ class Interpreter:
         """The rule's function of the sink, compiled once per interpreter."""
         entry = self._compiled.get(id(rule))
         if entry is None:
-            generated = emit_rule(rule, self.registry.builtins, self.cache is not None)
+            generated = emit_rule(rule, self.registry.builtins)
             entry = self._compiled[id(rule)] = (rule, _load(generated, self._env()))
         return entry[1]
 
@@ -779,12 +788,13 @@ class Interpreter:
         cache, errors = self.cache, (*builtins_mod.CALL_ERRORS, V.ValueTypeError)
         return {
             "call": self.registry.call, "registry": self.registry, "model": self.model,
-            "key_of": canonical_key, "MISSING": V.MISSING,
-            "get": cache.get_or_compute if cache is not None else None,
-            "indexes": cache.exists_indexes if cache is not None else None,
+            "key_of": canonical_key if cache else lambda name, a: None, "MISSING": V.MISSING,
+            "get": cache.get_or_compute if cache else lambda key, compute, *a: compute(*a),
+            "indexes": cache.exists_indexes if cache else None,
+            "lookup": _index_lookup if cache else lambda *a: None,
             "errors": errors, "stopping": (RuntimeRuleError, *errors),
             "placed": _placed, "value_eq": V.value_eq, "truth": V.is_truthy,
-            "unbound": _unbound, "lookup": _index_lookup,
+            "unbound": _unbound,
             "report": _report, "fail": _fail, "s0": self.stats,
         }
 
@@ -994,21 +1004,40 @@ class _Member:
         self.rule_name, self.sink, self.error = rule_name, [], None
 
 
-def compile_pack(interpreters: list[Interpreter], rules: list[ast.Rule]) -> None:
-    """Compile every rule of rules, each set of rules in plan_pack(rules)
-    as one walk that runs their shared statements once.  interpreters[k]
-    runs rules[k], with one run_rule call per rule, in pack order.  The
-    first rule of a set runs the shared walk, compiled from emit_walk, in
-    which a rule error in a rule's own statements stops that rule only, and
-    one in a shared statement every rule it still runs, each at its own
-    position.  The others replay what the walk held for them, their reports
-    numbered afresh, and each stopped rule's run_rule raises its error
-    after its reports, in its turn."""
-    members = [_Member(rule.name) for rule in rules]
-    for step in plan_pack(rules):
-        first = interpreters[step.rules[0]]
-        generated = emit_walk(step, rules, first.registry.builtins, first.cache is not None)
-        env = first._env()
+class Pack(Record):
+    """A rule pack written as code: its rules; (each walk of plan_pack(rules)
+    or other rule's position, its Generated); and each rule's diagnostics,
+    as emit_rule gives them."""
+
+    __slots__ = ("rules", "walks", "alone", "diagnostics")
+    rules: list[ast.Rule]
+    walks: tuple[tuple[Shared, Generated], ...]
+    alone: tuple[tuple[int, Generated], ...]
+    diagnostics: tuple[list[Diagnostic], ...]
+
+
+def emit_pack(rules: list[ast.Rule], builtins: dict[str, builtins_mod.Builtin]) -> Pack:
+    """The code of every rule of rules, each written once: a rule in a
+    set of plan_pack(rules) in its set's walk, any other on its own."""
+    walks = tuple((step, emit_walk(step, rules, builtins)) for step in plan_pack(rules))
+    found = {k: d for step, g in walks for k, d in zip(step.rules, g.diagnostics)}
+    alone = tuple((k, emit_rule(rule, builtins)) for k, rule in enumerate(rules) if k not in found)
+    found.update((k, g.diagnostics) for k, g in alone)
+    return Pack(rules, walks, alone, tuple(found[k] for k in range(len(rules))))
+
+
+def compile_pack(interpreters: list[Interpreter], pack: Pack) -> None:
+    """Compile the code of pack, written with the built-in table of the
+    interpreters' registry; interpreters[k] runs pack.rules[k], with one
+    run_rule call per rule, in pack order.  The first rule of a set runs
+    the shared walk, in which a rule error in a rule's own statements stops
+    that rule only, and one in a shared statement every rule it still runs,
+    each at its own position.  The others replay what the walk held for
+    them, their reports numbered afresh, and each stopped rule's run_rule
+    raises its error after its reports, in its turn."""
+    rules, members = pack.rules, [_Member(rule.name) for rule in pack.rules]
+    for step, generated in pack.walks:
+        env = interpreters[step.rules[0]]._env()
         for i, k in enumerate(step.rules):
             env[f"s{i}"], env[f"m{i}"] = interpreters[k].stats, members[k]
         walk = _load(generated, env)
@@ -1016,8 +1045,9 @@ def compile_pack(interpreters: list[Interpreter], rules: list[ast.Rule]) -> None
         for k, member in zip(step.rules, group):
             body = _walk_body(walk, group) if member is group[0] else _replay_body(member)
             interpreters[k]._compiled[id(rules[k])] = (rules[k], body)
-    for interp, rule in zip(interpreters, rules):
-        interp.compile_rule(rule)
+    for k, generated in pack.alone:
+        interpreters[k]._compiled[id(rules[k])] = (
+            rules[k], _load(generated, interpreters[k]._env()))
 
 
 def _walk_body(walk: Callable, group: list[_Member]) -> Callable[[list], None]:

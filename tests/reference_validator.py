@@ -4,16 +4,16 @@ Before the rule compiler reported what it finds wrong with a rule,
 mecheck.rsl.validator walked each rule itself: every identifier read
 must be bound by an enclosing for/exists/declaration, every called
 function must be a known built-in, and every call must pass an
-acceptable number of arguments.  tests/test_validator.py compares
-validate_rule against reference_validate_rule: the same diagnostics, in
-the same order.  Keep its logic unchanged.
+acceptable number of arguments.  tests/test_validator.py compares the
+diagnostics of emit_rule against reference_validate_rule: the same
+diagnostics, in the same order.  Keep its logic unchanged.
 """
 
 from __future__ import annotations
 
 from mecheck import builtins as registry_mod
 from mecheck.rsl import ast
-from mecheck.rsl.validator import (
+from mecheck.runtime.interpreter import (
     BUILTIN_ARITY,
     UNDECLARED_VARIABLE,
     UNKNOWN_BUILTIN,

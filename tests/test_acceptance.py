@@ -103,7 +103,7 @@ def test_c2_clean_corpus_zero_findings():
 
 
 def test_c3_all_15_rules_load_and_validate():
-    rules = load_rulepack(default_rules_dir())
+    rules = load_rulepack(default_rules_dir()).rules
     assert len(rules) == 15
     assert all(isinstance(r, ast.Rule) for r in rules)
     prefixes = [r.name.split("-")[0] for r in rules]

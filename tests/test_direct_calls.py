@@ -3,12 +3,14 @@
 Where a call of a known built-in has a count in its arity and does not go
 through the query cache, the generated code runs the body itself when the
 arguments pass the built-in's guard (its declared kinds, and no MISSING
-at a MISSING position no kind checks), and Registry.call otherwise.  For
-every built-in, Hypothesis draws argument lists of a valid count from
-model items of each kind, text, located text, MISSING, bools, integers
-and lists; a rule calling it must give the value Registry.call gives, or
-fail with the text of the error Registry.call raises, and must reach
-Registry.call exactly when the guard fails.  Rules whose call raises in
+at a MISSING position no kind checks), and Registry.call otherwise.  A
+call of a cached built-in goes through the query cache, and with none,
+through Registry.call every time.  For every built-in, Hypothesis draws
+argument lists of a valid count from model items of each kind, text,
+located text, MISSING, bools, integers and lists; a rule calling it must
+give the value Registry.call gives, or fail with the text of the error
+Registry.call raises, and must reach Registry.call exactly when the guard
+fails, or on every call of a cached built-in.  Rules whose call raises in
 the body on the direct path must fail as tests/reference_interpreter.py
 fails them: text, line and column, alone and in a shared walk.
 """
@@ -98,8 +100,9 @@ def test_direct_form_matches_registry_call(model, name):
         if count not in rules:
             rules[count] = calling_rule(name, count)
             interpreters[count] = Interpreter(model, registry)
-            (source,) = [s for _, _, s in emit_rule(rules[count], registry.builtins, False).units]
-            assert source.count("(registry, model, [") == count + 2  # and pick, keep
+            (source,) = [s for _, _, s in emit_rule(rules[count], registry.builtins).units]
+            # each pick and the keep, and the call unless the query cache takes it
+            assert source.count("(registry, model, [") == count + 1 + (not spec.cached)
         drawn[:], kept[:] = args, []
         counter.registry.clear()
         try:
@@ -108,7 +111,7 @@ def test_direct_form_matches_registry_call(model, name):
         except RuntimeRuleError as exc:
             assert (exc.line, exc.column) == (2, 19)
             got = ("raised", exc.cause)
-        assert counter.registry[name] == (0 if passes_guard(spec, args) else 1)
+        assert counter.registry[name] == (1 if spec.cached or not passes_guard(spec, args) else 0)
         if want[0] == "ok":
             assert got[0] == "ok" and same(got[1], want[1]), (got, want)
         else:
@@ -148,7 +151,7 @@ def project_model(tmp_path_factory):
 def test_an_error_raised_in_a_direct_body_is_the_references(project_model, name):
     text = raising_source(name)
     rule = parse_rule(text)
-    source = "".join(s for _, _, s in emit_rule(rule, BUILTINS, True).units)
+    source = "".join(s for _, _, s in emit_rule(rule, BUILTINS).units)
     assert "(registry, model, [" in source
     _, errors, _, _ = assert_same_checks([rule], project_model)
     (error,) = errors

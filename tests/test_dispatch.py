@@ -210,7 +210,7 @@ def test_a_rebuilt_record_dispatches_to_its_own_fn(model):
 def test_only_conditions_of_unknown_or_non_bool_results_are_truth_checked(cond, checked):
     rule = parse_rule(f'Rule c {{\n  for (<bean> e in getXMLs()) {{\n'
                       f'    assert ({cond}) {{ msg("m"); }}\n  }}\n}}\n')
-    (_, _, source), = emit_rule(rule, BUILTINS, cached=False).units
+    (_, _, source), = emit_rule(rule, BUILTINS).units
     assert ("truth(" in source) == checked
 
 

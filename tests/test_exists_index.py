@@ -501,7 +501,7 @@ def test_r15_getattr_calls_grow_with_lookups_plus_beans(tmp_path):
     lookups, beans = 40, 200
     root = getbean_project(tmp_path, lookups, beans)
     model = build_model(root)
-    (r15,) = [r for r in rulepack.load_rulepack(rulepack.default_rules_dir())
+    (r15,) = [r for r in rulepack.load_rulepack(rulepack.default_rules_dir()).rules
               if r.name.startswith("r15-")]
 
     def run(cache):
@@ -552,7 +552,7 @@ def test_second_pack_run_adds_no_indexes(tmp_path):
         '    <property name="name"/>\n  </bean>\n</beans>\n'
     )
     model = build_model(root)
-    rules = rulepack.load_rulepack(rulepack.default_rules_dir())
+    rules = rulepack.load_rulepack(rulepack.default_rules_dir()).rules
     registry = builtins_mod.Registry()
     cache = QueryCache()
 

@@ -28,12 +28,11 @@ import pytest
 import reference_interpreter as ref
 from benchgen import write_workload
 from mecheck import builtins as builtins_mod
-from mecheck import cli, rulepack
+from mecheck import cli, rulepack, runner
 from mecheck.builtins import BUILTINS, Builtin, Registry
 from mecheck.model.project import build_model
 from mecheck.rsl import ast
 from mecheck.rsl.parser import MAX_NESTING, RslSyntaxError, parse_rule
-from mecheck.rsl.validator import validate_rule
 from mecheck.runtime import interpreter as gen
 from mecheck.runtime.cache import QueryCache
 from test_exists_index import NESTED_SHAPES, NestedRegistry
@@ -54,7 +53,8 @@ def check(engine, rules, model, use_cache):
     cache's entries."""
     registry, cache = Registry(), QueryCache() if use_cache else None
     interpreters = [engine.Interpreter(model, registry, cache) for _ in rules]
-    engine.compile_pack(interpreters, rules)
+    engine.compile_pack(interpreters, gen.emit_pack(rules, registry.builtins)
+                        if engine is gen else rules)
     sink, errors = [], []
     for interp, rule in zip(interpreters, rules):
         try:
@@ -98,7 +98,7 @@ def project(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def pack():
-    return rulepack.load_rulepack(rulepack.default_rules_dir())
+    return rulepack.load_rulepack(rulepack.default_rules_dir()).rules
 
 
 def test_genrules_corpus_runs_as_the_closure_compiler_ran_it(project):
@@ -126,9 +126,7 @@ def test_diagnostics_are_the_closure_compilers(project):
     found = 0
     for rule in rules:
         closure = rows(ref.Interpreter(model, cache=QueryCache()).compile_rule(rule)[2])
-        for cached in (True, False):
-            assert rows(gen.emit_rule(rule, BUILTINS, cached).diagnostics) == closure
-        assert rows(validate_rule(rule)) == closure
+        assert rows(gen.emit_rule(rule, BUILTINS).diagnostics) == closure
         found += bool(closure)
     assert found >= 5 * 25
 
@@ -249,7 +247,7 @@ def test_rules_nested_to_the_parser_bound(project):
     assert not errors and len(reports) >= 2
     for name, rule in zip(DEEP, rules):
         # code nested too deep for one CPython function went into units of its own
-        assert (len(gen.emit_rule(rule, BUILTINS, True).units) > 1) == (name != "not")
+        assert (len(gen.emit_rule(rule, BUILTINS).units) > 1) == (name != "not")
         assert alone(gen, rule, model, QueryCache()) == alone(ref, rule, model, QueryCache())
 
 
@@ -299,8 +297,8 @@ def test_rule_text_stays_data(project):
     reports, errors, _, _ = assert_same_checks(rules, model)
     assert len(reports) >= len(rules) and not errors
     assert {r[1].split(" ")[0] for r in reports} >= {"\"\"\"", "{}", "\\n"}
-    generated = [gen.emit_rule(rule, BUILTINS, c) for rule in rules for c in (True, False)]
-    generated += [gen.emit_walk(step, rules, BUILTINS, True) for step in gen.plan_pack(rules)]
+    generated = [gen.emit_rule(rule, BUILTINS) for rule in rules]
+    generated += [gen.emit_walk(step, rules, BUILTINS) for step in gen.plan_pack(rules)]
     assert len(gen.plan_pack(rules)) == 1
     sources = [source for g in generated for _, _, source in g.units]
     for source in sources:
@@ -321,16 +319,42 @@ def test_loading_the_pack_compiles_nothing(monkeypatch, pack):
 
     monkeypatch.setattr(builtins, "compile", refuse)
     monkeypatch.setattr(builtins, "exec", refuse)
-    rules = rulepack.load_rulepack(rulepack.default_rules_dir())
+    rules = rulepack.load_rulepack(rulepack.default_rules_dir()).rules
     assert [rule.name for rule in rules] == [rule.name for rule in pack]
     for rule in differential_corpus(seed=31, valid=40, per_variant=5):
-        validate_rule(rule)
+        gen.emit_rule(rule, BUILTINS)
+
+
+def test_a_check_writes_each_rules_code_once(monkeypatch):
+    """One check of the shipped pack writes its code once, all of it as
+    the pack loads: a walk for each of its three sets of rules that share
+    statements, and each of the four other rules alone."""
+    written, loading = [], [False]
+    load = rulepack.load_rulepack
+
+    def loading_pack(rules_dir):
+        loading[0] = True
+        try:
+            return load(rules_dir)
+        finally:
+            loading[0] = False
+
+    for name in ("emit_walk", "emit_rule"):
+        def writing(*args, name=name, emit=getattr(gen, name)):
+            written.append((name, loading[0]))
+            return emit(*args)
+
+        monkeypatch.setattr(gen, name, writing)
+    monkeypatch.setattr(rulepack, "load_rulepack", loading_pack)
+    config = runner.CheckerConfig(project_root=str(FIXTURES / "combined-clean"))
+    assert runner.run_checker(config).rules_executed == 15
+    assert sorted(written) == [("emit_rule", True)] * 4 + [("emit_walk", True)] * 3
 
 
 def test_a_namespace_does_not_keep_its_function(project, pack):
     model = build_model(project)
     interpreters = [gen.Interpreter(model, Registry(), QueryCache()) for _ in pack]
-    gen.compile_pack(interpreters, pack)
+    gen.compile_pack(interpreters, gen.emit_pack(pack, BUILTINS))
     functions = [interp.compile_rule(rule) for interp, rule in zip(interpreters, pack)]
     generated = {code for fn in functions
                  for code in [fn] + [cell.cell_contents for cell in fn.__closure__ or ()]
@@ -379,11 +403,12 @@ def test_a_traceback_through_generated_code_names_the_rule(tmp_path, monkeypatch
 
 
 def test_compiling_the_pack_leaves_nothing_to_compile(monkeypatch, project, pack):
-    """compile_pack compiles every rule, shared or not, before any runs."""
-    model = build_model(project)
+    """compile_pack compiles every rule, shared or not, before any runs;
+    the one code of the pack runs with the query cache on and off."""
+    model, code = build_model(project), gen.emit_pack(pack, BUILTINS)
     for cache in (QueryCache(), None):
         interpreters = [gen.Interpreter(model, Registry(), cache) for _ in pack]
-        gen.compile_pack(interpreters, pack)
+        gen.compile_pack(interpreters, code)
         with monkeypatch.context() as patch:
             def refuse(*args, **kwargs):
                 raise AssertionError("compile or exec after compile_pack")
@@ -417,8 +442,8 @@ def test_each_generated_function_has_one_handler(pack):
     the lines that call its body directly; the only try blocks are one per
     function and one per step of a shared walk."""
     steps = gen.plan_pack(pack)
-    generated = [gen.emit_walk(step, pack, BUILTINS, True) for step in steps]
-    generated += [gen.emit_rule(rule, BUILTINS, True) for rule in pack]
+    generated = [gen.emit_walk(step, pack, BUILTINS) for step in steps]
+    generated += [gen.emit_rule(rule, BUILTINS) for rule in pack]
 
     def count(step):
         return 1 + sum(map(count, step.then)) if isinstance(step, gen.Shared) else 1
@@ -511,7 +536,7 @@ def test_rule_error_positions_in_each_generated_context(tmp_path):
     assert any(isinstance(step.stmts[0], ast.DeclStmt) and len(step.rules) == 3
                for step in shared_steps(gen.plan_pack(rules)))
     for name in ("deep-truth", "deep-unbound"):
-        units = gen.emit_rule(rules[list(POSITIONED).index(name)], BUILTINS, True).units
+        units = gen.emit_rule(rules[list(POSITIONED).index(name)], BUILTINS).units
         assert not any(s in units[-1][2] for s in ("truth(", "unbound("))
     expected = []
     for source, (name, (_, text, _)) in zip(sources, POSITIONED.items()):
@@ -553,9 +578,8 @@ def test_the_pack_tests_no_literal_kind_and_no_list_result(pack):
     the results of built-ins that may give any value are tested."""
     steps = gen.plan_pack(pack)
     shared = {k for step in steps for k in step.rules}
-    generated = [gen.emit_walk(step, pack, BUILTINS, True) for step in steps]
-    generated += [gen.emit_rule(rule, BUILTINS, True)
-                  for k, rule in enumerate(pack) if k not in shared]
+    generated = [gen.emit_walk(step, pack, BUILTINS) for step in steps]
+    generated += [gen.emit_rule(rule, BUILTINS) for k, rule in enumerate(pack) if k not in shared]
     tested = as_is = isinstances = 0
     for g in generated:
         for _, _, source in g.units:
@@ -611,10 +635,9 @@ def test_calls_of_known_kinds_run_as_the_closures_ran_them(tmp_path, name):
     (tmp_path / "ctx.xml").write_text(CTX_XML)
     stmt, shapes = KNOWN_KINDS[name]
     rule = parse_rule(f"Rule {name} {{\n{BEANS}    {stmt}\n  }}\n}}\n}}\n")
-    for cached in (True, False):
-        g = gen.emit_rule(rule, BUILTINS, cached)
-        (_, _, source), = g.units
-        assert call_shapes(g, source, 4) == shapes, source
+    g = gen.emit_rule(rule, BUILTINS)
+    (_, _, source), = g.units
+    assert call_shapes(g, source, 4) == shapes, source
     reports, errors, _, _ = assert_same_checks([rule], build_model(tmp_path))
     if name == "literal-kind":
         assert [error[2:] for error in errors] == [

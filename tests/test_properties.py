@@ -3,12 +3,16 @@ import random
 import pytest
 
 import genrules
-from mecheck.builtins import Registry
+from mecheck.builtins import BUILTINS, Registry
 from mecheck.model.project import build_model
 from mecheck.rsl.parser import parse_rule
-from mecheck.rsl.validator import UNDECLARED_VARIABLE, validate_rule
 from mecheck.runtime.cache import QueryCache
-from mecheck.runtime.interpreter import Interpreter, RuntimeRuleError
+from mecheck.runtime.interpreter import (
+    UNDECLARED_VARIABLE,
+    Interpreter,
+    RuntimeRuleError,
+    emit_rule,
+)
 from rsl_printer import format_rule, structurally_equal
 
 BEAN_IDS = ["one", "two", "three"]
@@ -176,8 +180,8 @@ SCOPE_EDGES = [
 
 
 def test_unbound_reads_are_the_validators_undeclared_variables(model):
-    """The interpreter resolves names as the validator does: every
-    "is not bound" rule error lies at a position validate_rule flags as
+    """The interpreter resolves names as validation does: every "is not
+    bound" rule error lies at a position emit_rule's diagnostics flag as
     undeclared-variable, so a rule with no diagnostics never raises one."""
     rules = differential_corpus(seed=7373, valid=300, per_variant=40)
     rules += [parse_rule(source) for source in SCOPE_EDGES]
@@ -186,7 +190,7 @@ def test_unbound_reads_are_the_validators_undeclared_variables(model):
         for rule in rules:
             flagged = {
                 (d.line, d.column)
-                for d in validate_rule(rule)
+                for d in emit_rule(rule, BUILTINS).diagnostics
                 if d.code == UNDECLARED_VARIABLE
             }
             try:
@@ -196,7 +200,7 @@ def test_unbound_reads_are_the_validators_undeclared_variables(model):
                     assert (exc.line, exc.column) in flagged, format_rule(rule)
                     unbound += 1
                     continue
-            if not validate_rule(rule):
+            if not emit_rule(rule, BUILTINS).diagnostics:
                 clean += 1
     assert unbound >= 2 * (5 * 40 + 3)
     assert clean >= 2 * (300 + 2)

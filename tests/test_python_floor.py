@@ -54,21 +54,19 @@ def test_sources_parse_as_python_3_10(path):
 
 def generated_sources():
     """(filename, source) of what the interpreter writes for the shipped pack
-    and for a sample of genrules rules, valid and invalid, with and
-    without a query cache."""
-    pack = load_rulepack(default_rules_dir())
+    and for a sample of genrules rules, valid and invalid."""
+    pack = load_rulepack(default_rules_dir()).rules
     rng = random.Random(1729)
     sample = [parse_rule(genrules.render_rule(genrules.Gen(rng, with_beanid=i % 2 == 0).rule(),
                                               f"sample-{i}", with_beanid=i % 2 == 0))
               for i in range(40)]
     sample += [parse_rule(genrules.make_invalid_case(rng, variant)[0])
                for variant in genrules.INVALID_VARIANTS]
-    for cached in (True, False):
-        generated = [emit_rule(rule, BUILTINS, cached) for rule in pack + sample]
-        generated += [emit_walk(step, pack, BUILTINS, cached) for step in plan_pack(pack)]
-        for units in generated:
-            for _, filename, source in units.units:
-                yield filename, source
+    generated = [emit_rule(rule, BUILTINS) for rule in pack + sample]
+    generated += [emit_walk(step, pack, BUILTINS) for step in plan_pack(pack)]
+    for units in generated:
+        for _, filename, source in units.units:
+            yield filename, source
 
 
 def test_generated_rule_sources_parse_as_python_3_10():

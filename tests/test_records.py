@@ -32,10 +32,9 @@ from mecheck.model.project import ModelWarning
 from mecheck.record import Record
 from mecheck.rsl import ast
 from mecheck.rsl.parser import parse_rule
-from mecheck.rsl.validator import Diagnostic
 from mecheck.rulepack import default_rules_dir
 from mecheck.runner import CheckerConfig
-from mecheck.runtime.interpreter import BugReport, EqPlan
+from mecheck.runtime.interpreter import BugReport, Diagnostic, EqPlan
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -172,7 +171,7 @@ def test_records_take_keywords_and_reject_unknown_fields():
 
 @pytest.mark.parametrize("module", ["mecheck.rsl.ast", "mecheck.runtime.interpreter",
                                     "mecheck.runner", "mecheck.builtins",
-                                    "mecheck.model.project", "mecheck.rsl.validator"])
+                                    "mecheck.model.project"])
 def test_record_annotations_name_their_slots(module):
     __import__(module)
     for cls in records_of(sys.modules[module]):
@@ -201,12 +200,12 @@ def test_starting_a_check_imports_no_dataclass_machinery_or_printer():
     assert not imported & {"dataclasses", "inspect", "traceback", "mecheck.rsl.printer"}
 
 
-# What STARTUP imported before rsl.validator came to import the runtime.
+# What STARTUP imports: the modules a check needs, and no more.
 STARTUP_MODULES = {
     "__future__", "argparse", "gc", "gettext", "mecheck", "mecheck.builtins", "mecheck.cli",
     "mecheck.model", "mecheck.model.items", "mecheck.model.javasrc", "mecheck.model.project",
     "mecheck.model.xmldoc", "mecheck.record", "mecheck.rsl", "mecheck.rsl.ast",
-    "mecheck.rsl.lexer", "mecheck.rsl.parser", "mecheck.rsl.validator", "mecheck.rulepack",
+    "mecheck.rsl.lexer", "mecheck.rsl.parser", "mecheck.rulepack",
     "mecheck.runner", "mecheck.runtime", "mecheck.runtime.cache",
     "mecheck.runtime.interpreter", "mecheck.runtime.values", "pyexpat", "pyexpat.errors",
     "pyexpat.model", "unicodedata", "xml", "xml.parsers", "xml.parsers.expat",
@@ -222,11 +221,10 @@ def run_fresh(code):
                           env=env, timeout=60)
 
 
-@pytest.mark.parametrize("module", ["mecheck.rsl", "mecheck.rsl.validator",
-                                    "mecheck.runtime.interpreter", "mecheck.rulepack"])
+@pytest.mark.parametrize("module", ["mecheck.rsl", "mecheck.runtime.interpreter", "mecheck.rulepack"])
 def test_each_module_of_the_rsl_runtime_cycle_imports_first(module):
-    # rsl.validator imports runtime.interpreter, which imports rsl.ast
-    proc = run_fresh(f"import {module}\nimport mecheck.rsl.validator, mecheck.runtime\n")
+    # rulepack imports runtime.interpreter, which imports rsl.ast
+    proc = run_fresh(f"import {module}\nimport mecheck.rulepack, mecheck.runtime\n")
     assert proc.returncode == 0, proc.stderr
 
 

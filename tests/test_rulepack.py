@@ -12,7 +12,7 @@ def write_rules(tmp_path, files):
 
 
 def test_default_pack_loads_15_rules():
-    rules = load_rulepack(default_rules_dir())
+    rules = load_rulepack(default_rules_dir()).rules
     assert len(rules) == 15
     prefixes = [r.name.split("-")[0] for r in rules]
     assert prefixes == [f"r{i}" for i in range(1, 16)]
@@ -27,13 +27,13 @@ def test_rules_load_in_sorted_filename_order(tmp_path):
             "c.rsl": GOOD_RULE % "sea",
         },
     )
-    rules = load_rulepack(tmp_path)
+    rules = load_rulepack(tmp_path).rules
     assert [r.name for r in rules] == ["probe-ay", "probe-bee", "probe-sea"]
 
 
 def test_non_rsl_files_ignored(tmp_path):
     write_rules(tmp_path, {"a.rsl": GOOD_RULE % "only", "notes.txt": "not a rule"})
-    rules = load_rulepack(tmp_path)
+    rules = load_rulepack(tmp_path).rules
     assert [r.name for r in rules] == ["probe-only"]
 
 
@@ -84,6 +84,23 @@ def test_duplicate_rule_names_rejected(tmp_path):
     assert err.value.path == "two.rsl"
     assert "probe-same" in err.value.detail
     assert "one.rsl" in err.value.detail
+
+
+GHOST_RULE = 'Rule uses-ghost {\n  assert (isEmpty(ghost)) { msg("x"); }\n}\n'
+
+
+@pytest.mark.parametrize("later, detail", [
+    ("Rule broken {", "expected"),
+    (GOOD_RULE % "same", "duplicate rule name probe-same"),
+])
+def test_a_later_syntax_error_or_duplicate_stops_the_load_before_validation(tmp_path, later,
+                                                                            detail):
+    # every file is parsed and named before the pack is written, which validates it
+    write_rules(tmp_path, {"a.rsl": GOOD_RULE % "same", "b.rsl": GHOST_RULE, "c.rsl": later})
+    with pytest.raises(RulePackError) as err:
+        load_rulepack(tmp_path)
+    assert err.value.path == "c.rsl"
+    assert detail in err.value.detail
 
 
 def test_non_utf8_rule_file_rejected(tmp_path):

@@ -7,7 +7,9 @@ with tests/genrules.py statements, and run_checker must give the reports
 (message, file, line, ordinal, in sink order) and diagnostics that running
 each rule alone with a fresh Interpreter gives, with the query cache on
 and off.  Every evaluated built-in call is a run of its body straight
-from the rule code, a Registry.call or a cache hit.
+from the rule code, a Registry.call or a cache hit.  Written once, in its
+walk, each rule of such a pack has the diagnostics emit_rule gives it
+alone, those of a shared statement at its own positions.
 """
 
 import random
@@ -18,11 +20,18 @@ import genrules
 from body_counts import BodyCounter
 from mecheck import builtins as builtins_mod
 from mecheck import rulepack, runner
-from mecheck.builtins import Registry
+from mecheck.builtins import BUILTINS, Registry
 from mecheck.model.project import build_model
 from mecheck.rsl.parser import MAX_NESTING, RslSyntaxError, parse_rule
 from mecheck.runtime.cache import QueryCache
-from mecheck.runtime.interpreter import Interpreter, RuntimeRuleError, Shared, plan_pack
+from mecheck.runtime.interpreter import (
+    Interpreter,
+    RuntimeRuleError,
+    Shared,
+    emit_pack,
+    emit_rule,
+    plan_pack,
+)
 
 CTX_XML = """<beans>
   <bean id="a" class="x.A">
@@ -146,11 +155,14 @@ def render(name, prefix, tail, pad, indent):
 SHAPES = ["diverge", "same-but-name", "prefix-of-another", "shared-error", "own-error"]
 
 
-def generated_pack(seed, shape):
-    """{file name: rule source} for one pack of the given shape."""
+def generated_pack(seed, shape, bad=None):
+    """{file name: rule source} for one pack of the given shape; a bad
+    statement, if given, goes into the shared prefix."""
     rng = random.Random(seed)
     gen = genrules.Gen(rng)
     prefix = generated_prefix(rng, gen, fail_in_prefix=shape == "shared-error")
+    if bad is not None:
+        prefix.insert(seed % (len(prefix) + 1), bad)
     tails = [generated_tail(rng, gen) for _ in range(rng.randrange(2, 4))]
     if shape == "same-but-name":
         tails = [tails[0]] * len(tails)
@@ -214,7 +226,7 @@ def counted_check(monkeypatch, config, model):
 
 
 def assert_same_as_one_by_one(monkeypatch, rules_dir, project, use_cache):
-    rules = rulepack.load_rulepack(rules_dir)
+    rules = rulepack.load_rulepack(rules_dir).rules
     model = build_model(project)
     expected = one_by_one(rules, model, use_cache)
     config = runner.CheckerConfig(project_root=str(project), rules_dir=str(rules_dir),
@@ -244,6 +256,30 @@ def test_shared_walk_matches_one_by_one(tmp_path, project, monkeypatch, shape, u
         assert errors >= 3  # the rest never reach the error: a condition is false
     else:
         assert errors == 0
+
+
+# A shared statement with a diagnostic of each kind, two in an indexed
+# exists's sides, whatever the prefix has bound before it.
+BAD_STMT = ('String bad = join(ghost, getNme(1), substring("a"), exists (<bean> o in'
+            ' getElms(ghost, "bean")) (getAttr(o, "id", 1) == nope(zz)));')
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_pack_has_each_rules_own_diagnostics(shape):
+    """Written once in its walk, each rule has the diagnostics that writing
+    it alone gives: those of a shared statement at its own positions."""
+    moved = 0
+    for seed in range(12):
+        sources = generated_pack(seed, shape, bad=BAD_STMT)
+        rules = [parse_rule(sources[name]) for name in sorted(sources)]
+        pack = emit_pack(rules, BUILTINS)
+        assert len(pack.walks) == 1 and len(pack.walks[0][0].rules) == len(rules) - 1
+        alone = [emit_rule(rule, BUILTINS).diagnostics for rule in rules]
+        assert list(pack.diagnostics) == alone
+        shared = [alone[k] for k in pack.walks[0][0].rules]
+        assert all(len(found) >= 6 for found in shared)
+        moved += len({tuple(found) for found in shared}) > 1  # at positions of their own
+    assert moved >= 8
 
 
 def test_shared_error_names_each_rule_at_its_own_position(tmp_path, project, monkeypatch):

@@ -4,13 +4,13 @@ from pathlib import Path
 from mecheck.builtins import BUILTINS
 from mecheck.rsl import ast
 from mecheck.rsl.parser import parse_rule
-from mecheck.rsl.validator import (
+from mecheck.runtime.interpreter import (
     BUILTIN_ARITY,
     UNDECLARED_VARIABLE,
     UNKNOWN_BUILTIN,
-    validate_rule,
+    emit_pack,
+    emit_rule,
 )
-from mecheck.runtime.interpreter import emit_rule
 from reference_validator import reference_validate_rule
 from rsl_printer import format_rule
 from test_properties import SCOPE_EDGES, differential_corpus
@@ -30,6 +30,12 @@ Rule ok {
   }
 }
 """
+
+
+def validate_rule(rule):
+    """What loading a pack finds wrong with the rule: the diagnostics of
+    writing its code."""
+    return emit_rule(rule, BUILTINS).diagnostics
 
 
 def codes(source):
@@ -217,12 +223,18 @@ def test_validate_rule_matches_the_frozen_walk():
 
 
 def test_a_cached_compile_reports_what_validation_does():
-    # with a cache an indexed exists writes its predicate's sides as functions of their own
-    source = ('Rule c { for (<bean> b in getElms(getXMLs(), "bean")) {'
-              ' assert (exists (<bean> o in getElms(getXMLs(), "bean"))'
-              ' (getAttr(o, "id", 1) == nope(ghost))) { msg("m"); } } }')
-    rule = parse_rule(source)
-    found = emit_rule(rule, BUILTINS, cached=True).diagnostics
-    assert rows(found) == rows(validate_rule(rule)) == rows(reference_validate_rule(rule))
-    assert [code for code, *_ in rows(found)] == [BUILTIN_ARITY, UNKNOWN_BUILTIN,
-                                                   UNDECLARED_VARIABLE]
+    # an indexed exists writes its predicate's sides as functions of their
+    # own, and a rule in a shared walk has its shared head's diagnostics at
+    # its own positions
+    body = ('String s = join(ghost, "a");'
+            ' for (<bean> b in getElms(getXMLs(), "bean")) {'
+            ' assert (exists (<bean> o in getElms(getXMLs(), "bean"))'
+            ' (getAttr(o, "id", 1) == nope(ghost))) { msg("m"); } } }')
+    rules = [parse_rule(f"Rule c{k} {{{chr(10) * k}{' ' * k}{body}") for k in range(3)]
+    pack = emit_pack(rules, BUILTINS)
+    assert len(pack.walks) == 1 and not pack.alone
+    for rule, found in zip(rules, pack.diagnostics):
+        assert rows(found) == rows(validate_rule(rule)) == rows(reference_validate_rule(rule))
+        assert [code for code, *_ in rows(found)] == [UNDECLARED_VARIABLE, BUILTIN_ARITY,
+                                                       UNKNOWN_BUILTIN, UNDECLARED_VARIABLE]
+    assert len({tuple(rows(found)) for found in pack.diagnostics}) == 3
