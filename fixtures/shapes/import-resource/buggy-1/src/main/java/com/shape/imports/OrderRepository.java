@@ -1,0 +1,4 @@
+package com.shape.imports;
+
+public class OrderRepository {
+}

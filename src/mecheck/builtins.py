@@ -189,7 +189,8 @@ def resolve_resource_path(
     spans any number of segments.  It is found when it matches the path of
     one of the model's XML files, relative to the project root or to a
     resource root, or when its last segment matches such a file's
-    basename.
+    basename.  A ${...} placeholder, which Spring fills in from the
+    environment, makes a location found as it stands.
     Returns the resolved relative path, or None.
     """
     cleaned = raw.strip()
@@ -198,6 +199,8 @@ def resolve_resource_path(
             cleaned = cleaned[len(prefix) :]
             break
     cleaned = cleaned.lstrip("/")
+    if "${" in cleaned:
+        return cleaned
     if not cleaned or ".." in Path(cleaned).parts:
         return None
     if "*" in cleaned or "?" in cleaned:

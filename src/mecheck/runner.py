@@ -39,22 +39,19 @@ JSON = "json"
 class CheckerConfig(Record):
     __slots__ = (
         "project_root", "rules_dir", "lib_patterns_file", "resource_roots",
-        "ignore_globs", "use_cache",
+        "ignore_globs",
     )
     project_root: str
     rules_dir: str | None
     lib_patterns_file: str | None
     resource_roots: tuple[str, ...]
     ignore_globs: tuple[str, ...]
-    use_cache: bool
 
     def __init__(self, project_root: str, rules_dir: str | None = None,
                  lib_patterns_file: str | None = None,
                  resource_roots: tuple[str, ...] = builtins_mod.DEFAULT_RESOURCE_ROOTS,
-                 ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS, use_cache: bool = True):
-        super().__init__(
-            project_root, rules_dir, lib_patterns_file, resource_roots, ignore_globs, use_cache
-        )
+                 ignore_globs: tuple[str, ...] = DEFAULT_IGNORE_GLOBS):
+        super().__init__(project_root, rules_dir, lib_patterns_file, resource_roots, ignore_globs)
 
 
 class RunSummary:
@@ -91,7 +88,7 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
     )
 
     summary = RunSummary()
-    cache = QueryCache() if config.use_cache else None
+    cache = QueryCache()
     sink: list[BugReport] = []
     interpreters: list[Interpreter | None] = [
         Interpreter(model, registry, cache) for _ in pack.rules]
@@ -107,7 +104,7 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
 
     summary.reports = sink
     summary.warnings = [f"{w.path}: {w.message}" for w in model.warnings]
-    summary.cache_stats = cache.stats() if cache is not None else {}
+    summary.cache_stats = cache.stats()
     summary.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return summary
 

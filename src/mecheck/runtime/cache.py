@@ -1,8 +1,8 @@
 """Memoization of built-in query calls.
 
-One QueryCache is shared by every rule in a run over one model; results
-for the same (function, arguments) pair are computed once.  Two kinds of
-call pay for a key build and a lookup:
+Every check shares one QueryCache among its rules, over one model;
+results for the same (function, arguments) pair are computed once.  Two
+kinds of call pay for a key build and a lookup:
 
 - a call of a built-in the registry declares cached: one whose cost
   grows with the model or touches the disk, whether it gives a list
@@ -28,9 +28,7 @@ Rules run one at a time, so the cache takes no lock.
 The cache also holds the interpreter's exists indexes (exists_indexes),
 so they live exactly as long as the cached query results they are built
 over: one entry per exists node and container object, built once, whole,
-or None when the node must scan (see interpreter.py).  A rule's code is
-the same with no cache: then each call it would look up is computed,
-through Registry.call, and every exists scans.
+or None when the node must scan (see interpreter.py).
 """
 
 from __future__ import annotations

@@ -10,39 +10,37 @@ Each binding site (for variable, exists variable, declaration) and each
 intermediate value is a Python local.  Every built-in call is a
 statement that counts the call in the rule's EvalStats.  A cached
 built-in or an exists container goes through canonical_key and
-QueryCache.get_or_compute, which call Registry.call on a miss, or with
-no cache, Registry.call on every call.  Any other call of a known
-built-in with a count in its arity calls the body itself where its guard
-holds, and Registry.call, which checks the arguments, where it does not:
-the body runs on exactly the calls the checked entry would run it on.
-The guard is the declaration's checks (each kind, then no MISSING where
-the call would return early) less those that an argument's kind, known
-when the rule compiles (_Emitter.known), settles; one settled as failing
-leaves the checked call alone.  These three and each body are looked up
-when the code is compiled, so wrappers installed on them before a rule
-runs see every call that reaches them.  A condition must be a bool or
-MISSING, and a for or exists container a list or one value, each checked
-at run time unless known.  AND and OR do not evaluate their right side
-when the left side decides; an exists is one loop that counts each
-predicate evaluation and stops at the first true one, run where a lookup
-in its index cannot answer (see _index_lookup; with no cache, none can).
-The code is the same whether the rule runs with a query cache or not.  A
-call, a truth check and a read of an unbound variable are each a line
-that raises a plain error, and each generated function has one try,
-whose handler raises RuntimeRuleError at the (rule, line, column) that
-its unit's line table records for that line; for a line that calls a
-body, the table also names the built-in, which the handler puts into the
-body's BuiltinTypeError or PreconditionError as the checked entry would.
-Rule text never enters the source: literals, message templates, line
-tables, built-in and rule names are constants the code reads as the
-globals c0, c1, ..., as it reads the registry, its bound call, the
-model, the cache, the EvalStats and the helpers below.  The source is
-split into units, each compiled on its own as "<rule NAME>" after the
-rules whose code it holds: CPython's compiler holds about 5 KB per line
-of a compile, and a function nests at most 20 blocks and 100 indentation
-levels deep, while a rule nests up to 64 levels.  A unit takes the
-locals it reads as arguments and the units it calls as defaults; no
-namespace keeps them.
+QueryCache.get_or_compute, which calls Registry.call on a miss.  Any
+other call of a known built-in with a count in its arity calls the body
+itself where its guard holds, and Registry.call, which checks the
+arguments, where it does not: the body runs on exactly the calls the
+checked entry would run it on.  The guard is the declaration's checks
+(each kind, then no MISSING where the call would return early) less
+those that an argument's kind, known when the rule compiles
+(_Emitter.known), settles; one settled as failing leaves the checked
+call alone.  These three and each body are looked up when the code is
+compiled, so wrappers installed on them before a rule runs see every
+call that reaches them.  A condition must be a bool or MISSING, and a
+for or exists container a list or one value, each checked at run time
+unless known.  AND and OR do not evaluate their right side when the left
+side decides; an exists is one loop that counts each predicate
+evaluation and stops at the first true one, run where a lookup in its
+index cannot answer (see _index_lookup).  A call, a truth check and a
+read of an unbound variable are each a line that raises a plain error,
+and each generated function has one try, whose handler raises
+RuntimeRuleError at the (rule, line, column) that its unit's line table
+records for that line; for a line that calls a body, the table also
+names the built-in, which the handler puts into the body's
+BuiltinTypeError or PreconditionError as the checked entry would.  Rule
+text never enters the source: literals, message templates, line tables,
+built-in and rule names are constants the code reads as the globals c0,
+c1, ..., as it reads the registry, its bound call, the model, the cache,
+the EvalStats and the helpers below.  The source is split into units,
+each compiled on its own as "<rule NAME>" after the rules whose code it
+holds: CPython's compiler holds about 5 KB per line of a compile, and a
+function nests at most 20 blocks and 100 indentation levels deep, while
+a rule nests up to 64 levels.  A unit takes the locals it reads as
+arguments and the units it calls as defaults; no namespace keeps them.
 
 Scoping model: variables are resolved as the source is written, and this
 one walk validates the rule: emit_rule records a Diagnostic for each
@@ -757,12 +755,13 @@ def _load(generated: Generated, env: dict[str, object]) -> Callable:
 
 class Interpreter:
     """Evaluates rules against one project model, one rule at a time.  A
-    shared QueryCache makes repeated model queries free across rules; None
-    turns caching off without changing any result."""
+    QueryCache shared by the interpreters of a check makes repeated model
+    queries free across rules; given none, the interpreter makes its own."""
 
     def __init__(self, model: ProjectModel, registry: builtins_mod.Registry | None = None,
                  cache: QueryCache | None = None):
-        self.model, self.registry, self.cache = model, registry or builtins_mod.Registry(), cache
+        self.model, self.registry = model, registry or builtins_mod.Registry()
+        self.cache = cache or QueryCache()
         self.stats = EvalStats()
         # id(rule) -> (rule, its function); holding the rule keeps its id unique
         self._compiled: dict[int, tuple[ast.Rule, Callable[[list], None]]] = {}
@@ -785,13 +784,12 @@ class Interpreter:
 
     def _env(self) -> dict[str, object]:
         """The globals of this interpreter's generated functions."""
-        cache, errors = self.cache, (*builtins_mod.CALL_ERRORS, V.ValueTypeError)
+        errors = (*builtins_mod.CALL_ERRORS, V.ValueTypeError)
         return {
             "call": self.registry.call, "registry": self.registry, "model": self.model,
-            "key_of": canonical_key if cache else lambda name, a: None, "MISSING": V.MISSING,
-            "get": cache.get_or_compute if cache else lambda key, compute, *a: compute(*a),
-            "indexes": cache.exists_indexes if cache else None,
-            "lookup": _index_lookup if cache else lambda *a: None,
+            "key_of": canonical_key, "MISSING": V.MISSING,
+            "get": self.cache.get_or_compute, "indexes": self.cache.exists_indexes,
+            "lookup": _index_lookup,
             "errors": errors, "stopping": (RuntimeRuleError, *errors),
             "placed": _placed, "value_eq": V.value_eq, "truth": V.is_truthy,
             "unbound": _unbound,
@@ -806,11 +804,11 @@ def _index_lookup(indexes: dict[tuple[int, int], tuple], stats: EvalStats, exp: 
                   container: list, probe: Callable[[], object], keyed: Callable,
                   each: Callable | None = None) -> bool | None:
     """Answer a non-empty exists from its index, counting as the scan
-    would; None means the scan must answer.  The pair's first lookup
-    builds the index: of keyed over container, or with each, of keyed
-    over each(a) for every a of container.  Given the cache's indexes and
-    the stats, not the interpreter, a compiled rule holds no reference
-    back to its interpreter."""
+    would; None means the scan must answer.  Every indexable exists asks
+    here first.  The pair's first lookup builds the index: of keyed over
+    container, or with each, of keyed over each(a) for every a of
+    container.  Given the cache's indexes and the stats, not the
+    interpreter, a compiled rule holds no reference back to it."""
     entry = indexes.get((id(exp), id(container)))
     if entry is None:
         index = (_build_index(container, keyed) if each is None

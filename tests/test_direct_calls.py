@@ -4,15 +4,16 @@ Where a call of a known built-in has a count in its arity and does not go
 through the query cache, the generated code runs the body itself when the
 arguments pass the built-in's guard (its declared kinds, and no MISSING
 at a MISSING position no kind checks), and Registry.call otherwise.  A
-call of a cached built-in goes through the query cache, and with none,
-through Registry.call every time.  For every built-in, Hypothesis draws
-argument lists of a valid count from model items of each kind, text,
-located text, MISSING, bools, integers and lists; a rule calling it must
+call of a cached built-in goes through the query cache, and on a miss
+through Registry.call.  For every built-in, Hypothesis draws argument
+lists of a valid count from model items of each kind, text, located
+text, MISSING, bools, integers and lists; a rule calling it must
 give the value Registry.call gives, or fail with the text of the error
 Registry.call raises, and must reach Registry.call exactly when the guard
-fails, or on every call of a cached built-in.  Rules whose call raises in
-the body on the direct path must fail as tests/reference_interpreter.py
-fails them: text, line and column, alone and in a shared walk.
+fails, or on every call of a cached built-in, as each example runs with a
+fresh query cache.  Rules whose call raises in the body on the direct
+path must fail as tests/reference_interpreter.py fails them: text, line
+and column, alone and in a shared walk.
 """
 
 import types
@@ -27,6 +28,7 @@ from test_generated_rules import assert_same_checks
 from mecheck.builtins import BUILTINS, Builtin, Registry
 from mecheck.model.project import build_model
 from mecheck.rsl.parser import parse_rule
+from mecheck.runtime.cache import QueryCache
 from mecheck.runtime.interpreter import Interpreter, RuntimeRuleError, emit_rule
 from mecheck.runtime.values import MISSING, LocatedText
 
@@ -90,7 +92,7 @@ def test_direct_form_matches_registry_call(model, name):
         "keep": Builtin("keep", lambda reg, m, args: kept.append(args[0]), range(1, 2)),
     }
     registry.call = types.MethodType(counter.call, registry)
-    interpreters, rules = {}, {}
+    rules = {}
 
     @settings(max_examples=60, deadline=None)
     @given(valid_arguments(spec, pool))
@@ -99,14 +101,14 @@ def test_direct_form_matches_registry_call(model, name):
         count = len(args)
         if count not in rules:
             rules[count] = calling_rule(name, count)
-            interpreters[count] = Interpreter(model, registry)
             (source,) = [s for _, _, s in emit_rule(rules[count], registry.builtins).units]
             # each pick and the keep, and the call unless the query cache takes it
             assert source.count("(registry, model, [") == count + 1 + (not spec.cached)
         drawn[:], kept[:] = args, []
         counter.registry.clear()
         try:
-            interpreters[count].run_rule(rules[count])
+            # a fresh cache, so a cached call misses and reaches Registry.call
+            Interpreter(model, registry, QueryCache()).run_rule(rules[count])
             got = ("ok", kept[0])
         except RuntimeRuleError as exc:
             assert (exc.line, exc.column) == (2, 19)

@@ -14,6 +14,7 @@ run time.
 import itertools
 import re
 
+import reference_interpreter as ref
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,6 @@ from mecheck.model.items import XmlFile
 from mecheck.model.project import build_model
 from mecheck.model.xmldoc import parse_xml
 from mecheck.rsl.parser import parse_rule
-from mecheck.runtime.cache import QueryCache
 from mecheck.runtime.interpreter import Interpreter
 
 NAMES = ["bean", "beans", "property", "constructor-arg", "p:bean", "x"]
@@ -98,8 +98,10 @@ Rule made-globs {
   }
 }
 """)
-    for cache in (QueryCache(), None):
-        reports = Interpreter(model, cache=cache).run_rule(rule)
+    # the interpreter, then the reference, which calls every built-in
+    # through Registry.call with no query cache
+    for engine in (Interpreter, ref.Interpreter):
+        reports = engine(model).run_rule(rule)
         assert [r.message for r in reports] == ["x7 is there"]
         for memo in (builtins._element_matcher, builtins._glob_matcher):
             info = memo.cache_info()

@@ -1,12 +1,13 @@
 """The hash index behind `exists (T x in C) (f(x) == e)`.
 
-With a QueryCache the interpreter answers such predicates from an index
-of f over C, and `exists (T a in A) (exists (U b in B(a)) (f(b) == e))`
-from one index of f over every B(a); without one it scans.  These tests
-check that the two paths agree on truth values, predicate-eval counts
-and rule errors, that the planner picks only the shapes it can answer
-exactly, and that r15's cost grows with lookups + beans rather than
-lookups x beans.
+The interpreter answers such predicates from an index of f over C, and
+`exists (T a in A) (exists (U b in B(a)) (f(b) == e))` from one index of
+f over every B(a), both kept in its QueryCache; the frozen reference
+interpreter (tests/reference_interpreter.py), run with no cache, scans.
+These tests check that the two agree on truth values, predicate-eval
+counts and rule errors, that the planner picks only the shapes it can
+answer exactly, and that r15's cost grows with lookups + beans rather
+than lookups x beans.
 """
 
 from collections import Counter
@@ -14,6 +15,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_check import RULE_ERRORS, make_interpreter, reference_check
 
 from mecheck import builtins as builtins_mod
 from mecheck import rulepack
@@ -102,7 +104,7 @@ def test_planner_rejects_other_shapes(predicate):
     assert plan_exists(first_exists(probe_rule(predicate))) is None
 
 
-# -- differential: index (cache on) against scan (cache off) ------------------
+# -- differential: index against the reference's scan ---------------------------
 
 RAISE = object()
 
@@ -164,7 +166,7 @@ def run_lookups(model, rule, values, probes, cache):
     registry = ProbeRegistry()
     registry.positions = list(range(len(values)))
     registry.values = values
-    interp = Interpreter(model, registry, cache)
+    interp = make_interpreter(model, registry, cache)
     outcomes = []
     for probe in probes:
         registry.current = probe
@@ -172,7 +174,7 @@ def run_lookups(model, rule, values, probes, cache):
         try:
             found = bool(interp.run_rule(rule))
             error = None
-        except RuntimeRuleError as exc:
+        except RULE_ERRORS as exc:
             found, error = None, str(exc)
         outcomes.append((found, interp.stats.exists_predicate_evals - before, error))
     return outcomes, interp.stats
@@ -263,6 +265,23 @@ def test_failing_pair_is_built_once_then_scanned(model, side):
         assert evaluated == list(range(registry.values.index(probe) + 1))
     assert len(cache.exists_indexes) == 1
     assert interp.stats.exists_index_lookups == 0
+
+
+def test_an_interpreter_given_no_cache_answers_from_its_own_index(model):
+    """An Interpreter built with no cache makes one of its own, so an
+    indexable exists is looked up, not scanned."""
+    interp = Interpreter(model)
+    rule = parse_rule(
+        "Rule own-cache {\n"
+        "  for (file f in getXMLs()) {\n"
+        '    assert (exists (<bean> b in getElms(f, "<bean>")) (getAttr(b, "id") == "b")) {\n'
+        '      msg("no bean b in %s", f);\n'
+        "    }\n"
+        "  }\n"
+        "}\n")
+    assert interp.run_rule(rule) == []
+    assert interp.stats.exists_index_lookups > 0
+    assert len(interp.cache.exists_indexes) == 1
 
 
 def test_empty_container_never_evaluates_probe(model):
@@ -366,7 +385,7 @@ def run_nested(model, source, groups, probes, cache, monkeypatch=None):
                 return build(container, *args)
 
             monkeypatch.setattr(interpreter, name, counting)
-    interp = Interpreter(model, registry, cache)
+    interp = make_interpreter(model, registry, cache)
     rule = parse_rule(source)
     outcomes = []
     for probe in probes:
@@ -374,7 +393,7 @@ def run_nested(model, source, groups, probes, cache, monkeypatch=None):
         before = interp.stats.exists_predicate_evals
         try:
             found, error = len(interp.run_rule(rule)), None
-        except RuntimeRuleError as exc:
+        except RULE_ERRORS as exc:
             found, error = None, str(exc)
         outcomes.append((found, interp.stats.exists_predicate_evals - before, error))
     return outcomes, interp.stats, builds
@@ -519,8 +538,9 @@ def test_r15_getattr_calls_grow_with_lookups_plus_beans(tmp_path):
         fields = {name: getattr(get_attr, name) for name in type(get_attr).__slots__}
         registry.builtins = {**registry.builtins,
                              "getAttr": builtins_mod.Builtin(**{**fields, "fn": counting})}
-        interp = Interpreter(model, registry, cache)
-        return interp.run_rule(r15), interp.stats, len(calls)
+        interp = make_interpreter(model, registry, cache)
+        reports = [r._fields() for r in interp.run_rule(r15)]
+        return reports, interp.stats, len(calls)
 
     indexed, indexed_stats, indexed_calls = run(QueryCache())
     scanned, scanned_stats, scanned_calls = run(None)
@@ -536,8 +556,8 @@ def test_r15_getattr_calls_grow_with_lookups_plus_beans(tmp_path):
 def test_r15_reports_identical_with_cache_on_and_off(tmp_path):
     root = getbean_project(tmp_path, 30, 120)
     model = build_model(root)
-    on = run_checker(CheckerConfig(project_root=str(root), use_cache=True), model=model)
-    off = run_checker(CheckerConfig(project_root=str(root), use_cache=False), model=model)
+    config = CheckerConfig(project_root=str(root))
+    on, off = run_checker(config, model=model), reference_check(config, model=model)
     assert on.reports == off.reports
     assert on.diagnostics == off.diagnostics == []
     assert sum(r.rule_name.startswith("r15-") for r in on.reports) == 15

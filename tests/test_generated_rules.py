@@ -6,15 +6,16 @@ when a check runs.  tests/reference_interpreter.py is the closure
 compiler it replaced.  Here both run the genrules corpus (valid rules and
 rules with every kind of mistake), the shipped pack on the fixture
 projects and a bench workload, packs with rule errors in shared
-statements and rules nested to the parser's bound, with the query cache
-on and off; reports with their ordinals, rule errors with their
-positions, diagnostics and EvalStats must be equal.  Rule text must stay
-out of the generated source, loading the pack must compile nothing and
-compile_pack must leave nothing to compile.  Each generated function has
-one error handler, and a rule error keeps its position in every context
-its line can sit in.  What a literal or a built-in's declared result
-settles is not tested at run time: not a guard clause, not a list test
-of a for or exists container.
+statements and rules nested to the parser's bound, each with a query
+cache; reports with their ordinals, rule errors with their positions,
+diagnostics and EvalStats must be equal, and the reports and rule errors
+those of the reference run with no cache (tests/reference_check.py).
+Rule text must stay out of the generated source, loading the pack must
+compile nothing and compile_pack must leave nothing to compile.  Each
+generated function has one error handler, and a rule error keeps its
+position in every context its line can sit in.  What a literal or a
+built-in's declared result settles is not tested at run time: not a
+guard clause, not a list test of a for or exists container.
 """
 
 import ast as pyast
@@ -35,6 +36,7 @@ from mecheck.rsl import ast
 from mecheck.rsl.parser import MAX_NESTING, RslSyntaxError, parse_rule
 from mecheck.runtime import interpreter as gen
 from mecheck.runtime.cache import QueryCache
+from reference_check import reference_run
 from test_exists_index import NESTED_SHAPES, NestedRegistry
 from test_properties import differential_corpus
 from test_shared_walk import CTX_XML, MORE_XML, SHAPES, generated_pack, nested_chain, render
@@ -47,11 +49,11 @@ def stats_row(stats):
     return tuple(getattr(stats, name) for name in type(stats).__slots__)
 
 
-def check(engine, rules, model, use_cache):
+def check(engine, rules, model):
     """What run_checker does with the rules, run by engine: reports (with
     ordinals, in sink order), rule errors, each rule's EvalStats and the
     cache's entries."""
-    registry, cache = Registry(), QueryCache() if use_cache else None
+    registry, cache = Registry(), QueryCache()
     interpreters = [engine.Interpreter(model, registry, cache) for _ in rules]
     engine.compile_pack(interpreters, gen.emit_pack(rules, registry.builtins)
                         if engine is gen else rules)
@@ -62,7 +64,7 @@ def check(engine, rules, model, use_cache):
         except engine.RuntimeRuleError as exc:
             errors.append((str(exc), exc.rule_name, exc.cause, exc.line, exc.column))
     reports = [(r.rule_name, r.message, r.file_path, r.line, r.ordinal) for r in sink]
-    entries = (cache.stats(), len(cache.exists_indexes)) if cache is not None else None
+    entries = (cache.stats(), len(cache.exists_indexes))
     return reports, errors, [stats_row(i.stats) for i in interpreters], entries
 
 
@@ -82,9 +84,12 @@ def alone(engine, rule, model, cache):
 
 
 def assert_same_checks(rules, model):
-    for use_cache in (True, False):
-        got = check(gen, rules, model, use_cache)
-        assert got == check(ref, rules, model, use_cache)
+    got = check(gen, rules, model)
+    assert got == check(ref, rules, model)
+    reports, errors, _, _ = got
+    uncached = reference_run(rules, model)
+    assert [r._fields() for r in uncached.reports] == reports
+    assert uncached.diagnostics == [text for text, *_ in errors]
     return got
 
 
@@ -105,6 +110,8 @@ def test_genrules_corpus_runs_as_the_closure_compiler_ran_it(project):
     model = build_model(project)
     rules = differential_corpus(seed=2718, valid=240, per_variant=25)
     errors = 0
+    # one cache each across the corpus, then none: the interpreter makes
+    # its own, and the reference runs with no cache
     for cache_on in (True, False):
         caches = {name: QueryCache() if cache_on else None for name in ENGINES}
         for rule in rules:
@@ -403,22 +410,20 @@ def test_a_traceback_through_generated_code_names_the_rule(tmp_path, monkeypatch
 
 
 def test_compiling_the_pack_leaves_nothing_to_compile(monkeypatch, project, pack):
-    """compile_pack compiles every rule, shared or not, before any runs;
-    the one code of the pack runs with the query cache on and off."""
-    model, code = build_model(project), gen.emit_pack(pack, BUILTINS)
-    for cache in (QueryCache(), None):
-        interpreters = [gen.Interpreter(model, Registry(), cache) for _ in pack]
-        gen.compile_pack(interpreters, code)
-        with monkeypatch.context() as patch:
-            def refuse(*args, **kwargs):
-                raise AssertionError("compile or exec after compile_pack")
+    """compile_pack compiles every rule, shared or not, before any runs."""
+    model, cache = build_model(project), QueryCache()
+    interpreters = [gen.Interpreter(model, Registry(), cache) for _ in pack]
+    gen.compile_pack(interpreters, gen.emit_pack(pack, BUILTINS))
 
-            patch.setattr(builtins, "compile", refuse)
-            patch.setattr(builtins, "exec", refuse)
-            sink = []
-            for interp, rule in zip(interpreters, pack):
-                interp.run_rule(rule, sink)
-        assert sink
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile or exec after compile_pack")
+
+    monkeypatch.setattr(builtins, "compile", refuse)
+    monkeypatch.setattr(builtins, "exec", refuse)
+    sink = []
+    for interp, rule in zip(interpreters, pack):
+        interp.run_rule(rule, sink)
+    assert sink
 
 
 def own_nodes(function):
@@ -571,7 +576,7 @@ def producer(g, tree, name):
 
 
 def test_the_pack_tests_no_literal_kind_and_no_list_result(pack):
-    """In the shipped pack's code (cache on), no guard clause tests a
+    """In the shipped pack's code, no guard clause tests a
     constant: a literal's kind is known when the rule compiles.  A for or
     exists over a call of a built-in declared to return a list iterates
     its result as it is, with no list test before an index lookup; only

@@ -13,6 +13,7 @@ from mecheck.runtime.interpreter import (
     RuntimeRuleError,
     emit_rule,
 )
+from reference_check import RULE_ERRORS, make_interpreter
 from rsl_printer import format_rule, structurally_equal
 
 BEAN_IDS = ["one", "two", "three"]
@@ -48,7 +49,7 @@ def run_once(interp, rule):
     try:
         interp.run_rule(rule, sink)
         error = None
-    except RuntimeRuleError as exc:
+    except RULE_ERRORS as exc:
         error = str(exc)
     delta = tuple(b - a for a, b in zip(before, stats_row(interp.stats)))
     return report_rows(sink), error, delta
@@ -142,11 +143,12 @@ def differential_corpus(seed, valid, per_variant):
 
 def corpus_outcomes(model, rules, cache):
     """Per rule: its reports, its rule error text and its EvalStats;
-    each rule runs twice on its interpreter and must repeat itself."""
+    each rule runs twice on its interpreter and must repeat itself.  With
+    cache None the rules run on the cache-free reference interpreter."""
     registry = Registry()
     outcomes = []
     for rule in rules:
-        interp = Interpreter(model, registry, cache)
+        interp = make_interpreter(model, registry, cache)
         first = run_once(interp, rule)
         assert_no_state_leak(interp, rule, first)
         outcomes.append(first)
@@ -186,6 +188,7 @@ def test_unbound_reads_are_the_validators_undeclared_variables(model):
     rules = differential_corpus(seed=7373, valid=300, per_variant=40)
     rules += [parse_rule(source) for source in SCOPE_EDGES]
     unbound = clean = 0
+    # the cache-free reference, then the interpreter
     for cache in (None, QueryCache()):
         for rule in rules:
             flagged = {
@@ -194,8 +197,8 @@ def test_unbound_reads_are_the_validators_undeclared_variables(model):
                 if d.code == UNDECLARED_VARIABLE
             }
             try:
-                Interpreter(model, cache=cache).run_rule(rule)
-            except RuntimeRuleError as exc:
+                make_interpreter(model, Registry(), cache).run_rule(rule)
+            except RULE_ERRORS as exc:
                 if exc.cause.startswith("variable '") and exc.cause.endswith("' is not bound"):
                     assert (exc.line, exc.column) in flagged, format_rule(rule)
                     unbound += 1

@@ -152,7 +152,7 @@ def test_other_records_compare_by_value_and_reject_assignment():
         assert a == b and hash(a) == hash(b) and a is not b
         with pytest.raises(AttributeError):
             setattr(a, a.__slots__[0], "changed")
-    assert CheckerConfig("proj") != CheckerConfig("proj", use_cache=False)
+    assert CheckerConfig("proj") != CheckerConfig("proj", rules_dir="rules")
     assert BugReport("r1", "m", "a.xml", 3, 0) != BugReport("r1", "m", "a.xml", 3, 1)
     assert repr(BugReport("r1", "m", "a.xml", 3, 0)) == \
         "BugReport(rule_name='r1', message='m', file_path='a.xml', line=3, ordinal=0)"

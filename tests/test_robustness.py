@@ -4,8 +4,8 @@ Generated project trees, written to disk, go through cli.main and
 run_checker: Java sources from tests/javagen.py, deeply nested code, open
 comments and text blocks, byte order marks, bytes that are not UTF-8, and
 XML with a huge attribute count or deep nesting.  The exit code is 0, 1 or
-2, never 3 (internal error), and the reports do not depend on the query
-cache.  A source path that is no regular file is skipped, never read.
+2, never 3 (internal error), and the reports are those of the cache-free
+reference interpreter.  A source path that is no regular file is skipped, never read.
 
 XML shapes a beans file may legally take (prefixed names, colliding local
 names, namespace declarations, DTD-defaulted attributes, CDATA, comments
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from javagen import java_sources
+from reference_check import reference_check
 
 from mecheck import cli, runner
 from mecheck.builtins import Registry
@@ -103,9 +104,9 @@ def test_generated_trees_never_abort_and_ignore_the_cache(tmp_path, capsys, file
     write_tree(root, files)
     assert cli.main(["--project", str(root), "--format", "json"]) in (0, 1, 2)
     capsys.readouterr()
-    cached = runner.run_checker(runner.CheckerConfig(project_root=str(root)))
-    uncached = runner.run_checker(runner.CheckerConfig(project_root=str(root), use_cache=False))
-    assert reports_without_time(cached) == reports_without_time(uncached)
+    config = runner.CheckerConfig(project_root=str(root))
+    assert reports_without_time(runner.run_checker(config)) == reports_without_time(
+        reference_check(config))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -303,7 +304,8 @@ def test_a_config_path_too_long_for_the_file_system_is_reported_missing(tmp_path
     })
     code, out, err = cli_result(tmp_path, capsys)
     assert (code, err) == (1, "")
+    # r14 reports the @ImportResource location and the <import> resource
     assert [line.split(" ", 2)[1] for line in out[:-1]] == [
-        "r1-xml-path-check", "r14-import-resource-path"]
+        "r1-xml-path-check", "r14-import-resource-path", "r14-import-resource-path"]
     assert all(f" {loc} " in line for line in out[:-1])
-    assert out[-1] == "2 findings across 15 rules"
+    assert out[-1] == "3 findings across 15 rules"

@@ -5,11 +5,12 @@ them (interpreter.compile_pack).  Here packs of generated rules share a
 generated prefix of declarations, for and if statements, then diverge
 with tests/genrules.py statements, and run_checker must give the reports
 (message, file, line, ordinal, in sink order) and diagnostics that running
-each rule alone with a fresh Interpreter gives, with the query cache on
-and off.  Every evaluated built-in call is a run of its body straight
-from the rule code, a Registry.call or a cache hit.  Written once, in its
-walk, each rule of such a pack has the diagnostics emit_rule gives it
-alone, those of a shared statement at its own positions.
+each rule alone with a fresh Interpreter gives, and that the cache-free
+reference interpreter gives (tests/reference_check.py).  Every evaluated
+built-in call is a run of its body straight from the rule code, a
+Registry.call or a cache hit.  Written once, in its walk, each rule of
+such a pack has the diagnostics emit_rule gives it alone, those of a
+shared statement at its own positions.
 """
 
 import random
@@ -32,6 +33,7 @@ from mecheck.runtime.interpreter import (
     emit_rule,
     plan_pack,
 )
+from reference_check import reference_run
 
 CTX_XML = """<beans>
   <bean id="a" class="x.A">
@@ -191,10 +193,10 @@ def rows(reports):
     return [(r.rule_name, r.message, r.file_path, r.line, r.ordinal) for r in reports]
 
 
-def one_by_one(rules, model, use_cache):
+def one_by_one(rules, model):
     """Each rule alone, with a fresh Interpreter, as run_checker ran them
     before rules shared statements."""
-    registry, cache = Registry(), QueryCache() if use_cache else None
+    registry, cache = Registry(), QueryCache()
     sink, diagnostics = [], []
     for rule in rules:
         try:
@@ -225,30 +227,31 @@ def counted_check(monkeypatch, config, model):
     return summary, counts
 
 
-def assert_same_as_one_by_one(monkeypatch, rules_dir, project, use_cache):
+def assert_same_as_one_by_one(monkeypatch, rules_dir, project):
     rules = rulepack.load_rulepack(rules_dir).rules
     model = build_model(project)
-    expected = one_by_one(rules, model, use_cache)
-    config = runner.CheckerConfig(project_root=str(project), rules_dir=str(rules_dir),
-                                  use_cache=use_cache)
+    expected = one_by_one(rules, model)
+    reference = reference_run(rules, model)
+    assert (rows(reference.reports), reference.diagnostics) == expected
+    config = runner.CheckerConfig(project_root=str(project), rules_dir=str(rules_dir))
     summary, counts = counted_check(monkeypatch, config, model)
     assert (rows(summary.reports), summary.diagnostics) == expected
     assert summary.rules_executed == len(rules)
-    hits = summary.cache_stats.get("hits", 0)
-    assert counts["evaluated"] == counts["bodies"] + hits
+    assert counts["evaluated"] == counts["bodies"] + summary.cache_stats["hits"]
     return rules, summary
 
 
-@pytest.mark.parametrize("use_cache", [True, False], ids=["cache", "no-cache"])
-@pytest.mark.parametrize("shape", SHAPES)
-def test_shared_walk_matches_one_by_one(tmp_path, project, monkeypatch, shape, use_cache):
+# each id says the check under test runs with its query cache; the
+# cache-free run is the reference's
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: f"{shape}-cache")
+def test_shared_walk_matches_one_by_one(tmp_path, project, monkeypatch, shape):
     errors = 0
     for seed in range(12):
         rules_dir = tmp_path / f"{shape}-{seed}"
         rules_dir.mkdir()
         for name, source in generated_pack(seed, shape).items():
             (rules_dir / name).write_text(source)
-        rules, summary = assert_same_as_one_by_one(monkeypatch, rules_dir, project, use_cache)
+        rules, summary = assert_same_as_one_by_one(monkeypatch, rules_dir, project)
         shared = plan_pack(rules)
         assert len(shared) == 1 and len(shared[0].rules) == len(rules) - 1
         errors += bool(summary.diagnostics)
@@ -290,7 +293,7 @@ def test_shared_error_names_each_rule_at_its_own_position(tmp_path, project, mon
     tail = ['assert (hasAttr(b, "class")) { msg("no class on %s", b); }']
     (rules_dir / "a.rsl").write_text(render("first", prefix, tail, 0, "  "))
     (rules_dir / "b.rsl").write_text(render("second", prefix, tail, 2, "    "))
-    _, summary = assert_same_as_one_by_one(monkeypatch, rules_dir, project, True)
+    _, summary = assert_same_as_one_by_one(monkeypatch, rules_dir, project)
     assert summary.diagnostics == [
         "rule first failed at line 4, column 15: expected a boolean condition, got text",
         "rule second failed at line 6, column 21: expected a boolean condition, got text",
@@ -321,9 +324,8 @@ def test_chain_nested_to_the_parser_bound_is_shared(tmp_path, project, monkeypat
     for name in ("one", "two"):
         source = render(name, nested_chain(levels, name), [], 0, " ")
         (rules_dir / f"{name}.rsl").write_text(source)
-    for use_cache in (True, False):
-        rules, summary = assert_same_as_one_by_one(monkeypatch, rules_dir, project, use_cache)
-        assert [r.message for r in summary.reports] == ["one a0", "two a0"]
+    rules, summary = assert_same_as_one_by_one(monkeypatch, rules_dir, project)
+    assert [r.message for r in summary.reports] == ["one a0", "two a0"]
     (step,), shared = plan_pack(rules), 1
     while isinstance(step.then[0], Shared):
         (step,), shared = step.then, shared + 1
