@@ -1,0 +1,9 @@
+package com.shape.compound;
+
+public class Party {
+    private final Address address = new Address();
+
+    public Address getAddress() {
+        return address;
+    }
+}

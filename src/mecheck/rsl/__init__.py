@@ -7,8 +7,3 @@ Submodules:
 
 A rule is validated as its code is written (runtime/interpreter.py).
 """
-
-from mecheck.rsl.lexer import tokenize, decode_source
-from mecheck.rsl.parser import parse_rule
-
-__all__ = ["tokenize", "decode_source", "parse_rule"]

@@ -1,22 +1,21 @@
 """One full check: load rules, build the model, run every rule.
 
-Reports keep their emission order (the ordinal is global across rules);
-renderers sort by (rule name, file, line, ordinal).  A rule that fails at
-runtime contributes a diagnostic instead of aborting the run.
-
 Each rule runs as generated Python (runtime/interpreter.py), written
-from the rule once, as the pack loads, and compiled once per check.
-Rules that open with the same statements share them: such rules run as
-one generated walk that evaluates a statement, equal in each rule but
-for its spans, once per binding.  A declaration is shared, and so is a for
-or if that ends its body.  Each rule is still run by one run_rule call
-of its own interpreter, in pack order: the walk runs inside the first
-sharing rule's call, and the others' reports, held until their own call,
-are appended then with the ordinal they would have had, so reports,
-ordinals and diagnostics are those of running the rules one by one.  A
-rule error in a rule's own statements stops that rule only; one in a
-shared statement stops every rule under it, each reported with its own
-name and position.
+from the rule once, as the pack loads, and compiled once per check, in a
+walk: rules that open with the same statements share one walk, which
+evaluates a statement, equal in each rule but for its spans, once per
+binding; a rule that shares nothing has a walk of its own.  A
+declaration is shared, and so is a for or if that ends its body.  Each
+rule is still run by one run_rule call of its own interpreter, in pack
+order: a walk runs inside its first rule's call and appends every
+report of its rules to the check's one sink as it is made, so the sink
+holds a rule's reports in the order the rule made them, and a walk's
+rules interleave.  Renderers sort by (rule name, file, line), a stable
+sort, so reports of one place keep their rule's order.  A rule error in
+a rule's own statements stops that rule only; one in a shared statement
+stops every rule under it.  Each stopped rule's own run_rule call raises
+its error, with its own name and position, and the check records it as
+a diagnostic instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def run_checker(config: CheckerConfig, model: ProjectModel | None = None) -> Run
 
 
 def sorted_reports(reports: list[BugReport]) -> list[BugReport]:
-    return sorted(reports, key=lambda r: (r.rule_name, r.file_path, r.line, r.ordinal))
+    return sorted(reports, key=lambda r: (r.rule_name, r.file_path, r.line))
 
 
 def render_text(summary: RunSummary) -> str:

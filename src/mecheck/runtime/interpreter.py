@@ -1,7 +1,9 @@
 """Rule interpreter: each rule is compiled to generated Python, then run.
 
-run_rule writes the rule's body as Python source (emit_rule), compiles
-it once per Interpreter with compile and exec, and calls it on the sink.
+Every rule runs in a walk: emit_pack writes the pack as Python source,
+one walk for each set of rules that open with the same statements and one
+for each other rule (plan_pack, emit_walk); compile_pack compiles each
+walk once, with compile and exec, and run_rule calls it on the sink.
 What each node means (built-in, arity, position, caching, truth check)
 is settled while the source is written, so the code does no dispatch on
 node types and no frame lies between a rule and a built-in's body.
@@ -43,7 +45,7 @@ a rule nests up to 64 levels.  A unit takes the locals it reads as
 arguments and the units it calls as defaults; no namespace keeps them.
 
 Scoping model: variables are resolved as the source is written, and this
-one walk validates the rule: emit_rule records a Diagnostic for each
+one walk validates the rule: emit_walk records a Diagnostic for each
 read that resolves to no binding, each call of an unknown built-in and
 each call with a wrong argument count, and load_rulepack reports the
 first.  The rule body, each for and if body and each exists predicate is
@@ -57,10 +59,11 @@ renders the message template and emits a BugReport at the first message
 argument that carries a source location.  Any runtime failure aborts
 only the current rule via RuntimeRuleError.
 
-Rules that open with the same statements run them once, in one generated
-walk (plan_pack, emit_walk), with what running the rules one by one
-gives: reports, ordinals, rule errors and diagnostics.  emit_pack writes
-each rule's code once, and compile_pack compiles it.
+Rules that share a walk run their shared statements once, and each rule
+gets what running it alone gives: its reports, in the order it makes
+them, its rule error and its diagnostics.  A walk appends its rules'
+reports to one sink as they are made, so there its rules' reports
+interleave.
 """
 
 from __future__ import annotations
@@ -99,12 +102,11 @@ class Diagnostic(Record):
 
 
 class BugReport(Record):
-    __slots__ = ("rule_name", "message", "file_path", "line", "ordinal")
+    __slots__ = ("rule_name", "message", "file_path", "line")
     rule_name: str
     message: str
     file_path: str
     line: int
-    ordinal: int
 
 
 class RuntimeRuleError(Exception):
@@ -236,7 +238,7 @@ def _report(sink: list, rule_name: str, template: str, arg_values: list) -> None
         if loc is not None:
             file_path, line = loc
             break
-    sink.append(BugReport(rule_name, message, file_path, line, len(sink)))
+    sink.append(BugReport(rule_name, message, file_path, line))
 
 
 def _fail(exc: Exception, table: dict, members: tuple, heads: tuple | None = None) -> None:
@@ -300,14 +302,14 @@ class _Func:
 
 
 class _Rule:
-    """One rule's part in a generated function: the rule's name, the names
-    its code gives its EvalStats and sink, its scopes, and the diagnostics
-    found in it."""
+    """One rule's part in a generated function: the rule's name, the name
+    its code gives its EvalStats, its scopes, and the diagnostics found in
+    it."""
 
-    __slots__ = ("rule", "stats", "sink", "scopes", "diagnostics")
+    __slots__ = ("rule", "stats", "scopes", "diagnostics")
 
-    def __init__(self, rule: str, stats: str, sink: str):
-        self.rule, self.stats, self.sink = rule, stats, sink
+    def __init__(self, rule: str, stats: str):
+        self.rule, self.stats = rule, stats
         self.scopes: list[dict[str, str]] = [{}]  # variable -> its local, innermost last
         self.diagnostics: list[Diagnostic] = []
 
@@ -322,14 +324,7 @@ class _Emitter:
         self._constant_names: dict = {}
         self._count = 0
         self.units: list[tuple[str, str, str]] = []
-        self.func = _Func({})
-
-    def generated(self, params: tuple[str, ...], body: Callable[[], None],
-                  diagnostics: list[Diagnostic]) -> Generated:
-        self.func = _Func({}, params)
-        body()
-        self.add_unit("run", list(params), self.func)
-        return Generated(tuple(self.units), tuple(self.constants), diagnostics)
+        self.func = _Func({}, ("sink",))  # the walk's function, run(sink)
 
     def add_unit(self, name: str, params: list[str], func: _Func) -> None:
         """func as the source of a function compiled on its own, which takes
@@ -447,8 +442,8 @@ class _Emitter:
                 self.open(f"if not {self.cond(stmt.cond, r)}:")
                 args = ", ".join([self.value(arg, r) for arg in stmt.message.args])
                 template = self.const(stmt.message.template)
-                self.read(r.sink)
-                self.line(f"report({r.sink}, {self.const(r.rule)}, {template}, [{args}])")
+                self.read("sink")
+                self.line(f"report(sink, {self.const(r.rule)}, {template}, [{args}])")
                 self.close()
             elif isinstance(stmt, ast.DeclStmt):
                 local = self.bind()
@@ -659,7 +654,7 @@ class _Emitter:
         for step in steps:
             # a unit written for the step names the rules whose code it holds
             names, self.names = self.names, ", ".join(
-                rules[k].rule for k in ((step.rule,) if isinstance(step, Rest) else step.rules))
+                rules[k].rule for k in step.rules)
             self.nest(lambda step=step: self.step(step, rules, members))
             self.names = names
 
@@ -667,7 +662,8 @@ class _Emitter:
         """Run the step for the rules it holds that have not stopped;
         members[k] names rule k's _Member."""
         if isinstance(step, Rest):
-            r, member = rules[step.rule], members[step.rule]
+            (k,) = step.rules
+            r, member = rules[k], members[k]
             self.open(f"if {member}.error is None:")
             self.open("try:", block=True)
             self.stmts(step.stmts, r)
@@ -719,25 +715,19 @@ class _Emitter:
         self.close()
 
 
-def emit_rule(rule: ast.Rule, builtins: dict[str, builtins_mod.Builtin]) -> Generated:
-    """The rule's body as run(sink), with its diagnostics in source order."""
-    emitter = _Emitter(builtins, rule.name)
-    r = _Rule(rule.name, "s0", "sink")
-    return emitter.generated(("sink",), lambda: emitter.stmts(rule.body, r), r.diagnostics)
-
-
-def emit_walk(step: Shared, rules: list[ast.Rule],
+def emit_walk(step: Shared | Rest, rules: list[ast.Rule],
               builtins: dict[str, builtins_mod.Builtin]) -> Generated:
-    """The shared walk of step as run(k0, k1, ...): the k-th rule of
-    step.rules keeps its reports in sink kk, its stopping error in
+    """The walk of step as run(sink): the k-th rule of step.rules appends
+    its reports to sink as it makes them, and keeps its stopping error in
     member mk and its counts in EvalStats sk; its diagnostics are a list
-    for each rule of step.rules, as emit_rule gives them."""
+    for each rule of step.rules, in source order, a shared statement's at
+    the rule's own positions."""
     emitter = _Emitter(builtins, ", ".join(rules[k].name for k in step.rules))
-    states = {k: _Rule(rules[k].name, f"s{i}", f"k{i}") for i, k in enumerate(step.rules)}
-    members = {k: f"m{i}" for i, k in enumerate(step.rules)}
-    return emitter.generated(tuple(r.sink for r in states.values()),
-                             lambda: emitter.step(step, states, members),
-                             [r.diagnostics for r in states.values()])
+    states = {k: _Rule(rules[k].name, f"s{i}") for i, k in enumerate(step.rules)}
+    emitter.step(step, states, {k: f"m{i}" for i, k in enumerate(step.rules)})
+    emitter.add_unit("run", ["sink"], emitter.func)
+    return Generated(tuple(emitter.units), tuple(emitter.constants),
+                     [r.diagnostics for r in states.values()])
 
 
 def _load(generated: Generated, env: dict[str, object]) -> Callable:
@@ -767,20 +757,21 @@ class Interpreter:
         self._compiled: dict[int, tuple[ast.Rule, Callable[[list], None]]] = {}
 
     def run_rule(self, rule: ast.Rule, sink: list[BugReport] | None = None) -> list[BugReport]:
-        """Execute one rule; reports are appended to sink (shared sinks
-        keep emission ordinals global across rules)."""
+        """Run the rule's turn: the walk compile_pack gave it, appending the
+        reports of each of the walk's rules to sink as they are made, or
+        for a later rule of a walk, nothing but raising the error the walk
+        held for it.  A rule this interpreter has not seen runs alone."""
         if sink is None:
             sink = []
         self.compile_rule(rule)(sink)
         return sink
 
     def compile_rule(self, rule: ast.Rule) -> Callable[[list], None]:
-        """The rule's function of the sink, compiled once per interpreter."""
-        entry = self._compiled.get(id(rule))
-        if entry is None:
-            generated = emit_rule(rule, self.registry.builtins)
-            entry = self._compiled[id(rule)] = (rule, _load(generated, self._env()))
-        return entry[1]
+        """The rule's function of the sink, compiled once per interpreter,
+        as the one-rule pack where compile_pack has not given it one."""
+        if id(rule) not in self._compiled:
+            compile_pack([self], emit_pack([rule], self.registry.builtins))
+        return self._compiled[id(rule)][1]
 
     def _env(self) -> dict[str, object]:
         """The globals of this interpreter's generated functions."""
@@ -793,7 +784,7 @@ class Interpreter:
             "errors": errors, "stopping": (RuntimeRuleError, *errors),
             "placed": _placed, "value_eq": V.value_eq, "truth": V.is_truthy,
             "unbound": _unbound,
-            "report": _report, "fail": _fail, "s0": self.stats,
+            "report": _report, "fail": _fail,
         }
 
 
@@ -906,18 +897,18 @@ class Shared(Record):
 
 
 class Rest(Record):
-    """The statements of one rule that no other rule shares."""
+    """The statements of one rule, rules[0], that no other rule shares."""
 
-    __slots__ = ("rule", "stmts")
-    rule: int
+    __slots__ = ("rules", "stmts")
+    rules: tuple[int]
     stmts: tuple[ast.Stmt, ...]
 
 
-def plan_pack(rules: list[ast.Rule]) -> list[Shared]:
+def plan_pack(rules: list[ast.Rule]) -> list[Shared | Rest]:
     """The prefix tree of the pack: one Shared for each set of two or more
-    rules whose first statements are equal but for their spans."""
-    return [step for step in _plan([(i, rule.body, 0) for i, rule in enumerate(rules)])
-            if isinstance(step, Shared)]
+    rules whose first statements are equal but for their spans, and a Rest
+    for each other rule."""
+    return _plan([(i, rule.body, 0) for i, rule in enumerate(rules)])
 
 
 def _plan(cursors: list[tuple[int, tuple[ast.Stmt, ...], int]]) -> list[Shared | Rest]:
@@ -945,7 +936,7 @@ def _plan(cursors: list[tuple[int, tuple[ast.Stmt, ...], int]]) -> list[Shared |
         if len(group) == 1:
             rule, stmts, i = group[0]
             if i < len(stmts):
-                steps.append(Rest(rule, stmts[i:]))
+                steps.append(Rest((rule,), stmts[i:]))
             continue
         heads = tuple(stmts[i] for _, stmts, i in group)
         after = [(rule, stmts, i + 1) if isinstance(head, ast.DeclStmt) else (rule, head.body, 0)
@@ -992,47 +983,45 @@ def _position_in(own: tuple, other: tuple, line: int, column: int) -> tuple[int,
 
 
 class _Member:
-    """A rule in a shared walk: where its reports go and, once a rule error
-    has stopped it, the error's (cause, line, column).  It holds no
-    exception and no interpreter, so nothing it holds leads back to it."""
+    """A rule in a walk: once a rule error has stopped it, the error's
+    (cause, line, column).  It holds no exception and no interpreter, so
+    nothing it holds leads back to it."""
 
-    __slots__ = ("rule_name", "sink", "error")
+    __slots__ = ("rule_name", "error")
 
     def __init__(self, rule_name: str):
-        self.rule_name, self.sink, self.error = rule_name, [], None
+        self.rule_name, self.error = rule_name, None
 
 
 class Pack(Record):
-    """A rule pack written as code: its rules; (each walk of plan_pack(rules)
-    or other rule's position, its Generated); and each rule's diagnostics,
-    as emit_rule gives them."""
+    """A rule pack written as code: its rules; (each step of
+    plan_pack(rules), the Generated of its walk), where a rule that shares
+    nothing is a step of its own; and each rule's diagnostics, in source
+    order."""
 
-    __slots__ = ("rules", "walks", "alone", "diagnostics")
+    __slots__ = ("rules", "walks", "diagnostics")
     rules: list[ast.Rule]
-    walks: tuple[tuple[Shared, Generated], ...]
-    alone: tuple[tuple[int, Generated], ...]
+    walks: tuple[tuple[Shared | Rest, Generated], ...]
     diagnostics: tuple[list[Diagnostic], ...]
 
 
 def emit_pack(rules: list[ast.Rule], builtins: dict[str, builtins_mod.Builtin]) -> Pack:
-    """The code of every rule of rules, each written once: a rule in a
-    set of plan_pack(rules) in its set's walk, any other on its own."""
+    """The code of every rule of rules, each written once, in its walk."""
     walks = tuple((step, emit_walk(step, rules, builtins)) for step in plan_pack(rules))
     found = {k: d for step, g in walks for k, d in zip(step.rules, g.diagnostics)}
-    alone = tuple((k, emit_rule(rule, builtins)) for k, rule in enumerate(rules) if k not in found)
-    found.update((k, g.diagnostics) for k, g in alone)
-    return Pack(rules, walks, alone, tuple(found[k] for k in range(len(rules))))
+    return Pack(rules, walks, tuple(found[k] for k in range(len(rules))))
 
 
 def compile_pack(interpreters: list[Interpreter], pack: Pack) -> None:
     """Compile the code of pack, written with the built-in table of the
     interpreters' registry; interpreters[k] runs pack.rules[k], with one
-    run_rule call per rule, in pack order.  The first rule of a set runs
-    the shared walk, in which a rule error in a rule's own statements stops
-    that rule only, and one in a shared statement every rule it still runs,
-    each at its own position.  The others replay what the walk held for
-    them, their reports numbered afresh, and each stopped rule's run_rule
-    raises its error after its reports, in its turn."""
+    run_rule call per rule, in pack order.  A walk's first rule runs the
+    whole walk, which appends the reports of every rule of it to the sink
+    given to that call as they are made.  A rule error in a rule's own
+    statements stops that rule only, and one in a shared statement every
+    rule it still runs, each at its own position.  Each stopped rule's
+    run_rule raises its error, in its turn: a later rule's adds nothing to
+    the sink."""
     rules, members = pack.rules, [_Member(rule.name) for rule in pack.rules]
     for step, generated in pack.walks:
         env = interpreters[step.rules[0]]._env()
@@ -1041,36 +1030,29 @@ def compile_pack(interpreters: list[Interpreter], pack: Pack) -> None:
         walk = _load(generated, env)
         group = [members[k] for k in step.rules]
         for k, member in zip(step.rules, group):
-            body = _walk_body(walk, group) if member is group[0] else _replay_body(member)
+            body = _walk_body(walk, group) if member is group[0] else _held_error(member)
             interpreters[k]._compiled[id(rules[k])] = (rules[k], body)
-    for k, generated in pack.alone:
-        interpreters[k]._compiled[id(rules[k])] = (
-            rules[k], _load(generated, interpreters[k]._env()))
 
 
 def _walk_body(walk: Callable, group: list[_Member]) -> Callable[[list], None]:
-    """The first rule's body: the whole shared walk."""
+    """The first rule's body: the whole walk."""
     first = group[0]
 
     def run(sink):
         for member in group:
-            member.sink, member.error = [], None
-        first.sink = sink
-        walk(*[member.sink for member in group])
+            member.error = None
+        walk(sink)
         if first.error is not None:
             raise RuntimeRuleError(first.rule_name, *first.error)
 
     return run
 
 
-def _replay_body(member: _Member) -> Callable[[list], None]:
-    """A later rule's body: what the shared walk held for it."""
+def _held_error(member: _Member) -> Callable[[list], None]:
+    """A later rule's body: the error the walk held for it, if any."""
 
-    def replay(sink):
-        for r in member.sink:
-            sink.append(BugReport(r.rule_name, r.message, r.file_path, r.line, len(sink)))
-        member.sink = []
+    def held(sink):
         if member.error is not None:
             raise RuntimeRuleError(member.rule_name, *member.error)
 
-    return replay
+    return held

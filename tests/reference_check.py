@@ -7,6 +7,10 @@ index and calls most built-ins' bodies straight from the rule code, so
 comparing its RunSummary with reference_check's checks those against an
 independent implementation rather than against themselves.
 make_interpreter gives tests that drive one interpreter either engine.
+
+The reference's sink holds the rules' reports one rule after another,
+while the engine's walks interleave the reports of the rules they run;
+by_rule puts either in the order each rule made its reports.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ def reference_run(rules: list[ast.Rule], model: ProjectModel,
                   registry: builtins_mod.Registry | None = None) -> RunSummary:
     """The rules run as run_checker runs them, in one shared walk per set of
     rules that share statements, by the reference with no cache: the
-    reports in sink order with their ordinals, and each rule error's text,
-    which holds its line and column, as a diagnostic."""
+    reports in sink order, one rule after another, and each rule error's
+    text, which holds its line and column, as a diagnostic."""
     registry = registry or builtins_mod.Registry()
     interpreters = [ref.Interpreter(model, registry, None) for _ in rules]
     ref.compile_pack(interpreters, rules)
@@ -51,9 +55,15 @@ def reference_run(rules: list[ast.Rule], model: ProjectModel,
         except ref.RuntimeRuleError as exc:
             summary.diagnostics.append(str(exc))
         summary.rules_executed += 1
-    summary.reports = [BugReport(*r._fields()) for r in sink]
+    summary.reports = [BugReport(r.rule_name, r.message, r.file_path, r.line) for r in sink]
     summary.warnings = [f"{w.path}: {w.message}" for w in model.warnings]
     return summary
+
+
+def by_rule(reports: list) -> list:
+    """reports, each rule's in the order it made them: a stable sort by
+    rule name."""
+    return sorted(reports, key=lambda r: r.rule_name)
 
 
 def reference_check(config: CheckerConfig, model: ProjectModel | None = None) -> RunSummary:

@@ -4,8 +4,11 @@ Before rules were compiled to generated Python source, mecheck's rule
 interpreter compiled each rule to a tree of Python closures, as below.
 tests/test_generated_rules.py runs rules through mecheck's Interpreter and
 compile_pack and through this copy's, and compares what they give:
-reports and ordinals, rule errors with their positions, diagnostics and
-EvalStats.  Keep its logic unchanged.
+each rule's reports in the order it made them, rule errors with their
+positions, diagnostics and EvalStats.  Its reports still carry the
+ordinal that mecheck's BugReport no longer has, and its walks still hold
+a later rule's reports until that rule's run_rule call.  Keep its logic
+unchanged.
 
 Rule interpreter: each rule is compiled to Python closures, then run.
 

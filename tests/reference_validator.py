@@ -5,7 +5,7 @@ mecheck.rsl.validator walked each rule itself: every identifier read
 must be bound by an enclosing for/exists/declaration, every called
 function must be a known built-in, and every call must pass an
 acceptable number of arguments.  tests/test_validator.py compares the
-diagnostics of emit_rule against reference_validate_rule: the same
+diagnostics of emit_pack against reference_validate_rule: the same
 diagnostics, in the same order.  Keep its logic unchanged.
 """
 

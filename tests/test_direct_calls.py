@@ -29,7 +29,7 @@ from mecheck.builtins import BUILTINS, Builtin, Registry
 from mecheck.model.project import build_model
 from mecheck.rsl.parser import parse_rule
 from mecheck.runtime.cache import QueryCache
-from mecheck.runtime.interpreter import Interpreter, RuntimeRuleError, emit_rule
+from mecheck.runtime.interpreter import Interpreter, RuntimeRuleError, emit_pack
 from mecheck.runtime.values import MISSING, LocatedText
 
 
@@ -101,7 +101,8 @@ def test_direct_form_matches_registry_call(model, name):
         count = len(args)
         if count not in rules:
             rules[count] = calling_rule(name, count)
-            (source,) = [s for _, _, s in emit_rule(rules[count], registry.builtins).units]
+            ((_, walk),) = emit_pack([rules[count]], registry.builtins).walks
+            (source,) = [s for _, _, s in walk.units]
             # each pick and the keep, and the call unless the query cache takes it
             assert source.count("(registry, model, [") == count + 1 + (not spec.cached)
         drawn[:], kept[:] = args, []
@@ -153,7 +154,7 @@ def project_model(tmp_path_factory):
 def test_an_error_raised_in_a_direct_body_is_the_references(project_model, name):
     text = raising_source(name)
     rule = parse_rule(text)
-    source = "".join(s for _, _, s in emit_rule(rule, BUILTINS).units)
+    source = "".join(s for _, _, s in emit_pack([rule], BUILTINS).walks[0][1].units)
     assert "(registry, model, [" in source
     _, errors, _, _ = assert_same_checks([rule], project_model)
     (error,) = errors

@@ -18,7 +18,7 @@ from mecheck.builtins import BUILTINS, Builtin, PreconditionError, Registry
 from mecheck.model.items import CallSite
 from mecheck.model.project import build_model
 from mecheck.rsl.parser import parse_rule
-from mecheck.runtime.interpreter import emit_rule
+from mecheck.runtime.interpreter import emit_pack
 from mecheck.runtime.values import MISSING
 
 PROJECT = {
@@ -210,7 +210,7 @@ def test_a_rebuilt_record_dispatches_to_its_own_fn(model):
 def test_only_conditions_of_unknown_or_non_bool_results_are_truth_checked(cond, checked):
     rule = parse_rule(f'Rule c {{\n  for (<bean> e in getXMLs()) {{\n'
                       f'    assert ({cond}) {{ msg("m"); }}\n  }}\n}}\n')
-    (_, _, source), = emit_rule(rule, BUILTINS).units
+    (_, _, source), = emit_pack([rule], BUILTINS).walks[0][1].units
     assert ("truth(" in source) == checked
 
 

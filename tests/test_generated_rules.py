@@ -1,15 +1,17 @@
 """Rules compiled to generated Python run as the closure compiler ran them.
 
-The interpreter writes each rule, and each shared walk of the pack, as
-Python source (emit_rule, emit_walk), in units it compiles one by one
+The interpreter writes each walk of the pack, one for each set of rules
+that share statements and one for each other rule, as Python source
+(emit_pack, emit_walk), in units it compiles one by one
 when a check runs.  tests/reference_interpreter.py is the closure
 compiler it replaced.  Here both run the genrules corpus (valid rules and
 rules with every kind of mistake), the shipped pack on the fixture
 projects and a bench workload, packs with rule errors in shared
 statements and rules nested to the parser's bound, each with a query
-cache; reports with their ordinals, rule errors with their positions,
-diagnostics and EvalStats must be equal, and the reports and rule errors
-those of the reference run with no cache (tests/reference_check.py).
+cache; each rule's reports in the order it made them, rule errors with
+their positions, diagnostics and EvalStats must be equal, and the reports
+and rule errors those of the reference run with no cache
+(tests/reference_check.py).
 Rule text must stay out of the generated source, loading the pack must
 compile nothing and compile_pack must leave nothing to compile.  Each
 generated function has one error handler, and a rule error keeps its
@@ -36,7 +38,7 @@ from mecheck.rsl import ast
 from mecheck.rsl.parser import MAX_NESTING, RslSyntaxError, parse_rule
 from mecheck.runtime import interpreter as gen
 from mecheck.runtime.cache import QueryCache
-from reference_check import reference_run
+from reference_check import by_rule, reference_run
 from test_exists_index import NESTED_SHAPES, NestedRegistry
 from test_properties import differential_corpus
 from test_shared_walk import CTX_XML, MORE_XML, SHAPES, generated_pack, nested_chain, render
@@ -49,10 +51,16 @@ def stats_row(stats):
     return tuple(getattr(stats, name) for name in type(stats).__slots__)
 
 
+def walk_of(rule):
+    """The code of rule written alone: the one walk of its one-rule pack."""
+    ((_, generated),) = gen.emit_pack([rule], BUILTINS).walks
+    return generated
+
+
 def check(engine, rules, model):
-    """What run_checker does with the rules, run by engine: reports (with
-    ordinals, in sink order), rule errors, each rule's EvalStats and the
-    cache's entries."""
+    """What run_checker does with the rules, run by engine: reports (each
+    rule's in the order it made them), rule errors, each rule's EvalStats
+    and the cache's entries."""
     registry, cache = Registry(), QueryCache()
     interpreters = [engine.Interpreter(model, registry, cache) for _ in rules]
     engine.compile_pack(interpreters, gen.emit_pack(rules, registry.builtins)
@@ -63,7 +71,7 @@ def check(engine, rules, model):
             interp.run_rule(rule, sink)
         except engine.RuntimeRuleError as exc:
             errors.append((str(exc), exc.rule_name, exc.cause, exc.line, exc.column))
-    reports = [(r.rule_name, r.message, r.file_path, r.line, r.ordinal) for r in sink]
+    reports = [(r.rule_name, r.message, r.file_path, r.line) for r in by_rule(sink)]
     entries = (cache.stats(), len(cache.exists_indexes))
     return reports, errors, [stats_row(i.stats) for i in interpreters], entries
 
@@ -79,7 +87,7 @@ def alone(engine, rule, model, cache):
             error = None
         except engine.RuntimeRuleError as exc:
             error = (str(exc), exc.line, exc.column)
-        runs.append(([(r.message, r.file_path, r.line, r.ordinal) for r in sink], error))
+        runs.append(([(r.message, r.file_path, r.line) for r in sink], error))
     return runs, stats_row(interp.stats)
 
 
@@ -88,7 +96,7 @@ def assert_same_checks(rules, model):
     assert got == check(ref, rules, model)
     reports, errors, _, _ = got
     uncached = reference_run(rules, model)
-    assert [r._fields() for r in uncached.reports] == reports
+    assert [r._fields() for r in by_rule(uncached.reports)] == reports
     assert uncached.diagnostics == [text for text, *_ in errors]
     return got
 
@@ -133,7 +141,7 @@ def test_diagnostics_are_the_closure_compilers(project):
     found = 0
     for rule in rules:
         closure = rows(ref.Interpreter(model, cache=QueryCache()).compile_rule(rule)[2])
-        assert rows(gen.emit_rule(rule, BUILTINS).diagnostics) == closure
+        assert rows(gen.emit_pack([rule], BUILTINS).diagnostics[0]) == closure
         found += bool(closure)
     assert found >= 5 * 25
 
@@ -250,11 +258,14 @@ def test_rules_nested_to_the_parser_bound(project):
     rules = [parse_rule(deepest(make).replace("Rule deep ", f"Rule deep-{name} "))
              for name, make in DEEP.items()]
     assert all(MAX_NESTING - 4 <= max_depth(rule) for rule in rules)
-    reports, errors, _, _ = assert_same_checks(rules + rules, model)
+    # each rule and a copy, named apart so each one's reports can be told
+    # from the other's, that shares every statement with it
+    copies = [ast.Rule(f"{rule.name}-copy", rule.body, rule.span) for rule in rules]
+    reports, errors, _, _ = assert_same_checks(rules + copies, model)
     assert not errors and len(reports) >= 2
     for name, rule in zip(DEEP, rules):
         # code nested too deep for one CPython function went into units of its own
-        assert (len(gen.emit_rule(rule, BUILTINS).units) > 1) == (name != "not")
+        assert (len(walk_of(rule).units) > 1) == (name != "not")
         assert alone(gen, rule, model, QueryCache()) == alone(ref, rule, model, QueryCache())
 
 
@@ -304,8 +315,8 @@ def test_rule_text_stays_data(project):
     reports, errors, _, _ = assert_same_checks(rules, model)
     assert len(reports) >= len(rules) and not errors
     assert {r[1].split(" ")[0] for r in reports} >= {"\"\"\"", "{}", "\\n"}
-    generated = [gen.emit_rule(rule, BUILTINS) for rule in rules]
-    generated += [gen.emit_walk(step, rules, BUILTINS) for step in gen.plan_pack(rules)]
+    generated = [walk_of(rule) for rule in rules]
+    generated += [g for _, g in gen.emit_pack(rules, BUILTINS).walks]
     assert len(gen.plan_pack(rules)) == 1
     sources = [source for g in generated for _, _, source in g.units]
     for source in sources:
@@ -329,13 +340,13 @@ def test_loading_the_pack_compiles_nothing(monkeypatch, pack):
     rules = rulepack.load_rulepack(rulepack.default_rules_dir()).rules
     assert [rule.name for rule in rules] == [rule.name for rule in pack]
     for rule in differential_corpus(seed=31, valid=40, per_variant=5):
-        gen.emit_rule(rule, BUILTINS)
+        gen.emit_pack([rule], BUILTINS)
 
 
 def test_a_check_writes_each_rules_code_once(monkeypatch):
     """One check of the shipped pack writes its code once, all of it as
     the pack loads: a walk for each of its three sets of rules that share
-    statements, and each of the four other rules alone."""
+    statements, and one for each of the four other rules."""
     written, loading = [], [False]
     load = rulepack.load_rulepack
 
@@ -346,16 +357,15 @@ def test_a_check_writes_each_rules_code_once(monkeypatch):
         finally:
             loading[0] = False
 
-    for name in ("emit_walk", "emit_rule"):
-        def writing(*args, name=name, emit=getattr(gen, name)):
-            written.append((name, loading[0]))
-            return emit(*args)
+    def writing(step, *args, emit=gen.emit_walk):
+        written.append((len(step.rules) > 1, loading[0]))
+        return emit(step, *args)
 
-        monkeypatch.setattr(gen, name, writing)
+    monkeypatch.setattr(gen, "emit_walk", writing)
     monkeypatch.setattr(rulepack, "load_rulepack", loading_pack)
     config = runner.CheckerConfig(project_root=str(FIXTURES / "combined-clean"))
     assert runner.run_checker(config).rules_executed == 15
-    assert sorted(written) == [("emit_rule", True)] * 4 + [("emit_walk", True)] * 3
+    assert sorted(written) == [(False, True)] * 4 + [(True, True)] * 3
 
 
 def test_a_namespace_does_not_keep_its_function(project, pack):
@@ -445,10 +455,11 @@ def test_each_generated_function_has_one_handler(pack):
     """In the shipped pack's code, a call, a truth check or an unbound read
     is a plain line in its line table, which names the built-in exactly on
     the lines that call its body directly; the only try blocks are one per
-    function and one per step of a shared walk."""
+    function and one per step of a walk.  Each rule's code written alone,
+    a one-rule walk of one step, is checked too."""
     steps = gen.plan_pack(pack)
-    generated = [gen.emit_walk(step, pack, BUILTINS) for step in steps]
-    generated += [gen.emit_rule(rule, BUILTINS) for rule in pack]
+    generated = [g for _, g in gen.emit_pack(pack, BUILTINS).walks]
+    generated += [walk_of(rule) for rule in pack]
 
     def count(step):
         return 1 + sum(map(count, step.then)) if isinstance(step, gen.Shared) else 1
@@ -477,7 +488,7 @@ def test_each_generated_function_has_one_handler(pack):
                 body = lines[i - 1].split(" = ", 1)[1].split("(", 1)[0]
                 assert g.constants[int(body[1:])] is BUILTINS[table[i][3]].fn
             directs += len(direct)
-    assert tries == functions + sum(map(count, steps))
+    assert tries == functions + sum(map(count, steps)) + len(pack)
     assert directs > 0
 
 
@@ -541,7 +552,7 @@ def test_rule_error_positions_in_each_generated_context(tmp_path):
     assert any(isinstance(step.stmts[0], ast.DeclStmt) and len(step.rules) == 3
                for step in shared_steps(gen.plan_pack(rules)))
     for name in ("deep-truth", "deep-unbound"):
-        units = gen.emit_rule(rules[list(POSITIONED).index(name)], BUILTINS).units
+        units = walk_of(rules[list(POSITIONED).index(name)]).units
         assert not any(s in units[-1][2] for s in ("truth(", "unbound("))
     expected = []
     for source, (name, (_, text, _)) in zip(sources, POSITIONED.items()):
@@ -581,10 +592,7 @@ def test_the_pack_tests_no_literal_kind_and_no_list_result(pack):
     exists over a call of a built-in declared to return a list iterates
     its result as it is, with no list test before an index lookup; only
     the results of built-ins that may give any value are tested."""
-    steps = gen.plan_pack(pack)
-    shared = {k for step in steps for k in step.rules}
-    generated = [gen.emit_walk(step, pack, BUILTINS) for step in steps]
-    generated += [gen.emit_rule(rule, BUILTINS) for k, rule in enumerate(pack) if k not in shared]
+    generated = [g for _, g in gen.emit_pack(pack, BUILTINS).walks]
     tested = as_is = isinstances = 0
     for g in generated:
         for _, _, source in g.units:
@@ -604,7 +612,10 @@ def test_the_pack_tests_no_literal_kind_and_no_list_result(pack):
                 tested += wrapped
                 as_is += not wrapped
     assert as_is > 20 and tested == 3  # getArg twice and join
-    assert isinstances <= 90
+    # the pack holds 94, 7 of them in r7's check of a compound name
+    # (indexOf and substring of setterName, isEmpty twice, and getName in
+    # the getter exists's two index functions and its scan); 3 to spare
+    assert isinstances <= 97
 
 
 # name: a rule's statement in the loop over beans, and how the generated
@@ -640,7 +651,7 @@ def test_calls_of_known_kinds_run_as_the_closures_ran_them(tmp_path, name):
     (tmp_path / "ctx.xml").write_text(CTX_XML)
     stmt, shapes = KNOWN_KINDS[name]
     rule = parse_rule(f"Rule {name} {{\n{BEANS}    {stmt}\n  }}\n}}\n}}\n")
-    g = gen.emit_rule(rule, BUILTINS)
+    g = walk_of(rule)
     (_, _, source), = g.units
     assert call_shapes(g, source, 4) == shapes, source
     reports, errors, _, _ = assert_same_checks([rule], build_model(tmp_path))

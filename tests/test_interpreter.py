@@ -67,7 +67,6 @@ Rule decl-use {
     r = reports[0]
     assert r.rule_name == "decl-use"
     assert r.message == "hello world and again"
-    assert r.ordinal == 0
 
 
 def test_passing_assert_reports_nothing(model):
@@ -92,14 +91,13 @@ Rule locate {
     assert reports[0].line == 2
     assert reports[1].line == 3
     assert reports[0].message == 'plain text then <bean id="one">'
-    assert [r.ordinal for r in reports] == [0, 1]
 
 
 def test_report_without_locatable_args(model):
     src = 'Rule bare { assert (isEmpty("x")) { msg("fixed note"); } }'
     reports, _ = run(model, src)
     assert reports == [
-        BugReport(rule_name="bare", message="fixed note", file_path="", line=0, ordinal=0)
+        BugReport(rule_name="bare", message="fixed note", file_path="", line=0)
     ]
 
 
@@ -345,20 +343,24 @@ Rule negate {
     assert [r.message for r in reports] == ["fires"]
 
 
-def test_shared_sink_keeps_global_ordinals(model):
+def test_shared_sink_keeps_emission_order(model):
     a = 'Rule first { assert (isEmpty("x")) { msg("a"); } }'
     b = 'Rule second { assert (isEmpty("x")) { msg("b"); } assert (isEmpty("x")) { msg("c"); } }'
     interp = Interpreter(model)
     sink = []
     interp.run_rule(parse_rule(a), sink=sink)
     interp.run_rule(parse_rule(b), sink=sink)
-    assert [(r.rule_name, r.ordinal) for r in sink] == [("first", 0), ("second", 1), ("second", 2)]
+    assert [(r.rule_name, r.message) for r in sink] == [
+        ("first", "a"), ("second", "b"), ("second", "c")]
 
 
-def test_separate_sinks_restart_ordinals(model):
+def test_separate_sinks_hold_only_their_own_reports(model):
+    a = 'Rule first { assert (isEmpty("x")) { msg("a"); } }'
     b = 'Rule second { assert (isEmpty("x")) { msg("b"); } }'
-    reports, _ = run(model, b)
-    assert reports[0].ordinal == 0
+    interp = Interpreter(model)
+    interp.run_rule(parse_rule(a))
+    reports = interp.run_rule(parse_rule(b))
+    assert [(r.rule_name, r.message) for r in reports] == [("second", "b")]
 
 
 def test_cache_does_not_change_results(model):
@@ -372,11 +374,14 @@ Rule cached {
 }
 """
     # the reference with no cache is the cache-free result
-    plain = [r._fields() for r in run(model, src, cache=None, engine=ref.Interpreter)[0]]
+    def rows(reports):
+        return [(r.rule_name, r.message, r.file_path, r.line) for r in reports]
+
+    plain = rows(run(model, src, cache=None, engine=ref.Interpreter)[0])
     cache = QueryCache()
     cached_first, _ = run(model, src, cache=cache)
     cached_second, _ = run(model, src, cache=cache)
-    assert plain == [r._fields() for r in cached_first] == [r._fields() for r in cached_second]
+    assert plain == rows(cached_first) == rows(cached_second)
     assert [r.message for r in cached_first] == ['no class com.x.Gone for <bean id="two">']
     stats = cache.stats()
     assert stats["hits"] > 0

@@ -2,7 +2,8 @@
 
 run_checker runs the statements that rules open with once for all the
 rules that share them (interpreter.plan_pack, compile_pack).  These tests
-pin which rules of the shipped pack share which statements, that a rule
+pin which rules of the shipped pack share which statements, that every
+rule runs in exactly one walk, that a rule
 differing by one variable name or literal is not merged, and what a check
 of each benchmark workload evaluates and keeps: its built-in calls, so
 that a change that quietly stops sharing fails here; its exists predicate
@@ -11,15 +12,18 @@ cache and exists index entries left after it, so that a list cached for
 nothing or an index built on every evaluation fails here.
 """
 
+import random
 import re
 
+import genrules
 import pytest
 from benchgen import write_workload
 
 from mecheck import rulepack, runner
+from mecheck.builtins import BUILTINS
 from mecheck.rsl import ast
 from mecheck.rsl.parser import parse_rule
-from mecheck.runtime.interpreter import Interpreter, Shared, plan_pack
+from mecheck.runtime.interpreter import Interpreter, Rest, Shared, emit_pack, plan_pack
 
 # Built-in calls a whole check of each seed-7 workload evaluates: the sum of
 # every rule's EvalStats.builtin_calls, as the benchmark's
@@ -39,11 +43,15 @@ from mecheck.runtime.interpreter import Interpreter, Shared, plan_pack
 # 48,167 / 151,770 / 47,262: r14 checking <import> resources, one getXMLs
 # and two getChildElms per XML file (its root, then the root's <import>
 # children, of which the workloads have none), +81 / +71 / +201 for their
-# 40 / 35 / 100 XML files.
+# 40 / 35 / 100 XML files.  From 48,248 / 151,841 / 47,463: r7 reading
+# a compound property name where no setter matches, +12 each: for each of
+# the 3 injected r7 defects, indexOf and substring find the name's first
+# part and isEmpty tests it twice; a property whose setter exists
+# evaluates the same calls as before.
 WORKLOAD_BUILTIN_CALLS = {
-    "getbean-lookups": 48_248,
-    "bean-props": 151_841,
-    "java-wide": 47_463,
+    "getbean-lookups": 48_260,
+    "bean-props": 151_853,
+    "java-wide": 47_475,
 }
 # The sum of every rule's EvalStats.exists_predicate_evals: what a scan of
 # every exists counts, so no index may move it.  From 459,393 / 115,752 /
@@ -111,6 +119,22 @@ def test_shipped_pack_shares_the_bean_walk(pack):
         ("if", None, ["r8", "r9"]),
         ("for", "c", ["r11", "r12"]),
     ]
+
+
+def test_every_rule_sits_in_exactly_one_walk(pack):
+    """A set of rules that share statements runs in one walk, and each
+    rule that shares nothing in a one-rule walk of its own."""
+    rng = random.Random(4242)
+    generated = [parse_rule(genrules.render_rule(genrules.Gen(rng, with_beanid=i % 2 == 0).rule(),
+                                                 f"gen-{i}", with_beanid=i % 2 == 0))
+                 for i in range(30)]
+    for rules in (pack, generated, pack + generated):
+        walks = emit_pack(rules, BUILTINS).walks
+        assert sorted(k for step, _ in walks for k in step.rules) == list(range(len(rules)))
+        assert all(isinstance(step, Shared) == (len(step.rules) > 1) for step, _ in walks)
+    alone = [[short(pack[k].name) for k in step.rules]
+             for step in plan_pack(pack) if isinstance(step, Rest)]
+    assert alone == [["r1"], ["r13"], ["r14"], ["r15"]]
 
 
 def variant(rule, pattern, new):

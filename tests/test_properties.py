@@ -11,7 +11,7 @@ from mecheck.runtime.interpreter import (
     UNDECLARED_VARIABLE,
     Interpreter,
     RuntimeRuleError,
-    emit_rule,
+    emit_pack,
 )
 from reference_check import RULE_ERRORS, make_interpreter
 from rsl_printer import format_rule, structurally_equal
@@ -33,7 +33,7 @@ def model(tmp_path_factory):
 
 
 def report_rows(sink):
-    return [(r.message, r.file_path, r.line, r.ordinal) for r in sink]
+    return [(r.message, r.file_path, r.line) for r in sink]
 
 
 def stats_row(stats):
@@ -78,7 +78,6 @@ def run_valid_cases(model, seed, count, with_beanid):
         assert error is None, source
         expected = genrules.oracle_reports(stmts, BEAN_IDS if with_beanid else None)
         assert [message for message, *_ in reports] == expected, source
-        assert [ordinal for *_, ordinal in reports] == list(range(len(reports)))
         assert_no_state_leak(interp, rule, first, source)
         executed += 1
         shadowed += gen.shadow_count
@@ -183,7 +182,7 @@ SCOPE_EDGES = [
 
 def test_unbound_reads_are_the_validators_undeclared_variables(model):
     """The interpreter resolves names as validation does: every "is not
-    bound" rule error lies at a position emit_rule's diagnostics flag as
+    bound" rule error lies at a position the rule's diagnostics flag as
     undeclared-variable, so a rule with no diagnostics never raises one."""
     rules = differential_corpus(seed=7373, valid=300, per_variant=40)
     rules += [parse_rule(source) for source in SCOPE_EDGES]
@@ -193,7 +192,7 @@ def test_unbound_reads_are_the_validators_undeclared_variables(model):
         for rule in rules:
             flagged = {
                 (d.line, d.column)
-                for d in emit_rule(rule, BUILTINS).diagnostics
+                for d in emit_pack([rule], BUILTINS).diagnostics[0]
                 if d.code == UNDECLARED_VARIABLE
             }
             try:
@@ -203,7 +202,7 @@ def test_unbound_reads_are_the_validators_undeclared_variables(model):
                     assert (exc.line, exc.column) in flagged, format_rule(rule)
                     unbound += 1
                     continue
-            if not emit_rule(rule, BUILTINS).diagnostics:
+            if not emit_pack([rule], BUILTINS).diagnostics[0]:
                 clean += 1
     assert unbound >= 2 * (5 * 40 + 3)
     assert clean >= 2 * (300 + 2)

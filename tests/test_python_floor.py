@@ -18,7 +18,7 @@ import mecheck
 from mecheck.builtins import BUILTINS
 from mecheck.rsl.parser import parse_rule
 from mecheck.rulepack import default_rules_dir, load_rulepack
-from mecheck.runtime.interpreter import emit_rule, emit_walk, plan_pack
+from mecheck.runtime.interpreter import emit_pack
 
 try:
     from re import _parser as sre_parse  # Python 3.11 and later
@@ -62,10 +62,10 @@ def generated_sources():
               for i in range(40)]
     sample += [parse_rule(genrules.make_invalid_case(rng, variant)[0])
                for variant in genrules.INVALID_VARIANTS]
-    generated = [emit_rule(rule, BUILTINS) for rule in pack + sample]
-    generated += [emit_walk(step, pack, BUILTINS) for step in plan_pack(pack)]
-    for units in generated:
-        for _, filename, source in units.units:
+    packs = [emit_pack([rule], BUILTINS) for rule in pack + sample]
+    packs.append(emit_pack(pack, BUILTINS))
+    for generated in (g for p in packs for _, g in p.walks):
+        for _, filename, source in generated.units:
             yield filename, source
 
 

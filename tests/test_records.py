@@ -139,7 +139,7 @@ def test_ast_nodes_reject_assignment():
 def test_other_records_compare_by_value_and_reject_assignment():
     get_attr = BUILTINS["getAttr"]
     made = [
-        lambda: BugReport("r1", "m", "a.xml", 3, 0),
+        lambda: BugReport("r1", "m", "a.xml", 3),
         lambda: Diagnostic("code", "message", 1, 2),
         lambda: ModelWarning("a.xml", "skipped"),
         lambda: CheckerConfig("proj"),
@@ -153,14 +153,14 @@ def test_other_records_compare_by_value_and_reject_assignment():
         with pytest.raises(AttributeError):
             setattr(a, a.__slots__[0], "changed")
     assert CheckerConfig("proj") != CheckerConfig("proj", rules_dir="rules")
-    assert BugReport("r1", "m", "a.xml", 3, 0) != BugReport("r1", "m", "a.xml", 3, 1)
-    assert repr(BugReport("r1", "m", "a.xml", 3, 0)) == \
-        "BugReport(rule_name='r1', message='m', file_path='a.xml', line=3, ordinal=0)"
+    assert BugReport("r1", "m", "a.xml", 3) != BugReport("r1", "m", "a.xml", 4)
+    assert repr(BugReport("r1", "m", "a.xml", 3)) == \
+        "BugReport(rule_name='r1', message='m', file_path='a.xml', line=3)"
 
 
 def test_records_take_keywords_and_reject_unknown_fields():
-    assert BugReport(rule_name="r", message="m", file_path="", line=0, ordinal=1) == \
-        BugReport("r", "m", "", 0, 1)
+    assert BugReport(rule_name="r", message="m", file_path="", line=0) == \
+        BugReport("r", "m", "", 0)
     with pytest.raises(TypeError):
         ast.Span(1)
     with pytest.raises(TypeError):

@@ -4,13 +4,14 @@ run_checker evaluates the statements that rules open with once for all of
 them (interpreter.compile_pack).  Here packs of generated rules share a
 generated prefix of declarations, for and if statements, then diverge
 with tests/genrules.py statements, and run_checker must give the reports
-(message, file, line, ordinal, in sink order) and diagnostics that running
-each rule alone with a fresh Interpreter gives, and that the cache-free
-reference interpreter gives (tests/reference_check.py).  Every evaluated
-built-in call is a run of its body straight from the rule code, a
-Registry.call or a cache hit.  Written once, in its walk, each rule of
-such a pack has the diagnostics emit_rule gives it alone, those of a
-shared statement at its own positions.
+(message, file and line, each rule's in the order it made them) and
+diagnostics that running each rule alone with a fresh Interpreter gives,
+and that the cache-free reference interpreter gives
+(tests/reference_check.py).  Every evaluated built-in call is a run of
+its body straight from the rule code, a Registry.call or a cache hit.
+Written once, in its walk, each rule of such a pack has the diagnostics
+that writing it alone gives, those of a shared statement at its own
+positions.
 """
 
 import random
@@ -28,12 +29,13 @@ from mecheck.runtime.cache import QueryCache
 from mecheck.runtime.interpreter import (
     Interpreter,
     RuntimeRuleError,
+    Rest,
     Shared,
+    compile_pack,
     emit_pack,
-    emit_rule,
     plan_pack,
 )
-from reference_check import reference_run
+from reference_check import by_rule, reference_run
 
 CTX_XML = """<beans>
   <bean id="a" class="x.A">
@@ -190,7 +192,7 @@ def generated_pack(seed, shape, bad=None):
 
 
 def rows(reports):
-    return [(r.rule_name, r.message, r.file_path, r.line, r.ordinal) for r in reports]
+    return [(r.rule_name, r.message, r.file_path, r.line) for r in by_rule(reports)]
 
 
 def one_by_one(rules, model):
@@ -252,8 +254,9 @@ def test_shared_walk_matches_one_by_one(tmp_path, project, monkeypatch, shape):
         for name, source in generated_pack(seed, shape).items():
             (rules_dir / name).write_text(source)
         rules, summary = assert_same_as_one_by_one(monkeypatch, rules_dir, project)
-        shared = plan_pack(rules)
-        assert len(shared) == 1 and len(shared[0].rules) == len(rules) - 1
+        shared, alone = plan_pack(rules)
+        assert isinstance(shared, Shared) and len(shared.rules) == len(rules) - 1
+        assert isinstance(alone, Rest) and alone.rules == (1,)
         errors += bool(summary.diagnostics)
     if shape in ("shared-error", "own-error"):
         assert errors >= 3  # the rest never reach the error: a condition is false
@@ -276,8 +279,8 @@ def test_a_pack_has_each_rules_own_diagnostics(shape):
         sources = generated_pack(seed, shape, bad=BAD_STMT)
         rules = [parse_rule(sources[name]) for name in sorted(sources)]
         pack = emit_pack(rules, BUILTINS)
-        assert len(pack.walks) == 1 and len(pack.walks[0][0].rules) == len(rules) - 1
-        alone = [emit_rule(rule, BUILTINS).diagnostics for rule in rules]
+        assert [len(step.rules) for step, _ in pack.walks] == [len(rules) - 1, 1]
+        alone = [emit_pack([rule], BUILTINS).diagnostics[0] for rule in rules]
         assert list(pack.diagnostics) == alone
         shared = [alone[k] for k in pack.walks[0][0].rules]
         assert all(len(found) >= 6 for found in shared)
@@ -300,6 +303,29 @@ def test_shared_error_names_each_rule_at_its_own_position(tmp_path, project, mon
     ]
     # the reports each rule made before the failing bean are kept
     assert [(r.rule_name, r.line) for r in summary.reports] == [("first", 6), ("second", 6)]
+
+
+def test_a_later_rule_adds_no_report_and_raises_its_held_error(project):
+    """The walk runs in its first rule's run_rule call and puts every
+    rule's reports into that call's sink; a later rule's own call adds no
+    report and raises the error the walk held for it, at its own position."""
+    prefix = ['for (file f in getXMLs()) {', 'for (<bean> b in getElms(f, "bean")) {',
+              FAILING_STEP]
+    tail = ['assert (hasAttr(b, "class")) { msg("no class on %s", b); }']
+    rules = [parse_rule(render("first", prefix, tail, 0, "  ")),
+             parse_rule(render("second", prefix, tail, 2, "    "))]
+    model, registry, cache = build_model(project), Registry(), QueryCache()
+    interpreters = [Interpreter(model, registry, cache) for _ in rules]
+    compile_pack(interpreters, emit_pack(rules, BUILTINS))
+    sink, later = [], []
+    with pytest.raises(RuntimeRuleError) as first:
+        interpreters[0].run_rule(rules[0], sink)
+    assert [(r.rule_name, r.line) for r in sink] == [("first", 6), ("second", 6)]
+    with pytest.raises(RuntimeRuleError) as second:
+        interpreters[1].run_rule(rules[1], later)
+    assert later == []
+    assert [(e.rule_name, e.line, e.column) for e in (first.value, second.value)] == [
+        ("first", 4, 15), ("second", 6, 21)]
 
 
 def nested_chain(levels, message):

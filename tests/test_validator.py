@@ -9,7 +9,6 @@ from mecheck.runtime.interpreter import (
     UNDECLARED_VARIABLE,
     UNKNOWN_BUILTIN,
     emit_pack,
-    emit_rule,
 )
 from reference_validator import reference_validate_rule
 from rsl_printer import format_rule
@@ -35,7 +34,7 @@ Rule ok {
 def validate_rule(rule):
     """What loading a pack finds wrong with the rule: the diagnostics of
     writing its code."""
-    return emit_rule(rule, BUILTINS).diagnostics
+    return emit_pack([rule], BUILTINS).diagnostics[0]
 
 
 def codes(source):
@@ -232,7 +231,7 @@ def test_a_cached_compile_reports_what_validation_does():
             ' (getAttr(o, "id", 1) == nope(ghost))) { msg("m"); } } }')
     rules = [parse_rule(f"Rule c{k} {{{chr(10) * k}{' ' * k}{body}") for k in range(3)]
     pack = emit_pack(rules, BUILTINS)
-    assert len(pack.walks) == 1 and not pack.alone
+    assert [len(step.rules) for step, _ in pack.walks] == [3]
     for rule, found in zip(rules, pack.diagnostics):
         assert rows(found) == rows(validate_rule(rule)) == rows(reference_validate_rule(rule))
         assert [code for code, *_ in rows(found)] == [UNDECLARED_VARIABLE, BUILTIN_ARITY,
